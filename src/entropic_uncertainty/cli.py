@@ -8,6 +8,7 @@ unphysical state or an out-of-range solve), 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -229,6 +230,15 @@ def _coeffs_from_args(args, default) -> BellDiagonalCoeffs:
     return BellDiagonalCoeffs(c1, c2, c3)
 
 
+def _nonfinite_flags(args) -> list[str]:
+    """One problem per float flag given as inf or nan (argparse accepts both)."""
+    return [
+        f"--{'lambda' if dest == 'rate_lambda' else dest} = {value!r} is not finite"
+        for dest, value in vars(args).items()
+        if isinstance(value, float) and not math.isfinite(value)
+    ]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eur",
@@ -274,6 +284,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        problems = _nonfinite_flags(args)
+        if problems:
+            raise ConfigError(problems)
         if args.command == "sweep":
             cfg = parse_config_file(args.config)
             rows = run_sweep(cfg)

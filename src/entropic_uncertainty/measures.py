@@ -3,9 +3,18 @@
 All entropies are in bits (base-2 logarithms).  Measurement-optimized
 quantities (classical correlation, discord, minimal conditional entropy)
 restrict the optimization to rank-1 projective measurements parametrized by a
-Bloch direction; the optimizer runs a 1-degree grid followed by
-coordinate-wise golden-section refinement, which is deterministic and, for the
-Bell-diagonal family, provably lands on a Pauli axis.
+Bloch direction (theta, phi).
+
+For X states (every state this package produces) the search is exact and
+one-dimensional: the unmeasured qubit's branch diagonals depend on theta only,
+and at fixed diagonals a branch's entropy falls as its coherence rises, so phi
+is fixed in closed form as the azimuth of largest coherence.  theta is then
+searched on [0, pi/2] (theta and pi - theta only swap the two outcomes) by a
+1-degree grid, both endpoints exactly, and one golden-section refinement (the
+one-parameter minimization of Huang, PRA 88, 014302 (2013)).  Any other state
+takes the dense path: a 1-degree grid over theta in [0, pi] and phi in [0, pi)
+(n and -n give the same measurement) followed by coordinate-wise
+golden-section refinement.  Both paths are deterministic.
 
 Side conventions: ``classical_correlation`` and ``quantum_discord`` measure
 qubit A by default (the qubit exposed to noise), while
@@ -34,6 +43,7 @@ from .linalg import (
     as_matrix,
     conjugate_sandwich,
     density_spectrum,
+    is_x_patterned,
     partial_trace,
     tensor_product,
     validate_density,
@@ -42,13 +52,19 @@ from .states import XState
 
 _GOLDEN_RATIO_CONJ = (math.sqrt(5.0) - 1.0) / 2.0
 _ANGLE_TOL = 1e-10
-_GRID_THETAS = np.linspace(0.0, math.pi, 181)
-_GRID_PHIS = np.linspace(0.0, 2.0 * math.pi, 361)
 _GRID_STEP = math.pi / 180.0
+_DENSE_MAX_ROUNDS = 100
+# dense path: theta in [0, pi] x phi in [0, pi), since n and -n are one measurement
+_GRID_THETAS = np.linspace(0.0, math.pi, 181)
+_GRID_PHIS = np.linspace(0.0, math.pi, 180, endpoint=False)
 _SIN_T = np.sin(_GRID_THETAS)[:, None]
 _NX = _SIN_T * np.cos(_GRID_PHIS)[None, :]
 _NY = _SIN_T * np.sin(_GRID_PHIS)[None, :]
 _NZ = np.cos(_GRID_THETAS)[:, None]
+# X-state path: theta in [0, pi/2] at the closed-form optimal phi
+_X_THETAS = np.linspace(0.0, 0.5 * math.pi, 91)
+_X_SIN_T = np.sin(_X_THETAS)
+_X_COS_T = np.cos(_X_THETAS)
 
 
 def _other_side(side: str) -> str:
@@ -253,10 +269,11 @@ def _neg_xlog2x(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, -x * np.log2(np.where(x > 0.0, x, 1.0)), 0.0)
 
 
-def _avg_branch_entropy_grid(mom: _CrossMoments) -> np.ndarray:
-    g00 = _NX * mom.r00[0] + _NY * mom.r00[1] + _NZ * mom.r00[2]
-    g11 = _NX * mom.r11[0] + _NY * mom.r11[1] + _NZ * mom.r11[2]
-    g01 = _NX * mom.r01[0] + _NY * mom.r01[1] + _NZ * mom.r01[2]
+def _avg_branch_entropy_grid(mom: _CrossMoments, nx, ny, nz) -> np.ndarray:
+    """Average branch entropy at every direction of the (broadcast) arrays nx, ny, nz."""
+    g00 = nx * mom.r00[0] + ny * mom.r00[1] + nz * mom.r00[2]
+    g11 = nx * mom.r11[0] + ny * mom.r11[1] + nz * mom.r11[2]
+    g01 = nx * mom.r01[0] + ny * mom.r01[1] + nz * mom.r01[2]
     total = np.zeros_like(g00)
     for sign in (1.0, -1.0):
         m00 = 0.5 * (mom.b00 + sign * g00)
@@ -332,20 +349,53 @@ def _canonical_angles(theta: float, phi: float) -> tuple[float, float]:
     return theta, phi
 
 
-def _minimize_avg_branch_entropy(
-    rho: np.ndarray, measured_side: str
-) -> tuple[float, BlochDirection]:
-    mom = _CrossMoments(rho, measured_side)
-    grid = _avg_branch_entropy_grid(mom)
+def _x_state_azimuth(mom: _CrossMoments) -> float:
+    """phi in [0, pi) maximizing the X-state branch coherence |cos(phi) a + sin(phi) b|.
+
+    That modulus squared is the quadratic form of (cos phi, sin phi) with the
+    real Gram matrix Re[[|a|^2, a b*], [a* b, |b|^2]], so phi is the angle of
+    its top eigenvector; complex a and b need no prior phase rotation.
+    """
+    a, b = mom.r01[0], mom.r01[1]
+    gram_xy = (a * b.conjugate()).real
+    phi = 0.5 * math.atan2(2.0 * gram_xy, abs(a) ** 2 - abs(b) ** 2)
+    return phi + math.pi if phi < 0.0 else phi
+
+
+def _minimize_x_state(mom: _CrossMoments) -> tuple[float, float, float]:
+    """Exact one-parameter minimum for X states: (value, theta, phi)."""
+    phi = _x_state_azimuth(mom)
+    values = _avg_branch_entropy_grid(
+        mom, _X_SIN_T * math.cos(phi), _X_SIN_T * math.sin(phi), _X_COS_T
+    )
+    start = float(_X_THETAS[int(np.argmin(values))])
+    refined, _ = _golden_section(
+        lambda t: _avg_branch_entropy_at(mom, t, phi),
+        start - _GRID_STEP,
+        start + _GRID_STEP,
+    )
+    # the endpoints (z and equatorial measurements) are evaluated exactly
+    value, theta = min(
+        (_avg_branch_entropy_at(mom, t, phi), t) for t in (0.0, 0.5 * math.pi, refined)
+    )
+    return value, theta, phi
+
+
+def _minimize_dense(mom: _CrossMoments) -> tuple[float, float, float]:
+    """Grid plus coordinate golden-section minimum for any state: (value, theta, phi)."""
+    grid = _avg_branch_entropy_grid(mom, _NX, _NY, _NZ)
     flat = int(np.argmin(grid))  # first minimum: smallest theta, then smallest phi
     ti, pj = divmod(flat, grid.shape[1])
     theta = float(_GRID_THETAS[ti])
     phi = float(_GRID_PHIS[pj])
     value = float(grid[ti, pj])
     # the trig parametrization is valid and smooth for any real angles, so the
-    # refinement brackets are left unclipped; angles are canonicalized at the
-    # end (crucial when the optimum sits across the phi seam or a pole)
-    for _ in range(3):
+    # refinement brackets are left unclipped; angles are canonicalized by the
+    # caller (crucial when the optimum sits across the phi seam or a pole).
+    # A round moves each angle by at most one grid step, and in a flat valley
+    # the optimum can lie several steps away, so rounds repeat until one stalls.
+    for _ in range(_DENSE_MAX_ROUNDS):
+        start = value
         x, fx = _golden_section(
             lambda t: _avg_branch_entropy_at(mom, t, phi),
             theta - _GRID_STEP,
@@ -360,8 +410,18 @@ def _minimize_avg_branch_entropy(
         )
         if fx < value:
             phi, value = x, fx
-    theta, phi = _canonical_angles(theta, phi)
-    return value, BlochDirection(theta, phi)
+        if value == start:
+            break
+    return value, theta, phi
+
+
+def _minimize_avg_branch_entropy(
+    rho: np.ndarray, measured_side: str
+) -> tuple[float, BlochDirection]:
+    mom = _CrossMoments(rho, measured_side)
+    minimize = _minimize_x_state if is_x_patterned(rho) else _minimize_dense
+    value, theta, phi = minimize(mom)
+    return value, BlochDirection(*_canonical_angles(theta, phi))
 
 
 def min_conditional_entropy_over_measurements(rho, measured_side: str = "B") -> float:

@@ -2,16 +2,12 @@
 
 A sweep walks a noise-parameter grid for one channel, optionally applies a
 steering operation to each evolved state, evaluates the requested quantities
-and emits rows in grid order.  Output is byte-stable across runs and across
-worker counts (grid points are independent pure computations; rows are always
-assembled in order).
+and emits rows in grid order.  Output is byte-stable across runs.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,7 +56,6 @@ OUTPUT_TAGS = (
 )
 CHANNEL_FAMILIES = ("AD", "BPF")
 STEERING_KINDS = ("filter", "weak")
-THREADS_ENV_VAR = "EUR_THREADS"
 
 
 class ConfigError(ValueError):
@@ -93,6 +88,14 @@ class SweepConfig:
 
     def validate(self) -> list[str]:
         problems = []
+
+        def finite(name: str, v: float) -> bool:
+            # a non-finite value gets this one problem instead of a range check
+            if math.isfinite(v):
+                return True
+            problems.append(f"{name} = {v!r} is not finite")
+            return False
+
         if self.channel not in CHANNEL_FAMILIES:
             problems.append(f"channel {self.channel!r} not one of {CHANNEL_FAMILIES}")
         if not self.outputs:
@@ -102,19 +105,21 @@ class SweepConfig:
                 problems.append(f"unknown output tag {tag!r}")
         if self.param_points < 2:
             problems.append(f"param_points = {self.param_points} < 2")
+        ends = (("param_start", self.param_start), ("param_stop", self.param_stop))
+        finite_ends = [(name, v) for name, v in ends if finite(name, v)]
         if self.rate_lambda is None:
-            for name, v in (("param_start", self.param_start), ("param_stop", self.param_stop)):
+            for name, v in finite_ends:
                 if not 0.0 <= v <= 1.0:
                     problems.append(f"{name} = {v!r} outside [0, 1]")
         else:
             if self.channel == "BPF":
                 problems.append("rate_lambda only applies to the AD channel")
-            if self.rate_lambda <= 0.0:
+            if finite("rate_lambda", self.rate_lambda) and self.rate_lambda <= 0.0:
                 problems.append(f"rate_lambda = {self.rate_lambda!r} must be positive")
-            for name, v in (("param_start", self.param_start), ("param_stop", self.param_stop)):
+            for name, v in finite_ends:
                 if v < 0.0:
                     problems.append(f"{name} = {v!r} must be nonnegative (time grid)")
-        if self.param_stop < self.param_start:
+        if len(finite_ends) == 2 and self.param_stop < self.param_start:
             problems.append("param_stop is smaller than param_start")
         if self.steering_strengths and self.steering_kind not in STEERING_KINDS:
             problems.append(
@@ -123,13 +128,17 @@ class SweepConfig:
         if self.steering_kind in STEERING_KINDS and not self.steering_strengths:
             problems.append("steering_kind given but no steering_strengths")
         for s in self.steering_strengths:
+            if not finite("steering strength", s):
+                continue
             if self.steering_kind == "filter" and not 0.0 < s < 1.0:
                 problems.append(f"filter strength {s!r} outside (0, 1)")
             if self.steering_kind == "weak" and not 0.0 <= s < 1.0:
                 problems.append(f"weak strength {s!r} outside [0, 1)")
         coeffs_in_range = True
         for name, v in (("c1", self.c1), ("c2", self.c2), ("c3", self.c3)):
-            if abs(v) > 1.0 + PSD_ATOL:
+            if not finite(name, v):
+                coeffs_in_range = False
+            elif abs(v) > 1.0 + PSD_ATOL:
                 problems.append(f"{name} = {v!r} outside [-1, 1]")
                 coeffs_in_range = False
         if coeffs_in_range:
@@ -253,20 +262,8 @@ def _evaluate_point(cfg: SweepConfig, rho0, bases, strength, x: float) -> SweepR
     )
 
 
-def worker_count() -> int:
-    """Worker override from the environment; default is serial evaluation."""
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError([f"{THREADS_ENV_VAR} = {raw!r} is not an integer"]) from exc
-    return max(1, n)
-
-
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
-    """Evaluate the grid in order; identical output for any worker count."""
+    """Evaluate the grid in order, one point after another."""
     problems = cfg.validate()
     if problems:
         raise ConfigError(problems)
@@ -274,12 +271,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     bases = (sigma_x_basis(), sigma_z_basis())
     grid = [float(x) for x in np.linspace(cfg.param_start, cfg.param_stop, cfg.param_points)]
     strengths = cfg.steering_strengths if cfg.steering_strengths else (None,)
-    jobs = [(s, x) for s in strengths for x in grid]
-    workers = worker_count()
-    if workers == 1:
-        return [_evaluate_point(cfg, rho0, bases, s, x) for s, x in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda job: _evaluate_point(cfg, rho0, bases, *job), jobs))
+    return [_evaluate_point(cfg, rho0, bases, s, x) for s in strengths for x in grid]
 
 
 def _format_number(v: float) -> str:

@@ -121,3 +121,43 @@ def test_unphysical_witness_coeffs_exit_3(capsys):
     code = main(["witness", "--channel", "AD", "--c1", "0.9", "--c2", "0.9", "--c3", "0.9"])
     assert code == 3
     assert "unphysical" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_capacity_nonfinite_lambda_exit_2(capsys, value):
+    assert main(["capacity", "--channel", "AD", "--lambda", value]) == 2
+    assert f"--lambda = {value} is not finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_witness_nonfinite_flags_all_listed_exit_2(capsys, value):
+    argv = ["witness", "--channel", "BPF", "--c1", value, "--c2", "1", "--c3", value]
+    assert main(argv + ["--s", value]) == 2
+    err = capsys.readouterr().err
+    for flag in ("--c1", "--c3", "--s"):
+        assert f"{flag} = {value} is not finite" in err
+    assert "--c2" not in err
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_sweep_nonfinite_rate_lambda_exit_2(tmp_path, capsys, value):
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(GOOD_CONFIG.replace("param_stop = 1", "param_stop = 10")
+                        + f"rate_lambda = {value}\n")
+    assert main(["sweep", "--config", str(cfg_path)]) == 2
+    assert "rate_lambda" in capsys.readouterr().err
+
+
+def test_sweep_every_nonfinite_float_key_listed(tmp_path, capsys):
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(
+        "channel = AD\nc1 = nan\nc2 = inf\nc3 = -inf\nparam_start = nan\n"
+        "param_stop = inf\nrate_lambda = nan\n"
+        "steering_kind = weak\nsteering_strengths = 0.2, inf\n"
+    )
+    assert main(["sweep", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    for key in ("c1", "c2", "c3", "param_start", "param_stop", "rate_lambda",
+                "steering strength"):
+        assert f"  - {key} = " in err
+    assert err.count("is not finite") == 7

@@ -1,29 +1,55 @@
 """Byte-exact determinism of the figure-preset CSV grids.
 
-Golden files are generated on the first build and pinned afterwards: every
-later run must reproduce them byte for byte.  Value correctness is covered by
-the oracle tests; this module locks in the determinism contract.
+Every preset is pinned by a committed golden file, and every run must
+reproduce it byte for byte; a missing golden is a failure.  Goldens are only
+written by ``python tests/regen_golden.py --write``.  Value correctness is
+covered by the oracle tests; this module locks in the determinism contract.
 """
 
+import hashlib
 import pathlib
+import sys
 
 import pytest
 
-from entropic_uncertainty.cli import preset_rows
+import regen_golden
+
+from entropic_uncertainty.cli import PRESET_NAMES, preset_rows
 from entropic_uncertainty.sweep import render_csv
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
-PINNED_PRESETS = ("fig1", "fig2", "fig3", "fig4", "fig6")
+
+# sha256 of tests/golden/fig5.csv; the repository benchmark pins the same digest
+FIG5_SHA256 = "99eeb78cbb22ab7dee81edf64abdd54007d7ea4260beb799d3f94940fc556042"
 
 
-@pytest.mark.parametrize("name", PINNED_PRESETS)
+@pytest.mark.parametrize("name", PRESET_NAMES)
 def test_preset_matches_golden(name):
-    text = render_csv(preset_rows(name))
     path = GOLDEN_DIR / f"{name}.csv"
-    if not path.exists():
-        GOLDEN_DIR.mkdir(exist_ok=True)
-        path.write_text(text, encoding="utf-8", newline="\n")
-    assert text == path.read_text(encoding="utf-8")
+    assert path.exists(), f"missing golden {path}; see tests/regen_golden.py"
+    assert render_csv(preset_rows(name)) == path.read_text(encoding="utf-8")
+
+
+def test_fig5_golden_is_the_pinned_file():
+    data = (GOLDEN_DIR / "fig5.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == FIG5_SHA256
+
+
+def test_missing_golden_is_a_failure(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN_DIR", tmp_path)
+    with pytest.raises(AssertionError, match="missing golden"):
+        test_preset_matches_golden("fig6")
+    assert not list(tmp_path.iterdir())
+
+
+def test_regen_script_writes_only_with_flag(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(regen_golden, "GOLDEN_DIR", tmp_path)
+    assert regen_golden.main(["fig6"]) == 1
+    assert not list(tmp_path.iterdir())
+    assert regen_golden.main(["--write", "fig6"]) == 0
+    assert (tmp_path / "fig6.csv").read_bytes() == (GOLDEN_DIR / "fig6.csv").read_bytes()
+    assert regen_golden.main(["fig6"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["fig6: missing", "fig6: written", "fig6: ok"]
 
 
 def test_presets_are_run_to_run_deterministic():

@@ -21,7 +21,8 @@ from conftest import (
     shannon_oracle,
     spectrum_oracle,
 )
-from entropic_uncertainty.linalg import PAULI_X, PAULI_Z
+from entropic_uncertainty import measures
+from entropic_uncertainty.linalg import PAULI_X, PAULI_Z, is_x_patterned
 from entropic_uncertainty.measures import (
     BlochDirection,
     ProjectiveBasis,
@@ -302,3 +303,60 @@ def test_mutual_information_matches_oracle():
     for _ in range(20):
         rho = rand_xstate_matrix(rng)
         assert mutual_information(rho) == pytest.approx(mutual_oracle(rho), abs=1e-11)
+
+
+def _complex_x_states(seed, count):
+    rng = np.random.RandomState(seed)
+    return [rand_xstate_matrix(rng) for _ in range(count)]
+
+
+def test_x_state_path_matches_dense_path():
+    # the one-parameter X-state optimizer against the dense 2-D grid it replaces
+    for rho in _complex_x_states(101, 300):
+        for side in ("A", "B"):
+            mom = measures._CrossMoments(rho, side)
+            x_value, _, _ = measures._minimize_x_state(mom)
+            dense_value, _, _ = measures._minimize_dense(mom)
+            assert abs(x_value - dense_value) <= 1e-12
+
+
+def test_x_state_path_beats_coarse_oracle_grid():
+    coarse = [
+        (th, ph)
+        for th in np.linspace(0.0, math.pi, 5)
+        for ph in np.linspace(0.0, math.pi, 4, endpoint=False)
+    ]
+    for rho in _complex_x_states(101, 300):
+        assert is_x_patterned(rho)
+        for side in ("A", "B"):
+            value, direction = measures._minimize_avg_branch_entropy(rho, side)
+            best = min(avg_branch_entropy_oracle(rho, th, ph, side) for th, ph in coarse)
+            assert value <= best + 1e-12
+            # the reported measurement attains the reported value
+            attained = avg_branch_entropy_oracle(rho, direction.theta, direction.phi, side)
+            assert abs(attained - value) <= 1e-12
+
+
+def test_non_x_state_takes_dense_path(monkeypatch):
+    dense_calls = []
+    dense = measures._minimize_dense
+
+    def spy(mom):
+        dense_calls.append(mom)
+        return dense(mom)
+
+    monkeypatch.setattr(measures, "_minimize_dense", spy)
+    had = (PAULI_X + PAULI_Z) / math.sqrt(2)
+    for side, big in (("A", np.kron(had, np.eye(2))), ("B", np.kron(np.eye(2), had))):
+        for rho in _complex_x_states(103, 5):
+            value, _ = measures._minimize_avg_branch_entropy(rho, side)
+            assert not dense_calls
+            rotated = big @ rho @ big.conj().T
+            assert not is_x_patterned(rotated)
+            rotated_value, direction = measures._minimize_avg_branch_entropy(rotated, side)
+            assert len(dense_calls) == 1
+            dense_calls.clear()
+            # a local unitary on the measured qubit relabels the measurements
+            assert abs(rotated_value - value) <= 1e-12
+            attained = avg_branch_entropy_oracle(rotated, direction.theta, direction.phi, side)
+            assert abs(attained - rotated_value) <= 1e-12

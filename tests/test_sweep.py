@@ -125,20 +125,6 @@ def test_determinism_across_runs():
     assert render_csv(run_sweep(cfg)) == render_csv(run_sweep(cfg))
 
 
-def test_determinism_across_worker_counts(monkeypatch):
-    cfg = small_cfg(outputs=("u", "pati"), param_points=7)
-    serial = render_csv(run_sweep(cfg))
-    monkeypatch.setenv("EUR_THREADS", "4")
-    threaded = render_csv(run_sweep(cfg))
-    assert serial == threaded
-
-
-def test_bad_thread_env(monkeypatch):
-    monkeypatch.setenv("EUR_THREADS", "many")
-    with pytest.raises(ConfigError, match="EUR_THREADS"):
-        run_sweep(small_cfg(param_points=2))
-
-
 def test_expand_output_columns():
     assert expand_output_columns(("u", "tightness")) == [
         "u",
