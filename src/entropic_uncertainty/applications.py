@@ -12,7 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ad_kraus, apply_one_sided, apply_steering, bpf_kraus, d_of_t, weak_op
+from .channels import (
+    CHANNEL_FAMILIES,
+    apply_one_sided,
+    apply_steering,
+    d_of_t,
+    noise_kraus,
+    weak_op,
+)
 from .linalg import BOUND_ORDER_ATOL, partial_trace, validate_density
 from .measures import (
     ProjectiveBasis,
@@ -73,8 +80,7 @@ def _witness_u_of_param(channel_family: str, coeffs: BellDiagonalCoeffs, s: floa
     b1, b2 = sigma_x_basis(), sigma_z_basis()
 
     def u(x: float) -> float:
-        channel = ad_kraus(x) if channel_family == "AD" else bpf_kraus(x)
-        evolved = apply_one_sided(channel, rho0, side="A")
+        evolved = apply_one_sided(noise_kraus(channel_family, x), rho0, side="A")
         return uncertainty_lhs(evolved, b1, b2)
 
     return u
@@ -89,7 +95,7 @@ def witness_threshold(
     channel the solve runs on [0, 1/2] and the mirrored upper window follows
     from the p <-> 1 - p symmetry of the channel.
     """
-    if channel_family not in ("AD", "BPF"):
+    if channel_family not in CHANNEL_FAMILIES:
         raise ValueError(f"unknown channel family {channel_family!r}")
     u = _witness_u_of_param(channel_family, coeffs, s)
     threshold = 1.0  # log2(1/c) for the sigma_x / sigma_z pair
@@ -161,7 +167,7 @@ def capacity_curves(
     ``schedule`` holds damping/flip parameters directly, or times when
     ``rate_lambda`` is given (damping channel only).
     """
-    if channel_family not in ("AD", "BPF"):
+    if channel_family not in CHANNEL_FAMILIES:
         raise ValueError(f"unknown channel family {channel_family!r}")
     if rate_lambda is not None and channel_family != "AD":
         raise ValueError("a decay rate only parametrizes the damping channel")
@@ -170,7 +176,6 @@ def capacity_curves(
     for x in schedule:
         x = float(x)
         param = d_of_t(rate_lambda, x) if rate_lambda is not None else x
-        channel = ad_kraus(param) if channel_family == "AD" else bpf_kraus(param)
-        evolved = apply_one_sided(channel, rho0, side="A")
+        evolved = apply_one_sided(noise_kraus(channel_family, param), rho0, side="A")
         curve.append((x, channel_capacity(evolved)))
     return curve

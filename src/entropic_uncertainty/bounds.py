@@ -1,6 +1,11 @@
 """Measurement-uncertainty left-hand side, its three lower bounds, and the
 published closed-form expressions kept as cross-checks.
 
+``PointQuantities`` is the one definition of the Pati and Adabi bounds and of
+discord as the sweep and ``bound_report`` see them: both read every value from
+it, so one state pays for each quantity (mutual information, the measurement
+optimizer, each Holevo quantity) at most once.
+
 The numerical pipeline (build state, evolve, measure, take entropies) is the
 ground truth everywhere.  The closed-form evolved spectra are exact and used
 directly in tests; the closed-form uncertainty expressions are transcriptions
@@ -12,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +27,7 @@ from .measures import (
     binary_entropy,
     classical_correlation,
     conditional_entropy_after_measurement,
+    discord_from,
     holevo_quantity,
     min_conditional_entropy_over_measurements,
     mutual_information,
@@ -61,35 +68,62 @@ def berta_bound(rho, c: float, memory_side: str = "B") -> float:
     return math.log2(1.0 / c) + quantum_conditional_entropy(rho, memory_side)
 
 
-def pati_bound(
-    rho, c: float, measured_side: str = "A", memory_side: str = "B"
-) -> float:
-    """Berta bound plus max{0, discord - classical correlation}."""
-    j = classical_correlation(rho, measured_side)
-    d = max(0.0, mutual_information(rho) - j)
-    return berta_bound(rho, c, memory_side) + max(0.0, d - j)
+@dataclass(eq=False)
+class PointQuantities:
+    """Every quantity one state reports, each evaluated on first read only.
 
+    Properties named after a module-level function (``complementarity_c``,
+    ``mutual_information``, ``classical_correlation``) call that function.
+    """
 
-def adabi_bound(
-    rho,
-    c: float,
-    b1: ProjectiveBasis,
-    b2: ProjectiveBasis,
-    measured_side: str = "A",
-    memory_side: str = "B",
-) -> float:
-    """Berta bound plus max{0, mutual information - both Holevo quantities}."""
-    delta = (
-        mutual_information(rho)
-        - holevo_quantity(rho, b1, measured_side, memory_side)
-        - holevo_quantity(rho, b2, measured_side, memory_side)
-    )
-    return berta_bound(rho, c, memory_side) + max(0.0, delta)
+    rho: np.ndarray
+    b1: ProjectiveBasis
+    b2: ProjectiveBasis
+    measured_side: str = "A"
+    memory_side: str = "B"
 
+    @cached_property
+    def complementarity_c(self) -> float:
+        return complementarity_c(self.b1, self.b2)
 
-def tightness(u_lhs: float, bound: float) -> float:
-    """Gap between the measured uncertainty and a lower bound."""
-    return u_lhs - bound
+    @cached_property
+    def mutual_information(self) -> float:
+        return mutual_information(self.rho)
+
+    @cached_property
+    def classical_correlation(self) -> float:
+        return classical_correlation(self.rho, self.measured_side)
+
+    @cached_property
+    def u(self) -> float:
+        return uncertainty_lhs(self.rho, self.b1, self.b2, self.measured_side, self.memory_side)
+
+    @cached_property
+    def berta(self) -> float:
+        return berta_bound(self.rho, self.complementarity_c, self.memory_side)
+
+    @cached_property
+    def discord(self) -> float:
+        return discord_from(self.mutual_information, self.classical_correlation)
+
+    @cached_property
+    def pati(self) -> float:
+        """Berta bound plus max{0, discord - classical correlation}."""
+        return self.berta + max(0.0, self.discord - self.classical_correlation)
+
+    @cached_property
+    def adabi(self) -> float:
+        """Berta bound plus max{0, mutual information - both Holevo quantities}."""
+        delta = (
+            self.mutual_information
+            - holevo_quantity(self.rho, self.b1, self.measured_side, self.memory_side)
+            - holevo_quantity(self.rho, self.b2, self.measured_side, self.memory_side)
+        )
+        return self.berta + max(0.0, delta)
+
+    @cached_property
+    def s_min(self) -> float:
+        return min_conditional_entropy_over_measurements(self.rho, self.memory_side)
 
 
 def spmc_satisfied(
@@ -139,32 +173,18 @@ def bound_report(
     memory_side: str = "B",
 ) -> BoundReport:
     """Evaluate the uncertainty, all three bounds and the correlation measures."""
-    rho = validate_density(rho)
-    c = complementarity_c(b1, b2)
-    u = uncertainty_lhs(rho, b1, b2, measured_side, memory_side)
-    berta = berta_bound(rho, c, memory_side)
-    j = classical_correlation(rho, measured_side)
-    mut = mutual_information(rho)
-    discord = max(0.0, mut - j)
-    pati = berta + max(0.0, discord - j)
-    delta = (
-        mut
-        - holevo_quantity(rho, b1, measured_side, memory_side)
-        - holevo_quantity(rho, b2, measured_side, memory_side)
-    )
-    adabi = berta + max(0.0, delta)
-    s_min = min_conditional_entropy_over_measurements(rho, measured_side=memory_side)
+    q = PointQuantities(validate_density(rho), b1, b2, measured_side, memory_side)
     return BoundReport(
-        u_lhs=u,
-        berta=berta,
-        pati=pati,
-        adabi=adabi,
-        tightness_berta=tightness(u, berta),
-        tightness_pati=tightness(u, pati),
-        tightness_adabi=tightness(u, adabi),
-        discord=discord,
-        s_min_cond=s_min,
-        complementarity_c=c,
+        u_lhs=q.u,
+        berta=q.berta,
+        pati=q.pati,
+        adabi=q.adabi,
+        tightness_berta=q.u - q.berta,
+        tightness_pati=q.u - q.pati,
+        tightness_adabi=q.u - q.adabi,
+        discord=q.discord,
+        s_min_cond=q.s_min,
+        complementarity_c=q.complementarity_c,
     )
 
 

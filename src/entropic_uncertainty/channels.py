@@ -16,14 +16,15 @@ import numpy as np
 from .linalg import (
     COMPLETENESS_ATOL,
     I2,
-    PAULI_X,
     PAULI_Y,
     POSTSELECT_MIN_PROB,
     as_matrix,
     conjugate_sandwich,
-    tensor_product,
+    embed_on_side,
     validate_density,
 )
+
+CHANNEL_FAMILIES = ("AD", "BPF")
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,13 +73,15 @@ def bpf_kraus(p: float) -> KrausChannel:
     )
 
 
-def bpf_kraus_sigma_x(p: float) -> KrausChannel:
-    """Plain bit-flip variant (sigma_x instead of sigma_y), kept for comparison."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"flip parameter p = {p!r} outside [0, 1]")
-    return KrausChannel(
-        operators=(math.sqrt(p) * I2, math.sqrt(1.0 - p) * PAULI_X), label="custom"
-    )
+def noise_kraus(family: str, param: float) -> KrausChannel:
+    """Kraus set of a channel family at its noise parameter (d for AD, p for BPF)."""
+    # the constructors are looked up by name on each call, not kept in a table,
+    # so a wrapper installed on the module attribute sees every call
+    if family == "AD":
+        return ad_kraus(param)
+    if family == "BPF":
+        return bpf_kraus(param)
+    raise ValueError(f"unknown channel family {family!r}")
 
 
 def apply_one_sided(channel: KrausChannel, rho, side: str = "A") -> np.ndarray:
@@ -88,13 +91,7 @@ def apply_one_sided(channel: KrausChannel, rho, side: str = "A") -> np.ndarray:
         raise ValueError("not a two-qubit state")
     out = np.zeros((4, 4), dtype=complex)
     for e in channel.operators:
-        if side == "A":
-            big = tensor_product(e, I2)
-        elif side == "B":
-            big = tensor_product(I2, e)
-        else:
-            raise ValueError(f"unknown subsystem tag {side!r}")
-        out += conjugate_sandwich(big, rho)
+        out += conjugate_sandwich(embed_on_side(e, side), rho)
     return out
 
 
@@ -142,13 +139,7 @@ def apply_steering(op: SteeringOp, rho, side: str = "A") -> np.ndarray:
     rho = validate_density(rho)
     if rho.shape != (4, 4):
         raise ValueError("not a two-qubit state")
-    if side == "A":
-        big = tensor_product(op.operator, I2)
-    elif side == "B":
-        big = tensor_product(I2, op.operator)
-    else:
-        raise ValueError(f"unknown subsystem tag {side!r}")
-    unnormalized = conjugate_sandwich(big, rho)
+    unnormalized = conjugate_sandwich(embed_on_side(op.operator, side), rho)
     norm = float(np.trace(unnormalized).real)
     if norm <= POSTSELECT_MIN_PROB:
         raise ValueError("post-selection probability ~ 0, conditional state undefined")

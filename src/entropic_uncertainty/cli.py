@@ -10,12 +10,15 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .applications import capacity_curves, witness_threshold
+from .channels import CHANNEL_FAMILIES
 from .states import BellDiagonalCoeffs
 from .sweep import (
+    MAX_GRID_ROWS,
     ConfigError,
     NumericError,
     SweepConfig,
@@ -23,7 +26,6 @@ from .sweep import (
     errata_report,
     render_csv,
     run_sweep,
-    with_rate_lambda,
 )
 
 EXIT_OK = 0
@@ -210,7 +212,7 @@ def preset_rows(name: str):
         bpf = run_sweep(
             SweepConfig("BPF", *MAX_PURITY_CAPACITY, 0.0, 1.0, 101, outputs=("capacity",))
         )
-        rows += with_rate_lambda(bpf, 0.0)  # 0 marks the direct p sweep
+        rows += [replace(row, rate_lambda=0.0) for row in bpf]  # 0 marks the direct p sweep
         return rows
     raise ConfigError([f"unknown preset {name!r} (expected one of {PRESET_NAMES})"])
 
@@ -239,6 +241,12 @@ def _nonfinite_flags(args) -> list[str]:
     ]
 
 
+def _points_problems(points: int, least: int) -> list[str]:
+    if least <= points <= MAX_GRID_ROWS:
+        return []
+    return [f"--points {points} outside [{least}, {MAX_GRID_ROWS}]"]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eur",
@@ -255,14 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_preset.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
     p_wit = sub.add_parser("witness", help="solve the witness noise threshold")
-    p_wit.add_argument("--channel", required=True, choices=("AD", "BPF"))
+    p_wit.add_argument("--channel", required=True, choices=CHANNEL_FAMILIES)
     p_wit.add_argument("--c1", type=float, required=True)
     p_wit.add_argument("--c2", type=float, required=True)
     p_wit.add_argument("--c3", type=float, required=True)
     p_wit.add_argument("--s", type=float, default=0.0, help="weak-measurement strength")
 
     p_cap = sub.add_parser("capacity", help="emit a channel-capacity curve")
-    p_cap.add_argument("--channel", required=True, choices=("AD", "BPF"))
+    p_cap.add_argument("--channel", required=True, choices=CHANNEL_FAMILIES)
     p_cap.add_argument("--lambda", dest="rate_lambda", type=float, default=None,
                        help="decay rate; sweeps time in [0, 10] instead of d")
     p_cap.add_argument("--c1", type=float, default=None)
@@ -272,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cap.add_argument("--out", default=None)
 
     p_err = sub.add_parser("errata", help="closed-form vs pipeline gap report")
-    p_err.add_argument("--channel", required=True, choices=("AD", "BPF"))
+    p_err.add_argument("--channel", required=True, choices=CHANNEL_FAMILIES)
     p_err.add_argument("--c1", type=float, default=None)
     p_err.add_argument("--c2", type=float, default=None)
     p_err.add_argument("--c3", type=float, default=None)
@@ -317,12 +325,13 @@ def main(argv=None) -> int:
             )
         elif args.command == "capacity":
             coeffs = _coeffs_from_args(args, MAX_PURITY_CAPACITY)
-            if args.points < 2:
-                raise ConfigError([f"--points {args.points} < 2"])
+            problems = _points_problems(args.points, 2)
             if args.rate_lambda is not None and args.rate_lambda <= 0.0:
-                raise ConfigError([f"--lambda {args.rate_lambda} must be positive"])
+                problems.append(f"--lambda {args.rate_lambda} must be positive")
             if args.rate_lambda is not None and args.channel != "AD":
-                raise ConfigError(["--lambda only applies to the AD channel"])
+                problems.append("--lambda only applies to the AD channel")
+            if problems:
+                raise ConfigError(problems)
             stop = 10.0 if args.rate_lambda is not None else 1.0
             schedule = np.linspace(0.0, stop, args.points)
             curve = capacity_curves(args.channel, coeffs, schedule, args.rate_lambda)
@@ -331,8 +340,9 @@ def main(argv=None) -> int:
             _write_text("\n".join(lines) + "\n", args.out)
         elif args.command == "errata":
             coeffs = _coeffs_from_args(args, FIG1_COEFFS)
-            if args.points < 1:
-                raise ConfigError([f"--points {args.points} < 1"])
+            problems = _points_problems(args.points, 1)
+            if problems:
+                raise ConfigError(problems)
             grid = np.linspace(0.0, 1.0, args.points)
             _write_text(errata_report(coeffs, args.channel, grid), args.out)
     except ConfigError as exc:

@@ -43,9 +43,9 @@ from .linalg import (
     as_matrix,
     conjugate_sandwich,
     density_spectrum,
+    embed_on_side,
     is_x_patterned,
     partial_trace,
-    tensor_product,
     validate_density,
 )
 from .states import XState
@@ -172,14 +172,6 @@ def sigma_z_basis() -> ProjectiveBasis:
     return bloch_basis(BlochDirection(0.0, 0.0), label="z")
 
 
-def _embed(op: np.ndarray, side: str) -> np.ndarray:
-    if side == "A":
-        return tensor_product(op, I2)
-    if side == "B":
-        return tensor_product(I2, op)
-    raise ValueError(f"unknown subsystem tag {side!r}")
-
-
 def post_measurement_state(rho, basis: ProjectiveBasis, side: str = "A") -> np.ndarray:
     """Dephased state sum_x (P_x)_side rho (P_x)_side after measuring one qubit."""
     rho = validate_density(rho)
@@ -187,7 +179,7 @@ def post_measurement_state(rho, basis: ProjectiveBasis, side: str = "A") -> np.n
         raise ValueError("not a two-qubit state")
     out = np.zeros((4, 4), dtype=complex)
     for p in basis.projectors:
-        out += conjugate_sandwich(_embed(p, side), rho)
+        out += conjugate_sandwich(embed_on_side(p, side), rho)
     return out
 
 
@@ -230,7 +222,7 @@ def holevo_quantity(
     rho = validate_density(rho)
     total = von_neumann_entropy(partial_trace(rho, memory_side))
     for p in basis.projectors:
-        branch = conjugate_sandwich(_embed(p, measured_side), rho)
+        branch = conjugate_sandwich(embed_on_side(p, measured_side), rho)
         prob = float(np.trace(branch).real)
         if prob <= POSTSELECT_MIN_PROB:
             continue
@@ -444,10 +436,14 @@ def classical_correlation(rho, measured_side: str = "A") -> float:
     return von_neumann_entropy(other) - value
 
 
-def quantum_discord(rho, measured_side: str = "A") -> float:
+def discord_from(mutual: float, classical: float) -> float:
     """Mutual information minus classical correlation, floored at zero."""
-    value = mutual_information(rho) - classical_correlation(rho, measured_side)
-    return max(0.0, value)
+    return max(0.0, mutual - classical)
+
+
+def quantum_discord(rho, measured_side: str = "A") -> float:
+    """Discord of rho with the measurement on ``measured_side``."""
+    return discord_from(mutual_information(rho), classical_correlation(rho, measured_side))
 
 
 def discord_xstate_closed(x: XState) -> float:

@@ -21,7 +21,6 @@ from .linalg import (
     TRACE_ATOL,
     X_PATTERN_ATOL,
     as_matrix,
-    partial_trace,
     tensor_product,
 )
 
@@ -151,8 +150,3 @@ def as_xstate(rho) -> XState:
         a14=complex(rho[0, 3]),
         a23=complex(rho[1, 2]),
     )
-
-
-def reduced_state(rho, keep: str) -> np.ndarray:
-    """Reduced 2x2 state of the kept qubit."""
-    return partial_trace(rho, keep)

@@ -8,39 +8,24 @@ and emits rows in grid order.  Output is byte-stable across runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .applications import channel_capacity
-from .bounds import (
-    ad_closed_form_u,
-    berta_bound,
-    bpf_closed_forms,
-    complementarity_c,
-    uncertainty_lhs,
-)
+from .bounds import PointQuantities, ad_closed_form_u, bpf_closed_forms
 from .channels import (
+    CHANNEL_FAMILIES,
     SteeringOp,
-    ad_kraus,
     apply_one_sided,
     apply_steering,
-    bpf_kraus,
     d_of_t,
     filter_op,
+    noise_kraus,
     weak_op,
 )
 from .linalg import BOUND_ORDER_ATOL, PSD_ATOL
-from .measures import (
-    classical_correlation,
-    discord_xstate_closed,
-    holevo_quantity,
-    min_conditional_entropy_over_measurements,
-    mutual_information,
-    quantum_discord,
-    sigma_x_basis,
-    sigma_z_basis,
-)
+from .measures import discord_xstate_closed, quantum_discord, sigma_x_basis, sigma_z_basis
 from .states import BellDiagonalCoeffs, as_xstate, bell_diagonal_density
 
 OUTPUT_TAGS = (
@@ -54,8 +39,10 @@ OUTPUT_TAGS = (
     "capacity",
     "witness",
 )
-CHANNEL_FAMILIES = ("AD", "BPF")
 STEERING_KINDS = ("filter", "weak")
+# Largest grid a sweep or a capacity/errata schedule may ask for, in rows
+# (points times the number of steering strengths); the grid is built up front.
+MAX_GRID_ROWS = 10**6
 
 
 class ConfigError(ValueError):
@@ -105,6 +92,9 @@ class SweepConfig:
                 problems.append(f"unknown output tag {tag!r}")
         if self.param_points < 2:
             problems.append(f"param_points = {self.param_points} < 2")
+        rows = self.param_points * max(1, len(self.steering_strengths))
+        if rows > MAX_GRID_ROWS:
+            problems.append(f"grid of {rows} rows exceeds the limit of {MAX_GRID_ROWS}")
         ends = (("param_start", self.param_start), ("param_stop", self.param_stop))
         finite_ends = [(name, v) for name, v in ends if finite(name, v)]
         if self.rate_lambda is None:
@@ -167,88 +157,34 @@ class SweepRow:
     quantities: tuple[tuple[str, float], ...]
 
 
-def expand_output_columns(outputs) -> list[str]:
-    cols = []
-    for tag in outputs:
-        if tag == "tightness":
-            cols += ["tightness_berta", "tightness_pati", "tightness_adabi"]
-        else:
-            cols.append(tag)
-    return cols
-
-
 def _steering_op(kind: str, strength: float) -> SteeringOp:
     return filter_op(strength) if kind == "filter" else weak_op(strength)
 
 
-def _evaluate_point(cfg: SweepConfig, rho0, bases, strength, x: float) -> SweepRow:
-    b1, b2 = bases
-    param = d_of_t(cfg.rate_lambda, x) if cfg.rate_lambda is not None else x
-    channel = ad_kraus(param) if cfg.channel == "AD" else bpf_kraus(param)
+def _evaluate_point(cfg: SweepConfig, rho0, bases, strength, index: int, x: float) -> SweepRow:
+    where = f"grid index {index} (param={x!r}, steering strength={strength!r})"
     try:
-        state = apply_one_sided(channel, rho0, side="A")
+        param = d_of_t(cfg.rate_lambda, x) if cfg.rate_lambda is not None else x
+        state = apply_one_sided(noise_kraus(cfg.channel, param), rho0, side="A")
         if strength is not None:
             state = apply_steering(_steering_op(cfg.steering_kind, strength), state, side="A")
-        cache: dict[str, float] = {}
-
-        def u() -> float:
-            if "u" not in cache:
-                cache["u"] = uncertainty_lhs(state, b1, b2)
-            return cache["u"]
-
-        def berta() -> float:
-            if "berta" not in cache:
-                cache["berta"] = berta_bound(state, complementarity_c(b1, b2))
-            return cache["berta"]
-
-        def pati() -> float:
-            if "pati" not in cache:
-                j = classical_correlation(state, "A")
-                cache["discord"] = max(0.0, mutual_information(state) - j)
-                cache["pati"] = berta() + max(0.0, cache["discord"] - j)
-            return cache["pati"]
-
-        def adabi() -> float:
-            if "adabi" not in cache:
-                delta = (
-                    mutual_information(state)
-                    - holevo_quantity(state, b1)
-                    - holevo_quantity(state, b2)
-                )
-                cache["adabi"] = berta() + max(0.0, delta)
-            return cache["adabi"]
-
+        q = PointQuantities(state, *bases)
         values: list[tuple[str, float]] = []
         for tag in cfg.outputs:
-            if tag == "u":
-                values.append(("u", u()))
-            elif tag == "berta":
-                values.append(("berta", berta()))
-            elif tag == "pati":
-                values.append(("pati", pati()))
-            elif tag == "adabi":
-                values.append(("adabi", adabi()))
-            elif tag == "tightness":
-                values.append(("tightness_berta", u() - berta()))
-                values.append(("tightness_pati", u() - pati()))
-                values.append(("tightness_adabi", u() - adabi()))
-            elif tag == "discord":
-                pati()
-                values.append(("discord", cache["discord"]))
-            elif tag == "s_min":
-                values.append(
-                    ("s_min", min_conditional_entropy_over_measurements(state, "B"))
-                )
+            if tag == "tightness":
+                for bound in ("berta", "pati", "adabi"):
+                    values.append((f"tightness_{bound}", q.u - getattr(q, bound)))
             elif tag == "capacity":
                 values.append(("capacity", channel_capacity(state)))
             elif tag == "witness":
-                witnessed = u() < 1.0 - BOUND_ORDER_ATOL
-                values.append(("witness", 1.0 if witnessed else 0.0))
+                values.append(("witness", 1.0 if q.u < 1.0 - BOUND_ORDER_ATOL else 0.0))
+            else:
+                values.append((tag, getattr(q, tag)))
     except (ValueError, ArithmeticError) as exc:
-        raise NumericError(f"sweep point param={x!r} failed: {exc}") from exc
+        raise NumericError(f"sweep point at {where} failed: {exc}") from exc
     for name, v in values:
         if not math.isfinite(v):
-            raise NumericError(f"quantity {name} is not finite at param={x!r}")
+            raise NumericError(f"quantity {name} is not finite at {where}")
     return SweepRow(
         channel=cfg.channel,
         param=x,
@@ -271,7 +207,11 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     bases = (sigma_x_basis(), sigma_z_basis())
     grid = [float(x) for x in np.linspace(cfg.param_start, cfg.param_stop, cfg.param_points)]
     strengths = cfg.steering_strengths if cfg.steering_strengths else (None,)
-    return [_evaluate_point(cfg, rho0, bases, s, x) for s in strengths for x in grid]
+    return [
+        _evaluate_point(cfg, rho0, bases, s, i, x)
+        for s in strengths
+        for i, x in enumerate(grid)
+    ]
 
 
 def _format_number(v: float) -> str:
@@ -333,11 +273,6 @@ def emit_csv(rows, destination) -> None:
         raise OSError(f"cannot write CSV to {destination!r}: {exc}") from exc
 
 
-def with_rate_lambda(rows, rate_lambda: float) -> list[SweepRow]:
-    """Stamp a rate column onto rows (used when presets mix parametrizations)."""
-    return [replace(row, rate_lambda=rate_lambda) for row in rows]
-
-
 def errata_report(coeffs: BellDiagonalCoeffs, channel: str, grid) -> str:
     """Compare the published closed forms against the pipeline over a grid.
 
@@ -364,25 +299,23 @@ def errata_report(coeffs: BellDiagonalCoeffs, channel: str, grid) -> str:
             gaps[name] = (gap, x)
 
     for x in grid:
-        ch = ad_kraus(x) if channel == "AD" else bpf_kraus(x)
-        state = apply_one_sided(ch, rho0, side="A")
-        u_pipeline = uncertainty_lhs(state, b1, b2)
+        state = apply_one_sided(noise_kraus(channel, x), rho0, side="A")
+        q = PointQuantities(state, b1, b2)
         if channel == "AD":
             closed_u = ad_closed_form_u(coeffs, x)
             record(
                 "evolved-state uncertainty (closed form)",
-                None if closed_u is None else abs(closed_u - u_pipeline),
+                None if closed_u is None else abs(closed_u - q.u),
                 x,
             )
         else:
             closed_u, closed_bound = bpf_closed_forms(coeffs, x)
             record(
                 "evolved-state uncertainty (closed form)",
-                abs(closed_u - u_pipeline),
+                abs(closed_u - q.u),
                 x,
             )
-            berta = berta_bound(state, complementarity_c(b1, b2))
-            record("uncertainty lower bound (closed form)", abs(closed_bound - berta), x)
+            record("uncertainty lower bound (closed form)", abs(closed_bound - q.berta), x)
         closed_d = discord_xstate_closed(as_xstate(state))
         numeric_d = quantum_discord(state, measured_side="B")
         record("x-state discord (closed form)", abs(closed_d - numeric_d), x)

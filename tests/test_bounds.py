@@ -17,15 +17,12 @@ from entropic_uncertainty.bounds import (
     BoundReport,
     ad_closed_form_spectrum,
     ad_closed_form_u,
-    adabi_bound,
     berta_bound,
     bound_report,
     bpf_closed_form_spectrum,
     bpf_closed_forms,
     complementarity_c,
-    pati_bound,
     spmc_satisfied,
-    tightness,
     uncertainty_lhs,
 )
 from entropic_uncertainty.measures import (
@@ -74,27 +71,25 @@ def test_berta_examples():
 
 def test_pati_reduces_to_berta_on_classical_states():
     cc_state = np.diag([0.35, 0.15, 0.15, 0.35]).astype(complex)
-    assert pati_bound(cc_state, 0.5) == pytest.approx(berta_bound(cc_state, 0.5), abs=1e-9)
+    r = bound_report(cc_state, BX, BZ)
+    assert r.pati == pytest.approx(berta_bound(cc_state, 0.5), abs=1e-9)
     # discord equals classical correlation on a maximally entangled state
-    assert pati_bound(BELL, 0.5) == pytest.approx(berta_bound(BELL, 0.5), abs=1e-9)
+    assert bound_report(BELL, BX, BZ).pati == pytest.approx(berta_bound(BELL, 0.5), abs=1e-9)
 
 
 def test_adabi_examples():
     product = np.kron(np.eye(2) / 2, np.eye(2) / 2).astype(complex)
-    assert adabi_bound(product, 0.5, BX, BZ) == pytest.approx(
+    assert bound_report(product, BX, BZ).adabi == pytest.approx(
         berta_bound(product, 0.5), abs=1e-12
     )
-    assert adabi_bound(BELL, 0.5, BX, BZ) == pytest.approx(0.0, abs=1e-12)
+    assert bound_report(BELL, BX, BZ).adabi == pytest.approx(0.0, abs=1e-12)
 
 
 def test_tightness_trivial():
-    assert tightness(1.0, 1.0) == 0.0
-    assert tightness(uncertainty_lhs(BELL, BX, BZ), berta_bound(BELL, 0.5)) == pytest.approx(
-        0.0, abs=1e-12
-    )
-    assert tightness(uncertainty_lhs(MIXED, BX, BZ), berta_bound(MIXED, 0.5)) == pytest.approx(
-        0.0, abs=1e-12
-    )
+    for rho in (BELL, MIXED):
+        r = bound_report(rho, BX, BZ)
+        assert r.tightness_berta == r.u_lhs - r.berta
+        assert r.tightness_berta == pytest.approx(0.0, abs=1e-12)
 
 
 def test_spmc_examples():
@@ -182,7 +177,7 @@ def test_adabi_saturates_under_bpf():
     for p in np.linspace(0.0, 1.0, 11):
         rho = evolve_oracle(bpf_ops_oracle(float(p)), FIG1)
         u = uncertainty_lhs(rho, BX, BZ)
-        assert abs(u - adabi_bound(rho, 0.5, BX, BZ)) <= 1e-9
+        assert abs(u - bound_report(rho, BX, BZ).adabi) <= 1e-9
 
 
 def test_ad_closed_form_spectrum_matches_numeric():
@@ -249,6 +244,6 @@ def test_pati_gap_under_bpf_quarter_points():
     coeffs = BellDiagonalCoeffs(-0.5, 0.4, 0.8)
     for p in (0.25, 0.75):
         rho = evolve_oracle(bpf_ops_oracle(p), bd_oracle(*coeffs.as_tuple()))
-        gap = uncertainty_lhs(rho, BX, BZ) - pati_bound(rho, 0.5)
+        gap = bound_report(rho, BX, BZ).tightness_pati
         print(f"\npati gap at p={p}: {gap:.6e}")
         assert gap >= -1e-9

@@ -20,7 +20,6 @@ from entropic_uncertainty.channels import (
     apply_one_sided,
     apply_steering,
     bpf_kraus,
-    bpf_kraus_sigma_x,
     d_of_t,
     filter_op,
     weak_op,
@@ -104,14 +103,6 @@ def test_bpf_coefficient_scaling():
 def test_bpf_evolved_element():
     out = apply_one_sided(bpf_kraus(0.2), bd_oracle(-0.5, 0.4, 0.8))
     assert as_xstate(out).d11 == pytest.approx(0.13, abs=1e-14)
-
-
-def test_bpf_sigma_x_variant_differs():
-    # plain bit flip keeps c1 and scales c2, c3 instead
-    c1, c2, c3, p = -0.5, 0.4, 0.8, 0.3
-    out = apply_one_sided(bpf_kraus_sigma_x(p), bd_oracle(c1, c2, c3))
-    expected = bd_oracle(c1, (2 * p - 1) * c2, (2 * p - 1) * c3)
-    assert_allclose(out, expected, atol=1e-14)
 
 
 def test_ad_evolved_elements_match_formulas():

@@ -1,7 +1,7 @@
 import pytest
 
 from entropic_uncertainty.cli import main, parse_config_text, preset_rows
-from entropic_uncertainty.sweep import ConfigError, render_csv
+from entropic_uncertainty.sweep import MAX_GRID_ROWS, ConfigError, render_csv
 
 GOOD_CONFIG = """\
 # damping sweep over the full noise range
@@ -161,3 +161,25 @@ def test_sweep_every_nonfinite_float_key_listed(tmp_path, capsys):
                 "steering strength"):
         assert f"  - {key} = " in err
     assert err.count("is not finite") == 7
+
+
+def test_grid_limits_exit_2_with_every_problem(tmp_path, capsys):
+    too_many = str(MAX_GRID_ROWS + 1)
+    assert main(["capacity", "--channel", "BPF", "--lambda", "-1", "--points", too_many]) == 2
+    err = capsys.readouterr().err
+    assert f"--points {too_many} outside [2, {MAX_GRID_ROWS}]" in err
+    assert "--lambda -1.0 must be positive" in err
+    assert "--lambda only applies to the AD channel" in err
+    assert main(["capacity", "--channel", "AD", "--points", "1"]) == 2
+    assert f"--points 1 outside [2, {MAX_GRID_ROWS}]" in capsys.readouterr().err
+    assert main(["errata", "--channel", "AD", "--points", too_many]) == 2
+    assert f"--points {too_many} outside [1, {MAX_GRID_ROWS}]" in capsys.readouterr().err
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(
+        GOOD_CONFIG.replace("param_points = 5", f"param_points = {MAX_GRID_ROWS // 4 + 1}")
+        + "steering_kind = weak\nsteering_strengths = 0, 0.2, 0.4, 1.5\n"
+    )
+    assert main(["sweep", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"grid of {4 * (MAX_GRID_ROWS // 4 + 1)} rows exceeds the limit" in err
+    assert "weak strength 1.5 outside [0, 1)" in err

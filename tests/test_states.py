@@ -12,12 +12,12 @@ from conftest import (
     rand_xstate_matrix,
     spectrum_oracle,
 )
+from entropic_uncertainty.linalg import partial_trace
 from entropic_uncertainty.states import (
     BellDiagonalCoeffs,
     XState,
     as_xstate,
     bell_diagonal_density,
-    reduced_state,
 )
 
 
@@ -56,7 +56,7 @@ def test_reduced_states_maximally_mixed():
     for _ in range(50):
         rho = bell_diagonal_density(BellDiagonalCoeffs(*rand_bd_coeffs(rng)))
         for side in ("A", "B"):
-            assert_allclose(reduced_state(rho, side), I2 / 2, atol=1e-14)
+            assert_allclose(partial_trace(rho, side), I2 / 2, atol=1e-14)
 
 
 def test_unphysical_coeffs_error_names_expression():

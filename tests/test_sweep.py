@@ -3,16 +3,29 @@ import io
 import numpy as np
 import pytest
 
+from conftest import rand_bd_coeffs
+from entropic_uncertainty import bounds, sweep
+from entropic_uncertainty.bounds import bound_report
+from entropic_uncertainty.channels import (
+    apply_one_sided,
+    apply_steering,
+    filter_op,
+    noise_kraus,
+    weak_op,
+)
+from entropic_uncertainty.measures import sigma_x_basis, sigma_z_basis
 from entropic_uncertainty.sweep import (
+    MAX_GRID_ROWS,
+    OUTPUT_TAGS,
     ConfigError,
+    NumericError,
     SweepConfig,
     emit_csv,
     errata_report,
-    expand_output_columns,
     render_csv,
     run_sweep,
 )
-from entropic_uncertainty.states import BellDiagonalCoeffs
+from entropic_uncertainty.states import BellDiagonalCoeffs, bell_diagonal_density
 
 FIG1_CFG = SweepConfig("AD", -0.5, 0.4, 0.8, 0.0, 1.0, 101)
 
@@ -125,15 +138,6 @@ def test_determinism_across_runs():
     assert render_csv(run_sweep(cfg)) == render_csv(run_sweep(cfg))
 
 
-def test_expand_output_columns():
-    assert expand_output_columns(("u", "tightness")) == [
-        "u",
-        "tightness_berta",
-        "tightness_pati",
-        "tightness_adabi",
-    ]
-
-
 def test_tightness_and_witness_outputs():
     cfg = small_cfg(outputs=("u", "tightness", "witness", "capacity"), param_points=3)
     rows = run_sweep(cfg)
@@ -187,3 +191,111 @@ def test_errata_report_contents():
             assert "uncertainty lower bound" in report
     with pytest.raises(ValueError, match="empty"):
         errata_report(coeffs, "AD", [])
+
+
+def test_grid_size_limit_in_validation():
+    assert small_cfg(param_points=MAX_GRID_ROWS).validate() == []
+    too_long = small_cfg(param_points=MAX_GRID_ROWS + 1).validate()
+    assert too_long == [f"grid of {MAX_GRID_ROWS + 1} rows exceeds the limit of {MAX_GRID_ROWS}"]
+    # rows count every steering strength; the other problems are still listed
+    steered = small_cfg(
+        channel="XX",
+        param_points=MAX_GRID_ROWS // 2 + 1,
+        steering_kind="weak",
+        steering_strengths=(0.0, 0.4),
+    )
+    problems = steered.validate()
+    assert len(problems) == 2
+    assert any("exceeds the limit" in p for p in problems)
+    assert any("channel 'XX'" in p for p in problems)
+    with pytest.raises(ConfigError, match="exceeds the limit"):
+        run_sweep(steered)
+
+
+def test_numeric_error_locates_the_steered_point(monkeypatch):
+    calls = []
+
+    def capacity_failing_on_fifth_call(state):
+        calls.append(state)
+        if len(calls) == 5:
+            raise ArithmeticError("capacity forms disagree")
+        return 0.5
+
+    monkeypatch.setattr(sweep, "channel_capacity", capacity_failing_on_fifth_call)
+    cfg = small_cfg(
+        param_points=3,
+        steering_kind="weak",
+        steering_strengths=(0.0, 0.4),
+        outputs=("capacity",),
+    )
+    # strength 0.0 takes calls 1-3; the fifth call is grid index 1 at strength 0.4
+    with pytest.raises(NumericError) as err:
+        run_sweep(cfg)
+    assert str(err.value) == (
+        "sweep point at grid index 1 (param=0.5, steering strength=0.4) failed: "
+        "capacity forms disagree"
+    )
+    monkeypatch.setattr(sweep, "channel_capacity", lambda state: float("nan"))
+    with pytest.raises(NumericError, match=r"capacity is not finite at grid index 0 "):
+        run_sweep(cfg)
+
+
+BOUND_COLUMNS = {
+    "u": "u_lhs",
+    "berta": "berta",
+    "pati": "pati",
+    "adabi": "adabi",
+    "tightness_berta": "tightness_berta",
+    "tightness_pati": "tightness_pati",
+    "tightness_adabi": "tightness_adabi",
+    "discord": "discord",
+    "s_min": "s_min_cond",
+}
+
+
+def test_sweep_bound_columns_equal_bound_report_at_boundaries():
+    # grid [0, 1/2, 1] covers d = 1 and p in {0, 1/2, 1}
+    rng = np.random.RandomState(211)
+    triples = [(-1.0, 1.0, 1.0), (0.0, 0.0, 0.0)] + [rand_bd_coeffs(rng) for _ in range(5)]
+    steerings = [(None, ()), ("filter", (1e-9, 1.0 - 1e-9)), ("weak", (0.0, 0.999))]
+    bases = (sigma_x_basis(), sigma_z_basis())
+    compared = 0
+    for coeffs in triples:
+        rho0 = bell_diagonal_density(BellDiagonalCoeffs(*coeffs))
+        for channel in ("AD", "BPF"):
+            for kind, strengths in steerings:
+                cfg = SweepConfig(
+                    channel, *coeffs, 0.0, 1.0, 3,
+                    steering_kind=kind,
+                    steering_strengths=strengths,
+                    outputs=OUTPUT_TAGS,
+                )
+                for row in run_sweep(cfg):
+                    state = apply_one_sided(noise_kraus(channel, row.param), rho0)
+                    if kind is not None:
+                        op = filter_op if kind == "filter" else weak_op
+                        state = apply_steering(op(row.steer_strength), state)
+                    report = bound_report(state, *bases)
+                    values = dict(row.quantities)
+                    for column, field in BOUND_COLUMNS.items():
+                        assert values[column] == getattr(report, field), (row, column)
+                        compared += 1
+    assert compared == len(triples) * 2 * 5 * 3 * len(BOUND_COLUMNS)
+
+
+def test_shared_correlations_run_once_per_point(monkeypatch):
+    counts = {"mutual_information": 0, "classical_correlation": 0}
+    for name in counts:
+        original = getattr(bounds, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, name, counted)
+    cfg = small_cfg(outputs=("pati", "adabi", "discord", "tightness"), param_points=4)
+    run_sweep(cfg)
+    assert counts == {"mutual_information": 4, "classical_correlation": 4}
+    bound_report(bell_diagonal_density(BellDiagonalCoeffs(-0.5, 0.4, 0.8)),
+                 sigma_x_basis(), sigma_z_basis())
+    assert counts == {"mutual_information": 5, "classical_correlation": 5}
