@@ -7,80 +7,21 @@ uncertainty together with its Berta, Pati and Adabi lower bounds, applies
 filtering / weak-measurement steering, and derives entanglement-witness
 thresholds and channel capacities.  The ``eur`` command line emits all figure
 grids as CSV.
+
+The root re-exports what a caller needs to run the pipeline (build, evolve,
+steer, measure, bound, sweep) and its two applications; every other name is
+imported from its own module.
 """
 
-from .applications import (
-    ThresholdResult,
-    WitnessResult,
-    capacity_curves,
-    channel_capacity,
-    witness_threshold,
-    witness_verdict,
-)
-from .bounds import (
-    BoundReport,
-    ad_closed_form_spectrum,
-    ad_closed_form_u,
-    berta_bound,
-    bound_report,
-    bpf_closed_form_spectrum,
-    bpf_closed_forms,
-    complementarity_c,
-    spmc_satisfied,
-    uncertainty_lhs,
-)
-from .channels import (
-    KrausChannel,
-    SteeringOp,
-    ad_kraus,
-    apply_one_sided,
-    apply_steering,
-    bpf_kraus,
-    d_of_t,
-    filter_op,
-    weak_op,
-)
-from .linalg import (
-    NotHermitianError,
-    conjugate_sandwich,
-    density_spectrum,
-    hermitian_eigenvalues,
-    jacobi_eigenvalues,
-    partial_trace,
-    tensor_product,
-)
-from .measures import (
-    BlochDirection,
-    ProjectiveBasis,
-    binary_entropy,
-    bloch_basis,
-    classical_correlation,
-    conditional_entropy_after_measurement,
-    discord_xstate_closed,
-    holevo_quantity,
-    min_conditional_entropy_over_measurements,
-    mutual_information,
-    post_measurement_state,
-    quantum_conditional_entropy,
-    quantum_discord,
-    shannon_entropy,
-    sigma_x_basis,
-    sigma_y_basis,
-    sigma_z_basis,
-    von_neumann_entropy,
-)
-from .states import (
-    BellDiagonalCoeffs,
-    XState,
-    as_xstate,
-    bell_diagonal_density,
-)
+from .applications import capacity_curves, channel_capacity, witness_threshold
+from .bounds import PointQuantities, bound_report
+from .channels import apply_one_sided, apply_steering, filter_op, noise_kraus, weak_op
+from .measures import sigma_x_basis, sigma_z_basis
+from .states import BellDiagonalCoeffs, bell_diagonal_density
 from .sweep import (
     ConfigError,
     NumericError,
     SweepConfig,
-    SweepRow,
-    emit_csv,
     errata_report,
     render_csv,
     run_sweep,
@@ -88,65 +29,23 @@ from .sweep import (
 
 __all__ = [
     "BellDiagonalCoeffs",
-    "BlochDirection",
-    "BoundReport",
-    "ConfigError",
-    "KrausChannel",
-    "NotHermitianError",
-    "NumericError",
-    "ProjectiveBasis",
-    "SteeringOp",
-    "SweepConfig",
-    "SweepRow",
-    "ThresholdResult",
-    "WitnessResult",
-    "XState",
-    "ad_closed_form_spectrum",
-    "ad_closed_form_u",
-    "ad_kraus",
+    "bell_diagonal_density",
+    "noise_kraus",
     "apply_one_sided",
     "apply_steering",
-    "as_xstate",
-    "bell_diagonal_density",
-    "berta_bound",
-    "binary_entropy",
-    "bloch_basis",
+    "filter_op",
+    "weak_op",
+    "sigma_x_basis",
+    "sigma_z_basis",
+    "PointQuantities",
     "bound_report",
-    "bpf_closed_form_spectrum",
-    "bpf_closed_forms",
-    "bpf_kraus",
+    "witness_threshold",
     "capacity_curves",
     "channel_capacity",
-    "classical_correlation",
-    "complementarity_c",
-    "conditional_entropy_after_measurement",
-    "conjugate_sandwich",
-    "d_of_t",
-    "density_spectrum",
-    "discord_xstate_closed",
-    "emit_csv",
-    "errata_report",
-    "filter_op",
-    "hermitian_eigenvalues",
-    "holevo_quantity",
-    "jacobi_eigenvalues",
-    "min_conditional_entropy_over_measurements",
-    "mutual_information",
-    "partial_trace",
-    "post_measurement_state",
-    "quantum_conditional_entropy",
-    "quantum_discord",
-    "render_csv",
+    "SweepConfig",
     "run_sweep",
-    "shannon_entropy",
-    "sigma_x_basis",
-    "sigma_y_basis",
-    "sigma_z_basis",
-    "spmc_satisfied",
-    "tensor_product",
-    "uncertainty_lhs",
-    "von_neumann_entropy",
-    "weak_op",
-    "witness_threshold",
-    "witness_verdict",
+    "render_csv",
+    "errata_report",
+    "ConfigError",
+    "NumericError",
 ]

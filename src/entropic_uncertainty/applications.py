@@ -20,7 +20,7 @@ from .channels import (
     noise_kraus,
     weak_op,
 )
-from .linalg import BOUND_ORDER_ATOL, partial_trace, validate_density
+from .linalg import BOUND_ORDER_ATOL, partial_trace
 from .measures import (
     ProjectiveBasis,
     mutual_information,
@@ -142,7 +142,6 @@ def witness_threshold(
 def channel_capacity(rho) -> float:
     """Mutual information of the evolved state, cross-checked against the
     equivalent bound form S(rho_A) - U_b + 1 at complementarity 1/2."""
-    rho = validate_density(rho)
     capacity = mutual_information(rho)
     bound_form = (
         von_neumann_entropy(partial_trace(rho, "A"))

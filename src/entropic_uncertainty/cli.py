@@ -1,8 +1,9 @@
 """Command-line front end: sweeps from config files, figure presets, witness
 thresholds, capacity curves and the closed-form cross-check report.
 
-Exit codes: 0 success, 2 configuration problem, 3 numeric failure (an
-unphysical state or an out-of-range solve), 4 I/O failure.
+Exit codes: 0 success, 2 configuration problem (unphysical coefficients
+included), 3 numeric failure (an unphysical state mid-pipeline or an
+out-of-range solve), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -10,19 +11,18 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from .applications import capacity_curves, witness_threshold
 from .channels import CHANNEL_FAMILIES
-from .states import BellDiagonalCoeffs
+from .states import BellDiagonalCoeffs, coefficient_problems
 from .sweep import (
     MAX_GRID_ROWS,
     ConfigError,
     NumericError,
     SweepConfig,
-    emit_csv,
     errata_report,
     render_csv,
     run_sweep,
@@ -38,20 +38,7 @@ MAX_PURITY_WITNESS = (-1.0, 1.0, 1.0)
 MAX_PURITY_CAPACITY = (1.0, 1.0, -1.0)
 PRESET_NAMES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6")
 
-_CONFIG_KEYS = {
-    "channel",
-    "c1",
-    "c2",
-    "c3",
-    "param_start",
-    "param_stop",
-    "param_points",
-    "steering_kind",
-    "steering_strength",
-    "steering_strengths",
-    "rate_lambda",
-    "outputs",
-}
+_CONFIG_KEYS = {field.name for field in fields(SweepConfig)}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> SweepConfig:
@@ -106,11 +93,7 @@ def parse_config_text(text: str, source: str = "<config>") -> SweepConfig:
     rate = get_float("rate_lambda", None) if "rate_lambda" in pairs else None
     kind = pairs.get("steering_kind")
     strengths: tuple[float, ...] = ()
-    if "steering_strength" in pairs and "steering_strengths" in pairs:
-        problems.append(
-            f"{source}: give either 'steering_strength' or 'steering_strengths', not both"
-        )
-    raw_strengths = pairs.get("steering_strengths", pairs.get("steering_strength"))
+    raw_strengths = pairs.get("steering_strengths")
     if raw_strengths is not None:
         try:
             strengths = tuple(float(tok) for tok in raw_strengths.split(",") if tok.strip())
@@ -225,19 +208,23 @@ def _write_text(text: str, out: str | None) -> None:
         fh.write(text)
 
 
-def _coeffs_from_args(args, default) -> BellDiagonalCoeffs:
-    c1 = args.c1 if args.c1 is not None else default[0]
-    c2 = args.c2 if args.c2 is not None else default[1]
-    c3 = args.c3 if args.c3 is not None else default[2]
-    return BellDiagonalCoeffs(c1, c2, c3)
+def _coeffs(args, problems: list[str], default=(None,) * 3) -> BellDiagonalCoeffs | None:
+    """The --c1..--c3 triple (unset flags take ``default``), or None after
+    adding its problems to ``problems``."""
+    c = [d if v is None else v for v, d in zip((args.c1, args.c2, args.c3), default)]
+    more = coefficient_problems(*c, names=("--c1", "--c2", "--c3"))
+    problems += more
+    return None if more else BellDiagonalCoeffs(*c)
 
 
 def _nonfinite_flags(args) -> list[str]:
-    """One problem per float flag given as inf or nan (argparse accepts both)."""
+    """One problem per float flag other than --c1..--c3 given as inf or nan
+    (argparse accepts both; the coefficient check reports those three)."""
     return [
         f"--{'lambda' if dest == 'rate_lambda' else dest} = {value!r} is not finite"
         for dest, value in vars(args).items()
-        if isinstance(value, float) and not math.isfinite(value)
+        if isinstance(value, float) and dest not in ("c1", "c2", "c3")
+        and not math.isfinite(value)
     ]
 
 
@@ -293,22 +280,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         problems = _nonfinite_flags(args)
-        if problems:
-            raise ConfigError(problems)
         if args.command == "sweep":
-            cfg = parse_config_file(args.config)
-            rows = run_sweep(cfg)
-            if args.out is None:
-                _write_text(render_csv(rows), None)
-            else:
-                emit_csv(rows, args.out)
+            rows = run_sweep(parse_config_file(args.config))
+            _write_text(render_csv(rows), args.out)
         elif args.command == "preset":
             rows = preset_rows(args.name)
             _write_text(render_csv(rows), args.out)
         elif args.command == "witness":
-            if not 0.0 <= args.s < 1.0:
-                raise ConfigError([f"--s {args.s} outside [0, 1)"])
-            coeffs = BellDiagonalCoeffs(args.c1, args.c2, args.c3)
+            coeffs = _coeffs(args, problems)
+            if math.isfinite(args.s) and not 0.0 <= args.s < 1.0:
+                problems.append(f"--s {args.s} outside [0, 1)")
+            if problems:
+                raise ConfigError(problems)
             result = witness_threshold(args.channel, coeffs, s=args.s)
             _write_text(
                 "".join(
@@ -324,9 +307,9 @@ def main(argv=None) -> int:
                 None,
             )
         elif args.command == "capacity":
-            coeffs = _coeffs_from_args(args, MAX_PURITY_CAPACITY)
-            problems = _points_problems(args.points, 2)
-            if args.rate_lambda is not None and args.rate_lambda <= 0.0:
+            coeffs = _coeffs(args, problems, MAX_PURITY_CAPACITY)
+            problems += _points_problems(args.points, 2)
+            if args.rate_lambda is not None and -math.inf < args.rate_lambda <= 0.0:
                 problems.append(f"--lambda {args.rate_lambda} must be positive")
             if args.rate_lambda is not None and args.channel != "AD":
                 problems.append("--lambda only applies to the AD channel")
@@ -339,8 +322,8 @@ def main(argv=None) -> int:
             lines += [f"{x:.12g},{c:.12g}" for x, c in curve]
             _write_text("\n".join(lines) + "\n", args.out)
         elif args.command == "errata":
-            coeffs = _coeffs_from_args(args, FIG1_COEFFS)
-            problems = _points_problems(args.points, 1)
+            coeffs = _coeffs(args, problems, FIG1_COEFFS)
+            problems += _points_problems(args.points, 1)
             if problems:
                 raise ConfigError(problems)
             grid = np.linspace(0.0, 1.0, args.points)

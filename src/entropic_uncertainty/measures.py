@@ -197,7 +197,6 @@ def conditional_entropy_after_measurement(
 
 def quantum_conditional_entropy(rho, conditioning_side: str = "B") -> float:
     """S(rho) - S(rho_conditioning); negative values signal entanglement."""
-    rho = validate_density(rho)
     return von_neumann_entropy(rho) - von_neumann_entropy(
         partial_trace(rho, conditioning_side)
     )
@@ -205,7 +204,6 @@ def quantum_conditional_entropy(rho, conditioning_side: str = "B") -> float:
 
 def mutual_information(rho) -> float:
     """S(rho_A) + S(rho_B) - S(rho_AB)."""
-    rho = validate_density(rho)
     return (
         von_neumann_entropy(partial_trace(rho, "A"))
         + von_neumann_entropy(partial_trace(rho, "B"))

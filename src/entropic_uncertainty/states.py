@@ -34,6 +34,34 @@ _BELL_EIGENVALUE_TERMS = (
 )
 
 
+def _bell_eigenvalues(c: tuple[float, float, float]) -> tuple[float, float, float, float]:
+    return tuple(
+        (1.0 + sum(s * x for s, x in zip(signs, c))) / 4.0
+        for _, signs in _BELL_EIGENVALUE_TERMS
+    )
+
+
+def coefficient_problems(c1, c2, c3, names=("c1", "c2", "c3")) -> list[str]:
+    """Every reason (c1, c2, c3) is not a Bell-diagonal state, each named once.
+
+    A coefficient is checked for being finite, then for lying in [-1, 1]; only
+    when all three pass are the four eigenvalues checked for positivity.
+    ``names`` labels the coefficients in the messages (the CLI passes its flags).
+    """
+    problems = []
+    for name, value in zip(names, (c1, c2, c3)):
+        if not math.isfinite(value):
+            problems.append(f"{name} = {value!r} is not finite")
+        elif abs(value) > 1.0 + PSD_ATOL:
+            problems.append(f"{name} = {value!r} outside [-1, 1]")
+    if problems:
+        return problems
+    for (label, _), value in zip(_BELL_EIGENVALUE_TERMS, _bell_eigenvalues((c1, c2, c3))):
+        if value < -PSD_ATOL:
+            problems.append(f"unphysical Bell-diagonal coefficients: {label} = {value:.6g} < 0")
+    return problems
+
+
 @dataclass(frozen=True)
 class BellDiagonalCoeffs:
     """Correlation triple (c1, c2, c3) defining a Bell-diagonal two-qubit state."""
@@ -43,26 +71,13 @@ class BellDiagonalCoeffs:
     c3: float
 
     def __post_init__(self):
-        for name, value in (("c1", self.c1), ("c2", self.c2), ("c3", self.c3)):
-            if not math.isfinite(value) or abs(value) > 1.0 + PSD_ATOL:
-                raise ValueError(f"coefficient {name} = {value!r} is outside [-1, 1]")
-        for label, value in zip(self.eigenvalue_labels(), self.eigenvalues()):
-            if value < -PSD_ATOL:
-                raise ValueError(
-                    f"unphysical Bell-diagonal coefficients: {label} = {value:.6g} < 0"
-                )
+        problems = coefficient_problems(self.c1, self.c2, self.c3)
+        if problems:
+            raise ValueError("; ".join(problems))
 
     def eigenvalues(self) -> tuple[float, float, float, float]:
-        """The four closed-form eigenvalues, in the order of eigenvalue_labels()."""
-        c = (self.c1, self.c2, self.c3)
-        return tuple(
-            (1.0 + sum(s * x for s, x in zip(signs, c))) / 4.0
-            for _, signs in _BELL_EIGENVALUE_TERMS
-        )
-
-    @staticmethod
-    def eigenvalue_labels() -> tuple[str, str, str, str]:
-        return tuple(label for label, _ in _BELL_EIGENVALUE_TERMS)
+        """The four closed-form eigenvalues (1 +/- c1 -/+ c2 +/- c3) / 4."""
+        return _bell_eigenvalues(self.as_tuple())
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.c1, self.c2, self.c3)

@@ -24,9 +24,9 @@ from .channels import (
     noise_kraus,
     weak_op,
 )
-from .linalg import BOUND_ORDER_ATOL, PSD_ATOL
+from .linalg import BOUND_ORDER_ATOL
 from .measures import discord_xstate_closed, quantum_discord, sigma_x_basis, sigma_z_basis
-from .states import BellDiagonalCoeffs, as_xstate, bell_diagonal_density
+from .states import BellDiagonalCoeffs, as_xstate, bell_diagonal_density, coefficient_problems
 
 OUTPUT_TAGS = (
     "u",
@@ -124,19 +124,7 @@ class SweepConfig:
                 problems.append(f"filter strength {s!r} outside (0, 1)")
             if self.steering_kind == "weak" and not 0.0 <= s < 1.0:
                 problems.append(f"weak strength {s!r} outside [0, 1)")
-        coeffs_in_range = True
-        for name, v in (("c1", self.c1), ("c2", self.c2), ("c3", self.c3)):
-            if not finite(name, v):
-                coeffs_in_range = False
-            elif abs(v) > 1.0 + PSD_ATOL:
-                problems.append(f"{name} = {v!r} outside [-1, 1]")
-                coeffs_in_range = False
-        if coeffs_in_range:
-            try:
-                BellDiagonalCoeffs(self.c1, self.c2, self.c3)
-            except ValueError as exc:
-                problems.append(str(exc))
-        return problems
+        return problems + coefficient_problems(self.c1, self.c2, self.c3)
 
     def coeffs(self) -> BellDiagonalCoeffs:
         return BellDiagonalCoeffs(self.c1, self.c2, self.c3)
@@ -258,19 +246,6 @@ def render_csv(rows) -> str:
             raise ValueError("rows do not share a single column schema")
         lines.append(",".join(_row_values(row)))
     return "\n".join(lines) + "\n"
-
-
-def emit_csv(rows, destination) -> None:
-    """Write rows as CSV to a path or file-like destination."""
-    text = render_csv(rows)
-    if hasattr(destination, "write"):
-        destination.write(text)
-        return
-    try:
-        with open(destination, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write CSV to {destination!r}: {exc}") from exc
 
 
 def errata_report(coeffs: BellDiagonalCoeffs, channel: str, grid) -> str:

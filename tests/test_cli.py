@@ -59,11 +59,19 @@ def test_sweep_command_missing_config_exit_4(tmp_path):
     assert main(["sweep", "--config", str(tmp_path / "nope.cfg")]) == 4
 
 
-def test_sweep_command_unwritable_out_exit_4(tmp_path):
+def test_sweep_command_unwritable_out_exit_4(tmp_path, capsys):
     cfg_path = tmp_path / "sweep.cfg"
     cfg_path.write_text(GOOD_CONFIG)
     missing_dir = tmp_path / "no" / "such" / "dir" / "o.csv"
     assert main(["sweep", "--config", str(cfg_path), "--out", str(missing_dir)]) == 4
+    assert str(missing_dir) in capsys.readouterr().err
+
+
+def test_sweep_config_singular_steering_key_is_unknown(tmp_path, capsys):
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(GOOD_CONFIG + "steering_kind = weak\nsteering_strength = 0.4\n")
+    assert main(["sweep", "--config", str(cfg_path)]) == 2
+    assert "unknown key 'steering_strength'" in capsys.readouterr().err
 
 
 def test_witness_command(capsys):
@@ -117,10 +125,36 @@ def test_preset_command_stdout(capsys):
     assert out.splitlines()[0] == "channel,param,C1,C2,C3,u,berta,pati,adabi"
 
 
-def test_unphysical_witness_coeffs_exit_3(capsys):
-    code = main(["witness", "--channel", "AD", "--c1", "0.9", "--c2", "0.9", "--c3", "0.9"])
-    assert code == 3
+UNPHYSICAL = ["--c1", "0.9", "--c2", "0.9", "--c3", "0.9"]
+
+
+def test_unphysical_witness_coeffs_exit_2(capsys):
+    code = main(["witness", "--channel", "AD"] + UNPHYSICAL)
+    assert code == 2
     assert "unphysical" in capsys.readouterr().err
+
+
+def test_unphysical_coeffs_listed_with_capacity_points_exit_2(capsys):
+    too_many = str(MAX_GRID_ROWS + 1)
+    assert main(["capacity", "--channel", "AD"] + UNPHYSICAL + ["--points", too_many]) == 2
+    err = capsys.readouterr().err
+    assert "unphysical Bell-diagonal coefficients: (1 - c1 - c2 - c3)/4" in err
+    assert f"--points {too_many} outside [2, {MAX_GRID_ROWS}]" in err
+
+
+def test_unphysical_coeffs_listed_with_witness_strength_exit_2(capsys):
+    assert main(["witness", "--channel", "BPF"] + UNPHYSICAL + ["--s", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "unphysical Bell-diagonal coefficients: (1 - c1 - c2 - c3)/4" in err
+    assert "--s 2.0 outside [0, 1)" in err
+
+
+def test_coeff_out_of_range_flag_named_exit_2(capsys):
+    assert main(["errata", "--channel", "AD", "--c1", "1.5", "--c3=-inf"]) == 2
+    err = capsys.readouterr().err
+    assert "--c1 = 1.5 outside [-1, 1]" in err
+    assert err.count("--c3 = -inf is not finite") == 1
+    assert "--c2" not in err and "unphysical" not in err
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

@@ -22,6 +22,7 @@ from conftest import (
     spectrum_oracle,
 )
 from entropic_uncertainty import measures
+from entropic_uncertainty.applications import channel_capacity
 from entropic_uncertainty.linalg import PAULI_X, PAULI_Z, is_x_patterned
 from entropic_uncertainty.measures import (
     BlochDirection,
@@ -156,6 +157,38 @@ def test_mutual_information_examples():
     rho = evolve_oracle(bpf_ops_oracle(0.5), bd_oracle(1.0, 1.0, -1.0))
     assert_allclose(spectrum_oracle(rho), [0.5, 0.5, 0.0, 0.0], atol=1e-14)
     assert mutual_information(rho) == pytest.approx(1.0, abs=1e-12)
+
+
+def _non_hermitian():
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 1] = 0.1
+    return m
+
+
+def _non_psd_x_state():
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 3] = m[3, 0] = 0.5  # |a14| > sqrt(d11 d44); both marginals stay I/2
+    return m
+
+
+INVALID_DENSITIES = {
+    "non-Hermitian": _non_hermitian(),
+    "trace 2": np.eye(4) / 2,
+    "non-PSD diagonal": np.diag([0.5, 0.5, 0.5, -0.5]),
+    "non-PSD X state": _non_psd_x_state(),
+    "NaN entries": np.full((4, 4), np.nan),
+    "one qubit": np.eye(2) / 2,
+}
+
+
+@pytest.mark.parametrize(
+    "fn", [quantum_conditional_entropy, mutual_information, channel_capacity]
+)
+@pytest.mark.parametrize("kind", list(INVALID_DENSITIES))
+def test_entropy_functions_reject_invalid_densities(fn, kind):
+    # no up-front validate_density: the entropies of rho itself must catch these
+    with pytest.raises(ValueError):
+        fn(INVALID_DENSITIES[kind])
 
 
 def test_holevo_examples():

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -20,7 +18,6 @@ from entropic_uncertainty.sweep import (
     ConfigError,
     NumericError,
     SweepConfig,
-    emit_csv,
     errata_report,
     render_csv,
     run_sweep,
@@ -105,19 +102,9 @@ def test_csv_round_trip_precision():
             assert abs(float(fields[name]) - value) <= 1e-10
 
 
-def test_emit_csv_to_stream_and_empty_rows():
-    rows = run_sweep(small_cfg(param_points=2))
-    buf = io.StringIO()
-    emit_csv(rows, buf)
-    assert buf.getvalue().startswith("channel,param")
+def test_render_csv_empty_rows():
     with pytest.raises(ValueError, match="no rows"):
-        emit_csv([], io.StringIO())
-
-
-def test_emit_csv_io_failure_carries_destination():
-    rows = run_sweep(small_cfg(param_points=2))
-    with pytest.raises(OSError, match="no/such/dir"):
-        emit_csv(rows, "no/such/dir/out.csv")
+        render_csv([])
 
 
 def test_steering_columns_present():
