@@ -9,7 +9,9 @@ out-of-range solve), 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
+import re
 import sys
 from dataclasses import fields, replace
 
@@ -37,6 +39,11 @@ FIG1_COEFFS = (-0.5, 0.4, 0.8)
 MAX_PURITY_WITNESS = (-1.0, 1.0, 1.0)
 MAX_PURITY_CAPACITY = (1.0, 1.0, -1.0)
 PRESET_NAMES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6")
+# figure: channel and the filter and weak-measurement strengths of its curves
+STEERING_PRESETS = {
+    "fig3": ("AD", {"filter": (0.2, 0.3, 0.4, 0.5), "weak": (0.0, 0.4, 0.6, 0.8)}),
+    "fig4": ("BPF", {"filter": (0.1, 0.25, 0.5), "weak": (0.0, 0.4, 0.7)}),
+}
 
 _CONFIG_KEYS = {field.name for field in fields(SweepConfig)}
 
@@ -134,41 +141,18 @@ def preset_rows(name: str):
         return run_sweep(SweepConfig("AD", *FIG1_COEFFS, 0.0, 1.0, 101))
     if name == "fig2":
         return run_sweep(SweepConfig("BPF", *FIG1_COEFFS, 0.0, 1.0, 101))
-    if name == "fig3":
-        rows = run_sweep(
-            SweepConfig(
-                "AD", *FIG1_COEFFS, 0.0, 1.0, 101,
-                steering_kind="filter",
-                steering_strengths=(0.2, 0.3, 0.4, 0.5),
-                outputs=("u",),
+    if name in STEERING_PRESETS:
+        channel, strengths = STEERING_PRESETS[name]
+        rows = []
+        for kind in ("filter", "weak"):
+            rows += run_sweep(
+                SweepConfig(
+                    channel, *FIG1_COEFFS, 0.0, 1.0, 101,
+                    steering_kind=kind,
+                    steering_strengths=strengths[kind],
+                    outputs=("u",),
+                )
             )
-        )
-        rows += run_sweep(
-            SweepConfig(
-                "AD", *FIG1_COEFFS, 0.0, 1.0, 101,
-                steering_kind="weak",
-                steering_strengths=(0.0, 0.4, 0.6, 0.8),
-                outputs=("u",),
-            )
-        )
-        return rows
-    if name == "fig4":
-        rows = run_sweep(
-            SweepConfig(
-                "BPF", *FIG1_COEFFS, 0.0, 1.0, 101,
-                steering_kind="filter",
-                steering_strengths=(0.1, 0.25, 0.5),
-                outputs=("u",),
-            )
-        )
-        rows += run_sweep(
-            SweepConfig(
-                "BPF", *FIG1_COEFFS, 0.0, 1.0, 101,
-                steering_kind="weak",
-                steering_strengths=(0.0, 0.4, 0.7),
-                outputs=("u",),
-            )
-        )
         return rows
     if name == "fig5":
         rows = []
@@ -234,8 +218,17 @@ def _points_problems(points: int, least: int) -> list[str]:
     return [f"--points {points} outside [{least}, {MAX_GRID_ROWS}]"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads '-1e-5', '-inf' and '-nan' as values, as argparse does '-1' and '-.5'."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
+@functools.cache  # built once: each parser is a cyclic graph left to the garbage collector
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eur",
         description="Entropic-uncertainty dynamics for two-qubit states under one-sided noise.",
     )

@@ -44,7 +44,7 @@ def as_matrix(entries) -> np.ndarray:
     m = np.asarray(entries, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
 
@@ -184,6 +184,28 @@ def density_spectrum(rho) -> np.ndarray:
     if abs(total - 1.0) > TRACE_ATOL:
         raise ValueError(f"matrix does not have unit trace (trace {total!r})")
     return np.clip(vals, 0.0, 1.0)
+
+
+def stacked_density_spectra(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``density_spectrum`` of each matrix of an (N, 2, 2) or (N, 4, 4) stack, and
+    which rows pass its checks and, for 4x4, are X-patterned.  Blocks go through
+    ``_eig2`` as in ``hermitian_eigenvalues``, so a passing row's spectrum is
+    bitwise the dense one; a failing row's values mean nothing."""
+    blocks = ((0, 3), (1, 2)) if m.shape[1] == 4 else ((0, 1),)
+    vals = np.array([
+        [_eig2(a, d, b) for a, d, b in zip(
+            m[:, i, i].real.tolist(), m[:, j, j].real.tolist(), m[:, i, j].tolist())]
+        for i, j in blocks
+    ])  # (blocks, N, 2)
+    vals = np.sort(vals.transpose(1, 0, 2).reshape(len(m), -1), axis=1)[:, ::-1]
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite row
+        asymmetry = np.abs(m - m.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    ok = np.isfinite(m).all(axis=(1, 2)) & (asymmetry <= HERMITIAN_ATOL)
+    ok &= (vals.min(axis=1) >= -PSD_ATOL) & (np.abs(vals.sum(axis=1) - 1.0) <= TRACE_ATOL)
+    if m.shape[1] == 4:
+        rows, cols = zip(*_OFF_X_INDICES)
+        ok &= (np.abs(m[:, rows, cols]) <= X_PATTERN_ATOL).all(axis=1)
+    return np.clip(vals, 0.0, 1.0), ok
 
 
 def validate_density(rho) -> np.ndarray:

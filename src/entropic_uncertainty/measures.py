@@ -24,6 +24,7 @@ qubit B and averaging the entropy of the unmeasured qubit A.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,13 +55,19 @@ _GOLDEN_RATIO_CONJ = (math.sqrt(5.0) - 1.0) / 2.0
 _ANGLE_TOL = 1e-10
 _GRID_STEP = math.pi / 180.0
 _DENSE_MAX_ROUNDS = 100
-# dense path: theta in [0, pi] x phi in [0, pi), since n and -n are one measurement
-_GRID_THETAS = np.linspace(0.0, math.pi, 181)
-_GRID_PHIS = np.linspace(0.0, math.pi, 180, endpoint=False)
-_SIN_T = np.sin(_GRID_THETAS)[:, None]
-_NX = _SIN_T * np.cos(_GRID_PHIS)[None, :]
-_NY = _SIN_T * np.sin(_GRID_PHIS)[None, :]
-_NZ = np.cos(_GRID_THETAS)[:, None]
+
+
+@functools.cache  # built on first use: X states, all the package builds, never take it
+def _dense_grid() -> tuple[np.ndarray, ...]:
+    """Dense path: theta in [0, pi] x phi in [0, pi), since n and -n are one
+    measurement; returns the angles and the direction components nx, ny, nz."""
+    thetas = np.linspace(0.0, math.pi, 181)
+    phis = np.linspace(0.0, math.pi, 180, endpoint=False)
+    sin_t = np.sin(thetas)[:, None]
+    return (thetas, phis, sin_t * np.cos(phis)[None, :], sin_t * np.sin(phis)[None, :],
+            np.cos(thetas)[:, None])
+
+
 # X-state path: theta in [0, pi/2] at the closed-form optimal phi
 _X_THETAS = np.linspace(0.0, 0.5 * math.pi, 91)
 _X_SIN_T = np.sin(_X_THETAS)
@@ -373,11 +380,12 @@ def _minimize_x_state(mom: _CrossMoments) -> tuple[float, float, float]:
 
 def _minimize_dense(mom: _CrossMoments) -> tuple[float, float, float]:
     """Grid plus coordinate golden-section minimum for any state: (value, theta, phi)."""
-    grid = _avg_branch_entropy_grid(mom, _NX, _NY, _NZ)
+    thetas, phis, *directions = _dense_grid()
+    grid = _avg_branch_entropy_grid(mom, *directions)
     flat = int(np.argmin(grid))  # first minimum: smallest theta, then smallest phi
     ti, pj = divmod(flat, grid.shape[1])
-    theta = float(_GRID_THETAS[ti])
-    phi = float(_GRID_PHIS[pj])
+    theta = float(thetas[ti])
+    phi = float(phis[pj])
     value = float(grid[ti, pj])
     # the trig parametrization is valid and smooth for any real angles, so the
     # refinement brackets are left unclipped; angles are canonicalized by the

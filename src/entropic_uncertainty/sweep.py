@@ -3,6 +3,13 @@
 A sweep walks a noise-parameter grid for one channel, optionally applies a
 steering operation to each evolved state, evaluates the requested quantities
 and emits rows in grid order.  Output is byte-stable across runs.
+
+Each steering strength is one (N, 4, 4) stack, in blocks of ``_STACK_ROWS``
+rows on long grids: Kraus operators built from the parameter array,
+evolution, steering and ``u`` are stacked products and ``_eig2`` spectra under
+the dense pipeline's checks.  That pipeline stays the oracle
+(``test_batched_u_equals_dense`` pins states and ``u`` bitwise to it) and
+gives ``u`` for a non-X or failing row and every other quantity.
 """
 
 from __future__ import annotations
@@ -17,14 +24,22 @@ from .bounds import PointQuantities, ad_closed_form_u, bpf_closed_forms
 from .channels import (
     CHANNEL_FAMILIES,
     SteeringOp,
-    apply_one_sided,
-    apply_steering,
+    apply_one_sided,  # noqa: F401  unused, but perfbench/test_perfbench.py traces it here
     d_of_t,
     filter_op,
     noise_kraus,
     weak_op,
 )
-from .linalg import BOUND_ORDER_ATOL
+from .linalg import (
+    BOUND_ORDER_ATOL,
+    COMPLETENESS_ATOL,
+    I2,
+    PAULI_Y,
+    POSTSELECT_MIN_PROB,
+    TRACE_ATOL,
+    stacked_density_spectra,
+    validate_density,
+)
 from .measures import discord_xstate_closed, quantum_discord, sigma_x_basis, sigma_z_basis
 from .states import BellDiagonalCoeffs, as_xstate, bell_diagonal_density, coefficient_problems
 
@@ -39,6 +54,9 @@ OUTPUT_TAGS = (
     "capacity",
     "witness",
 )
+_TAGS_READING_U = {"u", "tightness", "witness"}
+# Rows per stack: long grids go in blocks, so a stack's temporaries stay a few MB.
+_STACK_ROWS = 1024
 STEERING_KINDS = ("filter", "weak")
 # Largest grid a sweep or a capacity/errata schedule may ask for, in rows
 # (points times the number of steering strengths); the grid is built up front.
@@ -130,7 +148,7 @@ class SweepConfig:
         return BellDiagonalCoeffs(self.c1, self.c2, self.c3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     """One grid point: the inputs that produced it plus the requested values."""
 
@@ -145,18 +163,80 @@ class SweepRow:
     quantities: tuple[tuple[str, float], ...]
 
 
-def _steering_op(kind: str, strength: float) -> SteeringOp:
-    return filter_op(strength) if kind == "filter" else weak_op(strength)
+def _evolve(family: str, rho0: np.ndarray, params: np.ndarray, errors: dict) -> np.ndarray:
+    """``apply_one_sided(noise_kraus(family, p), rho0)`` for every p, as one stack."""
+    _note_error(errors, 0, validate_density, rho0)  # as apply_one_sided does, from row 0 on
+    with np.errstate(invalid="ignore"):  # a parameter outside [0, 1] is named below
+        root, co_root = np.sqrt(params), np.sqrt(1.0 - params)
+    ops = np.zeros((2, len(params), 2, 2), dtype=complex)
+    if family == "AD":  # diag(1, sqrt(1 - d)) and sqrt(d) |0><1|
+        ops[0, :, 0, 0], ops[0, :, 1, 1], ops[1, :, 0, 1] = 1.0, co_root, root
+    else:  # sqrt(p) I and sqrt(1 - p) sigma_y
+        ops[0], ops[1] = root[:, None, None] * I2, co_root[:, None, None] * PAULI_Y
+    defect = np.abs((ops.conj().swapaxes(-1, -2) @ ops).sum(axis=0) - I2).max(axis=(1, 2))
+    for i in np.flatnonzero(~(defect <= COMPLETENESS_ATOL)):
+        _note_error(errors, i, noise_kraus, family, float(params[i]))
+    out = np.zeros((len(params), 4, 4), dtype=complex)
+    for e in np.kron(ops, I2):  # each Kraus operator on qubit A
+        out += e @ rho0 @ e.conj().swapaxes(1, 2)
+    return out
 
 
-def _evaluate_point(cfg: SweepConfig, rho0, bases, strength, index: int, x: float) -> SweepRow:
+def _evolved_blocks(family: str, rho0: np.ndarray, params: np.ndarray):
+    """(first index, evolved stack, its errors) for each ``_STACK_ROWS`` parameters."""
+    for first in range(0, len(params), _STACK_ROWS):
+        errors: dict[int, str] = {}
+        yield first, _evolve(family, rho0, params[first:first + _STACK_ROWS], errors), errors
+
+
+def _steer(op: SteeringOp, states: np.ndarray, errors: dict) -> np.ndarray:
+    """``apply_steering(op, state)`` for every state of the stack."""
+    _, ok = stacked_density_spectra(states)
+    for i in np.flatnonzero(~ok):
+        _note_error(errors, i, validate_density, states[i])
+    e = np.kron(op.operator, I2)
+    unnormalized = e @ states @ e.conj().T
+    norm = np.trace(unnormalized, axis1=1, axis2=2).real
+    for i in np.flatnonzero(norm <= POSTSELECT_MIN_PROB):
+        errors.setdefault(i, "post-selection probability ~ 0, conditional state undefined")
+    return unnormalized / np.where(norm > POSTSELECT_MIN_PROB, norm, 1.0)[:, None, None]
+
+
+def _stacked_u(states: np.ndarray, bases) -> list[float | None]:
+    """``uncertainty_lhs`` of every state of the stack; None marks a row that is not
+    X-shaped or fails a check, left to the dense path, which also names the failure."""
+    _, ok = stacked_density_spectra(states)
+    u = np.zeros(len(states))
+    for basis in bases:
+        dephased = np.zeros_like(states)
+        for e in np.kron(np.array(basis.projectors), I2):
+            dephased += e @ states @ e.conj().T
+        memory = np.trace(dephased.reshape(-1, 2, 2, 2, 2), axis1=1, axis2=3)
+        entropy = []
+        for m in (dephased, memory):
+            p, good = stacked_density_spectra(m)
+            ok &= good & (np.abs(p.sum(axis=1) - 1.0) <= TRACE_ATOL)
+            entropy.append(-(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=1))
+        u += entropy[0] - entropy[1]
+    return [float(v) if good else None for v, good in zip(u, ok)]
+
+
+def _note_error(errors: dict, i: int, check, *args) -> None:
+    """Keep the error ``check(*args)`` raises, if any, as row i's first failure."""
+    try:
+        check(*args)
+    except (ValueError, ArithmeticError) as exc:
+        errors.setdefault(i, str(exc))
+
+
+def _evaluate_point(cfg: SweepConfig, bases, strength, index, x, state, u, error) -> SweepRow:
     where = f"grid index {index} (param={x!r}, steering strength={strength!r})"
     try:
-        param = d_of_t(cfg.rate_lambda, x) if cfg.rate_lambda is not None else x
-        state = apply_one_sided(noise_kraus(cfg.channel, param), rho0, side="A")
-        if strength is not None:
-            state = apply_steering(_steering_op(cfg.steering_kind, strength), state, side="A")
+        if error is not None:
+            raise ValueError(error)
         q = PointQuantities(state, *bases)
+        if u is not None:
+            q.u = u
         values: list[tuple[str, float]] = []
         for tag in cfg.outputs:
             if tag == "tightness":
@@ -187,17 +267,34 @@ def _evaluate_point(cfg: SweepConfig, rho0, bases, strength, index: int, x: floa
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
-    """Evaluate the grid in order, one point after another."""
+    """Evaluate the grid in order, each steering strength as one stack (or a few,
+    on grids longer than ``_STACK_ROWS``)."""
     problems = cfg.validate()
     if problems:
         raise ConfigError(problems)
     rho0 = bell_diagonal_density(cfg.coeffs())
     bases = (sigma_x_basis(), sigma_z_basis())
     grid = [float(x) for x in np.linspace(cfg.param_start, cfg.param_stop, cfg.param_points)]
-    strengths = cfg.steering_strengths if cfg.steering_strengths else (None,)
+    rate = cfg.rate_lambda
+    params = np.array(grid if rate is None else [d_of_t(rate, x) for x in grid])
+    blocks = list(_evolved_blocks(cfg.channel, rho0, params))  # shared by every strength
+    rows = []
+    for s in cfg.steering_strengths or (None,):
+        for first, states, errors in blocks:
+            block_grid = grid[first:first + len(states)]
+            rows += _evaluate_block(cfg, bases, s, first, block_grid, states, dict(errors))
+    return rows
+
+
+def _evaluate_block(cfg: SweepConfig, bases, strength, first: int, grid, states, errors):
+    """Grid points first, first + 1, ... at one steering strength, from their evolved stack."""
+    if strength is not None:
+        op = filter_op(strength) if cfg.steering_kind == "filter" else weak_op(strength)
+        states = _steer(op, states, errors)
+    needs_u = _TAGS_READING_U.intersection(cfg.outputs)
+    us = _stacked_u(states, bases) if needs_u else [None] * len(grid)
     return [
-        _evaluate_point(cfg, rho0, bases, s, i, x)
-        for s in strengths
+        _evaluate_point(cfg, bases, strength, first + i, x, states[i], us[i], errors.get(i))
         for i, x in enumerate(grid)
     ]
 
@@ -273,8 +370,12 @@ def errata_report(coeffs: BellDiagonalCoeffs, channel: str, grid) -> str:
         if best is None or gap > best[0]:
             gaps[name] = (gap, x)
 
-    for x in grid:
-        state = apply_one_sided(noise_kraus(channel, x), rho0, side="A")
+    states = []
+    for _, stack, errors in _evolved_blocks(channel, rho0, np.array(grid)):
+        if errors:
+            raise ValueError(errors[min(errors)])
+        states.extend(stack)
+    for x, state in zip(grid, states):
         q = PointQuantities(state, b1, b2)
         if channel == "AD":
             closed_u = ad_closed_form_u(coeffs, x)

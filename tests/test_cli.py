@@ -157,6 +157,27 @@ def test_coeff_out_of_range_flag_named_exit_2(capsys):
     assert "--c2" not in err and "unphysical" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, problems",
+    [
+        (["witness", "--channel", "AD", "--c1", "-0.9", "--c2", "0.9", "--c3", "-inf",
+          "--s", "2"], ["--c3 = -inf is not finite", "--s 2.0 outside [0, 1)"]),
+        (["capacity", "--channel", "BPF", "--c3", "-inf", "--points", "1"],
+         ["--c3 = -inf is not finite", "--points 1 outside [2, 1000000]"]),
+        (["errata", "--channel", "AD", "--c3", "-inf", "--c1", "-nan"],
+         ["--c3 = -inf is not finite", "--c1 = nan is not finite"]),
+        (["capacity", "--channel", "AD", "--lambda", "-1e-3", "--c3", "-inf"],
+         ["--c3 = -inf is not finite", "--lambda -0.001 must be positive"]),
+    ],
+)
+def test_negative_values_as_separate_arguments_exit_2(capsys, argv, problems):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "expected one argument" not in err
+    for problem in problems:
+        assert problem in err
+
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_capacity_nonfinite_lambda_exit_2(capsys, value):
     assert main(["capacity", "--channel", "AD", "--lambda", value]) == 2

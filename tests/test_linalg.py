@@ -13,11 +13,13 @@ from conftest import (
 )
 from entropic_uncertainty.linalg import (
     NotHermitianError,
+    as_matrix,
     conjugate_sandwich,
     density_spectrum,
     hermitian_eigenvalues,
     jacobi_eigenvalues,
     partial_trace,
+    stacked_density_spectra,
     tensor_product,
 )
 
@@ -168,3 +170,44 @@ def test_density_spectrum_sums_to_one():
 def test_density_spectrum_rejects_negative():
     with pytest.raises(ValueError, match="positive semidefinite"):
         density_spectrum(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
+
+
+@pytest.mark.parametrize(
+    "bad", [complex(np.inf, 0.0), complex(0.0, np.nan), complex(np.inf, np.inf), np.nan]
+)
+def test_as_matrix_rejects_any_non_finite_part(bad):
+    m = np.eye(2, dtype=complex)
+    m[0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        as_matrix(m)
+
+
+def test_stacked_spectra_equal_dense_on_x_states_and_marginals():
+    # thousands of rows: a vectorized np.hypot in place of _eig2 differs in a few
+    rng = np.random.RandomState(73)
+    states = np.array([rand_xstate_matrix(rng, real=k % 2 == 0) for k in range(4000)])
+    marginals = np.array([partial_trace(rho, "B") for rho in states])
+    for stack in (states, marginals):
+        vals, ok = stacked_density_spectra(stack)
+        assert ok.all()
+        for row, rho in zip(vals, stack):
+            assert np.array_equal(row, density_spectrum(rho))
+
+
+def test_stacked_spectra_flag_the_rows_the_dense_path_must_take():
+    rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    h = np.kron(I2, (SX + SZ) / np.sqrt(2.0))
+    rotated = h @ bd_oracle(-0.5, 0.4, 0.8) @ h  # valid, not X-shaped
+    asymmetric = rho.copy()
+    asymmetric[0, 3] = 1e-3
+    negative = np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex)
+    long_trace = 2.0 * rho
+    infinite = rho.copy()
+    infinite[1, 1] = np.inf
+    stack = np.array([rho, rotated, asymmetric, negative, long_trace, infinite])
+    _, ok = stacked_density_spectra(stack)
+    assert ok.tolist() == [True, False, False, False, False, False]
+    density_spectrum(rotated)  # the dense path accepts the non-X row
+    for bad in stack[2:]:
+        with pytest.raises(ValueError):
+            density_spectrum(bad)

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from conftest import rand_bd_coeffs
+from conftest import I2, SX, SZ, rand_bd_coeffs
 from entropic_uncertainty import bounds, sweep
-from entropic_uncertainty.bounds import bound_report
+from entropic_uncertainty.bounds import bound_report, uncertainty_lhs
 from entropic_uncertainty.channels import (
     apply_one_sided,
     apply_steering,
+    d_of_t,
     filter_op,
     noise_kraus,
     weak_op,
 )
+from entropic_uncertainty.linalg import is_x_patterned
 from entropic_uncertainty.measures import sigma_x_basis, sigma_z_basis
 from entropic_uncertainty.sweep import (
     MAX_GRID_ROWS,
@@ -178,6 +180,8 @@ def test_errata_report_contents():
             assert "uncertainty lower bound" in report
     with pytest.raises(ValueError, match="empty"):
         errata_report(coeffs, "AD", [])
+    with pytest.raises(ValueError, match=r"^damping probability d = 1.5 outside \[0, 1\]$"):
+        errata_report(coeffs, "AD", [0.5, 1.5])
 
 
 def test_grid_size_limit_in_validation():
@@ -286,3 +290,121 @@ def test_shared_correlations_run_once_per_point(monkeypatch):
     bound_report(bell_diagonal_density(BellDiagonalCoeffs(-0.5, 0.4, 0.8)),
                  sigma_x_basis(), sigma_z_basis())
     assert counts == {"mutual_information": 5, "classical_correlation": 5}
+
+
+def _dense_state(channel, rho0, param, kind, strength):
+    state = apply_one_sided(noise_kraus(channel, param), rho0)
+    if kind is not None:
+        op = filter_op if kind == "filter" else weak_op
+        state = apply_steering(op(strength), state)
+    return state
+
+
+def test_batched_u_equals_dense():
+    # each grid holds the boundary points: AD d = 1, BPF p in {0, 1/2, 1}
+    rng = np.random.RandomState(607)
+    triples = [(-1.0, 1.0, 1.0), (0.0, 0.0, 0.0)] + [rand_bd_coeffs(rng) for _ in range(6)]
+    steerings = [(None, (None,)), ("filter", (1e-9, 0.35, 1.0 - 1e-9)), ("weak", (0.0, 0.6, 0.999))]
+    bases = (sigma_x_basis(), sigma_z_basis())
+    compared = 0
+    for coeffs in triples:
+        rho0 = bell_diagonal_density(BellDiagonalCoeffs(*coeffs))
+        for channel, rate in (("AD", None), ("BPF", None), ("AD", 0.4)):
+            grid = np.linspace(0.0, 1.0 if rate is None else 10.0, 5)
+            params = grid if rate is None else np.array([d_of_t(rate, t) for t in grid])
+            errors = {}
+            evolved = sweep._evolve(channel, rho0, params, errors)
+            for kind, strengths in steerings:
+                cfg = SweepConfig(
+                    channel, *coeffs, 0.0, grid[-1], 5,
+                    steering_kind=kind,
+                    steering_strengths=strengths if kind else (),
+                    rate_lambda=rate,
+                    outputs=("u",),
+                )
+                rows = iter(run_sweep(cfg))
+                for s in strengths:
+                    states = evolved
+                    if kind is not None:
+                        op = filter_op(s) if kind == "filter" else weak_op(s)
+                        states = sweep._steer(op, evolved, errors)
+                    us = sweep._stacked_u(states, bases)
+                    assert errors == {}
+                    for i, param in enumerate(params):
+                        dense = _dense_state(channel, rho0, float(param), kind, s)
+                        u = uncertainty_lhs(dense, *bases)
+                        assert np.array_equal(states[i], dense), (coeffs, channel, rate, s, i)
+                        assert us[i] == u
+                        assert next(rows).quantities == (("u", u),)
+                        compared += 1
+    assert compared == len(triples) * 3 * 7 * 5
+
+
+def test_long_grid_blocks_equal_one_stack(monkeypatch):
+    cfg = small_cfg(
+        param_points=7,
+        steering_kind="filter",
+        steering_strengths=(0.2, 0.7),
+        outputs=("u", "berta", "witness"),
+    )
+    whole = run_sweep(cfg)
+    monkeypatch.setattr(sweep, "_STACK_ROWS", 3)  # blocks of 3, 3 and 1 rows
+    assert run_sweep(cfg) == whole
+    failing = small_cfg(param_points=3, steering_kind="filter", steering_strengths=(1.0 - 1e-13,))
+    monkeypatch.setattr(sweep, "_STACK_ROWS", 2)  # d = 1 is row 0 of the second block
+    with pytest.raises(NumericError, match=r"^sweep point at grid index 2 \(param=1.0, "):
+        run_sweep(failing)
+
+
+def test_non_x_rows_take_the_dense_u(monkeypatch):
+    bases = (sigma_x_basis(), sigma_z_basis())
+    h = np.kron(I2, (SX + SZ) / np.sqrt(2.0))  # a Hadamard on the memory qubit
+    x_state = bell_diagonal_density(BellDiagonalCoeffs(-0.5, 0.4, 0.8))
+    us = sweep._stacked_u(np.array([x_state, h @ x_state @ h, x_state]), bases)
+    assert us[0] == us[2] == uncertainty_lhs(x_state, *bases)
+    assert us[1] is None
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return uncertainty_lhs(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "uncertainty_lhs", counted)
+    cfg = small_cfg(steering_kind="weak", steering_strengths=(0.4,), outputs=("u", "witness"))
+    run_sweep(cfg)
+    assert calls == []  # every row of an X-state sweep takes the stack
+    monkeypatch.setattr(sweep, "bell_diagonal_density", lambda c: h @ bell_diagonal_density(c) @ h)
+    rows = run_sweep(cfg)
+    dense = [_dense_state("AD", h @ x_state @ h, row.param, "weak", 0.4) for row in rows]
+    # d = 1 leaves |0><0| (x) I/2, an X state again; the other four rows are not
+    assert [is_x_patterned(state) for state in dense] == [False] * 4 + [True]
+    assert len(calls) == 4
+    for row, state in zip(rows, dense):
+        assert dict(row.quantities)["u"] == uncertainty_lhs(state, *bases)
+
+
+def test_batched_failure_names_grid_index_param_and_strength(monkeypatch):
+    # filtering towards qubit A's |1> at k -> 1 leaves nothing of the state AD at d = 1 gives
+    k = 1.0 - 1e-13
+    cfg = small_cfg(param_points=3, steering_kind="filter", steering_strengths=(0.5, k))
+    with pytest.raises(NumericError) as err:
+        run_sweep(cfg)
+    rho0 = bell_diagonal_density(cfg.coeffs())
+    with pytest.raises(ValueError) as dense:
+        _dense_state("AD", rho0, 1.0, "filter", k)
+    assert str(err.value) == (
+        f"sweep point at grid index 2 (param=1.0, steering strength={k!r}) failed: {dense.value}"
+    )
+    assert "post-selection probability" in str(err.value)
+
+    not_hermitian = rho0.copy()
+    not_hermitian[0, 3] += 1e-3
+    monkeypatch.setattr(sweep, "bell_diagonal_density", lambda c: not_hermitian)
+    with pytest.raises(NumericError) as err:
+        run_sweep(cfg)
+    with pytest.raises(ValueError) as dense:
+        _dense_state("AD", not_hermitian, 0.0, "filter", 0.5)
+    assert str(err.value) == (
+        f"sweep point at grid index 0 (param=0.0, steering strength=0.5) failed: {dense.value}"
+    )
