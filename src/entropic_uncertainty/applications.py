@@ -20,30 +20,14 @@ from .channels import (
     noise_kraus,
     weak_op,
 )
-from .linalg import BOUND_ORDER_ATOL, partial_trace
-from .measures import (
-    ProjectiveBasis,
-    mutual_information,
-    sigma_x_basis,
-    sigma_z_basis,
-    von_neumann_entropy,
-)
-from .bounds import berta_bound, complementarity_c, uncertainty_lhs
+from .measures import sigma_x_basis, sigma_z_basis
+from .bounds import PointQuantities, complementarity_c, uncertainty_lhs
 from .states import BellDiagonalCoeffs, bell_diagonal_density
+from .sweep import _BASES, _evolved_blocks, _stacked_values
 
 _BISECTION_TOL = 1e-7
 _BRACKET_SCAN_POINTS = 101
 _STRADDLE_STEP = 1e-4
-_CAPACITY_IDENTITY_ATOL = 1e-10
-
-
-@dataclass(frozen=True)
-class WitnessResult:
-    """Verdict of the entropic witness U < log2(1/c)."""
-
-    u_value: float
-    threshold: float
-    entangled_witnessed: bool
 
 
 @dataclass(frozen=True)
@@ -54,23 +38,6 @@ class ThresholdResult:
     critical_value: float
     steering_strength_s: float
     window: str
-
-
-def witness_verdict(
-    rho,
-    b1: ProjectiveBasis,
-    b2: ProjectiveBasis,
-    measured_side: str = "A",
-    memory_side: str = "B",
-) -> WitnessResult:
-    """Strict-inequality witness: boundary equality counts as not witnessed."""
-    threshold = math.log2(1.0 / complementarity_c(b1, b2))
-    u = uncertainty_lhs(rho, b1, b2, measured_side, memory_side)
-    return WitnessResult(
-        u_value=u,
-        threshold=threshold,
-        entangled_witnessed=u < threshold - BOUND_ORDER_ATOL,
-    )
 
 
 def _witness_u_of_param(channel_family: str, coeffs: BellDiagonalCoeffs, s: float):
@@ -98,7 +65,7 @@ def witness_threshold(
     if channel_family not in CHANNEL_FAMILIES:
         raise ValueError(f"unknown channel family {channel_family!r}")
     u = _witness_u_of_param(channel_family, coeffs, s)
-    threshold = 1.0  # log2(1/c) for the sigma_x / sigma_z pair
+    threshold = math.log2(1.0 / complementarity_c(sigma_x_basis(), sigma_z_basis()))
     hi_end = 1.0 if channel_family == "AD" else 0.5
 
     xs = np.linspace(0.0, hi_end, _BRACKET_SCAN_POINTS)
@@ -142,17 +109,7 @@ def witness_threshold(
 def channel_capacity(rho) -> float:
     """Mutual information of the evolved state, cross-checked against the
     equivalent bound form S(rho_A) - U_b + 1 at complementarity 1/2."""
-    capacity = mutual_information(rho)
-    bound_form = (
-        von_neumann_entropy(partial_trace(rho, "A"))
-        - berta_bound(rho, 0.5)
-        + 1.0
-    )
-    if abs(capacity - bound_form) > _CAPACITY_IDENTITY_ATOL:
-        raise ArithmeticError(
-            f"capacity forms disagree: {capacity!r} vs {bound_form!r}"
-        )
-    return capacity
+    return PointQuantities(rho, *_BASES).capacity
 
 
 def capacity_curves(
@@ -164,17 +121,33 @@ def capacity_curves(
     """Capacity along a parameter schedule.
 
     ``schedule`` holds damping/flip parameters directly, or times when
-    ``rate_lambda`` is given (damping channel only).
+    ``rate_lambda`` is given (damping channel only).  The schedule is evolved
+    and evaluated as X-state stacks; a point the stack flags is evaluated
+    alone, which also raises its error, in schedule order.
     """
     if channel_family not in CHANNEL_FAMILIES:
         raise ValueError(f"unknown channel family {channel_family!r}")
     if rate_lambda is not None and channel_family != "AD":
         raise ValueError("a decay rate only parametrizes the damping channel")
     rho0 = bell_diagonal_density(coeffs)
+    xs = [float(x) for x in schedule]
+
+    def param(x: float) -> float:
+        return d_of_t(rate_lambda, x) if rate_lambda is not None else x
+
+    def alone(x: float) -> float:
+        return channel_capacity(apply_one_sided(noise_kraus(channel_family, param(x)), rho0))
+
+    params = []
+    for x in xs:
+        try:
+            params.append(param(x))
+        except ValueError:
+            params.append(math.nan)  # flags the point, whose own evaluation raises
     curve = []
-    for x in schedule:
-        x = float(x)
-        param = d_of_t(rate_lambda, x) if rate_lambda is not None else x
-        evolved = apply_one_sided(noise_kraus(channel_family, param), rho0, side="A")
-        curve.append((x, channel_capacity(evolved)))
+    for first, states, errors in _evolved_blocks(channel_family, rho0, np.array(params)):
+        known = _stacked_values(states, ("capacity",))
+        for i, x in enumerate(xs[first:first + len(states)]):
+            ok = i not in errors and known[i] is not None
+            curve.append((x, known[i]["capacity"] if ok else alone(x)))
     return curve

@@ -1,10 +1,13 @@
 """Measurement-uncertainty left-hand side, its three lower bounds, and the
 published closed-form expressions kept as cross-checks.
 
-``PointQuantities`` is the one definition of the Pati and Adabi bounds and of
-discord as the sweep and ``bound_report`` see them: both read every value from
-it, so one state pays for each quantity (mutual information, the measurement
-optimizer, each Holevo quantity) at most once.
+``PointQuantities`` is the one definition of the Pati and Adabi bounds, of
+discord, of the channel capacity and of the entropic witness, as the sweep,
+``bound_report`` and ``channel_capacity`` see them.  One state pays for each
+quantity (mutual information, the measurement optimizer, each Holevo quantity)
+at most once.  A sweep fills in the entropy-only values and the optimizer
+minima for a whole X-state stack at once, bitwise as each state alone would
+compute them; the formulas here derive the rest.
 
 The numerical pipeline (build state, evolve, measure, take entropies) is the
 ground truth everywhere.  The closed-form evolved spectra are exact and used
@@ -21,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import BOUND_ORDER_ATOL, validate_density
+from .linalg import BOUND_ORDER_ATOL, partial_trace, validate_density
 from .measures import (
     ProjectiveBasis,
     binary_entropy,
@@ -32,10 +35,12 @@ from .measures import (
     min_conditional_entropy_over_measurements,
     mutual_information,
     quantum_conditional_entropy,
+    von_neumann_entropy,
 )
 from .states import BellDiagonalCoeffs
 
 SPMC_ATOL = 1e-12
+CAPACITY_IDENTITY_ATOL = 1e-10
 _EDGE = 1.0 - 1e-12
 
 
@@ -66,6 +71,16 @@ def berta_bound(rho, c: float, memory_side: str = "B") -> float:
     if not 0.0 < c <= 1.0:
         raise ValueError(f"complementarity c = {c!r} outside (0, 1]")
     return math.log2(1.0 / c) + quantum_conditional_entropy(rho, memory_side)
+
+
+def witnessed(u, c):
+    """The entropic witness U < log2(1/c) (scalars or arrays); equality does not witness."""
+    return u < math.log2(1.0 / c) - BOUND_ORDER_ATOL
+
+
+def capacity_bound_form(s_measured, berta, c):
+    """S(rho_measured) - Berta bound + log2(1/c), equal to the mutual information."""
+    return s_measured - berta + math.log2(1.0 / c)
 
 
 @dataclass(eq=False)
@@ -99,6 +114,10 @@ class PointQuantities:
         return uncertainty_lhs(self.rho, self.b1, self.b2, self.measured_side, self.memory_side)
 
     @cached_property
+    def witness(self) -> bool:
+        return witnessed(self.u, self.complementarity_c)
+
+    @cached_property
     def berta(self) -> float:
         return berta_bound(self.rho, self.complementarity_c, self.memory_side)
 
@@ -114,16 +133,30 @@ class PointQuantities:
     @cached_property
     def adabi(self) -> float:
         """Berta bound plus max{0, mutual information - both Holevo quantities}."""
-        delta = (
-            self.mutual_information
-            - holevo_quantity(self.rho, self.b1, self.measured_side, self.memory_side)
-            - holevo_quantity(self.rho, self.b2, self.measured_side, self.memory_side)
-        )
+        delta = self.mutual_information - self.holevo[0] - self.holevo[1]
         return self.berta + max(0.0, delta)
+
+    @cached_property
+    def holevo(self) -> tuple[float, float]:
+        """The Holevo quantity of each basis."""
+        return tuple(
+            holevo_quantity(self.rho, b, self.measured_side, self.memory_side)
+            for b in (self.b1, self.b2)
+        )
 
     @cached_property
     def s_min(self) -> float:
         return min_conditional_entropy_over_measurements(self.rho, self.memory_side)
+
+    @cached_property
+    def capacity(self) -> float:
+        """The mutual information, cross-checked against ``capacity_bound_form``."""
+        capacity = self.mutual_information
+        s_measured = von_neumann_entropy(partial_trace(self.rho, self.measured_side))
+        bound_form = capacity_bound_form(s_measured, self.berta, self.complementarity_c)
+        if abs(capacity - bound_form) > CAPACITY_IDENTITY_ATOL:
+            raise ArithmeticError(f"capacity forms disagree: {capacity!r} vs {bound_form!r}")
+        return capacity
 
 
 def spmc_satisfied(

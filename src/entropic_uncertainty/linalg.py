@@ -81,6 +81,12 @@ def partial_trace(rho, keep: str) -> np.ndarray:
     raise ValueError(f"unknown subsystem tag {keep!r} (expected 'A' or 'B')")
 
 
+def stacked_partial_trace(m: np.ndarray, keep: str) -> np.ndarray:
+    """``partial_trace`` of each state of an (N, 4, 4) stack."""
+    r = m.reshape(-1, 2, 2, 2, 2)
+    return np.trace(r, axis1=2, axis2=4) if keep == "A" else np.trace(r, axis1=1, axis2=3)
+
+
 def conjugate_sandwich(op, rho) -> np.ndarray:
     """O rho O^dagger for square operators of matching dimension."""
     op = as_matrix(op)

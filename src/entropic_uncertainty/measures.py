@@ -11,7 +11,9 @@ and at fixed diagonals a branch's entropy falls as its coherence rises, so phi
 is fixed in closed form as the azimuth of largest coherence.  theta is then
 searched on [0, pi/2] (theta and pi - theta only swap the two outcomes) by a
 1-degree grid, both endpoints exactly, and one golden-section refinement (the
-one-parameter minimization of Huang, PRA 88, 014302 (2013)).  Any other state
+one-parameter minimization of Huang, PRA 88, 014302 (2013)); a stack of X
+states takes its grids as one (N, 91) array and refines each row alone, so a
+state gets the same bits in a stack as on its own.  Any other state
 takes the dense path: a 1-degree grid over theta in [0, pi] and phi in [0, pi)
 (n and -n give the same measurement) followed by coordinate-wise
 golden-section refinement.  Both paths are deterministic.
@@ -47,6 +49,8 @@ from .linalg import (
     embed_on_side,
     is_x_patterned,
     partial_trace,
+    stacked_density_spectra,
+    stacked_partial_trace,
     validate_density,
 )
 from .states import XState
@@ -72,6 +76,8 @@ def _dense_grid() -> tuple[np.ndarray, ...]:
 _X_THETAS = np.linspace(0.0, 0.5 * math.pi, 91)
 _X_SIN_T = np.sin(_X_THETAS)
 _X_COS_T = np.cos(_X_THETAS)
+# Rows per theta grid: about 20 (rows, 91) temporaries stay near 0.5 MB.
+_GRID_ROWS = 32
 
 
 def _other_side(side: str) -> str:
@@ -110,6 +116,14 @@ def shannon_entropy(probabilities) -> float:
 def von_neumann_entropy(rho) -> float:
     """Entropy in bits of a density matrix's spectrum."""
     return shannon_entropy(density_spectrum(rho))
+
+
+def stacked_von_neumann_entropy(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``von_neumann_entropy`` of each matrix of an (N, 2, 2) or (N, 4, 4) stack, and which
+    rows pass its checks; a zero eigenvalue adds 0.0, so rows are bitwise the dense ones."""
+    p, ok = stacked_density_spectra(m)
+    ok &= np.abs(p.sum(axis=1) - 1.0) <= TRACE_ATOL
+    return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=1), ok
 
 
 @dataclass(frozen=True)
@@ -235,31 +249,60 @@ def holevo_quantity(
     return total
 
 
+def stacked_holevo(states: np.ndarray, basis: ProjectiveBasis, s_memory: np.ndarray):
+    """``holevo_quantity`` (A measured, B the memory) of each state of an (N, 4, 4) stack
+    with memory entropies ``s_memory``, and which rows pass every kept branch's checks."""
+    total, ok = s_memory, np.ones(len(states), dtype=bool)
+    for p in basis.projectors:
+        e = np.kron(p, I2)
+        branch = e @ states @ e.conj().T
+        prob = np.trace(branch, axis1=1, axis2=2).real
+        kept = prob > POSTSELECT_MIN_PROB
+        memory = stacked_partial_trace(branch, "B") / np.where(kept, prob, 1.0)[:, None, None]
+        entropy, good = stacked_von_neumann_entropy(memory)
+        ok &= good | ~kept
+        total = total - np.where(kept, prob * entropy, 0.0)
+    return total, ok
+
+
 class _CrossMoments:
     """Scalar components of rho_other and Tr_measured[(sigma_j)_measured rho].
 
     Measuring along direction n with projectors (I +/- n.sigma)/2 leaves the
     unmeasured qubit in (rho_other +/- sum_j n_j R_j) / 2 unnormalized, so the
     whole measurement sweep reduces to 2x2 closed forms in these moments.
+    A stack's moments are (N, 1) columns that broadcast against a grid of
+    directions; ``rows`` gives each state's as Python numbers for refinement.
     """
 
     __slots__ = ("b00", "b11", "b01", "r00", "r11", "r01")
 
-    def __init__(self, rho: np.ndarray, measured_side: str):
-        other = partial_trace(rho, _other_side(measured_side))
-        r = rho.reshape(2, 2, 2, 2)
-        mats = []
-        for sigma in PAULIS:
-            if measured_side == "A":
-                mats.append(np.einsum("ij,jbic->bc", sigma, r))
-            else:
-                mats.append(np.einsum("ij,ajci->ac", sigma, r))
-        self.b00 = float(other[0, 0].real)
-        self.b11 = float(other[1, 1].real)
-        self.b01 = complex(other[0, 1])
-        self.r00 = tuple(float(m[0, 0].real) for m in mats)
-        self.r11 = tuple(float(m[1, 1].real) for m in mats)
-        self.r01 = tuple(complex(m[0, 1]) for m in mats)
+    def __init__(self, b00, b11, b01, r00, r11, r01):
+        self.b00, self.b11, self.b01 = b00, b11, b01
+        self.r00, self.r11, self.r01 = r00, r11, r01
+
+    def rows(self) -> list[_CrossMoments]:
+        columns = [self.b00, self.b11, self.b01, *self.r00, *self.r11, *self.r01]
+        return [
+            _CrossMoments(*v[:3], v[3:6], v[6:9], v[9:])
+            for v in zip(*(c[:, 0].tolist() for c in columns))
+        ]
+
+
+def _cross_moments(states: np.ndarray, measured_side: str) -> _CrossMoments:
+    """The moments of each state of an (N, 4, 4) stack."""
+    other = stacked_partial_trace(states, _other_side(measured_side))
+    r = states.reshape(-1, 2, 2, 2, 2)
+    spec = "ij,njbic->nbc" if measured_side == "A" else "ij,najci->nac"
+    mats = [np.einsum(spec, sigma, r) for sigma in PAULIS]
+    return _CrossMoments(
+        other[:, 0, 0, None].real,
+        other[:, 1, 1, None].real,
+        other[:, 0, 1, None],
+        tuple(m[:, 0, 0, None].real for m in mats),
+        tuple(m[:, 1, 1, None].real for m in mats),
+        tuple(m[:, 0, 1, None] for m in mats),
+    )
 
 
 def _neg_xlog2x(x: np.ndarray) -> np.ndarray:
@@ -332,20 +375,6 @@ def _golden_section(f, lo: float, hi: float) -> tuple[float, float]:
     return (c, fc) if fc < fd else (d, fd)
 
 
-def _canonical_angles(theta: float, phi: float) -> tuple[float, float]:
-    theta = math.fmod(theta, 2.0 * math.pi)
-    if theta < 0.0:
-        theta, phi = -theta, phi + math.pi
-    if theta > math.pi:
-        theta, phi = 2.0 * math.pi - theta, phi + math.pi
-    phi = math.fmod(phi, 2.0 * math.pi)
-    if phi < 0.0:
-        phi += 2.0 * math.pi
-    if phi >= 2.0 * math.pi:
-        phi = 0.0
-    return theta, phi
-
-
 def _x_state_azimuth(mom: _CrossMoments) -> float:
     """phi in [0, pi) maximizing the X-state branch coherence |cos(phi) a + sin(phi) b|.
 
@@ -359,27 +388,35 @@ def _x_state_azimuth(mom: _CrossMoments) -> float:
     return phi + math.pi if phi < 0.0 else phi
 
 
-def _minimize_x_state(mom: _CrossMoments) -> tuple[float, float, float]:
-    """Exact one-parameter minimum for X states: (value, theta, phi)."""
-    phi = _x_state_azimuth(mom)
-    values = _avg_branch_entropy_grid(
-        mom, _X_SIN_T * math.cos(phi), _X_SIN_T * math.sin(phi), _X_COS_T
-    )
-    start = float(_X_THETAS[int(np.argmin(values))])
-    refined, _ = _golden_section(
-        lambda t: _avg_branch_entropy_at(mom, t, phi),
-        start - _GRID_STEP,
-        start + _GRID_STEP,
-    )
-    # the endpoints (z and equatorial measurements) are evaluated exactly
-    value, theta = min(
-        (_avg_branch_entropy_at(mom, t, phi), t) for t in (0.0, 0.5 * math.pi, refined)
-    )
-    return value, theta, phi
+def _minimize_x_states(mom: _CrossMoments) -> list[tuple[float, float, float]]:
+    """Exact one-parameter minimum of each X state of a stack: (value, theta, phi).
+
+    The theta grid is one (N, 91) array, elementwise as for one state; the
+    refinement stays scalar ``math`` per row, since ``np.hypot`` and ``np.log2``
+    can differ from ``math`` in the last bit.
+    """
+    rows = mom.rows()
+    phis = [_x_state_azimuth(m) for m in rows]
+    cos_phi = np.array([math.cos(phi) for phi in phis])[:, None]
+    sin_phi = np.array([math.sin(phi) for phi in phis])[:, None]
+    values = _avg_branch_entropy_grid(mom, _X_SIN_T * cos_phi, _X_SIN_T * sin_phi, _X_COS_T)
+    out = []
+    for m, phi, start in zip(rows, phis, _X_THETAS[np.argmin(values, axis=1)].tolist()):
+        refined, _ = _golden_section(
+            lambda t: _avg_branch_entropy_at(m, t, phi),
+            start - _GRID_STEP,
+            start + _GRID_STEP,
+        )
+        # the endpoints (z and equatorial measurements) are evaluated exactly
+        value, theta = min(
+            (_avg_branch_entropy_at(m, t, phi), t) for t in (0.0, 0.5 * math.pi, refined)
+        )
+        out.append((value, theta, phi))
+    return out
 
 
 def _minimize_dense(mom: _CrossMoments) -> tuple[float, float, float]:
-    """Grid plus coordinate golden-section minimum for any state: (value, theta, phi)."""
+    """Grid plus coordinate golden-section minimum for one state: (value, theta, phi)."""
     thetas, phis, *directions = _dense_grid()
     grid = _avg_branch_entropy_grid(mom, *directions)
     flat = int(np.argmin(grid))  # first minimum: smallest theta, then smallest phi
@@ -387,9 +424,10 @@ def _minimize_dense(mom: _CrossMoments) -> tuple[float, float, float]:
     theta = float(thetas[ti])
     phi = float(phis[pj])
     value = float(grid[ti, pj])
+    [mom] = mom.rows()
     # the trig parametrization is valid and smooth for any real angles, so the
-    # refinement brackets are left unclipped; angles are canonicalized by the
-    # caller (crucial when the optimum sits across the phi seam or a pole).
+    # refinement brackets are left unclipped (crucial when the optimum sits
+    # across the phi seam or a pole).
     # A round moves each angle by at most one grid step, and in a flat valley
     # the optimum can lie several steps away, so rounds repeat until one stalls.
     for _ in range(_DENSE_MAX_ROUNDS):
@@ -413,13 +451,18 @@ def _minimize_dense(mom: _CrossMoments) -> tuple[float, float, float]:
     return value, theta, phi
 
 
-def _minimize_avg_branch_entropy(
-    rho: np.ndarray, measured_side: str
-) -> tuple[float, BlochDirection]:
-    mom = _CrossMoments(rho, measured_side)
-    minimize = _minimize_x_state if is_x_patterned(rho) else _minimize_dense
-    value, theta, phi = minimize(mom)
-    return value, BlochDirection(*_canonical_angles(theta, phi))
+def stacked_measurement_minima(states: np.ndarray, measured_side: str) -> list[float]:
+    """The minimum average branch entropy of each X state of an (N, 4, 4) stack
+    whose rows pass ``stacked_density_spectra``, ``_GRID_ROWS`` rows at a time."""
+    chunks = (states[i:i + _GRID_ROWS] for i in range(0, len(states), _GRID_ROWS))
+    return [v for c in chunks for v, _, _ in _minimize_x_states(_cross_moments(c, measured_side))]
+
+
+def _minimize_avg_branch_entropy(rho: np.ndarray, measured_side: str) -> float:
+    if is_x_patterned(rho):
+        return stacked_measurement_minima(rho[None], measured_side)[0]
+    value, _, _ = _minimize_dense(_cross_moments(rho[None], measured_side))
+    return value
 
 
 def min_conditional_entropy_over_measurements(rho, measured_side: str = "B") -> float:
@@ -428,8 +471,7 @@ def min_conditional_entropy_over_measurements(rho, measured_side: str = "B") -> 
     rho = validate_density(rho)
     if rho.shape != (4, 4):
         raise ValueError("not a two-qubit state")
-    value, _ = _minimize_avg_branch_entropy(rho, measured_side)
-    return value
+    return _minimize_avg_branch_entropy(rho, measured_side)
 
 
 def classical_correlation(rho, measured_side: str = "A") -> float:
@@ -438,8 +480,7 @@ def classical_correlation(rho, measured_side: str = "A") -> float:
     if rho.shape != (4, 4):
         raise ValueError("not a two-qubit state")
     other = partial_trace(rho, _other_side(measured_side))
-    value, _ = _minimize_avg_branch_entropy(rho, measured_side)
-    return von_neumann_entropy(other) - value
+    return von_neumann_entropy(other) - _minimize_avg_branch_entropy(rho, measured_side)
 
 
 def discord_from(mutual: float, classical: float) -> float:

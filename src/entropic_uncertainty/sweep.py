@@ -6,10 +6,10 @@ and emits rows in grid order.  Output is byte-stable across runs.
 
 Each steering strength is one (N, 4, 4) stack, in blocks of ``_STACK_ROWS``
 rows on long grids: Kraus operators built from the parameter array,
-evolution, steering and ``u`` are stacked products and ``_eig2`` spectra under
-the dense pipeline's checks.  That pipeline stays the oracle
-(``test_batched_u_equals_dense`` pins states and ``u`` bitwise to it) and
-gives ``u`` for a non-X or failing row and every other quantity.
+evolution, steering and every value the outputs read are stacked products and
+``_eig2`` spectra under the dense pipeline's checks; ``PointQuantities``
+derives the rest.  That pipeline stays the oracle (``test_batched_*`` pin the
+stack bitwise to it) and evaluates a non-X or failing row.
 """
 
 from __future__ import annotations
@@ -19,8 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .applications import channel_capacity
-from .bounds import PointQuantities, ad_closed_form_u, bpf_closed_forms
+from .bounds import (
+    CAPACITY_IDENTITY_ATOL,
+    PointQuantities,
+    ad_closed_form_u,
+    bpf_closed_forms,
+    capacity_bound_form,
+    complementarity_c,
+    witnessed,
+)
 from .channels import (
     CHANNEL_FAMILIES,
     SteeringOp,
@@ -31,30 +38,41 @@ from .channels import (
     weak_op,
 )
 from .linalg import (
-    BOUND_ORDER_ATOL,
     COMPLETENESS_ATOL,
     I2,
     PAULI_Y,
     POSTSELECT_MIN_PROB,
-    TRACE_ATOL,
     stacked_density_spectra,
+    stacked_partial_trace,
     validate_density,
 )
-from .measures import discord_xstate_closed, quantum_discord, sigma_x_basis, sigma_z_basis
+from .measures import (
+    discord_xstate_closed,
+    quantum_discord,
+    sigma_x_basis,
+    sigma_z_basis,
+    stacked_holevo,
+    stacked_measurement_minima,
+    stacked_von_neumann_entropy,
+)
 from .states import BellDiagonalCoeffs, as_xstate, bell_diagonal_density, coefficient_problems
 
-OUTPUT_TAGS = (
-    "u",
-    "berta",
-    "pati",
-    "adabi",
-    "tightness",
-    "discord",
-    "s_min",
-    "capacity",
-    "witness",
-)
-_TAGS_READING_U = {"u", "tightness", "witness"}
+# Each output tag, with the PointQuantities values it reads, which a stack fills in.
+_READS = {
+    "u": {"u"},
+    "berta": {"berta"},
+    "pati": {"berta", "mutual_information", "classical_correlation"},
+    "adabi": {"berta", "mutual_information", "holevo"},
+    "tightness": {"u", "berta", "mutual_information", "classical_correlation", "holevo"},
+    "discord": {"mutual_information", "classical_correlation"},
+    "s_min": {"s_min"},
+    "capacity": {"capacity"},
+    "witness": {"u", "witness"},
+}
+OUTPUT_TAGS = tuple(_READS)
+# The measured pair every sweep reports, built once, and its complementarity c.
+_BASES = (sigma_x_basis(), sigma_z_basis())
+_C = complementarity_c(*_BASES)
 # Rows per stack: long grids go in blocks, so a stack's temporaries stay a few MB.
 _STACK_ROWS = 1024
 STEERING_KINDS = ("filter", "weak")
@@ -202,23 +220,56 @@ def _steer(op: SteeringOp, states: np.ndarray, errors: dict) -> np.ndarray:
     return unnormalized / np.where(norm > POSTSELECT_MIN_PROB, norm, 1.0)[:, None, None]
 
 
-def _stacked_u(states: np.ndarray, bases) -> list[float | None]:
-    """``uncertainty_lhs`` of every state of the stack; None marks a row that is not
-    X-shaped or fails a check, left to the dense path, which also names the failure."""
-    _, ok = stacked_density_spectra(states)
-    u = np.zeros(len(states))
+def _stacked_u(states: np.ndarray, bases) -> tuple[np.ndarray, np.ndarray]:
+    """``uncertainty_lhs`` of every state of the stack, and which rows pass its checks."""
+    u, ok = np.zeros(len(states)), np.ones(len(states), dtype=bool)
     for basis in bases:
         dephased = np.zeros_like(states)
         for e in np.kron(np.array(basis.projectors), I2):
             dephased += e @ states @ e.conj().T
-        memory = np.trace(dephased.reshape(-1, 2, 2, 2, 2), axis1=1, axis2=3)
-        entropy = []
-        for m in (dephased, memory):
-            p, good = stacked_density_spectra(m)
-            ok &= good & (np.abs(p.sum(axis=1) - 1.0) <= TRACE_ATOL)
-            entropy.append(-(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=1))
-        u += entropy[0] - entropy[1]
-    return [float(v) if good else None for v, good in zip(u, ok)]
+        joint, good_joint = stacked_von_neumann_entropy(dephased)
+        memory, good_memory = stacked_von_neumann_entropy(stacked_partial_trace(dephased, "B"))
+        ok &= good_joint & good_memory
+        u += joint - memory
+    return u, ok
+
+
+def _stacked_values(states: np.ndarray, outputs) -> list[dict | None]:
+    """The ``PointQuantities`` values ``outputs`` read, for every state of the stack,
+    bitwise as the state alone computes them; None leaves a non-X row, or one failing a
+    check or the capacity identity, to the dense path, which also names the failure."""
+    names = set().union(*(_READS[tag] for tag in outputs))
+    _, ok = stacked_density_spectra(states)
+    cols = {}
+    if "u" in names:
+        cols["u"], good = _stacked_u(states, _BASES)
+        ok &= good
+    if "witness" in names:
+        cols["witness"] = witnessed(cols["u"], _C)
+    if names & {"berta", "mutual_information", "classical_correlation", "holevo", "capacity"}:
+        joint_and_marginals = (states, *(stacked_partial_trace(states, k) for k in "AB"))
+        (s_ab, s_a, s_b), good = zip(*map(stacked_von_neumann_entropy, joint_and_marginals))
+        ok &= np.logical_and.reduce(good)
+        cols["berta"] = math.log2(1.0 / _C) + (s_ab - s_b)
+        cols["mutual_information"] = mutual = s_a + s_b - s_ab
+        if "holevo" in names:
+            (h1, good_1), (h2, good_2) = (stacked_holevo(states, b, s_b) for b in _BASES)
+            ok &= good_1 & good_2
+            cols["holevo"] = np.stack([h1, h2], axis=1)
+        if "capacity" in names:
+            bound_form = capacity_bound_form(s_a, cols["berta"], _C)
+            ok &= np.abs(mutual - bound_form) <= CAPACITY_IDENTITY_ATOL
+            cols["capacity"] = mutual
+    rows = np.flatnonzero(ok)  # the optimizer runs on X states that passed every check
+    if "classical_correlation" in names:
+        minima = stacked_measurement_minima(states[rows], "A")
+        cols["classical_correlation"] = np.zeros(len(states))
+        cols["classical_correlation"][rows] = s_b[rows] - minima
+    if "s_min" in names:
+        cols["s_min"] = np.zeros(len(states))
+        cols["s_min"][rows] = stacked_measurement_minima(states[rows], "B")
+    values = [col.tolist() for col in cols.values()]
+    return [dict(zip(cols, row)) if good else None for good, row in zip(ok.tolist(), zip(*values))]
 
 
 def _note_error(errors: dict, i: int, check, *args) -> None:
@@ -229,23 +280,21 @@ def _note_error(errors: dict, i: int, check, *args) -> None:
         errors.setdefault(i, str(exc))
 
 
-def _evaluate_point(cfg: SweepConfig, bases, strength, index, x, state, u, error) -> SweepRow:
+def _evaluate_point(cfg: SweepConfig, strength, index, x, state, known, error) -> SweepRow:
     where = f"grid index {index} (param={x!r}, steering strength={strength!r})"
     try:
         if error is not None:
             raise ValueError(error)
-        q = PointQuantities(state, *bases)
-        if u is not None:
-            q.u = u
+        q = PointQuantities(state, *_BASES)
+        if known is not None:
+            vars(q).update(known)  # the stack's values stand in for the cached properties
         values: list[tuple[str, float]] = []
         for tag in cfg.outputs:
             if tag == "tightness":
                 for bound in ("berta", "pati", "adabi"):
                     values.append((f"tightness_{bound}", q.u - getattr(q, bound)))
-            elif tag == "capacity":
-                values.append(("capacity", channel_capacity(state)))
             elif tag == "witness":
-                values.append(("witness", 1.0 if q.u < 1.0 - BOUND_ORDER_ATOL else 0.0))
+                values.append(("witness", 1.0 if q.witness else 0.0))
             else:
                 values.append((tag, getattr(q, tag)))
     except (ValueError, ArithmeticError) as exc:
@@ -273,7 +322,6 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     if problems:
         raise ConfigError(problems)
     rho0 = bell_diagonal_density(cfg.coeffs())
-    bases = (sigma_x_basis(), sigma_z_basis())
     grid = [float(x) for x in np.linspace(cfg.param_start, cfg.param_stop, cfg.param_points)]
     rate = cfg.rate_lambda
     params = np.array(grid if rate is None else [d_of_t(rate, x) for x in grid])
@@ -282,19 +330,18 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     for s in cfg.steering_strengths or (None,):
         for first, states, errors in blocks:
             block_grid = grid[first:first + len(states)]
-            rows += _evaluate_block(cfg, bases, s, first, block_grid, states, dict(errors))
+            rows += _evaluate_block(cfg, s, first, block_grid, states, dict(errors))
     return rows
 
 
-def _evaluate_block(cfg: SweepConfig, bases, strength, first: int, grid, states, errors):
+def _evaluate_block(cfg: SweepConfig, strength, first: int, grid, states, errors):
     """Grid points first, first + 1, ... at one steering strength, from their evolved stack."""
     if strength is not None:
         op = filter_op(strength) if cfg.steering_kind == "filter" else weak_op(strength)
         states = _steer(op, states, errors)
-    needs_u = _TAGS_READING_U.intersection(cfg.outputs)
-    us = _stacked_u(states, bases) if needs_u else [None] * len(grid)
+    known = _stacked_values(states, cfg.outputs)
     return [
-        _evaluate_point(cfg, bases, strength, first + i, x, states[i], us[i], errors.get(i))
+        _evaluate_point(cfg, strength, first + i, x, states[i], known[i], errors.get(i))
         for i, x in enumerate(grid)
     ]
 
@@ -357,7 +404,6 @@ def errata_report(coeffs: BellDiagonalCoeffs, channel: str, grid) -> str:
     if not grid:
         raise ValueError("empty parameter grid")
     rho0 = bell_diagonal_density(coeffs)
-    b1, b2 = sigma_x_basis(), sigma_z_basis()
 
     gaps: dict[str, tuple[float, float]] = {}
     skipped: dict[str, int] = {}
@@ -376,7 +422,7 @@ def errata_report(coeffs: BellDiagonalCoeffs, channel: str, grid) -> str:
             raise ValueError(errors[min(errors)])
         states.extend(stack)
     for x, state in zip(grid, states):
-        q = PointQuantities(state, b1, b2)
+        q = PointQuantities(state, *_BASES)
         if channel == "AD":
             closed_u = ad_closed_form_u(coeffs, x)
             record(

@@ -16,15 +16,20 @@ from entropic_uncertainty.applications import (
     capacity_curves,
     channel_capacity,
     witness_threshold,
-    witness_verdict,
 )
-from entropic_uncertainty.bounds import ad_closed_form_spectrum, bpf_closed_form_spectrum
+from entropic_uncertainty import sweep
+from entropic_uncertainty.bounds import (
+    PointQuantities,
+    ad_closed_form_spectrum,
+    bpf_closed_form_spectrum,
+)
+from entropic_uncertainty.channels import apply_one_sided, d_of_t, noise_kraus
 from entropic_uncertainty.measures import (
     quantum_conditional_entropy,
     sigma_x_basis,
     sigma_z_basis,
 )
-from entropic_uncertainty.states import BellDiagonalCoeffs
+from entropic_uncertainty.states import BellDiagonalCoeffs, bell_diagonal_density
 
 BX, BZ = sigma_x_basis(), sigma_z_basis()
 WITNESS_COEFFS = BellDiagonalCoeffs(-1.0, 1.0, 1.0)
@@ -32,21 +37,21 @@ CAPACITY_COEFFS = BellDiagonalCoeffs(1.0, 1.0, -1.0)
 
 
 def test_witness_verdict_bell():
-    res = witness_verdict(bd_oracle(1.0, -1.0, 1.0), BX, BZ)
-    assert res.u_value == pytest.approx(0.0, abs=1e-9)
-    assert res.threshold == pytest.approx(1.0, abs=1e-12)
-    assert res.entangled_witnessed
+    q = PointQuantities(bd_oracle(1.0, -1.0, 1.0), BX, BZ)
+    assert q.u == pytest.approx(0.0, abs=1e-9)
+    assert q.complementarity_c == 0.5  # threshold log2(1/c) = 1
+    assert q.witness
 
 
 def test_witness_verdict_maximally_mixed():
-    res = witness_verdict(np.eye(4) / 4, BX, BZ)
-    assert res.u_value == pytest.approx(2.0, abs=1e-12)
-    assert not res.entangled_witnessed
+    q = PointQuantities(np.eye(4) / 4, BX, BZ)
+    assert q.u == pytest.approx(2.0, abs=1e-12)
+    assert not q.witness
 
 
 def test_witness_verdict_beyond_threshold():
     rho = evolve_oracle(ad_ops_oracle(0.5), bd_oracle(-1.0, 1.0, 1.0))
-    assert not witness_verdict(rho, BX, BZ).entangled_witnessed
+    assert not PointQuantities(rho, BX, BZ).witness
 
 
 def test_witness_threshold_ad():
@@ -78,8 +83,7 @@ def test_witness_threshold_straddles():
     rho0 = bd_oracle(*WITNESS_COEFFS.as_tuple())
     for offset, expect_below in ((-1e-4, True), (1e-4, False)):
         rho = apply_one_sided(ad_kraus(res.critical_value + offset), rho0)
-        res2 = witness_verdict(rho, BX, BZ)
-        assert (res2.u_value < 1.0) == expect_below
+        assert (PointQuantities(rho, BX, BZ).u < 1.0) == expect_below
 
 
 def test_witness_threshold_no_crossing():
@@ -94,8 +98,7 @@ def test_witnessed_states_have_negative_conditional_entropy():
         coeffs = rand_bd_coeffs(rng)
         d = float(rng.uniform(0, 1))
         rho = evolve_oracle(ad_ops_oracle(d), bd_oracle(*coeffs))
-        res = witness_verdict(rho, BX, BZ)
-        if res.entangled_witnessed:
+        if PointQuantities(rho, BX, BZ).witness:
             hits += 1
             assert quantum_conditional_entropy(rho) < 0.0
     assert hits > 0
@@ -163,6 +166,53 @@ def test_capacity_curves_ad_rate_families():
     for t in ts[1:]:
         t = float(t)
         assert curves[0.1][t] > curves[0.3][t] > curves[0.7][t]
+
+
+def _dense_capacity_loop(family, coeffs, schedule, rate_lambda=None):
+    """The point-by-point loop the stacked ``capacity_curves`` replaced."""
+    rho0 = bell_diagonal_density(coeffs)
+    curve = []
+    for x in schedule:
+        x = float(x)
+        param = d_of_t(rate_lambda, x) if rate_lambda is not None else x
+        curve.append((x, channel_capacity(apply_one_sided(noise_kraus(family, param), rho0))))
+    return curve
+
+
+def test_capacity_curves_equal_the_dense_loop(monkeypatch):
+    rng = np.random.RandomState(29)
+    triples = [(-1.0, 1.0, 1.0), (0.0, 0.0, 0.0), CAPACITY_COEFFS.as_tuple()]
+    triples += [rand_bd_coeffs(rng) for _ in range(3)]
+    schedules = (
+        ("AD", np.linspace(0.0, 1.0, 11), None),
+        ("BPF", np.linspace(0.0, 1.0, 11), None),
+        ("AD", np.linspace(0.0, 10.0, 11), 0.3),
+        ("BPF", [0.7, 0.1, 0.5, 0.5], None),
+    )
+    for coeffs in map(lambda c: BellDiagonalCoeffs(*c), triples):
+        for family, schedule, rate in schedules:
+            expected = _dense_capacity_loop(family, coeffs, schedule, rate)
+            assert capacity_curves(family, coeffs, schedule, rate) == expected
+    monkeypatch.setattr(sweep, "_STACK_ROWS", 3)  # blocks of 3, 3, 3 and 2 points
+    for family, schedule, rate in schedules[:3]:
+        expected = _dense_capacity_loop(family, CAPACITY_COEFFS, schedule, rate)
+        assert capacity_curves(family, CAPACITY_COEFFS, schedule, rate) == expected
+    assert capacity_curves("AD", CAPACITY_COEFFS, []) == []
+
+
+@pytest.mark.parametrize(
+    "schedule, rate, message",
+    [
+        ([0.5, 1.5, -0.5], None, r"^damping probability d = 1.5 outside \[0, 1\]$"),
+        ([1.0, -2.0, float("nan")], 0.3, r"^rate and time must be nonnegative, got \(0.3, -2.0\)$"),
+        ([1.0, float("nan"), -2.0], 0.3, r"^damping probability d = nan outside \[0, 1\]$"),
+    ],
+    ids=["d_above_1", "negative_time", "nan_time_first"],
+)
+def test_capacity_curves_raise_the_first_bad_point_of_the_schedule(schedule, rate, message):
+    for curve in (capacity_curves, _dense_capacity_loop):
+        with pytest.raises(ValueError, match=message):
+            curve("AD", CAPACITY_COEFFS, schedule, rate)
 
 
 def test_capacity_curves_validation():

@@ -10,6 +10,7 @@ from conftest import (
     entropy_oracle,
     evolve_oracle,
     rand_bd_coeffs,
+    rand_xstate_matrix,
     spectrum_oracle,
     u_oracle,
 )
@@ -117,13 +118,25 @@ def test_spmc_saturation_at_zero_noise():
         assert abs(u - berta_bound(rho, 0.5)) <= 1e-8
 
 
+def _random_full_rank(rng):
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
 def test_bound_ordering_on_random_samples():
+    # evolved Bell-diagonal states (real coherences), complex X states, and
+    # full-rank states, which take the dense optimizer
     rng = np.random.RandomState(103)
+    samples = []
     for i in range(60):
         coeffs = rand_bd_coeffs(rng)
         x = float(rng.uniform(0, 1))
         ops = ad_ops_oracle(x) if i % 2 == 0 else bpf_ops_oracle(x)
-        rho = evolve_oracle(ops, bd_oracle(*coeffs))
+        samples.append(evolve_oracle(ops, bd_oracle(*coeffs)))
+    samples += [rand_xstate_matrix(rng) for _ in range(200)]
+    samples += [_random_full_rank(rng) for _ in range(12)]
+    for rho in samples:
         r = bound_report(rho, BX, BZ)
         assert r.berta <= r.pati + 1e-9
         assert r.pati <= r.adabi + 1e-9

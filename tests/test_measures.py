@@ -344,12 +344,17 @@ def _complex_x_states(seed, count):
 
 
 def test_x_state_path_matches_dense_path():
-    # the one-parameter X-state optimizer against the dense 2-D grid it replaces
-    for rho in _complex_x_states(101, 300):
-        for side in ("A", "B"):
-            mom = measures._CrossMoments(rho, side)
-            x_value, _, _ = measures._minimize_x_state(mom)
-            dense_value, _, _ = measures._minimize_dense(mom)
+    # the one-parameter X-state optimizer against the dense 2-D grid it replaces;
+    # one stack of states gets bitwise what each state gets alone
+    states = np.array(_complex_x_states(101, 300))
+    for side in ("A", "B"):
+        stacked = measures._minimize_x_states(measures._cross_moments(states, side))
+        chunked = measures.stacked_measurement_minima(states, side)  # _GRID_ROWS at a time
+        assert chunked == [value for value, _, _ in stacked]
+        for i, (rho, (x_value, _, _)) in enumerate(zip(states, stacked)):
+            if i < 100:
+                assert x_value == min_conditional_entropy_over_measurements(rho, side)
+            dense_value, _, _ = measures._minimize_dense(measures._cross_moments(rho[None], side))
             assert abs(x_value - dense_value) <= 1e-12
 
 
@@ -362,11 +367,12 @@ def test_x_state_path_beats_coarse_oracle_grid():
     for rho in _complex_x_states(101, 300):
         assert is_x_patterned(rho)
         for side in ("A", "B"):
-            value, direction = measures._minimize_avg_branch_entropy(rho, side)
+            mom = measures._cross_moments(rho[None], side)
+            [(value, theta, phi)] = measures._minimize_x_states(mom)
             best = min(avg_branch_entropy_oracle(rho, th, ph, side) for th, ph in coarse)
             assert value <= best + 1e-12
-            # the reported measurement attains the reported value
-            attained = avg_branch_entropy_oracle(rho, direction.theta, direction.phi, side)
+            # the measurement found attains the value found
+            attained = avg_branch_entropy_oracle(rho, theta, phi, side)
             assert abs(attained - value) <= 1e-12
 
 
@@ -375,21 +381,22 @@ def test_non_x_state_takes_dense_path(monkeypatch):
     dense = measures._minimize_dense
 
     def spy(mom):
-        dense_calls.append(mom)
-        return dense(mom)
+        dense_calls.append(dense(mom))
+        return dense_calls[-1]
 
     monkeypatch.setattr(measures, "_minimize_dense", spy)
     had = (PAULI_X + PAULI_Z) / math.sqrt(2)
     for side, big in (("A", np.kron(had, np.eye(2))), ("B", np.kron(np.eye(2), had))):
         for rho in _complex_x_states(103, 5):
-            value, _ = measures._minimize_avg_branch_entropy(rho, side)
+            value = measures._minimize_avg_branch_entropy(rho, side)
             assert not dense_calls
             rotated = big @ rho @ big.conj().T
             assert not is_x_patterned(rotated)
-            rotated_value, direction = measures._minimize_avg_branch_entropy(rotated, side)
-            assert len(dense_calls) == 1
+            rotated_value = measures._minimize_avg_branch_entropy(rotated, side)
+            [(dense_value, theta, phi)] = dense_calls
             dense_calls.clear()
+            assert dense_value == rotated_value
             # a local unitary on the measured qubit relabels the measurements
             assert abs(rotated_value - value) <= 1e-12
-            attained = avg_branch_entropy_oracle(rotated, direction.theta, direction.phi, side)
+            attained = avg_branch_entropy_oracle(rotated, theta, phi, side)
             assert abs(attained - rotated_value) <= 1e-12

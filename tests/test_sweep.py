@@ -3,7 +3,8 @@ import pytest
 
 from conftest import I2, SX, SZ, rand_bd_coeffs
 from entropic_uncertainty import bounds, sweep
-from entropic_uncertainty.bounds import bound_report, uncertainty_lhs
+from entropic_uncertainty.applications import channel_capacity
+from entropic_uncertainty.bounds import PointQuantities, bound_report, uncertainty_lhs
 from entropic_uncertainty.channels import (
     apply_one_sided,
     apply_steering,
@@ -204,92 +205,78 @@ def test_grid_size_limit_in_validation():
 
 
 def test_numeric_error_locates_the_steered_point(monkeypatch):
-    calls = []
+    stacked = sweep._stacked_values
+    blocks = []
 
-    def capacity_failing_on_fifth_call(state):
-        calls.append(state)
-        if len(calls) == 5:
-            raise ArithmeticError("capacity forms disagree")
-        return 0.5
+    def row_1_of_second_block_flagged(states, outputs):
+        blocks.append(stacked(states, outputs))
+        if len(blocks) == 2:
+            blocks[-1][1] = None  # as when the stack's capacity identity check fails
+        return blocks[-1]
 
-    monkeypatch.setattr(sweep, "channel_capacity", capacity_failing_on_fifth_call)
+    monkeypatch.setattr(sweep, "_stacked_values", row_1_of_second_block_flagged)
     cfg = small_cfg(
         param_points=3,
         steering_kind="weak",
         steering_strengths=(0.0, 0.4),
         outputs=("capacity",),
     )
-    # strength 0.0 takes calls 1-3; the fifth call is grid index 1 at strength 0.4
+    # a flagged row whose dense evaluation passes keeps the dense value
+    rows = run_sweep(cfg)
+    state = _dense_state("AD", bell_diagonal_density(cfg.coeffs()), 0.5, "weak", 0.4)
+    capacity = channel_capacity(state)
+    assert rows[4].quantities == (("capacity", capacity),)
+    # strength 0.0 is the first block; grid index 1 at strength 0.4 fails its dense check
+    monkeypatch.setattr(bounds, "capacity_bound_form", lambda *args: -1.0)
+    blocks.clear()
     with pytest.raises(NumericError) as err:
         run_sweep(cfg)
     assert str(err.value) == (
         "sweep point at grid index 1 (param=0.5, steering strength=0.4) failed: "
-        "capacity forms disagree"
+        f"capacity forms disagree: {capacity!r} vs -1.0"
     )
-    monkeypatch.setattr(sweep, "channel_capacity", lambda state: float("nan"))
+
+    def nan_capacity(states, outputs):
+        known = stacked(states, outputs)
+        known[0]["capacity"] = float("nan")
+        return known
+
+    monkeypatch.setattr(sweep, "_stacked_values", nan_capacity)
     with pytest.raises(NumericError, match=r"capacity is not finite at grid index 0 "):
         run_sweep(cfg)
 
 
-BOUND_COLUMNS = {
-    "u": "u_lhs",
-    "berta": "berta",
-    "pati": "pati",
-    "adabi": "adabi",
-    "tightness_berta": "tightness_berta",
-    "tightness_pati": "tightness_pati",
-    "tightness_adabi": "tightness_adabi",
-    "discord": "discord",
-    "s_min": "s_min_cond",
-}
-
-
-def test_sweep_bound_columns_equal_bound_report_at_boundaries():
-    # grid [0, 1/2, 1] covers d = 1 and p in {0, 1/2, 1}
-    rng = np.random.RandomState(211)
-    triples = [(-1.0, 1.0, 1.0), (0.0, 0.0, 0.0)] + [rand_bd_coeffs(rng) for _ in range(5)]
-    steerings = [(None, ()), ("filter", (1e-9, 1.0 - 1e-9)), ("weak", (0.0, 0.999))]
-    bases = (sigma_x_basis(), sigma_z_basis())
-    compared = 0
-    for coeffs in triples:
-        rho0 = bell_diagonal_density(BellDiagonalCoeffs(*coeffs))
-        for channel in ("AD", "BPF"):
-            for kind, strengths in steerings:
-                cfg = SweepConfig(
-                    channel, *coeffs, 0.0, 1.0, 3,
-                    steering_kind=kind,
-                    steering_strengths=strengths,
-                    outputs=OUTPUT_TAGS,
-                )
-                for row in run_sweep(cfg):
-                    state = apply_one_sided(noise_kraus(channel, row.param), rho0)
-                    if kind is not None:
-                        op = filter_op if kind == "filter" else weak_op
-                        state = apply_steering(op(row.steer_strength), state)
-                    report = bound_report(state, *bases)
-                    values = dict(row.quantities)
-                    for column, field in BOUND_COLUMNS.items():
-                        assert values[column] == getattr(report, field), (row, column)
-                        compared += 1
-    assert compared == len(triples) * 2 * 5 * 3 * len(BOUND_COLUMNS)
-
-
 def test_shared_correlations_run_once_per_point(monkeypatch):
-    counts = {"mutual_information": 0, "classical_correlation": 0}
-    for name in counts:
+    dense = {"mutual_information": 0, "classical_correlation": 0}
+    for name in dense:
         original = getattr(bounds, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
+            dense[_name] += 1
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(bounds, name, counted)
+    stacked = []  # (batched entry point, rows it evaluated)
+    for name in ("stacked_von_neumann_entropy", "stacked_holevo", "stacked_measurement_minima"):
+        original = getattr(sweep, name)
+
+        def counted_stack(states, *args, _name=name, _original=original):
+            stacked.append((_name, len(states), *(a for a in args if isinstance(a, str))))
+            return _original(states, *args)
+
+        monkeypatch.setattr(sweep, name, counted_stack)
     cfg = small_cfg(outputs=("pati", "adabi", "discord", "tightness"), param_points=4)
     run_sweep(cfg)
-    assert counts == {"mutual_information": 4, "classical_correlation": 4}
+    # S(AB), S(A), S(B) once, the dephased joint and memory entropies once per basis,
+    # one Holevo quantity per basis and the measurement optimizer on qubit A once
+    entropy = ("stacked_von_neumann_entropy", 4)
+    assert sorted(stacked) == sorted(
+        [entropy] * 7 + [("stacked_holevo", 4)] * 2 + [("stacked_measurement_minima", 4, "A")]
+    )
+    assert dense == {"mutual_information": 0, "classical_correlation": 0}
     bound_report(bell_diagonal_density(BellDiagonalCoeffs(-0.5, 0.4, 0.8)),
                  sigma_x_basis(), sigma_z_basis())
-    assert counts == {"mutual_information": 5, "classical_correlation": 5}
+    assert dense == {"mutual_information": 1, "classical_correlation": 1}
 
 
 def _dense_state(channel, rho0, param, kind, strength):
@@ -328,8 +315,8 @@ def test_batched_u_equals_dense():
                     if kind is not None:
                         op = filter_op(s) if kind == "filter" else weak_op(s)
                         states = sweep._steer(op, evolved, errors)
-                    us = sweep._stacked_u(states, bases)
-                    assert errors == {}
+                    us, ok = sweep._stacked_u(states, bases)
+                    assert errors == {} and ok.all()
                     for i, param in enumerate(params):
                         dense = _dense_state(channel, rho0, float(param), kind, s)
                         u = uncertainty_lhs(dense, *bases)
@@ -338,6 +325,72 @@ def test_batched_u_equals_dense():
                         assert next(rows).quantities == (("u", u),)
                         compared += 1
     assert compared == len(triples) * 3 * 7 * 5
+
+
+def _dense_columns(state):
+    """Every output column of one state, evaluated alone on the dense path."""
+    q = PointQuantities(state, sigma_x_basis(), sigma_z_basis())
+    columns = {tag: getattr(q, tag) for tag in ("u", "berta", "pati", "adabi", "discord", "s_min")}
+    for bound in ("berta", "pati", "adabi"):
+        columns[f"tightness_{bound}"] = q.u - columns[bound]
+    columns["capacity"] = q.capacity  # what channel_capacity(state) returns
+    columns["witness"] = 1.0 if q.witness else 0.0
+    return columns
+
+
+def _recording_stack(monkeypatch):
+    """Record, per stack, which rows ``_stacked_values`` leaves to the dense path."""
+    stacked, flagged = sweep._stacked_values, []
+
+    def recorded(states, outputs):
+        known = stacked(states, outputs)
+        flagged.append([i for i, values in enumerate(known) if values is None])
+        return known
+
+    monkeypatch.setattr(sweep, "_stacked_values", recorded)
+    return flagged
+
+
+def test_batched_columns_equal_dense(monkeypatch):
+    # every column of every row equals the state's own dense evaluation, bitwise;
+    # each grid holds the boundary points: AD d = 1, BPF p in {0, 1/2, 1}
+    flagged = _recording_stack(monkeypatch)
+    rng = np.random.RandomState(613)
+    triples = [(-1.0, 1.0, 1.0), (0.0, 0.0, 0.0), rand_bd_coeffs(rng)]
+    steerings = [(None, ()), ("filter", (1e-9, 0.35, 1.0 - 1e-9)), ("weak", (0.0, 0.6, 0.999))]
+    compared = 0
+    for coeffs in triples:
+        rho0 = bell_diagonal_density(BellDiagonalCoeffs(*coeffs))
+        for channel, rate in (("AD", None), ("BPF", None), ("AD", 0.4)):
+            for kind, strengths in steerings:
+                cfg = SweepConfig(
+                    channel, *coeffs, 0.0, 1.0 if rate is None else 10.0, 5,
+                    steering_kind=kind,
+                    steering_strengths=strengths,
+                    rate_lambda=rate,
+                    outputs=OUTPUT_TAGS,
+                )
+                for row in run_sweep(cfg):
+                    param = row.param if rate is None else d_of_t(rate, row.param)
+                    state = _dense_state(channel, rho0, param, kind, row.steer_strength)
+                    assert dict(row.quantities) == _dense_columns(state), (cfg, row)
+                    compared += 1
+    assert compared == len(triples) * 3 * 7 * 5
+    assert flagged == [[]] * (len(triples) * 3 * 7)  # the stack gave every row
+
+    # a Hadamard on the memory qubit: d = 1 leaves an X state, the other rows are not
+    h = np.kron(I2, (SX + SZ) / np.sqrt(2.0))
+    monkeypatch.setattr(sweep, "bell_diagonal_density", lambda c: h @ bell_diagonal_density(c) @ h)
+    for stop, expected in ((1.0, [[0, 1, 2, 3]]), (0.5, [[0, 1, 2, 3, 4]])):
+        cfg = small_cfg(param_stop=stop, steering_kind="weak", steering_strengths=(0.4,),
+                        outputs=OUTPUT_TAGS)
+        flagged.clear()
+        rows = run_sweep(cfg)
+        assert flagged == expected
+        rho0 = h @ bell_diagonal_density(cfg.coeffs()) @ h
+        for row in rows:
+            state = _dense_state("AD", rho0, row.param, "weak", 0.4)
+            assert dict(row.quantities) == _dense_columns(state)
 
 
 def test_long_grid_blocks_equal_one_stack(monkeypatch):
@@ -360,9 +413,9 @@ def test_non_x_rows_take_the_dense_u(monkeypatch):
     bases = (sigma_x_basis(), sigma_z_basis())
     h = np.kron(I2, (SX + SZ) / np.sqrt(2.0))  # a Hadamard on the memory qubit
     x_state = bell_diagonal_density(BellDiagonalCoeffs(-0.5, 0.4, 0.8))
-    us = sweep._stacked_u(np.array([x_state, h @ x_state @ h, x_state]), bases)
+    us, ok = sweep._stacked_u(np.array([x_state, h @ x_state @ h, x_state]), bases)
     assert us[0] == us[2] == uncertainty_lhs(x_state, *bases)
-    assert us[1] is None
+    assert ok.tolist() == [True, False, True]
 
     calls = []
 
