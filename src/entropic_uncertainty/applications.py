@@ -3,6 +3,10 @@
 The witness protocol optionally protects the travelling qubit with a weak
 measurement *before* it enters the noise channel; that is the ordering under
 which a stronger weak measurement enlarges the witnessed noise window.
+
+Both take their points from ``sweep._grid_points``: a capacity curve as one
+stack, the witness bisection one point per call.  A point the stack flags is
+rebuilt alone by the dense pipeline, which raises its own error.
 """
 
 from __future__ import annotations
@@ -12,18 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    CHANNEL_FAMILIES,
-    apply_one_sided,
-    apply_steering,
-    d_of_t,
-    noise_kraus,
-    weak_op,
-)
-from .measures import sigma_x_basis, sigma_z_basis
-from .bounds import PointQuantities, complementarity_c, uncertainty_lhs
+from .bounds import PointQuantities
+from .channels import CHANNEL_FAMILIES, apply_steering, weak_op
 from .states import BellDiagonalCoeffs, bell_diagonal_density
-from .sweep import _BASES, _evolved_blocks, _stacked_values
+from .sweep import _BASES, _C, _grid_points
 
 _BISECTION_TOL = 1e-7
 _BRACKET_SCAN_POINTS = 101
@@ -40,19 +36,6 @@ class ThresholdResult:
     window: str
 
 
-def _witness_u_of_param(channel_family: str, coeffs: BellDiagonalCoeffs, s: float):
-    rho0 = bell_diagonal_density(coeffs)
-    if s > 0.0:
-        rho0 = apply_steering(weak_op(s), rho0, side="A")
-    b1, b2 = sigma_x_basis(), sigma_z_basis()
-
-    def u(x: float) -> float:
-        evolved = apply_one_sided(noise_kraus(channel_family, x), rho0, side="A")
-        return uncertainty_lhs(evolved, b1, b2)
-
-    return u
-
-
 def witness_threshold(
     channel_family: str, coeffs: BellDiagonalCoeffs, s: float = 0.0
 ) -> ThresholdResult:
@@ -64,8 +47,15 @@ def witness_threshold(
     """
     if channel_family not in CHANNEL_FAMILIES:
         raise ValueError(f"unknown channel family {channel_family!r}")
-    u = _witness_u_of_param(channel_family, coeffs, s)
-    threshold = math.log2(1.0 / complementarity_c(sigma_x_basis(), sigma_z_basis()))
+    rho0 = bell_diagonal_density(coeffs)
+    if s > 0.0:
+        rho0 = apply_steering(weak_op(s), rho0, side="A")
+
+    def u(x: float) -> float:
+        (q,) = _grid_points(channel_family, rho0, [x], None, (None,), ("u",))
+        return q.u
+
+    threshold = math.log2(1.0 / _C)
     hi_end = 1.0 if channel_family == "AD" else 0.5
 
     xs = np.linspace(0.0, hi_end, _BRACKET_SCAN_POINTS)
@@ -121,33 +111,14 @@ def capacity_curves(
     """Capacity along a parameter schedule.
 
     ``schedule`` holds damping/flip parameters directly, or times when
-    ``rate_lambda`` is given (damping channel only).  The schedule is evolved
-    and evaluated as X-state stacks; a point the stack flags is evaluated
-    alone, which also raises its error, in schedule order.
+    ``rate_lambda`` is given (damping channel only).  A bad point raises its
+    own error, the first in schedule order.
     """
     if channel_family not in CHANNEL_FAMILIES:
         raise ValueError(f"unknown channel family {channel_family!r}")
     if rate_lambda is not None and channel_family != "AD":
         raise ValueError("a decay rate only parametrizes the damping channel")
-    rho0 = bell_diagonal_density(coeffs)
     xs = [float(x) for x in schedule]
-
-    def param(x: float) -> float:
-        return d_of_t(rate_lambda, x) if rate_lambda is not None else x
-
-    def alone(x: float) -> float:
-        return channel_capacity(apply_one_sided(noise_kraus(channel_family, param(x)), rho0))
-
-    params = []
-    for x in xs:
-        try:
-            params.append(param(x))
-        except ValueError:
-            params.append(math.nan)  # flags the point, whose own evaluation raises
-    curve = []
-    for first, states, errors in _evolved_blocks(channel_family, rho0, np.array(params)):
-        known = _stacked_values(states, ("capacity",))
-        for i, x in enumerate(xs[first:first + len(states)]):
-            ok = i not in errors and known[i] is not None
-            curve.append((x, known[i]["capacity"] if ok else alone(x)))
-    return curve
+    points = _grid_points(channel_family, bell_diagonal_density(coeffs), xs, rate_lambda,
+                          (None,), ("capacity",))
+    return [(x, q.capacity) for x, q in zip(xs, points)]

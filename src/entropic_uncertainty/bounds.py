@@ -39,7 +39,6 @@ from .measures import (
 )
 from .states import BellDiagonalCoeffs
 
-SPMC_ATOL = 1e-12
 CAPACITY_IDENTITY_ATOL = 1e-10
 _EDGE = 1.0 - 1e-12
 
@@ -157,17 +156,6 @@ class PointQuantities:
         if abs(capacity - bound_form) > CAPACITY_IDENTITY_ATOL:
             raise ArithmeticError(f"capacity forms disagree: {capacity!r} vs {bound_form!r}")
         return capacity
-
-
-def spmc_satisfied(
-    coeffs: BellDiagonalCoeffs, i: int, j: int, k: int, atol: float = SPMC_ATOL
-) -> bool:
-    """True when c_i = -c_j * c_k, the saturation condition for measuring
-    the j and k Pauli axes."""
-    if sorted((i, j, k)) != [1, 2, 3]:
-        raise ValueError(f"axis indices {(i, j, k)!r} must be a permutation of 1, 2, 3")
-    c = coeffs.as_tuple()
-    return abs(c[i - 1] + c[j - 1] * c[k - 1]) <= atol
 
 
 @dataclass(frozen=True)

@@ -185,10 +185,6 @@ def sigma_x_basis() -> ProjectiveBasis:
     return bloch_basis(BlochDirection(math.pi / 2.0, 0.0), label="x")
 
 
-def sigma_y_basis() -> ProjectiveBasis:
-    return bloch_basis(BlochDirection(math.pi / 2.0, math.pi / 2.0), label="y")
-
-
 def sigma_z_basis() -> ProjectiveBasis:
     return bloch_basis(BlochDirection(0.0, 0.0), label="z")
 

@@ -4,12 +4,15 @@ A sweep walks a noise-parameter grid for one channel, optionally applies a
 steering operation to each evolved state, evaluates the requested quantities
 and emits rows in grid order.  Output is byte-stable across runs.
 
-Each steering strength is one (N, 4, 4) stack, in blocks of ``_STACK_ROWS``
-rows on long grids: Kraus operators built from the parameter array,
-evolution, steering and every value the outputs read are stacked products and
-``_eig2`` spectra under the dense pipeline's checks; ``PointQuantities``
-derives the rest.  That pipeline stays the oracle (``test_batched_*`` pin the
-stack bitwise to it) and evaluates a non-X or failing row.
+``_grid_points`` is the one route from a grid to evaluated points, for the
+sweep, ``errata_report`` and the applications.  Each steering strength is one
+(N, 4, 4) stack, in blocks of ``_STACK_ROWS`` rows on long grids: Kraus
+operators built from the parameter array, evolution, steering and every value
+the outputs read are stacked products and ``_eig2`` spectra, and each stage
+returns a row mask of the dense pipeline's checks.  A row that passes every
+mask takes the stack's values; any other row is rebuilt alone by the dense
+pipeline, which raises that point's own error.  That pipeline stays the oracle
+(``test_batched_*`` pin the stack bitwise to it).
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from .bounds import (
 from .channels import (
     CHANNEL_FAMILIES,
     SteeringOp,
-    apply_one_sided,  # noqa: F401  unused, but perfbench/test_perfbench.py traces it here
+    apply_one_sided,
+    apply_steering,
     d_of_t,
     filter_op,
     noise_kraus,
@@ -181,10 +185,15 @@ class SweepRow:
     quantities: tuple[tuple[str, float], ...]
 
 
-def _evolve(family: str, rho0: np.ndarray, params: np.ndarray, errors: dict) -> np.ndarray:
-    """``apply_one_sided(noise_kraus(family, p), rho0)`` for every p, as one stack."""
-    _note_error(errors, 0, validate_density, rho0)  # as apply_one_sided does, from row 0 on
-    with np.errstate(invalid="ignore"):  # a parameter outside [0, 1] is named below
+def _noise_param(x: float, rate: float | None) -> float:
+    """The channel parameter at grid value x: x itself, or d_of_t(rate, x) on a time grid."""
+    return x if rate is None else d_of_t(rate, x)
+
+
+def _evolve(family: str, rho0: np.ndarray, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``apply_one_sided(noise_kraus(family, p), rho0)`` for every p, as one stack, and
+    which rows pass that pipeline's checks."""
+    with np.errstate(invalid="ignore"):  # a parameter outside [0, 1] fails the check below
         root, co_root = np.sqrt(params), np.sqrt(1.0 - params)
     ops = np.zeros((2, len(params), 2, 2), dtype=complex)
     if family == "AD":  # diag(1, sqrt(1 - d)) and sqrt(d) |0><1|
@@ -192,32 +201,26 @@ def _evolve(family: str, rho0: np.ndarray, params: np.ndarray, errors: dict) -> 
     else:  # sqrt(p) I and sqrt(1 - p) sigma_y
         ops[0], ops[1] = root[:, None, None] * I2, co_root[:, None, None] * PAULI_Y
     defect = np.abs((ops.conj().swapaxes(-1, -2) @ ops).sum(axis=0) - I2).max(axis=(1, 2))
-    for i in np.flatnonzero(~(defect <= COMPLETENESS_ATOL)):
-        _note_error(errors, i, noise_kraus, family, float(params[i]))
+    ok = defect <= COMPLETENESS_ATOL
+    try:
+        validate_density(rho0)  # as apply_one_sided does for every row
+    except (ValueError, ArithmeticError):
+        ok[:] = False
     out = np.zeros((len(params), 4, 4), dtype=complex)
     for e in np.kron(ops, I2):  # each Kraus operator on qubit A
         out += e @ rho0 @ e.conj().swapaxes(1, 2)
-    return out
+    return out, ok
 
 
-def _evolved_blocks(family: str, rho0: np.ndarray, params: np.ndarray):
-    """(first index, evolved stack, its errors) for each ``_STACK_ROWS`` parameters."""
-    for first in range(0, len(params), _STACK_ROWS):
-        errors: dict[int, str] = {}
-        yield first, _evolve(family, rho0, params[first:first + _STACK_ROWS], errors), errors
-
-
-def _steer(op: SteeringOp, states: np.ndarray, errors: dict) -> np.ndarray:
-    """``apply_steering(op, state)`` for every state of the stack."""
+def _steer(op: SteeringOp, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``apply_steering(op, state)`` for every state of the stack, and which rows pass
+    its checks."""
     _, ok = stacked_density_spectra(states)
-    for i in np.flatnonzero(~ok):
-        _note_error(errors, i, validate_density, states[i])
     e = np.kron(op.operator, I2)
     unnormalized = e @ states @ e.conj().T
     norm = np.trace(unnormalized, axis1=1, axis2=2).real
-    for i in np.flatnonzero(norm <= POSTSELECT_MIN_PROB):
-        errors.setdefault(i, "post-selection probability ~ 0, conditional state undefined")
-    return unnormalized / np.where(norm > POSTSELECT_MIN_PROB, norm, 1.0)[:, None, None]
+    kept = norm > POSTSELECT_MIN_PROB
+    return unnormalized / np.where(kept, norm, 1.0)[:, None, None], ok & kept
 
 
 def _stacked_u(states: np.ndarray, bases) -> tuple[np.ndarray, np.ndarray]:
@@ -234,10 +237,10 @@ def _stacked_u(states: np.ndarray, bases) -> tuple[np.ndarray, np.ndarray]:
     return u, ok
 
 
-def _stacked_values(states: np.ndarray, outputs) -> list[dict | None]:
+def _stacked_values(states: np.ndarray, outputs) -> tuple[list[dict], np.ndarray]:
     """The ``PointQuantities`` values ``outputs`` read, for every state of the stack,
-    bitwise as the state alone computes them; None leaves a non-X row, or one failing a
-    check or the capacity identity, to the dense path, which also names the failure."""
+    bitwise as the state alone computes them, and which rows they hold for: X states
+    that pass every check and the capacity identity."""
     names = set().union(*(_READS[tag] for tag in outputs))
     _, ok = stacked_density_spectra(states)
     cols = {}
@@ -269,25 +272,50 @@ def _stacked_values(states: np.ndarray, outputs) -> list[dict | None]:
         cols["s_min"] = np.zeros(len(states))
         cols["s_min"][rows] = stacked_measurement_minima(states[rows], "B")
     values = [col.tolist() for col in cols.values()]
-    return [dict(zip(cols, row)) if good else None for good, row in zip(ok.tolist(), zip(*values))]
+    return [dict(zip(cols, row)) for row in zip(*values)], ok
 
 
-def _note_error(errors: dict, i: int, check, *args) -> None:
-    """Keep the error ``check(*args)`` raises, if any, as row i's first failure."""
-    try:
-        check(*args)
-    except (ValueError, ArithmeticError) as exc:
-        errors.setdefault(i, str(exc))
+def _grid_points(family: str, rho0: np.ndarray, xs, rate, steering_ops, outputs):
+    """``PointQuantities`` of every grid point, for each of ``steering_ops`` (None
+    leaves the state unsteered) in turn, each in grid order.
+
+    A point's state is ``rho0`` evolved through the channel at ``_noise_param(x, rate)``,
+    then steered.  Each block of ``_STACK_ROWS`` points is one stack, evolved once; a row
+    that passes every check of the stack takes its values, any other row is rebuilt
+    alone by the dense pipeline, which raises that point's own error.
+    """
+    params = []
+    for x in xs:
+        try:
+            params.append(_noise_param(x, rate))
+        except ValueError:
+            params.append(math.nan)  # fails the Kraus check; the dense rebuild raises
+    blocks = [
+        (first, *_evolve(family, rho0, np.array(params[first:first + _STACK_ROWS])))
+        for first in range(0, len(params), _STACK_ROWS)
+    ]
+    for op in steering_ops:
+        for first, states, ok in blocks:
+            if op is not None:
+                states, steered = _steer(op, states)
+                ok = ok & steered
+            known, good = _stacked_values(states, outputs)
+            for i, stacked in enumerate((ok & good).tolist()):
+                if stacked:  # the stack's values stand in for the cached properties
+                    q = PointQuantities(states[i], *_BASES)
+                    vars(q).update(known[i])
+                else:
+                    x = xs[first + i]
+                    state = apply_one_sided(noise_kraus(family, _noise_param(x, rate)), rho0)
+                    q = PointQuantities(state if op is None else apply_steering(op, state), *_BASES)
+                yield q
 
 
-def _evaluate_point(cfg: SweepConfig, strength, index, x, state, known, error) -> SweepRow:
+def _evaluate_point(cfg: SweepConfig, strength, index, x, points) -> SweepRow:
+    """The row of grid point ``index``, whose quantities are ``next(points)``."""
     where = f"grid index {index} (param={x!r}, steering strength={strength!r})"
     try:
-        if error is not None:
-            raise ValueError(error)
-        q = PointQuantities(state, *_BASES)
-        if known is not None:
-            vars(q).update(known)  # the stack's values stand in for the cached properties
+        q = next(points)
         values: list[tuple[str, float]] = []
         for tag in cfg.outputs:
             if tag == "tightness":
@@ -316,34 +344,17 @@ def _evaluate_point(cfg: SweepConfig, strength, index, x, state, known, error) -
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
-    """Evaluate the grid in order, each steering strength as one stack (or a few,
-    on grids longer than ``_STACK_ROWS``)."""
+    """Evaluate the grid in order, one steering strength after another."""
     problems = cfg.validate()
     if problems:
         raise ConfigError(problems)
     rho0 = bell_diagonal_density(cfg.coeffs())
     grid = [float(x) for x in np.linspace(cfg.param_start, cfg.param_stop, cfg.param_points)]
-    rate = cfg.rate_lambda
-    params = np.array(grid if rate is None else [d_of_t(rate, x) for x in grid])
-    blocks = list(_evolved_blocks(cfg.channel, rho0, params))  # shared by every strength
-    rows = []
-    for s in cfg.steering_strengths or (None,):
-        for first, states, errors in blocks:
-            block_grid = grid[first:first + len(states)]
-            rows += _evaluate_block(cfg, s, first, block_grid, states, dict(errors))
-    return rows
-
-
-def _evaluate_block(cfg: SweepConfig, strength, first: int, grid, states, errors):
-    """Grid points first, first + 1, ... at one steering strength, from their evolved stack."""
-    if strength is not None:
-        op = filter_op(strength) if cfg.steering_kind == "filter" else weak_op(strength)
-        states = _steer(op, states, errors)
-    known = _stacked_values(states, cfg.outputs)
-    return [
-        _evaluate_point(cfg, strength, first + i, x, states[i], known[i], errors.get(i))
-        for i, x in enumerate(grid)
-    ]
+    strengths = cfg.steering_strengths or (None,)
+    steer = filter_op if cfg.steering_kind == "filter" else weak_op
+    ops = [None if s is None else steer(s) for s in strengths]
+    points = _grid_points(cfg.channel, rho0, grid, cfg.rate_lambda, ops, cfg.outputs)
+    return [_evaluate_point(cfg, s, i, x, points) for s in strengths for i, x in enumerate(grid)]
 
 
 def _format_number(v: float) -> str:
@@ -416,13 +427,7 @@ def errata_report(coeffs: BellDiagonalCoeffs, channel: str, grid) -> str:
         if best is None or gap > best[0]:
             gaps[name] = (gap, x)
 
-    states = []
-    for _, stack, errors in _evolved_blocks(channel, rho0, np.array(grid)):
-        if errors:
-            raise ValueError(errors[min(errors)])
-        states.extend(stack)
-    for x, state in zip(grid, states):
-        q = PointQuantities(state, *_BASES)
+    for x, q in zip(grid, _grid_points(channel, rho0, grid, None, (None,), ("u", "berta"))):
         if channel == "AD":
             closed_u = ad_closed_form_u(coeffs, x)
             record(
@@ -438,8 +443,8 @@ def errata_report(coeffs: BellDiagonalCoeffs, channel: str, grid) -> str:
                 x,
             )
             record("uncertainty lower bound (closed form)", abs(closed_bound - q.berta), x)
-        closed_d = discord_xstate_closed(as_xstate(state))
-        numeric_d = quantum_discord(state, measured_side="B")
+        closed_d = discord_xstate_closed(as_xstate(q.rho))
+        numeric_d = quantum_discord(q.rho, measured_side="B")
         record("x-state discord (closed form)", abs(closed_d - numeric_d), x)
 
     names = sorted(set(gaps) | set(skipped))

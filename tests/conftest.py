@@ -10,6 +10,8 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from entropic_uncertainty.measures import ProjectiveBasis  # noqa: E402
+
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -94,6 +96,11 @@ def projector_oracle(vec):
 
 PX_ORACLE = [projector_oracle([1, 1]), projector_oracle([1, -1])]
 PZ_ORACLE = [projector_oracle([1, 0]), projector_oracle([0, 1])]
+
+
+def sigma_y_basis():
+    """The sigma_y measurement, from its eigenvectors (1, +-i) / sqrt(2)."""
+    return ProjectiveBasis((projector_oracle([1, 1j]), projector_oracle([1, -1j])), label="y")
 
 
 def post_meas_oracle(rho, projs, side="A"):
@@ -191,3 +198,15 @@ def rand_xstate_matrix(rng, real=False):
     rho[1, 2] = r23 * ph23
     rho[2, 1] = np.conj(rho[1, 2])
     return rho
+
+
+SPMC_ATOL = 1e-12
+
+
+def spmc_satisfied(coeffs, i, j, k, atol=SPMC_ATOL):
+    """True when c_i = -c_j * c_k, the saturation condition for measuring
+    the j and k Pauli axes."""
+    if sorted((i, j, k)) != [1, 2, 3]:
+        raise ValueError(f"axis indices {(i, j, k)!r} must be a permutation of 1, 2, 3")
+    c = coeffs.as_tuple()
+    return abs(c[i - 1] + c[j - 1] * c[k - 1]) <= atol

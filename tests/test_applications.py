@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,16 @@ from entropic_uncertainty.bounds import (
     PointQuantities,
     ad_closed_form_spectrum,
     bpf_closed_form_spectrum,
+    complementarity_c,
+    uncertainty_lhs,
 )
-from entropic_uncertainty.channels import apply_one_sided, d_of_t, noise_kraus
+from entropic_uncertainty.channels import (
+    apply_one_sided,
+    apply_steering,
+    d_of_t,
+    noise_kraus,
+    weak_op,
+)
 from entropic_uncertainty.measures import (
     quantum_conditional_entropy,
     sigma_x_basis,
@@ -84,6 +94,32 @@ def test_witness_threshold_straddles():
     for offset, expect_below in ((-1e-4, True), (1e-4, False)):
         rho = apply_one_sided(ad_kraus(res.critical_value + offset), rho0)
         assert (PointQuantities(rho, BX, BZ).u < 1.0) == expect_below
+
+
+def _dense_witness_critical_value(family, coeffs, s):
+    """The bracket scan and bisection of ``witness_threshold``, with u(x) from the dense
+    pipeline one point at a time."""
+    rho0 = bell_diagonal_density(coeffs)
+    if s > 0.0:
+        rho0 = apply_steering(weak_op(s), rho0)
+
+    def u(x):
+        return uncertainty_lhs(apply_one_sided(noise_kraus(family, x), rho0), BX, BZ)
+
+    threshold = math.log2(1.0 / complementarity_c(BX, BZ))
+    xs = [float(x) for x in np.linspace(0.0, 1.0 if family == "AD" else 0.5, 101)]
+    lo, hi = next((a, b) for a, b in zip(xs, xs[1:]) if u(a) < threshold <= u(b))
+    while hi - lo > 1e-7:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if u(mid) < threshold else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("family", ("AD", "BPF"))
+@pytest.mark.parametrize("s", (0.0, 0.4, 0.8))
+def test_witness_threshold_equals_the_dense_loop(family, s):
+    expected = _dense_witness_critical_value(family, WITNESS_COEFFS, s)
+    assert witness_threshold(family, WITNESS_COEFFS, s).critical_value == expected
 
 
 def test_witness_threshold_no_crossing():

@@ -12,6 +12,7 @@ from conftest import (
     rand_bd_coeffs,
     rand_xstate_matrix,
     spectrum_oracle,
+    spmc_satisfied,
     u_oracle,
 )
 from entropic_uncertainty.bounds import (
@@ -23,7 +24,6 @@ from entropic_uncertainty.bounds import (
     bpf_closed_form_spectrum,
     bpf_closed_forms,
     complementarity_c,
-    spmc_satisfied,
     uncertainty_lhs,
 )
 from entropic_uncertainty.measures import (

@@ -19,6 +19,7 @@ from conftest import (
     rand_bd_coeffs,
     rand_xstate_matrix,
     shannon_oracle,
+    sigma_y_basis,
     spectrum_oracle,
 )
 from entropic_uncertainty import measures
@@ -39,7 +40,6 @@ from entropic_uncertainty.measures import (
     quantum_discord,
     shannon_entropy,
     sigma_x_basis,
-    sigma_y_basis,
     sigma_z_basis,
     von_neumann_entropy,
 )

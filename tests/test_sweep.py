@@ -185,6 +185,15 @@ def test_errata_report_contents():
         errata_report(coeffs, "AD", [0.5, 1.5])
 
 
+def test_errata_report_raises_the_dense_message_of_the_bad_point():
+    coeffs = BellDiagonalCoeffs(-0.5, 0.4, 0.8)
+    with pytest.raises(ValueError) as dense:
+        _dense_state("AD", bell_diagonal_density(coeffs), 1.5, None, None)
+    with pytest.raises(ValueError) as err:
+        errata_report(coeffs, "AD", [0.5, 1.5])
+    assert str(err.value) == str(dense.value) == "damping probability d = 1.5 outside [0, 1]"
+
+
 def test_grid_size_limit_in_validation():
     assert small_cfg(param_points=MAX_GRID_ROWS).validate() == []
     too_long = small_cfg(param_points=MAX_GRID_ROWS + 1).validate()
@@ -211,7 +220,7 @@ def test_numeric_error_locates_the_steered_point(monkeypatch):
     def row_1_of_second_block_flagged(states, outputs):
         blocks.append(stacked(states, outputs))
         if len(blocks) == 2:
-            blocks[-1][1] = None  # as when the stack's capacity identity check fails
+            blocks[-1][1][1] = False  # as when the stack's capacity identity check fails
         return blocks[-1]
 
     monkeypatch.setattr(sweep, "_stacked_values", row_1_of_second_block_flagged)
@@ -237,9 +246,9 @@ def test_numeric_error_locates_the_steered_point(monkeypatch):
     )
 
     def nan_capacity(states, outputs):
-        known = stacked(states, outputs)
+        known, ok = stacked(states, outputs)
         known[0]["capacity"] = float("nan")
-        return known
+        return known, ok
 
     monkeypatch.setattr(sweep, "_stacked_values", nan_capacity)
     with pytest.raises(NumericError, match=r"capacity is not finite at grid index 0 "):
@@ -299,8 +308,7 @@ def test_batched_u_equals_dense():
         for channel, rate in (("AD", None), ("BPF", None), ("AD", 0.4)):
             grid = np.linspace(0.0, 1.0 if rate is None else 10.0, 5)
             params = grid if rate is None else np.array([d_of_t(rate, t) for t in grid])
-            errors = {}
-            evolved = sweep._evolve(channel, rho0, params, errors)
+            evolved, evolved_ok = sweep._evolve(channel, rho0, params)
             for kind, strengths in steerings:
                 cfg = SweepConfig(
                     channel, *coeffs, 0.0, grid[-1], 5,
@@ -311,12 +319,12 @@ def test_batched_u_equals_dense():
                 )
                 rows = iter(run_sweep(cfg))
                 for s in strengths:
-                    states = evolved
+                    states, steered_ok = evolved, evolved_ok
                     if kind is not None:
                         op = filter_op(s) if kind == "filter" else weak_op(s)
-                        states = sweep._steer(op, evolved, errors)
+                        states, steered_ok = sweep._steer(op, evolved)
                     us, ok = sweep._stacked_u(states, bases)
-                    assert errors == {} and ok.all()
+                    assert evolved_ok.all() and steered_ok.all() and ok.all()
                     for i, param in enumerate(params):
                         dense = _dense_state(channel, rho0, float(param), kind, s)
                         u = uncertainty_lhs(dense, *bases)
@@ -343,9 +351,9 @@ def _recording_stack(monkeypatch):
     stacked, flagged = sweep._stacked_values, []
 
     def recorded(states, outputs):
-        known = stacked(states, outputs)
-        flagged.append([i for i, values in enumerate(known) if values is None])
-        return known
+        known, ok = stacked(states, outputs)
+        flagged.append(np.flatnonzero(~ok).tolist())
+        return known, ok
 
     monkeypatch.setattr(sweep, "_stacked_values", recorded)
     return flagged
