@@ -5,8 +5,9 @@ measurement *before* it enters the noise channel; that is the ordering under
 which a stronger weak measurement enlarges the witnessed noise window.
 
 Both take their points from ``sweep._grid_points``: a capacity curve as one
-stack, the witness bisection one point per call.  A point the stack flags is
-rebuilt alone by the dense pipeline, which raises its own error.
+stack, the witness bisection one point per call, whose ``u`` is the dense
+``uncertainty_lhs`` of the point's state.  A point the stack flags is rebuilt
+alone by the dense pipeline, which raises its own error.
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ def witness_threshold(
     if s > 0.0:
         rho0 = apply_steering(weak_op(s), rho0, side="A")
 
-    def u(x: float) -> float:
-        (q,) = _grid_points(channel_family, rho0, [x], None, (None,), ("u",))
-        return q.u
+    def u(x: float) -> float:  # no stacked value requested: u is uncertainty_lhs of the state
+        ((_, _, point),) = _grid_points(channel_family, rho0, [x], None, (None,), ())
+        return point().u
 
     threshold = math.log2(1.0 / _C)
     hi_end = 1.0 if channel_family == "AD" else 0.5
@@ -81,19 +82,10 @@ def witness_threshold(
         raise ArithmeticError(
             f"threshold bracketing check failed around {critical!r}"
         )
-    if channel_family == "AD":
-        return ThresholdResult(
-            parameter_name="d",
-            critical_value=critical,
-            steering_strength_s=s,
-            window=f"[0, {critical:.6f})",
-        )
-    return ThresholdResult(
-        parameter_name="p",
-        critical_value=critical,
-        steering_strength_s=s,
-        window=f"[0, {critical:.6f}) U ({1.0 - critical:.6f}, 1]",
-    )
+    window = f"[0, {critical:.6f})"
+    if channel_family == "BPF":  # and the mirrored upper window
+        window += f" U ({1.0 - critical:.6f}, 1]"
+    return ThresholdResult("d" if channel_family == "AD" else "p", critical, s, window)
 
 
 def channel_capacity(rho) -> float:
@@ -121,4 +113,4 @@ def capacity_curves(
     xs = [float(x) for x in schedule]
     points = _grid_points(channel_family, bell_diagonal_density(coeffs), xs, rate_lambda,
                           (None,), ("capacity",))
-    return [(x, q.capacity) for x, q in zip(xs, points)]
+    return [(xs[i], point().capacity) for _, i, point in points]

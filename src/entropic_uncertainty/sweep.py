@@ -11,7 +11,8 @@ operators built from the parameter array, evolution, steering and every value
 the outputs read are stacked products and ``_eig2`` spectra, and each stage
 returns a row mask of the dense pipeline's checks.  A row that passes every
 mask takes the stack's values; any other row is rebuilt alone by the dense
-pipeline, which raises that point's own error.  That pipeline stays the oracle
+pipeline when it is read, which raises that point's own error.  Each point
+comes with its steering-op and grid index.  That pipeline stays the oracle
 (``test_batched_*`` pin the stack bitwise to it).
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -242,6 +244,8 @@ def _stacked_values(states: np.ndarray, outputs) -> tuple[list[dict], np.ndarray
     bitwise as the state alone computes them, and which rows they hold for: X states
     that pass every check and the capacity identity."""
     names = set().union(*(_READS[tag] for tag in outputs))
+    if not names:  # nothing to vouch for: each row's PointQuantities is the dense one
+        return [{}] * len(states), np.ones(len(states), dtype=bool)
     _, ok = stacked_density_spectra(states)
     cols = {}
     if "u" in names:
@@ -275,14 +279,20 @@ def _stacked_values(states: np.ndarray, outputs) -> tuple[list[dict], np.ndarray
     return [dict(zip(cols, row)) for row in zip(*values)], ok
 
 
+def _dense_point(family: str, rho0: np.ndarray, x: float, rate, op) -> PointQuantities:
+    state = apply_one_sided(noise_kraus(family, _noise_param(x, rate)), rho0)
+    return PointQuantities(state if op is None else apply_steering(op, state), *_BASES)
+
+
 def _grid_points(family: str, rho0: np.ndarray, xs, rate, steering_ops, outputs):
-    """``PointQuantities`` of every grid point, for each of ``steering_ops`` (None
-    leaves the state unsteered) in turn, each in grid order.
+    """``(k, i, point)`` for every grid point ``xs[i]`` under ``steering_ops[k]`` (None
+    leaves the state unsteered), op by op, each in grid order; ``point()`` gives its
+    ``PointQuantities``.
 
     A point's state is ``rho0`` evolved through the channel at ``_noise_param(x, rate)``,
     then steered.  Each block of ``_STACK_ROWS`` points is one stack, evolved once; a row
     that passes every check of the stack takes its values, any other row is rebuilt
-    alone by the dense pipeline, which raises that point's own error.
+    alone by the dense pipeline, whose ``point()`` raises that point's own error.
     """
     params = []
     for x in xs:
@@ -294,7 +304,7 @@ def _grid_points(family: str, rho0: np.ndarray, xs, rate, steering_ops, outputs)
         (first, *_evolve(family, rho0, np.array(params[first:first + _STACK_ROWS])))
         for first in range(0, len(params), _STACK_ROWS)
     ]
-    for op in steering_ops:
+    for k, op in enumerate(steering_ops):
         for first, states, ok in blocks:
             if op is not None:
                 states, steered = _steer(op, states)
@@ -304,18 +314,16 @@ def _grid_points(family: str, rho0: np.ndarray, xs, rate, steering_ops, outputs)
                 if stacked:  # the stack's values stand in for the cached properties
                     q = PointQuantities(states[i], *_BASES)
                     vars(q).update(known[i])
+                    yield k, first + i, (lambda q=q: q)
                 else:
-                    x = xs[first + i]
-                    state = apply_one_sided(noise_kraus(family, _noise_param(x, rate)), rho0)
-                    q = PointQuantities(state if op is None else apply_steering(op, state), *_BASES)
-                yield q
+                    yield k, first + i, partial(_dense_point, family, rho0, xs[first + i], rate, op)
 
 
-def _evaluate_point(cfg: SweepConfig, strength, index, x, points) -> SweepRow:
-    """The row of grid point ``index``, whose quantities are ``next(points)``."""
+def _evaluate_point(cfg: SweepConfig, strength, index, x, point) -> SweepRow:
+    """The row of grid point ``index``, whose quantities are ``point()``."""
     where = f"grid index {index} (param={x!r}, steering strength={strength!r})"
     try:
-        q = next(points)
+        q = point()
         values: list[tuple[str, float]] = []
         for tag in cfg.outputs:
             if tag == "tightness":
@@ -354,7 +362,7 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     steer = filter_op if cfg.steering_kind == "filter" else weak_op
     ops = [None if s is None else steer(s) for s in strengths]
     points = _grid_points(cfg.channel, rho0, grid, cfg.rate_lambda, ops, cfg.outputs)
-    return [_evaluate_point(cfg, s, i, x, points) for s in strengths for i, x in enumerate(grid)]
+    return [_evaluate_point(cfg, strengths[k], i, grid[i], point) for k, i, point in points]
 
 
 def _format_number(v: float) -> str:
@@ -427,7 +435,8 @@ def errata_report(coeffs: BellDiagonalCoeffs, channel: str, grid) -> str:
         if best is None or gap > best[0]:
             gaps[name] = (gap, x)
 
-    for x, q in zip(grid, _grid_points(channel, rho0, grid, None, (None,), ("u", "berta"))):
+    for _, i, point in _grid_points(channel, rho0, grid, None, (None,), ("u", "berta")):
+        x, q = grid[i], point()
         if channel == "AD":
             closed_u = ad_closed_form_u(coeffs, x)
             record(

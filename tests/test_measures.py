@@ -29,6 +29,7 @@ from entropic_uncertainty.measures import (
     BlochDirection,
     ProjectiveBasis,
     binary_entropy,
+    bloch_basis,
     classical_correlation,
     conditional_entropy_after_measurement,
     discord_xstate_closed,
@@ -96,6 +97,8 @@ def test_pauli_bases():
     assert_allclose(bz.projectors[0], np.diag([1.0, 0.0]).astype(complex), atol=1e-15)
     by = sigma_y_basis()
     assert_allclose(by.projectors[0] + by.projectors[1], np.eye(2), atol=1e-15)
+    on_y_axis = bloch_basis(BlochDirection(math.pi / 2, math.pi / 2))
+    assert_allclose(on_y_axis.projectors, by.projectors, atol=1e-15)
 
 
 def test_bloch_direction_validation():

@@ -181,17 +181,10 @@ def test_errata_report_contents():
             assert "uncertainty lower bound" in report
     with pytest.raises(ValueError, match="empty"):
         errata_report(coeffs, "AD", [])
-    with pytest.raises(ValueError, match=r"^damping probability d = 1.5 outside \[0, 1\]$"):
-        errata_report(coeffs, "AD", [0.5, 1.5])
-
-
-def test_errata_report_raises_the_dense_message_of_the_bad_point():
-    coeffs = BellDiagonalCoeffs(-0.5, 0.4, 0.8)
-    with pytest.raises(ValueError) as dense:
-        _dense_state("AD", bell_diagonal_density(coeffs), 1.5, None, None)
-    with pytest.raises(ValueError) as err:
-        errata_report(coeffs, "AD", [0.5, 1.5])
-    assert str(err.value) == str(dense.value) == "damping probability d = 1.5 outside [0, 1]"
+    for route in (lambda: errata_report(coeffs, "AD", [0.5, 1.5]),
+                  lambda: _dense_state("AD", bell_diagonal_density(coeffs), 1.5, None, None)):
+        with pytest.raises(ValueError, match=r"^damping probability d = 1.5 outside \[0, 1\]$"):
+            route()
 
 
 def test_grid_size_limit_in_validation():
