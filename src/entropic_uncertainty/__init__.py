@@ -16,7 +16,6 @@ imported from its own module.
 from .applications import capacity_curves, channel_capacity, witness_threshold
 from .bounds import PointQuantities, bound_report
 from .channels import apply_one_sided, apply_steering, filter_op, noise_kraus, weak_op
-from .measures import sigma_x_basis, sigma_z_basis
 from .states import BellDiagonalCoeffs, bell_diagonal_density
 from .sweep import (
     ConfigError,
@@ -35,8 +34,6 @@ __all__ = [
     "apply_steering",
     "filter_op",
     "weak_op",
-    "sigma_x_basis",
-    "sigma_z_basis",
     "PointQuantities",
     "bound_report",
     "witness_threshold",

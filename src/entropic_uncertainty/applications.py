@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import PointQuantities
+from .bounds import C, PointQuantities
 from .channels import CHANNEL_FAMILIES, apply_steering, weak_op
 from .states import BellDiagonalCoeffs, bell_diagonal_density
-from .sweep import _BASES, _C, _grid_points
+from .sweep import _grid_points
 
 _BISECTION_TOL = 1e-7
 _BRACKET_SCAN_POINTS = 101
@@ -50,13 +50,13 @@ def witness_threshold(
         raise ValueError(f"unknown channel family {channel_family!r}")
     rho0 = bell_diagonal_density(coeffs)
     if s > 0.0:
-        rho0 = apply_steering(weak_op(s), rho0, side="A")
+        rho0 = apply_steering(weak_op(s), rho0)
 
     def u(x: float) -> float:  # no stacked value requested: u is uncertainty_lhs of the state
         ((_, _, point),) = _grid_points(channel_family, rho0, [x], None, (None,), ())
         return point().u
 
-    threshold = math.log2(1.0 / _C)
+    threshold = math.log2(1.0 / C)
     hi_end = 1.0 if channel_family == "AD" else 0.5
 
     xs = np.linspace(0.0, hi_end, _BRACKET_SCAN_POINTS)
@@ -91,7 +91,7 @@ def witness_threshold(
 def channel_capacity(rho) -> float:
     """Mutual information of the evolved state, cross-checked against the
     equivalent bound form S(rho_A) - U_b + 1 at complementarity 1/2."""
-    return PointQuantities(rho, *_BASES).capacity
+    return PointQuantities(rho).capacity
 
 
 def capacity_curves(

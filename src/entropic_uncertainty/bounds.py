@@ -1,6 +1,11 @@
 """Measurement-uncertainty left-hand side, its three lower bounds, and the
 published closed-form expressions kept as cross-checks.
 
+The setup is the quantum-memory game of Berta et al. (Nature Phys. 6, 659
+(2010)): qubit A is measured in sigma_x and sigma_z (``BASES``, whose
+complementarity ``C`` is 1/2) and qubit B is the quantum memory.  Every formula
+here, and every stack in ``sweep``, uses that one setup.
+
 ``PointQuantities`` is the one definition of the Pati and Adabi bounds, of
 discord, of the channel capacity and of the entropic witness, as the sweep,
 ``bound_report`` and ``channel_capacity`` see them.  One state pays for each
@@ -35,6 +40,8 @@ from .measures import (
     min_conditional_entropy_over_measurements,
     mutual_information,
     quantum_conditional_entropy,
+    sigma_x_basis,
+    sigma_z_basis,
     von_neumann_entropy,
 )
 from .states import BellDiagonalCoeffs
@@ -52,53 +59,42 @@ def complementarity_c(b1: ProjectiveBasis, b2: ProjectiveBasis) -> float:
     return min(max(best, 0.0), 1.0)
 
 
-def uncertainty_lhs(
-    rho,
-    b1: ProjectiveBasis,
-    b2: ProjectiveBasis,
-    measured_side: str = "A",
-    memory_side: str = "B",
-) -> float:
-    """S(b1 | memory) + S(b2 | memory), the measured uncertainty."""
+# The measured pair of the uncertainty game and its complementarity c = 1/2.
+BASES = (sigma_x_basis(), sigma_z_basis())
+C = complementarity_c(*BASES)
+
+
+def uncertainty_lhs(rho) -> float:
+    """S(sigma_x | B) + S(sigma_z | B), the measured uncertainty."""
     return conditional_entropy_after_measurement(
-        rho, b1, measured_side, memory_side
-    ) + conditional_entropy_after_measurement(rho, b2, measured_side, memory_side)
+        rho, BASES[0]
+    ) + conditional_entropy_after_measurement(rho, BASES[1])
 
 
-def berta_bound(rho, c: float, memory_side: str = "B") -> float:
-    """log2(1/c) + S(rho) - S(rho_memory)."""
-    if not 0.0 < c <= 1.0:
-        raise ValueError(f"complementarity c = {c!r} outside (0, 1]")
-    return math.log2(1.0 / c) + quantum_conditional_entropy(rho, memory_side)
+def berta_bound(rho) -> float:
+    """log2(1/c) + S(rho) - S(rho_B)."""
+    return math.log2(1.0 / C) + quantum_conditional_entropy(rho)
 
 
-def witnessed(u, c):
+def witnessed(u):
     """The entropic witness U < log2(1/c) (scalars or arrays); equality does not witness."""
-    return u < math.log2(1.0 / c) - BOUND_ORDER_ATOL
+    return u < math.log2(1.0 / C) - BOUND_ORDER_ATOL
 
 
-def capacity_bound_form(s_measured, berta, c):
-    """S(rho_measured) - Berta bound + log2(1/c), equal to the mutual information."""
-    return s_measured - berta + math.log2(1.0 / c)
+def capacity_bound_form(s_measured, berta):
+    """S(rho_A) - Berta bound + log2(1/c), equal to the mutual information."""
+    return s_measured - berta + math.log2(1.0 / C)
 
 
 @dataclass(eq=False)
 class PointQuantities:
     """Every quantity one state reports, each evaluated on first read only.
 
-    Properties named after a module-level function (``complementarity_c``,
-    ``mutual_information``, ``classical_correlation``) call that function.
+    Properties named after a module-level function (``mutual_information``,
+    ``classical_correlation``) call that function.
     """
 
     rho: np.ndarray
-    b1: ProjectiveBasis
-    b2: ProjectiveBasis
-    measured_side: str = "A"
-    memory_side: str = "B"
-
-    @cached_property
-    def complementarity_c(self) -> float:
-        return complementarity_c(self.b1, self.b2)
 
     @cached_property
     def mutual_information(self) -> float:
@@ -106,19 +102,19 @@ class PointQuantities:
 
     @cached_property
     def classical_correlation(self) -> float:
-        return classical_correlation(self.rho, self.measured_side)
+        return classical_correlation(self.rho)
 
     @cached_property
     def u(self) -> float:
-        return uncertainty_lhs(self.rho, self.b1, self.b2, self.measured_side, self.memory_side)
+        return uncertainty_lhs(self.rho)
 
     @cached_property
     def witness(self) -> bool:
-        return witnessed(self.u, self.complementarity_c)
+        return witnessed(self.u)
 
     @cached_property
     def berta(self) -> float:
-        return berta_bound(self.rho, self.complementarity_c, self.memory_side)
+        return berta_bound(self.rho)
 
     @cached_property
     def discord(self) -> float:
@@ -138,21 +134,18 @@ class PointQuantities:
     @cached_property
     def holevo(self) -> tuple[float, float]:
         """The Holevo quantity of each basis."""
-        return tuple(
-            holevo_quantity(self.rho, b, self.measured_side, self.memory_side)
-            for b in (self.b1, self.b2)
-        )
+        return tuple(holevo_quantity(self.rho, b) for b in BASES)
 
     @cached_property
     def s_min(self) -> float:
-        return min_conditional_entropy_over_measurements(self.rho, self.memory_side)
+        return min_conditional_entropy_over_measurements(self.rho)
 
     @cached_property
     def capacity(self) -> float:
         """The mutual information, cross-checked against ``capacity_bound_form``."""
         capacity = self.mutual_information
-        s_measured = von_neumann_entropy(partial_trace(self.rho, self.measured_side))
-        bound_form = capacity_bound_form(s_measured, self.berta, self.complementarity_c)
+        s_measured = von_neumann_entropy(partial_trace(self.rho, "A"))
+        bound_form = capacity_bound_form(s_measured, self.berta)
         if abs(capacity - bound_form) > CAPACITY_IDENTITY_ATOL:
             raise ArithmeticError(f"capacity forms disagree: {capacity!r} vs {bound_form!r}")
         return capacity
@@ -186,15 +179,9 @@ class BoundReport:
                 )
 
 
-def bound_report(
-    rho,
-    b1: ProjectiveBasis,
-    b2: ProjectiveBasis,
-    measured_side: str = "A",
-    memory_side: str = "B",
-) -> BoundReport:
+def bound_report(rho) -> BoundReport:
     """Evaluate the uncertainty, all three bounds and the correlation measures."""
-    q = PointQuantities(validate_density(rho), b1, b2, measured_side, memory_side)
+    q = PointQuantities(validate_density(rho))
     return BoundReport(
         u_lhs=q.u,
         berta=q.berta,
@@ -205,7 +192,7 @@ def bound_report(
         tightness_adabi=q.u - q.adabi,
         discord=q.discord,
         s_min_cond=q.s_min,
-        complementarity_c=q.complementarity_c,
+        complementarity_c=C,
     )
 
 

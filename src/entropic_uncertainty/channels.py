@@ -1,9 +1,10 @@
 """One-sided noise channels and post-selected steering operations.
 
-The noise channels (amplitude damping, bit-phase flip) act on the measured
-qubit only; the memory qubit is left untouched.  Steering operations are
-non-trace-preserving single-qubit maps applied with post-selection, i.e. the
-output is renormalized by the success probability.
+The noise channels (amplitude damping, bit-phase flip) and the steering
+operations act on the measured qubit A only; the memory qubit B is left
+untouched.  Steering operations are non-trace-preserving single-qubit maps
+applied with post-selection, i.e. the output is renormalized by the success
+probability.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .linalg import (
     POSTSELECT_MIN_PROB,
     as_matrix,
     conjugate_sandwich,
-    embed_on_side,
+    tensor_product,
     validate_density,
 )
 
@@ -32,7 +33,6 @@ class KrausChannel:
     """Ordered Kraus operators of a trace-preserving single-qubit channel."""
 
     operators: tuple[np.ndarray, ...]
-    label: str = "custom"
 
     def __post_init__(self):
         ops = tuple(as_matrix(e) for e in self.operators)
@@ -54,7 +54,7 @@ def ad_kraus(d: float) -> KrausChannel:
         raise ValueError(f"damping probability d = {d!r} outside [0, 1]")
     e1 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - d)]], dtype=complex)
     e2 = np.array([[0.0, math.sqrt(d)], [0.0, 0.0]], dtype=complex)
-    return KrausChannel(operators=(e1, e2), label="AD")
+    return KrausChannel(operators=(e1, e2))
 
 
 def d_of_t(rate: float, t: float) -> float:
@@ -68,9 +68,7 @@ def bpf_kraus(p: float) -> KrausChannel:
     """Bit-phase flip: identity with probability p, sigma_y flip with 1 - p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"flip parameter p = {p!r} outside [0, 1]")
-    return KrausChannel(
-        operators=(math.sqrt(p) * I2, math.sqrt(1.0 - p) * PAULI_Y), label="BPF"
-    )
+    return KrausChannel(operators=(math.sqrt(p) * I2, math.sqrt(1.0 - p) * PAULI_Y))
 
 
 def noise_kraus(family: str, param: float) -> KrausChannel:
@@ -84,14 +82,14 @@ def noise_kraus(family: str, param: float) -> KrausChannel:
     raise ValueError(f"unknown channel family {family!r}")
 
 
-def apply_one_sided(channel: KrausChannel, rho, side: str = "A") -> np.ndarray:
-    """Evolve a two-qubit density matrix with the channel acting on one side."""
+def apply_one_sided(channel: KrausChannel, rho) -> np.ndarray:
+    """Evolve a two-qubit density matrix with the channel acting on qubit A."""
     rho = validate_density(rho)
     if rho.shape != (4, 4):
         raise ValueError("not a two-qubit state")
     out = np.zeros((4, 4), dtype=complex)
     for e in channel.operators:
-        out += conjugate_sandwich(embed_on_side(e, side), rho)
+        out += conjugate_sandwich(tensor_product(e, I2), rho)
     return out
 
 
@@ -100,8 +98,6 @@ class SteeringOp:
     """Single non-trace-preserving operator applied with post-selection."""
 
     operator: np.ndarray
-    strength: float
-    kind: str
 
     def __post_init__(self):
         op = as_matrix(self.operator)
@@ -123,7 +119,7 @@ def filter_op(k: float) -> SteeringOp:
     if not 0.0 < k < 1.0:
         raise ValueError(f"filter strength k = {k!r} outside the open interval (0, 1)")
     op = np.array([[math.sqrt(1.0 - k), 0.0], [0.0, math.sqrt(k)]], dtype=complex)
-    return SteeringOp(operator=op, strength=k, kind="filter")
+    return SteeringOp(operator=op)
 
 
 def weak_op(s: float) -> SteeringOp:
@@ -131,15 +127,15 @@ def weak_op(s: float) -> SteeringOp:
     if not 0.0 <= s < 1.0:
         raise ValueError(f"weak-measurement strength s = {s!r} outside [0, 1)")
     op = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - s)]], dtype=complex)
-    return SteeringOp(operator=op, strength=s, kind="weak")
+    return SteeringOp(operator=op)
 
 
-def apply_steering(op: SteeringOp, rho, side: str = "A") -> np.ndarray:
-    """Apply (O (x) I) rho (O (x) I)^dagger / tr[...] on the chosen side."""
+def apply_steering(op: SteeringOp, rho) -> np.ndarray:
+    """Apply (O (x) I) rho (O (x) I)^dagger / tr[...], O acting on qubit A."""
     rho = validate_density(rho)
     if rho.shape != (4, 4):
         raise ValueError("not a two-qubit state")
-    unnormalized = conjugate_sandwich(embed_on_side(op.operator, side), rho)
+    unnormalized = conjugate_sandwich(tensor_product(op.operator, I2), rho)
     norm = float(np.trace(unnormalized).real)
     if norm <= POSTSELECT_MIN_PROB:
         raise ValueError("post-selection probability ~ 0, conditional state undefined")

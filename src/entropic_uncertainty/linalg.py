@@ -59,15 +59,6 @@ def tensor_product(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def embed_on_side(op, side: str) -> np.ndarray:
-    """A single-qubit operator acting on qubit ``side`` of a two-qubit system."""
-    if side == "A":
-        return tensor_product(op, I2)
-    if side == "B":
-        return tensor_product(I2, op)
-    raise ValueError(f"unknown subsystem tag {side!r}")
-
-
 def partial_trace(rho, keep: str) -> np.ndarray:
     """Reduce a two-qubit state to the kept qubit ("A" = first tensor factor)."""
     rho = as_matrix(rho)

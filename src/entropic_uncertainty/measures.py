@@ -18,8 +18,9 @@ takes the dense path: a 1-degree grid over theta in [0, pi] and phi in [0, pi)
 (n and -n give the same measurement) followed by coordinate-wise
 golden-section refinement.  Both paths are deterministic.
 
-Side conventions: ``classical_correlation`` and ``quantum_discord`` measure
-qubit A by default (the qubit exposed to noise), while
+Side conventions: the fixed-basis quantities measure qubit A (the qubit exposed
+to noise) with qubit B as the memory.  Only the optimizer takes a side:
+``classical_correlation`` and ``quantum_discord`` measure A by default, while
 ``min_conditional_entropy_over_measurements`` defaults to measuring the memory
 qubit B and averaging the entropy of the unmeasured qubit A.
 """
@@ -46,11 +47,11 @@ from .linalg import (
     as_matrix,
     conjugate_sandwich,
     density_spectrum,
-    embed_on_side,
     is_x_patterned,
     partial_trace,
     stacked_density_spectra,
     stacked_partial_trace,
+    tensor_product,
     validate_density,
 )
 from .states import XState
@@ -153,7 +154,6 @@ class ProjectiveBasis:
     """Two orthogonal rank-1 projectors forming a complete qubit measurement."""
 
     projectors: tuple[np.ndarray, np.ndarray]
-    label: str = ""
 
     def __post_init__(self):
         projs = tuple(as_matrix(p) for p in self.projectors)
@@ -172,51 +172,43 @@ class ProjectiveBasis:
             raise ValueError(f"projectors do not sum to identity (defect {defect:.3e})")
 
 
-def bloch_basis(direction: BlochDirection, label: str = "") -> ProjectiveBasis:
+def bloch_basis(direction: BlochDirection) -> ProjectiveBasis:
     """Projective basis along a Bloch direction: (I +/- n.sigma) / 2."""
     nx, ny, nz = direction.unit_vector()
     spin = nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z
     plus = 0.5 * (I2 + spin)
     minus = 0.5 * (I2 - spin)
-    return ProjectiveBasis(projectors=(plus, minus), label=label)
+    return ProjectiveBasis(projectors=(plus, minus))
 
 
 def sigma_x_basis() -> ProjectiveBasis:
-    return bloch_basis(BlochDirection(math.pi / 2.0, 0.0), label="x")
+    return bloch_basis(BlochDirection(math.pi / 2.0, 0.0))
 
 
 def sigma_z_basis() -> ProjectiveBasis:
-    return bloch_basis(BlochDirection(0.0, 0.0), label="z")
+    return bloch_basis(BlochDirection(0.0, 0.0))
 
 
-def post_measurement_state(rho, basis: ProjectiveBasis, side: str = "A") -> np.ndarray:
-    """Dephased state sum_x (P_x)_side rho (P_x)_side after measuring one qubit."""
+def post_measurement_state(rho, basis: ProjectiveBasis) -> np.ndarray:
+    """Dephased state sum_x (P_x)_A rho (P_x)_A after measuring qubit A."""
     rho = validate_density(rho)
     if rho.shape != (4, 4):
         raise ValueError("not a two-qubit state")
     out = np.zeros((4, 4), dtype=complex)
     for p in basis.projectors:
-        out += conjugate_sandwich(embed_on_side(p, side), rho)
+        out += conjugate_sandwich(tensor_product(p, I2), rho)
     return out
 
 
-def conditional_entropy_after_measurement(
-    rho, basis: ProjectiveBasis, measured_side: str = "A", memory_side: str = "B"
-) -> float:
-    """S(measured register | memory) = S(post-measurement state) - S(memory)."""
-    if measured_side == memory_side:
-        raise ValueError("measured and memory side must differ")
-    pm = post_measurement_state(rho, basis, side=measured_side)
-    return von_neumann_entropy(pm) - von_neumann_entropy(
-        partial_trace(pm, memory_side)
-    )
+def conditional_entropy_after_measurement(rho, basis: ProjectiveBasis) -> float:
+    """S(measured A | B) = S(post-measurement state) - S(memory B)."""
+    pm = post_measurement_state(rho, basis)
+    return von_neumann_entropy(pm) - von_neumann_entropy(partial_trace(pm, "B"))
 
 
-def quantum_conditional_entropy(rho, conditioning_side: str = "B") -> float:
-    """S(rho) - S(rho_conditioning); negative values signal entanglement."""
-    return von_neumann_entropy(rho) - von_neumann_entropy(
-        partial_trace(rho, conditioning_side)
-    )
+def quantum_conditional_entropy(rho) -> float:
+    """S(rho) - S(rho_B); negative values signal entanglement."""
+    return von_neumann_entropy(rho) - von_neumann_entropy(partial_trace(rho, "B"))
 
 
 def mutual_information(rho) -> float:
@@ -228,26 +220,22 @@ def mutual_information(rho) -> float:
     )
 
 
-def holevo_quantity(
-    rho, basis: ProjectiveBasis, measured_side: str = "A", memory_side: str = "B"
-) -> float:
-    """Accessible-information bound S(rho_mem) - sum_i p_i S(rho_mem | outcome i)."""
-    if measured_side == memory_side:
-        raise ValueError("measured and memory side must differ")
+def holevo_quantity(rho, basis: ProjectiveBasis) -> float:
+    """Accessible-information bound S(rho_B) - sum_i p_i S(rho_B | outcome i of A)."""
     rho = validate_density(rho)
-    total = von_neumann_entropy(partial_trace(rho, memory_side))
+    total = von_neumann_entropy(partial_trace(rho, "B"))
     for p in basis.projectors:
-        branch = conjugate_sandwich(embed_on_side(p, measured_side), rho)
+        branch = conjugate_sandwich(tensor_product(p, I2), rho)
         prob = float(np.trace(branch).real)
         if prob <= POSTSELECT_MIN_PROB:
             continue
-        total -= prob * von_neumann_entropy(partial_trace(branch, memory_side) / prob)
+        total -= prob * von_neumann_entropy(partial_trace(branch, "B") / prob)
     return total
 
 
 def stacked_holevo(states: np.ndarray, basis: ProjectiveBasis, s_memory: np.ndarray):
-    """``holevo_quantity`` (A measured, B the memory) of each state of an (N, 4, 4) stack
-    with memory entropies ``s_memory``, and which rows pass every kept branch's checks."""
+    """``holevo_quantity`` of each state of an (N, 4, 4) stack with memory entropies
+    ``s_memory``, and which rows pass every kept branch's checks."""
     total, ok = s_memory, np.ones(len(states), dtype=bool)
     for p in basis.projectors:
         e = np.kron(p, I2)

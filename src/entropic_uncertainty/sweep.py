@@ -13,7 +13,8 @@ returns a row mask of the dense pipeline's checks.  A row that passes every
 mask takes the stack's values; any other row is rebuilt alone by the dense
 pipeline when it is read, which raises that point's own error.  Each point
 comes with its steering-op and grid index.  That pipeline stays the oracle
-(``test_batched_*`` pin the stack bitwise to it).
+(``test_batched_*`` pin the stack bitwise to it).  Both evolve, steer and measure
+qubit A in ``bounds.BASES``, with qubit B as the memory.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ from functools import partial
 import numpy as np
 
 from .bounds import (
+    BASES,
     CAPACITY_IDENTITY_ATOL,
+    C,
     PointQuantities,
     ad_closed_form_u,
     bpf_closed_forms,
     capacity_bound_form,
-    complementarity_c,
     witnessed,
 )
 from .channels import (
@@ -55,8 +57,6 @@ from .linalg import (
 from .measures import (
     discord_xstate_closed,
     quantum_discord,
-    sigma_x_basis,
-    sigma_z_basis,
     stacked_holevo,
     stacked_measurement_minima,
     stacked_von_neumann_entropy,
@@ -76,9 +76,6 @@ _READS = {
     "witness": {"u", "witness"},
 }
 OUTPUT_TAGS = tuple(_READS)
-# The measured pair every sweep reports, built once, and its complementarity c.
-_BASES = (sigma_x_basis(), sigma_z_basis())
-_C = complementarity_c(*_BASES)
 # Rows per stack: long grids go in blocks, so a stack's temporaries stay a few MB.
 _STACK_ROWS = 1024
 STEERING_KINDS = ("filter", "weak")
@@ -129,9 +126,11 @@ class SweepConfig:
             problems.append(f"channel {self.channel!r} not one of {CHANNEL_FAMILIES}")
         if not self.outputs:
             problems.append("outputs list is empty")
-        for tag in self.outputs:
+        for tag in dict.fromkeys(self.outputs):
             if tag not in OUTPUT_TAGS:
                 problems.append(f"unknown output tag {tag!r}")
+            if self.outputs.count(tag) > 1:
+                problems.append(f"output tag {tag!r} given {self.outputs.count(tag)} times")
         if self.param_points < 2:
             problems.append(f"param_points = {self.param_points} < 2")
         rows = self.param_points * max(1, len(self.steering_strengths))
@@ -153,7 +152,8 @@ class SweepConfig:
                     problems.append(f"{name} = {v!r} must be nonnegative (time grid)")
         if len(finite_ends) == 2 and self.param_stop < self.param_start:
             problems.append("param_stop is smaller than param_start")
-        if self.steering_strengths and self.steering_kind not in STEERING_KINDS:
+        steered = self.steering_kind is not None or self.steering_strengths
+        if steered and self.steering_kind not in STEERING_KINDS:
             problems.append(
                 f"steering_kind {self.steering_kind!r} not one of {STEERING_KINDS}"
             )
@@ -225,10 +225,10 @@ def _steer(op: SteeringOp, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return unnormalized / np.where(kept, norm, 1.0)[:, None, None], ok & kept
 
 
-def _stacked_u(states: np.ndarray, bases) -> tuple[np.ndarray, np.ndarray]:
+def _stacked_u(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``uncertainty_lhs`` of every state of the stack, and which rows pass its checks."""
     u, ok = np.zeros(len(states)), np.ones(len(states), dtype=bool)
-    for basis in bases:
+    for basis in BASES:
         dephased = np.zeros_like(states)
         for e in np.kron(np.array(basis.projectors), I2):
             dephased += e @ states @ e.conj().T
@@ -249,22 +249,22 @@ def _stacked_values(states: np.ndarray, outputs) -> tuple[list[dict], np.ndarray
     _, ok = stacked_density_spectra(states)
     cols = {}
     if "u" in names:
-        cols["u"], good = _stacked_u(states, _BASES)
+        cols["u"], good = _stacked_u(states)
         ok &= good
     if "witness" in names:
-        cols["witness"] = witnessed(cols["u"], _C)
+        cols["witness"] = witnessed(cols["u"])
     if names & {"berta", "mutual_information", "classical_correlation", "holevo", "capacity"}:
         joint_and_marginals = (states, *(stacked_partial_trace(states, k) for k in "AB"))
         (s_ab, s_a, s_b), good = zip(*map(stacked_von_neumann_entropy, joint_and_marginals))
         ok &= np.logical_and.reduce(good)
-        cols["berta"] = math.log2(1.0 / _C) + (s_ab - s_b)
+        cols["berta"] = math.log2(1.0 / C) + (s_ab - s_b)
         cols["mutual_information"] = mutual = s_a + s_b - s_ab
         if "holevo" in names:
-            (h1, good_1), (h2, good_2) = (stacked_holevo(states, b, s_b) for b in _BASES)
+            (h1, good_1), (h2, good_2) = (stacked_holevo(states, b, s_b) for b in BASES)
             ok &= good_1 & good_2
             cols["holevo"] = np.stack([h1, h2], axis=1)
         if "capacity" in names:
-            bound_form = capacity_bound_form(s_a, cols["berta"], _C)
+            bound_form = capacity_bound_form(s_a, cols["berta"])
             ok &= np.abs(mutual - bound_form) <= CAPACITY_IDENTITY_ATOL
             cols["capacity"] = mutual
     rows = np.flatnonzero(ok)  # the optimizer runs on X states that passed every check
@@ -281,7 +281,7 @@ def _stacked_values(states: np.ndarray, outputs) -> tuple[list[dict], np.ndarray
 
 def _dense_point(family: str, rho0: np.ndarray, x: float, rate, op) -> PointQuantities:
     state = apply_one_sided(noise_kraus(family, _noise_param(x, rate)), rho0)
-    return PointQuantities(state if op is None else apply_steering(op, state), *_BASES)
+    return PointQuantities(state if op is None else apply_steering(op, state))
 
 
 def _grid_points(family: str, rho0: np.ndarray, xs, rate, steering_ops, outputs):
@@ -312,7 +312,7 @@ def _grid_points(family: str, rho0: np.ndarray, xs, rate, steering_ops, outputs)
             known, good = _stacked_values(states, outputs)
             for i, stacked in enumerate((ok & good).tolist()):
                 if stacked:  # the stack's values stand in for the cached properties
-                    q = PointQuantities(states[i], *_BASES)
+                    q = PointQuantities(states[i])
                     vars(q).update(known[i])
                     yield k, first + i, (lambda q=q: q)
                 else:

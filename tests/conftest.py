@@ -100,19 +100,19 @@ PZ_ORACLE = [projector_oracle([1, 0]), projector_oracle([0, 1])]
 
 def sigma_y_basis():
     """The sigma_y measurement, from its eigenvectors (1, +-i) / sqrt(2)."""
-    return ProjectiveBasis((projector_oracle([1, 1j]), projector_oracle([1, -1j])), label="y")
+    return ProjectiveBasis((projector_oracle([1, 1j]), projector_oracle([1, -1j])))
 
 
-def post_meas_oracle(rho, projs, side="A"):
+def post_meas_oracle(rho, projs):
     out = np.zeros((4, 4), dtype=complex)
     for p in projs:
-        big = np.kron(p, I2) if side == "A" else np.kron(I2, p)
+        big = np.kron(p, I2)
         out += big @ rho @ big.conj().T
     return out
 
 
-def cond_ent_oracle(rho, projs, side="A"):
-    pm = post_meas_oracle(rho, projs, side)
+def cond_ent_oracle(rho, projs):
+    pm = post_meas_oracle(rho, projs)
     return entropy_oracle(pm) - entropy_oracle(ptrace_oracle(pm, "B"))
 
 
@@ -120,10 +120,10 @@ def u_oracle(rho):
     return cond_ent_oracle(rho, PX_ORACLE) + cond_ent_oracle(rho, PZ_ORACLE)
 
 
-def holevo_oracle(rho, projs, side="A"):
+def holevo_oracle(rho, projs):
     total = entropy_oracle(ptrace_oracle(rho, "B"))
     for p in projs:
-        big = np.kron(p, I2) if side == "A" else np.kron(I2, p)
+        big = np.kron(p, I2)
         branch = big @ rho @ big.conj().T
         prob = float(np.trace(branch).real)
         if prob < 1e-12:

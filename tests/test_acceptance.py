@@ -81,7 +81,7 @@ def test_criterion_3_bound_ordering():
             x = float(rng.uniform(0.0, 1.0))
             channel = ad_kraus(x) if i % 2 == 0 else bpf_kraus(x)
             rho = apply_one_sided(channel, bell_diagonal_density(coeffs))
-            report = bound_report(rho, BX, BZ)
+            report = bound_report(rho)
             assert report.berta <= report.pati + 1e-9
             assert report.pati <= report.adabi + 1e-9
             assert report.adabi <= report.u_lhs + 1e-9
@@ -94,13 +94,13 @@ def test_criterion_4_adabi_saturation_under_bpf():
         rho0 = bell_diagonal_density(FIG1)
         for p in np.linspace(0.0, 1.0, 101):
             rho = apply_one_sided(bpf_kraus(float(p)), rho0)
-            u = uncertainty_lhs(rho, BX, BZ)
+            u = uncertainty_lhs(rho)
             delta = (
                 mutual_information(rho)
                 - holevo_quantity(rho, BX)
                 - holevo_quantity(rho, BZ)
             )
-            adabi = berta_bound(rho, 0.5) + max(0.0, delta)
+            adabi = berta_bound(rho) + max(0.0, delta)
             assert abs(u - adabi) <= 1e-9
 
     _criterion(4, "Adabi saturation under BPF", 30.0, body)
@@ -153,14 +153,14 @@ def test_criterion_6_closed_form_eigenvalues():
             closed = ad_closed_form_u(FIG1, x)
             if closed is not None:
                 worst_u_ad = max(
-                    worst_u_ad, abs(closed - uncertainty_lhs(ad_state, BX, BZ))
+                    worst_u_ad, abs(closed - uncertainty_lhs(ad_state))
                 )
             bpf_state = apply_one_sided(bpf_kraus(x), rho0)
             closed_u, closed_b = bpf_closed_forms(FIG1, x)
             worst_u_bpf = max(
-                worst_u_bpf, abs(closed_u - uncertainty_lhs(bpf_state, BX, BZ))
+                worst_u_bpf, abs(closed_u - uncertainty_lhs(bpf_state))
             )
-            worst_bound = max(worst_bound, abs(closed_b - berta_bound(bpf_state, 0.5)))
+            worst_bound = max(worst_bound, abs(closed_b - berta_bound(bpf_state)))
         print(
             f"\n  logged closed-form gaps: damping-u {worst_u_ad:.3e}, "
             f"flip-u {worst_u_bpf:.3e}, flip-bound {worst_bound:.3e}"
@@ -245,7 +245,7 @@ def test_criterion_10_spmc_saturation():
             c3 = float(rng.uniform(-1.0, 1.0))
             coeffs = BellDiagonalCoeffs(c1, -c1 * c3, c3)
             rho = bell_diagonal_density(coeffs)
-            u = uncertainty_lhs(rho, BX, BZ)
-            assert abs(u - berta_bound(rho, 0.5)) <= 1e-8
+            u = uncertainty_lhs(rho)
+            assert abs(u - berta_bound(rho)) <= 1e-8
 
     _criterion(10, "SPMC saturation", 10.0, body)

@@ -21,6 +21,7 @@ from entropic_uncertainty.applications import (
 )
 from entropic_uncertainty import sweep
 from entropic_uncertainty.bounds import (
+    C,
     PointQuantities,
     ad_closed_form_spectrum,
     bpf_closed_form_spectrum,
@@ -47,21 +48,21 @@ CAPACITY_COEFFS = BellDiagonalCoeffs(1.0, 1.0, -1.0)
 
 
 def test_witness_verdict_bell():
-    q = PointQuantities(bd_oracle(1.0, -1.0, 1.0), BX, BZ)
+    q = PointQuantities(bd_oracle(1.0, -1.0, 1.0))
     assert q.u == pytest.approx(0.0, abs=1e-9)
-    assert q.complementarity_c == 0.5  # threshold log2(1/c) = 1
+    assert C == 0.5  # threshold log2(1/c) = 1
     assert q.witness
 
 
 def test_witness_verdict_maximally_mixed():
-    q = PointQuantities(np.eye(4) / 4, BX, BZ)
+    q = PointQuantities(np.eye(4) / 4)
     assert q.u == pytest.approx(2.0, abs=1e-12)
     assert not q.witness
 
 
 def test_witness_verdict_beyond_threshold():
     rho = evolve_oracle(ad_ops_oracle(0.5), bd_oracle(-1.0, 1.0, 1.0))
-    assert not PointQuantities(rho, BX, BZ).witness
+    assert not PointQuantities(rho).witness
 
 
 def test_witness_threshold_ad():
@@ -93,7 +94,7 @@ def test_witness_threshold_straddles():
     rho0 = bd_oracle(*WITNESS_COEFFS.as_tuple())
     for offset, expect_below in ((-1e-4, True), (1e-4, False)):
         rho = apply_one_sided(ad_kraus(res.critical_value + offset), rho0)
-        assert (PointQuantities(rho, BX, BZ).u < 1.0) == expect_below
+        assert (PointQuantities(rho).u < 1.0) == expect_below
 
 
 def _dense_witness_critical_value(family, coeffs, s):
@@ -104,7 +105,7 @@ def _dense_witness_critical_value(family, coeffs, s):
         rho0 = apply_steering(weak_op(s), rho0)
 
     def u(x):
-        return uncertainty_lhs(apply_one_sided(noise_kraus(family, x), rho0), BX, BZ)
+        return uncertainty_lhs(apply_one_sided(noise_kraus(family, x), rho0))
 
     threshold = math.log2(1.0 / complementarity_c(BX, BZ))
     xs = [float(x) for x in np.linspace(0.0, 1.0 if family == "AD" else 0.5, 101)]
@@ -134,7 +135,7 @@ def test_witnessed_states_have_negative_conditional_entropy():
         coeffs = rand_bd_coeffs(rng)
         d = float(rng.uniform(0, 1))
         rho = evolve_oracle(ad_ops_oracle(d), bd_oracle(*coeffs))
-        if PointQuantities(rho, BX, BZ).witness:
+        if PointQuantities(rho).witness:
             hits += 1
             assert quantum_conditional_entropy(rho) < 0.0
     assert hits > 0

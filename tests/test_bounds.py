@@ -56,39 +56,35 @@ def test_complementarity_sixty_degrees():
 
 
 def test_uncertainty_lhs_examples():
-    assert uncertainty_lhs(BELL, BX, BZ) == pytest.approx(0.0, abs=1e-12)
-    assert uncertainty_lhs(MIXED, BX, BZ) == pytest.approx(2.0, abs=1e-12)
-    assert uncertainty_lhs(FIG1, BX, BZ) == pytest.approx(u_oracle(FIG1), abs=1e-12)
+    assert uncertainty_lhs(BELL) == pytest.approx(0.0, abs=1e-12)
+    assert uncertainty_lhs(MIXED) == pytest.approx(2.0, abs=1e-12)
+    assert uncertainty_lhs(FIG1) == pytest.approx(u_oracle(FIG1), abs=1e-12)
 
 
 def test_berta_examples():
-    assert berta_bound(BELL, 0.5) == pytest.approx(0.0, abs=1e-12)
-    assert berta_bound(MIXED, 0.5) == pytest.approx(2.0, abs=1e-12)
+    assert berta_bound(BELL) == pytest.approx(0.0, abs=1e-12)
+    assert berta_bound(MIXED) == pytest.approx(2.0, abs=1e-12)
     expected = 1.0 + entropy_oracle(FIG1) - 1.0
-    assert berta_bound(FIG1, 0.5) == pytest.approx(expected, abs=1e-12)
-    with pytest.raises(ValueError):
-        berta_bound(FIG1, 0.0)
+    assert berta_bound(FIG1) == pytest.approx(expected, abs=1e-12)
 
 
 def test_pati_reduces_to_berta_on_classical_states():
     cc_state = np.diag([0.35, 0.15, 0.15, 0.35]).astype(complex)
-    r = bound_report(cc_state, BX, BZ)
-    assert r.pati == pytest.approx(berta_bound(cc_state, 0.5), abs=1e-9)
+    r = bound_report(cc_state)
+    assert r.pati == pytest.approx(berta_bound(cc_state), abs=1e-9)
     # discord equals classical correlation on a maximally entangled state
-    assert bound_report(BELL, BX, BZ).pati == pytest.approx(berta_bound(BELL, 0.5), abs=1e-9)
+    assert bound_report(BELL).pati == pytest.approx(berta_bound(BELL), abs=1e-9)
 
 
 def test_adabi_examples():
     product = np.kron(np.eye(2) / 2, np.eye(2) / 2).astype(complex)
-    assert bound_report(product, BX, BZ).adabi == pytest.approx(
-        berta_bound(product, 0.5), abs=1e-12
-    )
-    assert bound_report(BELL, BX, BZ).adabi == pytest.approx(0.0, abs=1e-12)
+    assert bound_report(product).adabi == pytest.approx(berta_bound(product), abs=1e-12)
+    assert bound_report(BELL).adabi == pytest.approx(0.0, abs=1e-12)
 
 
 def test_tightness_trivial():
     for rho in (BELL, MIXED):
-        r = bound_report(rho, BX, BZ)
+        r = bound_report(rho)
         assert r.tightness_berta == r.u_lhs - r.berta
         assert r.tightness_berta == pytest.approx(0.0, abs=1e-12)
 
@@ -114,8 +110,8 @@ def test_spmc_saturation_at_zero_noise():
         coeffs = BellDiagonalCoeffs(c1, -c1 * c3, c3)
         assert spmc_satisfied(coeffs, 2, 1, 3)
         rho = bd_oracle(*coeffs.as_tuple())
-        u = uncertainty_lhs(rho, BX, BZ)
-        assert abs(u - berta_bound(rho, 0.5)) <= 1e-8
+        u = uncertainty_lhs(rho)
+        assert abs(u - berta_bound(rho)) <= 1e-8
 
 
 def _random_full_rank(rng):
@@ -137,7 +133,7 @@ def test_bound_ordering_on_random_samples():
     samples += [rand_xstate_matrix(rng) for _ in range(200)]
     samples += [_random_full_rank(rng) for _ in range(12)]
     for rho in samples:
-        r = bound_report(rho, BX, BZ)
+        r = bound_report(rho)
         assert r.berta <= r.pati + 1e-9
         assert r.pati <= r.adabi + 1e-9
         assert r.adabi <= r.u_lhs + 1e-9
@@ -147,7 +143,7 @@ def test_bound_ordering_on_random_samples():
 
 def test_bound_report_fields_consistent():
     rho = evolve_oracle(ad_ops_oracle(0.3), FIG1)
-    r = bound_report(rho, BX, BZ)
+    r = bound_report(rho)
     assert r.complementarity_c == pytest.approx(0.5, abs=1e-12)
     assert r.tightness_adabi == pytest.approx(r.u_lhs - r.adabi, abs=1e-15)
     assert r.discord == pytest.approx(quantum_discord(rho, "A"), abs=1e-12)
@@ -177,7 +173,7 @@ def test_berta_relation_to_discord_and_min_entropy():
     rng = np.random.RandomState(107)
     for _ in range(20):
         rho = bd_oracle(*rand_bd_coeffs(rng))
-        lhs = berta_bound(rho, 0.5)
+        lhs = berta_bound(rho)
         rhs = (
             1.0
             + min_conditional_entropy_over_measurements(rho, "B")
@@ -189,8 +185,8 @@ def test_berta_relation_to_discord_and_min_entropy():
 def test_adabi_saturates_under_bpf():
     for p in np.linspace(0.0, 1.0, 11):
         rho = evolve_oracle(bpf_ops_oracle(float(p)), FIG1)
-        u = uncertainty_lhs(rho, BX, BZ)
-        assert abs(u - bound_report(rho, BX, BZ).adabi) <= 1e-9
+        u = uncertainty_lhs(rho)
+        assert abs(u - bound_report(rho).adabi) <= 1e-9
 
 
 def test_ad_closed_form_spectrum_matches_numeric():
@@ -220,7 +216,7 @@ def test_ad_closed_form_u_not_trusted():
     # divergent at full decay: reported as inapplicable while the pipeline is fine
     assert ad_closed_form_u(coeffs, 1.0) is None
     rho = evolve_oracle(ad_ops_oracle(1.0), bd_oracle(*coeffs.as_tuple()))
-    assert uncertainty_lhs(rho, BX, BZ) == pytest.approx(1.0, abs=1e-9)
+    assert uncertainty_lhs(rho) == pytest.approx(1.0, abs=1e-9)
     # the radicand goes negative whenever |c2| > |c1|
     assert ad_closed_form_u(BellDiagonalCoeffs(0.1, 0.5, 0.0), 0.2) is None
     # where defined, the gap against the pipeline is logged, never asserted
@@ -230,7 +226,7 @@ def test_ad_closed_form_u_not_trusted():
         if closed is None:
             continue
         rho = evolve_oracle(ad_ops_oracle(float(d)), bd_oracle(*coeffs.as_tuple()))
-        gaps.append(abs(closed - uncertainty_lhs(rho, BX, BZ)))
+        gaps.append(abs(closed - uncertainty_lhs(rho)))
     assert gaps
     print(f"\nprinted damping uncertainty: max gap vs pipeline = {max(gaps):.3e}")
 
@@ -243,12 +239,12 @@ def test_bpf_closed_forms():
     for p in np.linspace(0.0, 1.0, 11):
         rho = evolve_oracle(bpf_ops_oracle(float(p)), bd_oracle(*coeffs.as_tuple()))
         _, bound = bpf_closed_forms(coeffs, float(p))
-        assert bound == pytest.approx(berta_bound(rho, 0.5), abs=1e-12)
+        assert bound == pytest.approx(berta_bound(rho), abs=1e-12)
     # identity channel: the printed uncertainty disagrees with the pipeline by
     # a sign assembly defect; record the gap
     u_zero, _ = bpf_closed_forms(coeffs, 0.0)
     rho0 = bd_oracle(*coeffs.as_tuple())
-    gap = abs(u_zero - uncertainty_lhs(rho0, BX, BZ))
+    gap = abs(u_zero - uncertainty_lhs(rho0))
     print(f"\nprinted flip uncertainty: gap at p=0 is {gap:.3e}")
 
 
@@ -257,6 +253,6 @@ def test_pati_gap_under_bpf_quarter_points():
     coeffs = BellDiagonalCoeffs(-0.5, 0.4, 0.8)
     for p in (0.25, 0.75):
         rho = evolve_oracle(bpf_ops_oracle(p), bd_oracle(*coeffs.as_tuple()))
-        gap = bound_report(rho, BX, BZ).tightness_pati
+        gap = bound_report(rho).tightness_pati
         print(f"\npati gap at p={p}: {gap:.6e}")
         assert gap >= -1e-9

@@ -238,3 +238,18 @@ def test_grid_limits_exit_2_with_every_problem(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"grid of {4 * (MAX_GRID_ROWS // 4 + 1)} rows exceeds the limit" in err
     assert "weak strength 1.5 outside [0, 1)" in err
+
+
+@pytest.mark.parametrize("edit, problems", [
+    (("param_points = 5", "param_points = 1\nsteering_kind = filtr"),
+     ["param_points = 1 < 2", "steering_kind 'filtr' not one of ('filter', 'weak')"]),
+    (("outputs = u, berta", "outputs = u, berta, u, bogus"),
+     ["output tag 'u' given 2 times", "unknown output tag 'bogus'"]),
+])
+def test_sweep_config_problem_listed_with_another_exit_2(tmp_path, capsys, edit, problems):
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(GOOD_CONFIG.replace(*edit))
+    assert main(["sweep", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    for problem in problems:
+        assert f"  - {problem}\n" in err

@@ -114,7 +114,7 @@ def test_post_measurement_maximally_mixed():
 
 
 def test_post_measurement_bell_sigma_z():
-    out = post_measurement_state(BELL, sigma_z_basis(), side="A")
+    out = post_measurement_state(BELL, sigma_z_basis())
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 0] = expected[3, 3] = 0.5
     assert_allclose(out, expected, atol=1e-15)
@@ -124,8 +124,8 @@ def test_post_measurement_ad_evolved_pair_structure():
     # sigma_x dephasing of the damped state gives doubly degenerate pairs 1/4 +/- delta
     d = 0.37
     rho = evolve_oracle(ad_ops_oracle(d), FIG1)
-    out = post_measurement_state(rho, sigma_x_basis(), side="A")
-    assert_allclose(out, post_meas_oracle(rho, PX_ORACLE, "A"), atol=1e-14)
+    out = post_measurement_state(rho, sigma_x_basis())
+    assert_allclose(out, post_meas_oracle(rho, PX_ORACLE), atol=1e-14)
     spec = spectrum_oracle(out)
     w = 0.5 * math.sqrt(1 - d)  # |c1| sqrt(1 - d)
     assert_allclose(spec, [0.25 * (1 + w)] * 2 + [0.25 * (1 - w)] * 2, atol=1e-12)

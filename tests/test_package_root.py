@@ -8,7 +8,7 @@ import entropic_uncertainty
 
 def test_root_exports_exactly_all():
     names = entropic_uncertainty.__all__
-    assert len(names) == len(set(names)) == 20
+    assert len(names) == len(set(names)) == 18
     for name in names:
         assert getattr(entropic_uncertainty, name, None) is not None, name
     public = {

@@ -14,7 +14,6 @@ from entropic_uncertainty.channels import (
     weak_op,
 )
 from entropic_uncertainty.linalg import is_x_patterned
-from entropic_uncertainty.measures import sigma_x_basis, sigma_z_basis
 from entropic_uncertainty.sweep import (
     MAX_GRID_ROWS,
     OUTPUT_TAGS,
@@ -276,8 +275,7 @@ def test_shared_correlations_run_once_per_point(monkeypatch):
         [entropy] * 7 + [("stacked_holevo", 4)] * 2 + [("stacked_measurement_minima", 4, "A")]
     )
     assert dense == {"mutual_information": 0, "classical_correlation": 0}
-    bound_report(bell_diagonal_density(BellDiagonalCoeffs(-0.5, 0.4, 0.8)),
-                 sigma_x_basis(), sigma_z_basis())
+    bound_report(bell_diagonal_density(BellDiagonalCoeffs(-0.5, 0.4, 0.8)))
     assert dense == {"mutual_information": 1, "classical_correlation": 1}
 
 
@@ -294,7 +292,6 @@ def test_batched_u_equals_dense():
     rng = np.random.RandomState(607)
     triples = [(-1.0, 1.0, 1.0), (0.0, 0.0, 0.0)] + [rand_bd_coeffs(rng) for _ in range(6)]
     steerings = [(None, (None,)), ("filter", (1e-9, 0.35, 1.0 - 1e-9)), ("weak", (0.0, 0.6, 0.999))]
-    bases = (sigma_x_basis(), sigma_z_basis())
     compared = 0
     for coeffs in triples:
         rho0 = bell_diagonal_density(BellDiagonalCoeffs(*coeffs))
@@ -316,11 +313,11 @@ def test_batched_u_equals_dense():
                     if kind is not None:
                         op = filter_op(s) if kind == "filter" else weak_op(s)
                         states, steered_ok = sweep._steer(op, evolved)
-                    us, ok = sweep._stacked_u(states, bases)
+                    us, ok = sweep._stacked_u(states)
                     assert evolved_ok.all() and steered_ok.all() and ok.all()
                     for i, param in enumerate(params):
                         dense = _dense_state(channel, rho0, float(param), kind, s)
-                        u = uncertainty_lhs(dense, *bases)
+                        u = uncertainty_lhs(dense)
                         assert np.array_equal(states[i], dense), (coeffs, channel, rate, s, i)
                         assert us[i] == u
                         assert next(rows).quantities == (("u", u),)
@@ -330,7 +327,7 @@ def test_batched_u_equals_dense():
 
 def _dense_columns(state):
     """Every output column of one state, evaluated alone on the dense path."""
-    q = PointQuantities(state, sigma_x_basis(), sigma_z_basis())
+    q = PointQuantities(state)
     columns = {tag: getattr(q, tag) for tag in ("u", "berta", "pati", "adabi", "discord", "s_min")}
     for bound in ("berta", "pati", "adabi"):
         columns[f"tightness_{bound}"] = q.u - columns[bound]
@@ -411,11 +408,10 @@ def test_long_grid_blocks_equal_one_stack(monkeypatch):
 
 
 def test_non_x_rows_take_the_dense_u(monkeypatch):
-    bases = (sigma_x_basis(), sigma_z_basis())
     h = np.kron(I2, (SX + SZ) / np.sqrt(2.0))  # a Hadamard on the memory qubit
     x_state = bell_diagonal_density(BellDiagonalCoeffs(-0.5, 0.4, 0.8))
-    us, ok = sweep._stacked_u(np.array([x_state, h @ x_state @ h, x_state]), bases)
-    assert us[0] == us[2] == uncertainty_lhs(x_state, *bases)
+    us, ok = sweep._stacked_u(np.array([x_state, h @ x_state @ h, x_state]))
+    assert us[0] == us[2] == uncertainty_lhs(x_state)
     assert ok.tolist() == [True, False, True]
 
     calls = []
@@ -435,7 +431,7 @@ def test_non_x_rows_take_the_dense_u(monkeypatch):
     assert [is_x_patterned(state) for state in dense] == [False] * 4 + [True]
     assert len(calls) == 4
     for row, state in zip(rows, dense):
-        assert dict(row.quantities)["u"] == uncertainty_lhs(state, *bases)
+        assert dict(row.quantities)["u"] == uncertainty_lhs(state)
 
 
 def test_batched_failure_names_grid_index_param_and_strength(monkeypatch):
