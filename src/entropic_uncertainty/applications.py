@@ -4,10 +4,10 @@ The witness protocol optionally protects the travelling qubit with a weak
 measurement *before* it enters the noise channel; that is the ordering under
 which a stronger weak measurement enlarges the witnessed noise window.
 
-Both take their points from ``sweep._grid_points``: a capacity curve as one
-stack, the witness bisection one point per call, whose ``u`` is the dense
-``uncertainty_lhs`` of the point's state.  A point the stack flags is rebuilt
-alone by the dense pipeline, which raises its own error.
+Both take their points from ``sweep._grid_points``: a capacity curve and the
+witness's bracket scan as one stack each, its bisection one point per call;
+every witness ``u`` is the dense ``uncertainty_lhs`` of the point's state.  A
+flagged point is rebuilt alone by the dense pipeline, which raises its own error.
 """
 
 from __future__ import annotations
@@ -48,9 +48,10 @@ def witness_threshold(
     """
     if channel_family not in CHANNEL_FAMILIES:
         raise ValueError(f"unknown channel family {channel_family!r}")
+    op = weak_op(s)  # raises for s outside [0, 1)
     rho0 = bell_diagonal_density(coeffs)
     if s > 0.0:
-        rho0 = apply_steering(weak_op(s), rho0)
+        rho0 = apply_steering(op, rho0)
 
     def u(x: float) -> float:  # no stacked value requested: u is uncertainty_lhs of the state
         ((_, _, point),) = _grid_points(channel_family, rho0, [x], None, (None,), ())
@@ -60,7 +61,8 @@ def witness_threshold(
     hi_end = 1.0 if channel_family == "AD" else 0.5
 
     xs = np.linspace(0.0, hi_end, _BRACKET_SCAN_POINTS)
-    values = [u(float(x)) for x in xs]
+    scan = _grid_points(channel_family, rho0, xs, None, (None,), ())  # one stack, evolved once
+    values = [point().u for _, _, point in scan]
     bracket = None
     for i in range(1, len(xs)):
         if values[i - 1] < threshold <= values[i]:

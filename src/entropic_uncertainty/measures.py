@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,7 +51,6 @@ from .linalg import (
     partial_trace,
     stacked_density_spectra,
     stacked_partial_trace,
-    tensor_product,
     validate_density,
 )
 from .states import XState
@@ -151,9 +150,11 @@ class BlochDirection:
 
 @dataclass(frozen=True, eq=False)
 class ProjectiveBasis:
-    """Two orthogonal rank-1 projectors forming a complete qubit measurement."""
+    """Two orthogonal rank-1 projectors forming a complete qubit measurement, and
+    ``embedded``, both on qubit A (P (x) I) as a (2, 4, 4) array built once."""
 
     projectors: tuple[np.ndarray, np.ndarray]
+    embedded: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         projs = tuple(as_matrix(p) for p in self.projectors)
@@ -170,6 +171,7 @@ class ProjectiveBasis:
         defect = float(np.abs(projs[0] + projs[1] - I2).max())
         if defect > COMPLETENESS_ATOL:
             raise ValueError(f"projectors do not sum to identity (defect {defect:.3e})")
+        object.__setattr__(self, "embedded", np.kron(np.array(projs), I2))
 
 
 def bloch_basis(direction: BlochDirection) -> ProjectiveBasis:
@@ -195,8 +197,8 @@ def post_measurement_state(rho, basis: ProjectiveBasis) -> np.ndarray:
     if rho.shape != (4, 4):
         raise ValueError("not a two-qubit state")
     out = np.zeros((4, 4), dtype=complex)
-    for p in basis.projectors:
-        out += conjugate_sandwich(tensor_product(p, I2), rho)
+    for e in basis.embedded:
+        out += conjugate_sandwich(e, rho)
     return out
 
 
@@ -224,8 +226,8 @@ def holevo_quantity(rho, basis: ProjectiveBasis) -> float:
     """Accessible-information bound S(rho_B) - sum_i p_i S(rho_B | outcome i of A)."""
     rho = validate_density(rho)
     total = von_neumann_entropy(partial_trace(rho, "B"))
-    for p in basis.projectors:
-        branch = conjugate_sandwich(tensor_product(p, I2), rho)
+    for e in basis.embedded:
+        branch = conjugate_sandwich(e, rho)
         prob = float(np.trace(branch).real)
         if prob <= POSTSELECT_MIN_PROB:
             continue
@@ -237,8 +239,7 @@ def stacked_holevo(states: np.ndarray, basis: ProjectiveBasis, s_memory: np.ndar
     """``holevo_quantity`` of each state of an (N, 4, 4) stack with memory entropies
     ``s_memory``, and which rows pass every kept branch's checks."""
     total, ok = s_memory, np.ones(len(states), dtype=bool)
-    for p in basis.projectors:
-        e = np.kron(p, I2)
+    for e in basis.embedded:
         branch = e @ states @ e.conj().T
         prob = np.trace(branch, axis1=1, axis2=2).real
         kept = prob > POSTSELECT_MIN_PROB

@@ -192,6 +192,13 @@ def _noise_param(x: float, rate: float | None) -> float:
     return x if rate is None else d_of_t(rate, x)
 
 
+def _on_qubit_a(ops: np.ndarray) -> np.ndarray:
+    """``np.kron(op, I2)`` of each 2x2 operator of a (..., 2, 2) stack, by slice assignment."""
+    out = np.zeros(ops.shape[:-2] + (4, 4), dtype=complex)
+    out[..., 0::2, 0::2] = out[..., 1::2, 1::2] = ops
+    return out
+
+
 def _evolve(family: str, rho0: np.ndarray, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``apply_one_sided(noise_kraus(family, p), rho0)`` for every p, as one stack, and
     which rows pass that pipeline's checks."""
@@ -209,7 +216,7 @@ def _evolve(family: str, rho0: np.ndarray, params: np.ndarray) -> tuple[np.ndarr
     except (ValueError, ArithmeticError):
         ok[:] = False
     out = np.zeros((len(params), 4, 4), dtype=complex)
-    for e in np.kron(ops, I2):  # each Kraus operator on qubit A
+    for e in _on_qubit_a(ops):
         out += e @ rho0 @ e.conj().swapaxes(1, 2)
     return out, ok
 
@@ -218,7 +225,7 @@ def _steer(op: SteeringOp, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``apply_steering(op, state)`` for every state of the stack, and which rows pass
     its checks."""
     _, ok = stacked_density_spectra(states)
-    e = np.kron(op.operator, I2)
+    e = _on_qubit_a(op.operator)
     unnormalized = e @ states @ e.conj().T
     norm = np.trace(unnormalized, axis1=1, axis2=2).real
     kept = norm > POSTSELECT_MIN_PROB
@@ -230,7 +237,7 @@ def _stacked_u(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     u, ok = np.zeros(len(states)), np.ones(len(states), dtype=bool)
     for basis in BASES:
         dephased = np.zeros_like(states)
-        for e in np.kron(np.array(basis.projectors), I2):
+        for e in basis.embedded:
             dephased += e @ states @ e.conj().T
         joint, good_joint = stacked_von_neumann_entropy(dephased)
         memory, good_memory = stacked_von_neumann_entropy(stacked_partial_trace(dephased, "B"))

@@ -19,7 +19,7 @@ from entropic_uncertainty.applications import (
     channel_capacity,
     witness_threshold,
 )
-from entropic_uncertainty import sweep
+from entropic_uncertainty import bounds, sweep
 from entropic_uncertainty.bounds import (
     C,
     PointQuantities,
@@ -116,11 +116,49 @@ def _dense_witness_critical_value(family, coeffs, s):
     return 0.5 * (lo + hi)
 
 
-@pytest.mark.parametrize("family", ("AD", "BPF"))
-@pytest.mark.parametrize("s", (0.0, 0.4, 0.8))
-def test_witness_threshold_equals_the_dense_loop(family, s):
-    expected = _dense_witness_critical_value(family, WITNESS_COEFFS, s)
-    assert witness_threshold(family, WITNESS_COEFFS, s).critical_value == expected
+_DENSE_LOOP_CASES = [
+    pytest.param(family, WITNESS_COEFFS, s, id=f"{s}-{family}")
+    for s in (0.0, 0.4, 0.8)
+    for family in ("AD", "BPF")
+] + [
+    pytest.param(family, BellDiagonalCoeffs(-1.0, -1.0, -1.0), 0.0, id=f"singlet-{family}")
+    for family in ("AD", "BPF")
+] + [pytest.param("BPF", WITNESS_COEFFS, 0.999999, id="0.999999-BPF")]
+
+
+@pytest.mark.parametrize(("family", "coeffs", "s"), _DENSE_LOOP_CASES)
+def test_witness_threshold_equals_the_dense_loop(family, coeffs, s):
+    expected = _dense_witness_critical_value(family, coeffs, s)
+    assert witness_threshold(family, coeffs, s).critical_value == expected
+
+
+def test_witness_scan_evolves_one_stack(monkeypatch):
+    counts = {}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(sweep, "_evolve")
+    counted(bounds, "uncertainty_lhs")
+    for family, hi_end in (("AD", 1.0), ("BPF", 0.5)):
+        counts.update(_evolve=0, uncertainty_lhs=0)
+        witness_threshold(family, WITNESS_COEFFS)
+        # the bisection halves one of the 100 scan intervals down to 1e-7
+        steps = math.ceil(math.log2(hi_end / 100 / 1e-7))
+        assert counts["uncertainty_lhs"] == 101 + steps + 2  # scan, bisection, straddle
+        assert counts["_evolve"] == counts["uncertainty_lhs"] - 100
+
+
+@pytest.mark.parametrize("s", (-0.3, math.nan))
+def test_witness_threshold_rejects_a_bad_strength(s):
+    with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
+        witness_threshold("AD", WITNESS_COEFFS, s)
 
 
 def test_witness_threshold_no_crossing():

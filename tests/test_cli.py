@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from entropic_uncertainty.cli import main, parse_config_text, preset_rows
@@ -81,6 +83,42 @@ def test_witness_command(capsys):
     value = float(out.split("critical_value=")[1].splitlines()[0])
     assert abs(value - 0.4058) < 0.005
     assert "window=[0, " in out
+
+
+WITNESS = ["witness", "--c1", "-1", "--c2", "1", "--c3", "1"]
+
+
+# exact stdout of outputs that no golden covers
+@pytest.mark.parametrize(
+    ("argv", "expected"),
+    [
+        (WITNESS + ["--channel", "AD"],
+         "channel=AD\nparameter=d\ncritical_value=0.405237\nsteering_s=0\n"
+         "window=[0, 0.405237)\n"),
+        (WITNESS + ["--channel", "BPF", "--s", "0.4"],
+         "channel=BPF\nparameter=p\ncritical_value=0.106384\nsteering_s=0.4\n"
+         "window=[0, 0.106384) U (0.893616, 1]\n"),
+    ],
+    ids=["AD", "BPF-s0.4"],
+)
+def test_witness_stdout_is_pinned(capsys, argv, expected):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize(
+    ("argv", "sha256"),
+    [
+        (["capacity", "--channel", "AD", "--lambda", "0.3"],
+         "01a65db9f6123ea25eafe13d2555ab2b2032719e54ab80b2e8fee051855bfda3"),
+        (["capacity", "--channel", "BPF", "--c1", "0.3", "--c2", "-0.2", "--c3", "0.5"],
+         "ef4db0985266ab8521711533c95d6fe8020f10f8c6bee1f74ed5ce529d685908"),
+    ],
+    ids=["AD-lambda", "BPF"],
+)
+def test_capacity_stdout_sha256_is_pinned(capsys, argv, sha256):
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
 
 def test_witness_command_no_threshold_exit_3(capsys):

@@ -101,6 +101,19 @@ def test_pauli_bases():
     assert_allclose(on_y_axis.projectors, by.projectors, atol=1e-15)
 
 
+def test_embedded_projectors_equal_kron():
+    rng = np.random.RandomState(131)
+    directions = [BlochDirection(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+                  for _ in range(50)]
+    bases = [sigma_x_basis(), sigma_z_basis(), sigma_y_basis()] + [
+        bloch_basis(d) for d in directions
+    ]
+    for basis in bases:
+        assert basis.embedded.shape == (2, 4, 4)
+        for p, e in zip(basis.projectors, basis.embedded):
+            assert (e == np.kron(p, np.eye(2, dtype=complex))).all()
+
+
 def test_bloch_direction_validation():
     with pytest.raises(ValueError):
         BlochDirection(-0.1, 0.0)

@@ -325,6 +325,34 @@ def test_batched_u_equals_dense():
     assert compared == len(triples) * 3 * 7 * 5
 
 
+def test_kraus_stack_on_qubit_a_equals_kron(monkeypatch):
+    # AD d = 1, BPF p in {0, 1/2, 1}, and parameters outside [0, 1] or NaN
+    embed, seen = sweep._on_qubit_a, []
+
+    def recorded(ops):
+        seen.append((ops, embed(ops)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(sweep, "_on_qubit_a", recorded)
+    rho0 = bell_diagonal_density(BellDiagonalCoeffs(-0.5, 0.4, 0.8))
+    params = np.array([0.0, 0.3, 0.5, 1.0, 1.5, -0.25, np.nan])
+    bad = ~((params >= 0.0) & (params <= 1.0))
+    for channel in ("AD", "BPF"):
+        seen.clear()
+        states, ok = sweep._evolve(channel, rho0, params)
+        ((ops, embedded),) = seen
+        kron = np.kron(ops, I2)
+        assert embedded.shape == kron.shape == (2, len(params), 4, 4)
+        assert (embedded[:, ~bad] == kron[:, ~bad]).all()
+        finite = np.isfinite(kron)
+        assert (embedded[finite] == kron[finite]).all()
+        assert ok.tolist() == (~bad).tolist()
+        for i in np.flatnonzero(~bad):
+            dense = apply_one_sided(noise_kraus(channel, params[i]), rho0)
+            assert np.array_equal(states[i], sum(e @ rho0 @ e.conj().T for e in kron[:, i]))
+            assert np.array_equal(states[i], dense)
+
+
 def _dense_columns(state):
     """Every output column of one state, evaluated alone on the dense path."""
     q = PointQuantities(state)
