@@ -6,18 +6,18 @@ which a stronger weak measurement enlarges the witnessed noise window.
 
 Both take their points from ``sweep._grid_points``: a capacity curve and the
 witness's bracket scan as one stack each, its bisection one point per call;
-every witness ``u`` is the dense ``uncertainty_lhs`` of the point's state.  A
-flagged point is rebuilt alone by the dense pipeline, which raises its own error.
+every witness ``u`` is the dense ``uncertainty_lhs`` of the point's state, judged
+by ``bounds.witnessed`` as the sweep's ``witness`` column is.  A flagged point is
+rebuilt alone by the dense pipeline, which raises its own error.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import C, PointQuantities
+from .bounds import PointQuantities, witnessed
 from .channels import CHANNEL_FAMILIES, apply_steering, weak_op
 from .states import BellDiagonalCoeffs, bell_diagonal_density
 from .sweep import _grid_points
@@ -40,7 +40,7 @@ class ThresholdResult:
 def witness_threshold(
     channel_family: str, coeffs: BellDiagonalCoeffs, s: float = 0.0
 ) -> ThresholdResult:
-    """Bisect U(parameter) = log2(1/c) for the witness crossing point.
+    """Bisect the noise parameter where ``bounds.witnessed`` stops firing.
 
     For the damping channel the witnessed window is [0, d_m); for the flip
     channel the solve runs on [0, 1/2] and the mirrored upper window follows
@@ -57,7 +57,6 @@ def witness_threshold(
         ((_, _, point),) = _grid_points(channel_family, rho0, [x], None, (None,), ())
         return point().u
 
-    threshold = math.log2(1.0 / C)
     hi_end = 1.0 if channel_family == "AD" else 0.5
 
     xs = np.linspace(0.0, hi_end, _BRACKET_SCAN_POINTS)
@@ -65,7 +64,7 @@ def witness_threshold(
     values = [point().u for _, _, point in scan]
     bracket = None
     for i in range(1, len(xs)):
-        if values[i - 1] < threshold <= values[i]:
+        if witnessed(values[i - 1]) and not witnessed(values[i]):
             bracket = (float(xs[i - 1]), float(xs[i]))
             break
     if bracket is None:
@@ -73,14 +72,14 @@ def witness_threshold(
     lo, hi = bracket
     while hi - lo > _BISECTION_TOL:
         mid = 0.5 * (lo + hi)
-        if u(mid) < threshold:
+        if witnessed(u(mid)):
             lo = mid
         else:
             hi = mid
     critical = 0.5 * (lo + hi)
     below = u(max(critical - _STRADDLE_STEP, 0.0))
     above = u(min(critical + _STRADDLE_STEP, hi_end))
-    if not (below < threshold < above):
+    if not (witnessed(below) and not witnessed(above)):
         raise ArithmeticError(
             f"threshold bracketing check failed around {critical!r}"
         )

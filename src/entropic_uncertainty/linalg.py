@@ -90,10 +90,21 @@ def conjugate_sandwich(op, rho) -> np.ndarray:
 
 
 def _eig2(a: float, d: float, b: complex) -> tuple[float, float]:
-    """Eigenvalues of the Hermitian 2x2 [[a, b], [conj(b), d]], descending."""
+    """Eigenvalues of the Hermitian 2x2 [[a, b], [conj(b), d]], descending.  Complex ``abs``
+    is libm's ``hypot``, as ``np.hypot`` is (``math.hypot`` is not): ``_eig2_columns`` agrees."""
     mid = 0.5 * (a + d)
-    half = 0.5 * math.hypot(a - d, 2.0 * abs(b))
+    try:
+        half = 0.5 * abs(complex(a - d, 2.0 * abs(b)))
+    except OverflowError:  # hypot of finite parts overflowed: as np.hypot, inf
+        half = math.inf
     return (mid + half, mid - half)
+
+
+def _eig2_columns(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
+    """``_eig2`` of every row of the columns a, d (real) and b (complex), bitwise."""
+    mid = 0.5 * (a + d)
+    half = 0.5 * np.hypot(a - d, 2.0 * np.hypot(b.real, b.imag))
+    return [mid + half, mid - half]
 
 
 _OFF_X_INDICES = ((0, 1), (0, 2), (1, 3), (2, 3), (1, 0), (2, 0), (3, 1), (3, 2))
@@ -117,14 +128,14 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     asym = max_asymmetry(m)
     if asym > HERMITIAN_ATOL:
         raise NotHermitianError(asym)
-    n = m.shape[0]
+    n, e = m.shape[0], m.tolist()  # Python numbers: no numpy scalar warnings
     if n == 1:
-        vals = [m[0, 0].real]
+        vals = [e[0][0].real]
     elif n == 2:
-        vals = list(_eig2(m[0, 0].real, m[1, 1].real, m[0, 1]))
+        vals = list(_eig2(e[0][0].real, e[1][1].real, e[0][1]))
     elif n == 4 and is_x_patterned(m):
-        vals = list(_eig2(m[0, 0].real, m[3, 3].real, m[0, 3]))
-        vals += list(_eig2(m[1, 1].real, m[2, 2].real, m[1, 2]))
+        vals = list(_eig2(e[0][0].real, e[3][3].real, e[0][3]))
+        vals += list(_eig2(e[1][1].real, e[2][2].real, e[1][2]))
     else:
         return jacobi_eigenvalues(m)
     return np.sort(np.array(vals))[::-1]
@@ -173,7 +184,7 @@ def density_spectrum(rho) -> np.ndarray:
     """Spectrum of a density matrix: validated, clamped to [0, 1], descending."""
     vals = hermitian_eigenvalues(rho)
     low = float(vals.min())
-    if low < -PSD_ATOL:
+    if not low >= -PSD_ATOL:  # a NaN eigenvalue (inf - inf) fails too
         raise ValueError(
             f"matrix is not positive semidefinite (eigenvalue {low:.3e})"
         )
@@ -185,20 +196,17 @@ def density_spectrum(rho) -> np.ndarray:
 
 def stacked_density_spectra(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``density_spectrum`` of each matrix of an (N, 2, 2) or (N, 4, 4) stack, and
-    which rows pass its checks and, for 4x4, are X-patterned.  Blocks go through
-    ``_eig2`` as in ``hermitian_eigenvalues``, so a passing row's spectrum is
+    which rows pass its checks and, for 4x4, are X-patterned.  Each block is one
+    ``_eig2_columns`` call over the whole stack, so a passing row's spectrum is
     bitwise the dense one; a failing row's values mean nothing."""
     blocks = ((0, 3), (1, 2)) if m.shape[1] == 4 else ((0, 1),)
-    vals = np.array([
-        [_eig2(a, d, b) for a, d, b in zip(
-            m[:, i, i].real.tolist(), m[:, j, j].real.tolist(), m[:, i, j].tolist())]
-        for i, j in blocks
-    ])  # (blocks, N, 2)
-    vals = np.sort(vals.transpose(1, 0, 2).reshape(len(m), -1), axis=1)[:, ::-1]
-    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite row
+    with np.errstate(over="ignore", invalid="ignore"):  # huge or non-finite rows fail below
+        vals = np.stack([v for i, j in blocks
+                         for v in _eig2_columns(m[:, i, i].real, m[:, j, j].real, m[:, i, j])])
+        vals = np.sort(vals.T, axis=1)[:, ::-1]
         asymmetry = np.abs(m - m.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    ok = np.isfinite(m).all(axis=(1, 2)) & (asymmetry <= HERMITIAN_ATOL)
-    ok &= (vals.min(axis=1) >= -PSD_ATOL) & (np.abs(vals.sum(axis=1) - 1.0) <= TRACE_ATOL)
+        ok = np.isfinite(m).all(axis=(1, 2)) & (asymmetry <= HERMITIAN_ATOL)
+        ok &= (vals.min(axis=1) >= -PSD_ATOL) & (np.abs(vals.sum(axis=1) - 1.0) <= TRACE_ATOL)
     if m.shape[1] == 4:
         rows, cols = zip(*_OFF_X_INDICES)
         ok &= (np.abs(m[:, rows, cols]) <= X_PATTERN_ATOL).all(axis=1)

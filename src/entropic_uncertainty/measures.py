@@ -377,8 +377,8 @@ def _minimize_x_states(mom: _CrossMoments) -> list[tuple[float, float, float]]:
     """Exact one-parameter minimum of each X state of a stack: (value, theta, phi).
 
     The theta grid is one (N, 91) array, elementwise as for one state; the
-    refinement stays scalar ``math`` per row, since ``np.hypot`` and ``np.log2``
-    can differ from ``math`` in the last bit.
+    refinement stays scalar ``math`` per row, since ``np.hypot`` (libm's) and
+    ``np.log2`` can differ from ``math.hypot`` (CPython's own) and ``math.log2``.
     """
     rows = mom.rows()
     phis = [_x_state_azimuth(m) for m in rows]

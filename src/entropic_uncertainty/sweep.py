@@ -5,14 +5,14 @@ steering operation to each evolved state, evaluates the requested quantities
 and emits rows in grid order.  Output is byte-stable across runs.
 
 ``_grid_points`` is the one route from a grid to evaluated points, for the
-sweep, ``errata_report`` and the applications.  Each steering strength is one
-(N, 4, 4) stack, in blocks of ``_STACK_ROWS`` rows on long grids: Kraus
-operators built from the parameter array, evolution, steering and every value
-the outputs read are stacked products and ``_eig2`` spectra, and each stage
-returns a row mask of the dense pipeline's checks.  A row that passes every
-mask takes the stack's values; any other row is rebuilt alone by the dense
-pipeline when it is read, which raises that point's own error.  Each point
-comes with its steering-op and grid index.  That pipeline stays the oracle
+sweep, ``errata_report`` and the applications.  The grid is evolved once, and
+all (steering strength, point) rows are one stack, in blocks of ``_STACK_ROWS``
+rows: Kraus operators built from the parameter array, evolution, steering and
+every value the outputs read are stacked products and column-wise spectra, and
+each stage returns a row mask of the dense pipeline's checks.  A row that passes
+every mask takes the stack's values; any other row is rebuilt alone by the dense
+pipeline when it is read, which raises that point's own error.  Each point comes
+with its steering-op and grid index.  That pipeline stays the oracle
 (``test_batched_*`` pin the stack bitwise to it).  Both evolve, steer and measure
 qubit A in ``bounds.BASES``, with qubit B as the memory.
 """
@@ -37,7 +37,6 @@ from .bounds import (
 )
 from .channels import (
     CHANNEL_FAMILIES,
-    SteeringOp,
     apply_one_sided,
     apply_steering,
     d_of_t,
@@ -221,15 +220,14 @@ def _evolve(family: str, rho0: np.ndarray, params: np.ndarray) -> tuple[np.ndarr
     return out, ok
 
 
-def _steer(op: SteeringOp, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``apply_steering(op, state)`` for every state of the stack, and which rows pass
-    its checks."""
-    _, ok = stacked_density_spectra(states)
-    e = _on_qubit_a(op.operator)
-    unnormalized = e @ states @ e.conj().T
+def _steer(ops: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``apply_steering`` of each row's 2x2 operator ``ops[i]`` to ``states[i]``, and which
+    rows keep a usable post-selection probability; the input check is the caller's."""
+    e = _on_qubit_a(ops)
+    unnormalized = e @ states @ e.conj().swapaxes(1, 2)
     norm = np.trace(unnormalized, axis1=1, axis2=2).real
     kept = norm > POSTSELECT_MIN_PROB
-    return unnormalized / np.where(kept, norm, 1.0)[:, None, None], ok & kept
+    return unnormalized / np.where(kept, norm, 1.0)[:, None, None], kept
 
 
 def _stacked_u(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -253,7 +251,7 @@ def _stacked_values(states: np.ndarray, outputs) -> tuple[list[dict], np.ndarray
     names = set().union(*(_READS[tag] for tag in outputs))
     if not names:  # nothing to vouch for: each row's PointQuantities is the dense one
         return [{}] * len(states), np.ones(len(states), dtype=bool)
-    _, ok = stacked_density_spectra(states)
+    s_ab, ok = stacked_von_neumann_entropy(states)  # the state's checks and S(AB), one spectrum
     cols = {}
     if "u" in names:
         cols["u"], good = _stacked_u(states)
@@ -261,9 +259,9 @@ def _stacked_values(states: np.ndarray, outputs) -> tuple[list[dict], np.ndarray
     if "witness" in names:
         cols["witness"] = witnessed(cols["u"])
     if names & {"berta", "mutual_information", "classical_correlation", "holevo", "capacity"}:
-        joint_and_marginals = (states, *(stacked_partial_trace(states, k) for k in "AB"))
-        (s_ab, s_a, s_b), good = zip(*map(stacked_von_neumann_entropy, joint_and_marginals))
-        ok &= np.logical_and.reduce(good)
+        (s_a, good_a), (s_b, good_b) = (
+            stacked_von_neumann_entropy(stacked_partial_trace(states, k)) for k in "AB")
+        ok &= good_a & good_b
         cols["berta"] = math.log2(1.0 / C) + (s_ab - s_b)
         cols["mutual_information"] = mutual = s_a + s_b - s_ab
         if "holevo" in names:
@@ -292,38 +290,48 @@ def _dense_point(family: str, rho0: np.ndarray, x: float, rate, op) -> PointQuan
 
 
 def _grid_points(family: str, rho0: np.ndarray, xs, rate, steering_ops, outputs):
-    """``(k, i, point)`` for every grid point ``xs[i]`` under ``steering_ops[k]`` (None
-    leaves the state unsteered), op by op, each in grid order; ``point()`` gives its
-    ``PointQuantities``.
+    """``(k, i, point)`` for every grid point ``xs[i]`` under ``steering_ops[k]`` (all
+    SteeringOps, or all None to leave states unsteered), op by op, each in grid order;
+    ``point()`` gives its ``PointQuantities``.
 
     A point's state is ``rho0`` evolved through the channel at ``_noise_param(x, rate)``,
-    then steered.  Each block of ``_STACK_ROWS`` points is one stack, evolved once; a row
-    that passes every check of the stack takes its values, any other row is rebuilt
-    alone by the dense pipeline, whose ``point()`` raises that point's own error.
+    then steered.  The grid is evolved once; its (op, point) rows are one stack, in blocks
+    of ``_STACK_ROWS``.  A row that passes every check of the stack takes its values, any
+    other row is rebuilt alone by the dense pipeline, whose ``point()`` raises that
+    point's own error.
     """
+    if len({op is None for op in steering_ops}) > 1:
+        raise ValueError("steering_ops mixes None with steering operators")
+    operators = None if steering_ops[0] is None else np.array([op.operator for op in steering_ops])
     params = []
     for x in xs:
         try:
             params.append(_noise_param(x, rate))
         except ValueError:
             params.append(math.nan)  # fails the Kraus check; the dense rebuild raises
-    blocks = [
-        (first, *_evolve(family, rho0, np.array(params[first:first + _STACK_ROWS])))
-        for first in range(0, len(params), _STACK_ROWS)
-    ]
-    for k, op in enumerate(steering_ops):
-        for first, states, ok in blocks:
-            if op is not None:
-                states, steered = _steer(op, states)
-                ok = ok & steered
-            known, good = _stacked_values(states, outputs)
-            for i, stacked in enumerate((ok & good).tolist()):
-                if stacked:  # the stack's values stand in for the cached properties
-                    q = PointQuantities(states[i])
-                    vars(q).update(known[i])
-                    yield k, first + i, (lambda q=q: q)
-                else:
-                    yield k, first + i, partial(_dense_point, family, rho0, xs[first + i], rate, op)
+    n = len(params)
+    evolved, evolved_ok = np.empty((n, 4, 4), dtype=complex), np.empty(n, dtype=bool)
+    for first in range(0, n, _STACK_ROWS):
+        block = slice(first, first + _STACK_ROWS)
+        evolved[block], evolved_ok[block] = _evolve(family, rho0, np.array(params[block]))
+        if operators is not None:  # apply_steering's input check, once per evolved state
+            evolved_ok[block] &= stacked_density_spectra(evolved[block])[1]
+    rows = len(steering_ops) * n
+    for first in range(0, rows, _STACK_ROWS):
+        ks, indices = np.divmod(np.arange(first, min(first + _STACK_ROWS, rows)), n)
+        states, ok = evolved[indices], evolved_ok[indices]
+        if operators is not None:
+            states, kept = _steer(operators[ks], states)
+            ok &= kept
+        known, good = _stacked_values(states, outputs)
+        for row, stacked in enumerate((ok & good).tolist()):
+            k, i = divmod(first + row, n)
+            if stacked:  # the stack's values stand in for the cached properties
+                q = PointQuantities(states[row])
+                vars(q).update(known[row])
+                yield k, i, (lambda q=q: q)
+            else:
+                yield k, i, partial(_dense_point, family, rho0, xs[i], rate, steering_ops[k])
 
 
 def _evaluate_point(cfg: SweepConfig, strength, index, x, point) -> SweepRow:

@@ -35,6 +35,7 @@ from entropic_uncertainty.channels import (
     noise_kraus,
     weak_op,
 )
+from entropic_uncertainty.linalg import BOUND_ORDER_ATOL
 from entropic_uncertainty.measures import (
     quantum_conditional_entropy,
     sigma_x_basis,
@@ -107,7 +108,8 @@ def _dense_witness_critical_value(family, coeffs, s):
     def u(x):
         return uncertainty_lhs(apply_one_sided(noise_kraus(family, x), rho0))
 
-    threshold = math.log2(1.0 / complementarity_c(BX, BZ))
+    # u < threshold is bounds.witnessed: the bound less the ordering slack
+    threshold = math.log2(1.0 / complementarity_c(BX, BZ)) - BOUND_ORDER_ATOL
     xs = [float(x) for x in np.linspace(0.0, 1.0 if family == "AD" else 0.5, 101)]
     lo, hi = next((a, b) for a, b in zip(xs, xs[1:]) if u(a) < threshold <= u(b))
     while hi - lo > 1e-7:
@@ -123,7 +125,10 @@ _DENSE_LOOP_CASES = [
 ] + [
     pytest.param(family, BellDiagonalCoeffs(-1.0, -1.0, -1.0), 0.0, id=f"singlet-{family}")
     for family in ("AD", "BPF")
-] + [pytest.param("BPF", WITNESS_COEFFS, 0.999999, id="0.999999-BPF")]
+] + [
+    pytest.param(family, WITNESS_COEFFS, 0.999999, id=f"0.999999-{family}")
+    for family in ("AD", "BPF")
+]
 
 
 @pytest.mark.parametrize(("family", "coeffs", "s"), _DENSE_LOOP_CASES)

@@ -98,8 +98,12 @@ WITNESS = ["witness", "--c1", "-1", "--c2", "1", "--c3", "1"]
         (WITNESS + ["--channel", "BPF", "--s", "0.4"],
          "channel=BPF\nparameter=p\ncritical_value=0.106384\nsteering_s=0.4\n"
          "window=[0, 0.106384) U (0.893616, 1]\n"),
+        # U(d = 1) is 1 - 4e-16 here: the solve ends where bounds.witnessed stops firing
+        (WITNESS + ["--channel", "AD", "--s", "0.999999"],
+         "channel=AD\nparameter=d\ncritical_value=0.999832\nsteering_s=0.999999\n"
+         "window=[0, 0.999832)\n"),
     ],
-    ids=["AD", "BPF-s0.4"],
+    ids=["AD", "BPF-s0.4", "AD-s0.999999"],
 )
 def test_witness_stdout_is_pinned(capsys, argv, expected):
     assert main(argv) == 0

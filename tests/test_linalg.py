@@ -13,6 +13,8 @@ from conftest import (
 )
 from entropic_uncertainty.linalg import (
     NotHermitianError,
+    _eig2,
+    _eig2_columns,
     as_matrix,
     conjugate_sandwich,
     density_spectrum,
@@ -183,7 +185,8 @@ def test_as_matrix_rejects_any_non_finite_part(bad):
 
 
 def test_stacked_spectra_equal_dense_on_x_states_and_marginals():
-    # thousands of rows: a vectorized np.hypot in place of _eig2 differs in a few
+    # thousands of rows: np.hypot columns equal the scalar kernel only as libm's hypot,
+    # which math.hypot is not
     rng = np.random.RandomState(73)
     states = np.array([rand_xstate_matrix(rng, real=k % 2 == 0) for k in range(4000)])
     marginals = np.array([partial_trace(rho, "B") for rho in states])
@@ -211,3 +214,66 @@ def test_stacked_spectra_flag_the_rows_the_dense_path_must_take():
     for bad in stack[2:]:
         with pytest.raises(ValueError):
             density_spectrum(bad)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_column_kernel_is_bitwise_the_scalar_kernel():
+    # magnitudes 1e-20 to 1 of either sign, with 0, -0.0, subnormals and +-1 mixed in
+    rng = np.random.default_rng(1009)
+    n = 100_000
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1.0, -1.0])
+
+    def column():
+        v = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-20.0, 0.0, n)
+        v[rng.integers(0, n, n // 10)] = rng.choice(special, n // 10)
+        return v
+
+    a, d, b = column(), column(), column() + 1j * column()
+    hi, lo = _eig2_columns(a, d, b)
+    scalar = np.array([_eig2(*row) for row in zip(a.tolist(), d.tolist(), b.tolist())])
+    assert (_bits(hi) == _bits(scalar[:, 0])).all()
+    assert (_bits(lo) == _bits(scalar[:, 1])).all()
+
+
+def test_stacked_spectra_rows_do_not_depend_on_position_or_stack_size():
+    rng = np.random.RandomState(79)
+    states = np.array([rand_xstate_matrix(rng, real=k % 3 == 0) for k in range(300)])
+    marginals = np.array([partial_trace(rho, "A") for rho in states])
+    for stack in (states, marginals):
+        vals, ok = stacked_density_spectra(stack)
+        for i in range(len(stack)):
+            one, one_ok = stacked_density_spectra(stack[i:i + 1])
+            assert (_bits(one[0]) == _bits(vals[i])).all() and one_ok[0] == ok[i]
+        flipped, flipped_ok = stacked_density_spectra(stack[::-1])
+        assert (_bits(flipped) == _bits(vals[::-1])).all()
+        assert (flipped_ok == ok[::-1]).all()
+
+
+def _anti_diagonal_x(corner):
+    m = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+    m[0, 3] = m[3, 0] = corner
+    return m
+
+
+@pytest.mark.parametrize(
+    ("m", "message"),
+    [
+        ([[1e308, 0.0], [0.0, -1e308]], "positive semidefinite"),
+        ([[0.5, 1e308], [1e308, 0.5]], "positive semidefinite"),
+        ([[1e308, 1e308], [1e308, 1e308]], "positive semidefinite"),  # inf - inf: NaN
+        ([[1e308, 0.75e308], [0.75e308, -0.5e308]], "positive semidefinite"),
+        ([[1e308, 0.0], [0.0, 1e308]], "unit trace"),
+        (_anti_diagonal_x(1e308), "positive semidefinite"),
+    ],
+    ids=["a-d", "2|b|", "a+d-and-2|b|", "hypot-of-finite-parts", "a+d", "x-block"],
+)
+def test_huge_entries_are_rejected_without_a_warning(m, message):
+    # pytest turns any warning (numpy's overflow ones included) into an error
+    m = np.array(m, dtype=complex)
+    with pytest.raises(ValueError, match=message):
+        density_spectrum(m)
+    _, ok = stacked_density_spectra(m[None])
+    assert ok.tolist() == [False]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from entropic_uncertainty.channels import (
     noise_kraus,
     weak_op,
 )
-from entropic_uncertainty.linalg import is_x_patterned
+from entropic_uncertainty.linalg import is_x_patterned, stacked_density_spectra
 from entropic_uncertainty.sweep import (
     MAX_GRID_ROWS,
     OUTPUT_TAGS,
@@ -209,13 +211,14 @@ def test_numeric_error_locates_the_steered_point(monkeypatch):
     stacked = sweep._stacked_values
     blocks = []
 
-    def row_1_of_second_block_flagged(states, outputs):
+    def strength_0_4_row_1_flagged(states, outputs):
         blocks.append(stacked(states, outputs))
-        if len(blocks) == 2:
-            blocks[-1][1][1] = False  # as when the stack's capacity identity check fails
+        # rows 0-2 are strength 0.0, rows 3-5 strength 0.4 (one stack);
+        # as when the stack's capacity identity check fails
+        blocks[-1][1][3 + 1] = False
         return blocks[-1]
 
-    monkeypatch.setattr(sweep, "_stacked_values", row_1_of_second_block_flagged)
+    monkeypatch.setattr(sweep, "_stacked_values", strength_0_4_row_1_flagged)
     cfg = small_cfg(
         param_points=3,
         steering_kind="weak",
@@ -224,10 +227,11 @@ def test_numeric_error_locates_the_steered_point(monkeypatch):
     )
     # a flagged row whose dense evaluation passes keeps the dense value
     rows = run_sweep(cfg)
+    assert len(blocks) == 1
     state = _dense_state("AD", bell_diagonal_density(cfg.coeffs()), 0.5, "weak", 0.4)
     capacity = channel_capacity(state)
     assert rows[4].quantities == (("capacity", capacity),)
-    # strength 0.0 is the first block; grid index 1 at strength 0.4 fails its dense check
+    # only the flagged row, grid index 1 at strength 0.4, takes the dense check
     monkeypatch.setattr(bounds, "capacity_bound_form", lambda *args: -1.0)
     blocks.clear()
     with pytest.raises(NumericError) as err:
@@ -312,7 +316,10 @@ def test_batched_u_equals_dense():
                     states, steered_ok = evolved, evolved_ok
                     if kind is not None:
                         op = filter_op(s) if kind == "filter" else weak_op(s)
-                        states, steered_ok = sweep._steer(op, evolved)
+                        # one operator per row; the input check is the caller's
+                        ops = np.broadcast_to(op.operator, (len(evolved), 2, 2))
+                        states, steered_ok = sweep._steer(ops, evolved)
+                        steered_ok &= stacked_density_spectra(evolved)[1]
                     us, ok = sweep._stacked_u(states)
                     assert evolved_ok.all() and steered_ok.all() and ok.all()
                     for i, param in enumerate(params):
@@ -402,7 +409,8 @@ def test_batched_columns_equal_dense(monkeypatch):
                     assert dict(row.quantities) == _dense_columns(state), (cfg, row)
                     compared += 1
     assert compared == len(triples) * 3 * 7 * 5
-    assert flagged == [[]] * (len(triples) * 3 * 7)  # the stack gave every row
+    # one stack per sweep, and the stack gave every row
+    assert flagged == [[]] * (len(triples) * 3 * 3)
 
     # a Hadamard on the memory qubit: d = 1 leaves an X state, the other rows are not
     h = np.kron(I2, (SX + SZ) / np.sqrt(2.0))
@@ -433,6 +441,49 @@ def test_long_grid_blocks_equal_one_stack(monkeypatch):
     monkeypatch.setattr(sweep, "_STACK_ROWS", 2)  # d = 1 is row 0 of the second block
     with pytest.raises(NumericError, match=r"^sweep point at grid index 2 \(param=1.0, "):
         run_sweep(failing)
+
+
+def test_steered_sweep_is_one_stack_in_blocks(monkeypatch):
+    # K strengths x N points are one stack of K*N rows, in ceil(K*N / _STACK_ROWS) blocks
+    sizes = []
+    stacked = sweep._stacked_values
+
+    def counted(states, outputs):
+        sizes.append(len(states))
+        return stacked(states, outputs)
+
+    monkeypatch.setattr(sweep, "_stacked_values", counted)
+    long_grid = small_cfg(param_points=400, steering_kind="weak",
+                          steering_strengths=(0.1, 0.5, 0.9), outputs=("u",))
+    rows = run_sweep(long_grid)
+    assert sizes == [sweep._STACK_ROWS, 1200 - sweep._STACK_ROWS]
+    assert [row.steer_strength for row in rows] == [0.1] * 400 + [0.5] * 400 + [0.9] * 400
+
+    # a block boundary inside one strength's rows changes no value
+    for channel, kind, strengths in (("AD", "filter", (0.2, 0.5, 0.8)),
+                                     ("BPF", "weak", (0.0, 0.3, 0.6, 0.9))):
+        cfg = small_cfg(channel=channel, param_points=7, steering_kind=kind,
+                        steering_strengths=strengths, outputs=OUTPUT_TAGS)
+        rho0 = bell_diagonal_density(cfg.coeffs())
+        grid = np.linspace(0.0, 1.0, 7).tolist()
+        for block in (5, 3):  # 5 cuts the first strength's 7 rows after row 4
+            monkeypatch.setattr(sweep, "_STACK_ROWS", block)
+            sizes.clear()
+            rows = run_sweep(cfg)
+            assert len(sizes) == math.ceil(7 * len(strengths) / block)
+            assert [(row.steer_strength, row.param) for row in rows] == [
+                (s, x) for s in strengths for x in grid
+            ]
+            for row in rows:
+                state = _dense_state(channel, rho0, row.param, kind, row.steer_strength)
+                assert dict(row.quantities) == _dense_columns(state), (cfg, block, row)
+
+
+def test_grid_points_reject_a_mix_of_none_and_operators():
+    rho0 = bell_diagonal_density(BellDiagonalCoeffs(-0.5, 0.4, 0.8))
+    for ops in ((None, weak_op(0.3)), (filter_op(0.5), None)):
+        with pytest.raises(ValueError, match="mixes None with steering operators"):
+            next(sweep._grid_points("AD", rho0, [0.0, 0.5], None, ops, ("u",)))
 
 
 def test_non_x_rows_take_the_dense_u(monkeypatch):
