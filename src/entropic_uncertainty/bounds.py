@@ -4,15 +4,17 @@ published closed-form expressions kept as cross-checks.
 The setup is the quantum-memory game of Berta et al. (Nature Phys. 6, 659
 (2010)): qubit A is measured in sigma_x and sigma_z (``BASES``, whose
 complementarity ``C`` is 1/2) and qubit B is the quantum memory.  Every formula
-here, and every stack in ``sweep``, uses that one setup.
+and every stack here uses that one setup.
 
 ``PointQuantities`` is the one definition of the Pati and Adabi bounds, of
 discord, of the channel capacity and of the entropic witness, as the sweep,
 ``bound_report`` and ``channel_capacity`` see them.  One state pays for each
 quantity (mutual information, the measurement optimizer, each Holevo quantity)
-at most once.  A sweep fills in the entropy-only values and the optimizer
-minima for a whole X-state stack at once, bitwise as each state alone would
-compute them; the formulas here derive the rest.
+at most once.  ``_stacked_values`` fills in the entropy-only values and the
+optimizer minima for a whole X-state stack at once, bitwise as each state alone
+would compute them; the formulas here derive the rest.  ``uncertainty_lhs``
+stays a per-point chain of scalar spectra for point-at-a-time callers (the
+witness bisection); ``_stacked_u`` is its stack.
 
 The numerical pipeline (build state, evolve, measure, take entropies) is the
 ground truth everywhere.  The closed-form evolved spectra are exact and used
@@ -29,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import BOUND_ORDER_ATOL, partial_trace, validate_density
+from .linalg import BOUND_ORDER_ATOL, partial_trace, stacked_partial_trace, validate_density
 from .measures import (
     ProjectiveBasis,
     binary_entropy,
@@ -42,6 +44,10 @@ from .measures import (
     quantum_conditional_entropy,
     sigma_x_basis,
     sigma_z_basis,
+    stacked_holevo,
+    stacked_measurement_minima,
+    stacked_post_measurement_state,
+    stacked_von_neumann_entropy,
     von_neumann_entropy,
 )
 from .states import BellDiagonalCoeffs
@@ -149,6 +155,57 @@ class PointQuantities:
         if abs(capacity - bound_form) > CAPACITY_IDENTITY_ATOL:
             raise ArithmeticError(f"capacity forms disagree: {capacity!r} vs {bound_form!r}")
         return capacity
+
+
+def _stacked_u(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``uncertainty_lhs`` of every state of the stack, and which rows pass its checks."""
+    u, ok = np.zeros(len(states)), np.ones(len(states), dtype=bool)
+    for basis in BASES:
+        dephased = stacked_post_measurement_state(states, basis)
+        joint, good_joint = stacked_von_neumann_entropy(dephased)
+        memory, good_memory = stacked_von_neumann_entropy(stacked_partial_trace(dephased, "B"))
+        ok &= good_joint & good_memory
+        u += joint - memory
+    return u, ok
+
+
+def _stacked_values(states: np.ndarray, names: set[str]) -> tuple[list[dict], np.ndarray]:
+    """The ``PointQuantities`` values ``names`` for every state of the stack, bitwise as
+    the state alone computes them, and which rows they hold for: X states that pass
+    every check and the capacity identity."""
+    if not names:  # nothing to vouch for: each row's PointQuantities is the dense one
+        return [{}] * len(states), np.ones(len(states), dtype=bool)
+    s_ab, ok = stacked_von_neumann_entropy(states)  # the state's checks and S(AB), one spectrum
+    cols = {}
+    if "u" in names:
+        cols["u"], good = _stacked_u(states)
+        ok &= good
+    if "witness" in names:
+        cols["witness"] = witnessed(cols["u"])
+    if names & {"berta", "mutual_information", "classical_correlation", "holevo", "capacity"}:
+        (s_a, good_a), (s_b, good_b) = (
+            stacked_von_neumann_entropy(stacked_partial_trace(states, k)) for k in "AB")
+        ok &= good_a & good_b
+        cols["berta"] = math.log2(1.0 / C) + (s_ab - s_b)
+        cols["mutual_information"] = mutual = s_a + s_b - s_ab
+        if "holevo" in names:
+            (h1, good_1), (h2, good_2) = (stacked_holevo(states, b, s_b) for b in BASES)
+            ok &= good_1 & good_2
+            cols["holevo"] = np.stack([h1, h2], axis=1)
+        if "capacity" in names:
+            bound_form = capacity_bound_form(s_a, cols["berta"])
+            ok &= np.abs(mutual - bound_form) <= CAPACITY_IDENTITY_ATOL
+            cols["capacity"] = mutual
+    rows = np.flatnonzero(ok)  # the optimizer runs on X states that passed every check
+    if "classical_correlation" in names:
+        minima = stacked_measurement_minima(states[rows], "A")
+        cols["classical_correlation"] = np.zeros(len(states))
+        cols["classical_correlation"][rows] = s_b[rows] - minima
+    if "s_min" in names:
+        cols["s_min"] = np.zeros(len(states))
+        cols["s_min"][rows] = stacked_measurement_minima(states[rows], "B")
+    values = [col.tolist() for col in cols.values()]
+    return [dict(zip(cols, row)) for row in zip(*values)], ok
 
 
 @dataclass(frozen=True)

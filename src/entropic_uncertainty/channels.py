@@ -5,6 +5,10 @@ operations act on the measured qubit A only; the memory qubit B is left
 untouched.  Steering operations are non-trace-preserving single-qubit maps
 applied with post-selection, i.e. the output is renormalized by the success
 probability.
+
+Each stage is one stacked kernel (``_kraus_stack``, ``_evolve``, ``_steer``) that
+returns a row mask of its checks; ``ad_kraus``, ``bpf_kraus``, ``apply_one_sided``
+and ``apply_steering`` are its one-row case, which raises instead.
 """
 
 from __future__ import annotations
@@ -20,12 +24,15 @@ from .linalg import (
     PAULI_Y,
     POSTSELECT_MIN_PROB,
     as_matrix,
-    conjugate_sandwich,
-    tensor_product,
-    validate_density,
+    validate_two_qubit,
 )
 
 CHANNEL_FAMILIES = ("AD", "BPF")
+
+
+def _completeness_defect(ops: np.ndarray) -> np.ndarray:
+    """|sum_k E_k^dagger E_k - I| of each channel of a (K, N, 2, 2) Kraus stack."""
+    return np.abs((ops.conj().swapaxes(-1, -2) @ ops).sum(axis=0) - I2).max(axis=(1, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,21 +47,31 @@ class KrausChannel:
         for e in ops:
             if e.shape != (2, 2):
                 raise ValueError(f"Kraus operator has shape {e.shape}, expected (2, 2)")
-        total = sum(e.conj().T @ e for e in ops)
-        defect = float(np.abs(total - I2).max())
+        defect = float(_completeness_defect(np.array(ops).reshape(-1, 1, 2, 2))[0])
         if defect > COMPLETENESS_ATOL:
             raise ValueError(
                 f"Kraus set is not trace preserving: |sum E^dag E - I| = {defect:.3e}"
             )
 
 
+def _kraus_stack(family: str, params: np.ndarray) -> np.ndarray:
+    """The Kraus operators of ``family`` at every parameter, as a (2, N, 2, 2) stack;
+    a parameter outside [0, 1] gives NaN entries, which fail the completeness check."""
+    with np.errstate(invalid="ignore"):
+        root, co_root = np.sqrt(params), np.sqrt(1.0 - params)
+    ops = np.zeros((2, len(params), 2, 2), dtype=complex)
+    if family == "AD":  # diag(1, sqrt(1 - d)) and sqrt(d) |0><1|
+        ops[0, :, 0, 0], ops[0, :, 1, 1], ops[1, :, 0, 1] = 1.0, co_root, root
+    else:  # sqrt(p) I and sqrt(1 - p) sigma_y
+        ops[0], ops[1] = root[:, None, None] * I2, co_root[:, None, None] * PAULI_Y
+    return ops
+
+
 def ad_kraus(d: float) -> KrausChannel:
     """Amplitude damping with decay probability d."""
     if not 0.0 <= d <= 1.0:
         raise ValueError(f"damping probability d = {d!r} outside [0, 1]")
-    e1 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - d)]], dtype=complex)
-    e2 = np.array([[0.0, math.sqrt(d)], [0.0, 0.0]], dtype=complex)
-    return KrausChannel(operators=(e1, e2))
+    return KrausChannel(operators=tuple(_kraus_stack("AD", np.array([d]))[:, 0]))
 
 
 def d_of_t(rate: float, t: float) -> float:
@@ -68,7 +85,7 @@ def bpf_kraus(p: float) -> KrausChannel:
     """Bit-phase flip: identity with probability p, sigma_y flip with 1 - p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"flip parameter p = {p!r} outside [0, 1]")
-    return KrausChannel(operators=(math.sqrt(p) * I2, math.sqrt(1.0 - p) * PAULI_Y))
+    return KrausChannel(operators=tuple(_kraus_stack("BPF", np.array([p]))[:, 0]))
 
 
 def noise_kraus(family: str, param: float) -> KrausChannel:
@@ -82,15 +99,38 @@ def noise_kraus(family: str, param: float) -> KrausChannel:
     raise ValueError(f"unknown channel family {family!r}")
 
 
+def _on_qubit_a(ops: np.ndarray) -> np.ndarray:
+    """``np.kron(op, I2)`` of each 2x2 operator of a (..., 2, 2) stack, by slice assignment."""
+    out = np.zeros(ops.shape[:-2] + (4, 4), dtype=complex)
+    out[..., 0::2, 0::2] = out[..., 1::2, 1::2] = ops
+    return out
+
+
+def _sandwich(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_k (E_k (x) I) rho (E_k (x) I)^dagger for each row of a (K, N, 2, 2) operator
+    stack, with one state ``rho`` or an (N, 4, 4) stack of them."""
+    out = np.zeros(ops.shape[1:-2] + (4, 4), dtype=complex)
+    for e in _on_qubit_a(ops):
+        out += e @ rho @ e.conj().swapaxes(-1, -2)
+    return out
+
+
+def _evolve(family: str, rho0: np.ndarray, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``apply_one_sided(noise_kraus(family, p), rho0)`` for every p, as one stack, and
+    which rows pass that function's checks."""
+    ops = _kraus_stack(family, params)
+    ok = _completeness_defect(ops) <= COMPLETENESS_ATOL
+    try:
+        validate_two_qubit(rho0)  # as apply_one_sided does for every row
+    except (ValueError, ArithmeticError):
+        ok[:] = False
+    return _sandwich(ops, rho0), ok
+
+
 def apply_one_sided(channel: KrausChannel, rho) -> np.ndarray:
     """Evolve a two-qubit density matrix with the channel acting on qubit A."""
-    rho = validate_density(rho)
-    if rho.shape != (4, 4):
-        raise ValueError("not a two-qubit state")
-    out = np.zeros((4, 4), dtype=complex)
-    for e in channel.operators:
-        out += conjugate_sandwich(tensor_product(e, I2), rho)
-    return out
+    ops = np.array(channel.operators).reshape(-1, 1, 2, 2)
+    return _sandwich(ops, validate_two_qubit(rho))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,13 +170,18 @@ def weak_op(s: float) -> SteeringOp:
     return SteeringOp(operator=op)
 
 
+def _steer(ops: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``apply_steering`` of each row's 2x2 operator ``ops[i]`` to ``states[i]``, and which
+    rows keep a usable post-selection probability; the input check is the caller's."""
+    unnormalized = _sandwich(ops[None], states)
+    norm = np.trace(unnormalized, axis1=1, axis2=2).real
+    kept = norm > POSTSELECT_MIN_PROB
+    return unnormalized / np.where(kept, norm, 1.0)[:, None, None], kept
+
+
 def apply_steering(op: SteeringOp, rho) -> np.ndarray:
     """Apply (O (x) I) rho (O (x) I)^dagger / tr[...], O acting on qubit A."""
-    rho = validate_density(rho)
-    if rho.shape != (4, 4):
-        raise ValueError("not a two-qubit state")
-    unnormalized = conjugate_sandwich(tensor_product(op.operator, I2), rho)
-    norm = float(np.trace(unnormalized).real)
-    if norm <= POSTSELECT_MIN_PROB:
+    states, kept = _steer(op.operator[None], validate_two_qubit(rho)[None])
+    if not kept[0]:
         raise ValueError("post-selection probability ~ 0, conditional state undefined")
-    return unnormalized / norm
+    return states[0]

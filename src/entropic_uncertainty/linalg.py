@@ -59,23 +59,21 @@ def tensor_product(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
+def stacked_partial_trace(m: np.ndarray, keep: str) -> np.ndarray:
+    """Each state of an (N, 4, 4) stack, or one (4, 4) state, reduced to the kept qubit
+    ("A" = first tensor factor, anything else B)."""
+    r = m.reshape(m.shape[:-2] + (2, 2, 2, 2))
+    return np.trace(r, axis1=-3, axis2=-1) if keep == "A" else np.trace(r, axis1=-4, axis2=-2)
+
+
 def partial_trace(rho, keep: str) -> np.ndarray:
     """Reduce a two-qubit state to the kept qubit ("A" = first tensor factor)."""
     rho = as_matrix(rho)
     if rho.shape != (4, 4):
         raise ValueError("not a two-qubit state")
-    r = rho.reshape(2, 2, 2, 2)
-    if keep == "A":
-        return np.trace(r, axis1=1, axis2=3)
-    if keep == "B":
-        return np.trace(r, axis1=0, axis2=2)
-    raise ValueError(f"unknown subsystem tag {keep!r} (expected 'A' or 'B')")
-
-
-def stacked_partial_trace(m: np.ndarray, keep: str) -> np.ndarray:
-    """``partial_trace`` of each state of an (N, 4, 4) stack."""
-    r = m.reshape(-1, 2, 2, 2, 2)
-    return np.trace(r, axis1=2, axis2=4) if keep == "A" else np.trace(r, axis1=1, axis2=3)
+    if keep not in ("A", "B"):
+        raise ValueError(f"unknown subsystem tag {keep!r} (expected 'A' or 'B')")
+    return stacked_partial_trace(rho, keep)
 
 
 def conjugate_sandwich(op, rho) -> np.ndarray:
@@ -107,7 +105,8 @@ def _eig2_columns(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> list[np.ndarra
     return [mid + half, mid - half]
 
 
-_OFF_X_INDICES = ((0, 1), (0, 2), (1, 3), (2, 3), (1, 0), (2, 0), (3, 1), (3, 2))
+# the entries outside the main and anti diagonal, in row-major order
+_OFF_X_INDICES = ((0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2))
 
 
 def is_x_patterned(m: np.ndarray, atol: float = X_PATTERN_ATOL) -> bool:
@@ -149,35 +148,37 @@ def jacobi_eigenvalues(m) -> np.ndarray:
     asym = max_asymmetry(a)
     if asym > HERMITIAN_ATOL:
         raise NotHermitianError(asym)
-    a = 0.5 * (a + a.conj().T)
-    n = a.shape[0]
-    for _ in range(60):
-        off = max(
-            (abs(a[p, q]) for p in range(n) for q in range(p + 1, n)),
-            default=0.0,
-        )
-        if off <= EIG_ATOL:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                b = abs(a[p, q])
-                if b == 0.0:
-                    continue
-                phase = a[p, q] / b
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * b)
-                t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rot = np.eye(n, dtype=complex)
-                rot[p, p] = c
-                rot[p, q] = s
-                rot[q, p] = -np.conj(phase) * s
-                rot[q, q] = np.conj(phase) * c
-                a = rot.conj().T @ a @ rot
-                a = 0.5 * (a + a.conj().T)
-    else:
-        raise ArithmeticError("Jacobi iteration did not converge")
-    return np.sort(np.diag(a).real)[::-1]
+    # huge entries raise FloatingPointError (an ArithmeticError), not a warning
+    with np.errstate(over="raise", invalid="raise"):
+        a = 0.5 * (a + a.conj().T)
+        n = a.shape[0]
+        for _ in range(60):
+            off = max(
+                (abs(a[p, q]) for p in range(n) for q in range(p + 1, n)),
+                default=0.0,
+            )
+            if off <= EIG_ATOL:
+                break
+            for p in range(n - 1):
+                for q in range(p + 1, n):
+                    b = abs(a[p, q])
+                    if b == 0.0:
+                        continue
+                    phase = a[p, q] / b
+                    tau = (a[q, q].real - a[p, p].real) / (2.0 * b)
+                    t = (1.0 if tau >= 0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
+                    c = 1.0 / math.hypot(1.0, t)
+                    s = t * c
+                    rot = np.eye(n, dtype=complex)
+                    rot[p, p] = c
+                    rot[p, q] = s
+                    rot[q, p] = -np.conj(phase) * s
+                    rot[q, q] = np.conj(phase) * c
+                    a = rot.conj().T @ a @ rot
+                    a = 0.5 * (a + a.conj().T)
+        else:
+            raise ArithmeticError("Jacobi iteration did not converge")
+        return np.sort(np.diag(a).real)[::-1]
 
 
 def density_spectrum(rho) -> np.ndarray:
@@ -217,4 +218,12 @@ def validate_density(rho) -> np.ndarray:
     """Check Hermiticity, trace and positivity; return the matrix unchanged."""
     rho = as_matrix(rho)
     density_spectrum(rho)
+    return rho
+
+
+def validate_two_qubit(rho) -> np.ndarray:
+    """``validate_density``, then check for a 4x4 (two-qubit) matrix."""
+    rho = validate_density(rho)
+    if rho.shape != (4, 4):
+        raise ValueError("not a two-qubit state")
     return rho

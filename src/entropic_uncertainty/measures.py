@@ -45,13 +45,12 @@ from .linalg import (
     PSD_ATOL,
     TRACE_ATOL,
     as_matrix,
-    conjugate_sandwich,
     density_spectrum,
     is_x_patterned,
     partial_trace,
     stacked_density_spectra,
     stacked_partial_trace,
-    validate_density,
+    validate_two_qubit,
 )
 from .states import XState
 
@@ -191,15 +190,17 @@ def sigma_z_basis() -> ProjectiveBasis:
     return bloch_basis(BlochDirection(0.0, 0.0))
 
 
+def stacked_post_measurement_state(states: np.ndarray, basis: ProjectiveBasis) -> np.ndarray:
+    """``post_measurement_state`` of each state of an (N, 4, 4) stack, or of one (4, 4) state."""
+    out = np.zeros_like(states)
+    for e in basis.embedded:
+        out += e @ states @ e.conj().T
+    return out
+
+
 def post_measurement_state(rho, basis: ProjectiveBasis) -> np.ndarray:
     """Dephased state sum_x (P_x)_A rho (P_x)_A after measuring qubit A."""
-    rho = validate_density(rho)
-    if rho.shape != (4, 4):
-        raise ValueError("not a two-qubit state")
-    out = np.zeros((4, 4), dtype=complex)
-    for e in basis.embedded:
-        out += conjugate_sandwich(e, rho)
-    return out
+    return stacked_post_measurement_state(validate_two_qubit(rho), basis)
 
 
 def conditional_entropy_after_measurement(rho, basis: ProjectiveBasis) -> float:
@@ -222,32 +223,37 @@ def mutual_information(rho) -> float:
     )
 
 
-def holevo_quantity(rho, basis: ProjectiveBasis) -> float:
-    """Accessible-information bound S(rho_B) - sum_i p_i S(rho_B | outcome i of A)."""
-    rho = validate_density(rho)
-    total = von_neumann_entropy(partial_trace(rho, "B"))
+def _branch_memories(states: np.ndarray, basis: ProjectiveBasis):
+    """Per outcome of ``basis`` on qubit A, for each state of the stack: its probability,
+    whether it is kept (above ``POSTSELECT_MIN_PROB``) and the memory it leaves."""
     for e in basis.embedded:
-        branch = conjugate_sandwich(e, rho)
-        prob = float(np.trace(branch).real)
-        if prob <= POSTSELECT_MIN_PROB:
-            continue
-        total -= prob * von_neumann_entropy(partial_trace(branch, "B") / prob)
-    return total
+        branch = e @ states @ e.conj().T
+        prob = np.trace(branch, axis1=1, axis2=2).real
+        kept = prob > POSTSELECT_MIN_PROB
+        memory = stacked_partial_trace(branch, "B") / np.where(kept, prob, 1.0)[:, None, None]
+        yield prob, kept, memory
 
 
 def stacked_holevo(states: np.ndarray, basis: ProjectiveBasis, s_memory: np.ndarray):
     """``holevo_quantity`` of each state of an (N, 4, 4) stack with memory entropies
     ``s_memory``, and which rows pass every kept branch's checks."""
     total, ok = s_memory, np.ones(len(states), dtype=bool)
-    for e in basis.embedded:
-        branch = e @ states @ e.conj().T
-        prob = np.trace(branch, axis1=1, axis2=2).real
-        kept = prob > POSTSELECT_MIN_PROB
-        memory = stacked_partial_trace(branch, "B") / np.where(kept, prob, 1.0)[:, None, None]
+    for prob, kept, memory in _branch_memories(states, basis):
         entropy, good = stacked_von_neumann_entropy(memory)
         ok &= good | ~kept
         total = total - np.where(kept, prob * entropy, 0.0)
     return total, ok
+
+
+def holevo_quantity(rho, basis: ProjectiveBasis) -> float:
+    """Accessible-information bound S(rho_B) - sum_i p_i S(rho_B | outcome i of A)."""
+    states = validate_two_qubit(rho)[None]
+    total, ok = stacked_holevo(states, basis, von_neumann_entropy(partial_trace(states[0], "B")))
+    if not ok[0]:  # the first kept branch memory that fails raises its own error
+        for _, kept, memory in _branch_memories(states, basis):
+            if kept[0]:
+                von_neumann_entropy(memory[0])
+    return float(total[0])
 
 
 class _CrossMoments:
@@ -453,17 +459,12 @@ def _minimize_avg_branch_entropy(rho: np.ndarray, measured_side: str) -> float:
 def min_conditional_entropy_over_measurements(rho, measured_side: str = "B") -> float:
     """Minimum over projective measurements of the average entropy left on the
     unmeasured qubit."""
-    rho = validate_density(rho)
-    if rho.shape != (4, 4):
-        raise ValueError("not a two-qubit state")
-    return _minimize_avg_branch_entropy(rho, measured_side)
+    return _minimize_avg_branch_entropy(validate_two_qubit(rho), measured_side)
 
 
 def classical_correlation(rho, measured_side: str = "A") -> float:
     """Max over measurements of S(rho_other) - sum_i p_i S(rho_other | i)."""
-    rho = validate_density(rho)
-    if rho.shape != (4, 4):
-        raise ValueError("not a two-qubit state")
+    rho = validate_two_qubit(rho)
     other = partial_trace(rho, _other_side(measured_side))
     return von_neumann_entropy(other) - _minimize_avg_branch_entropy(rho, measured_side)
 

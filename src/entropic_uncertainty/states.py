@@ -20,6 +20,7 @@ from .linalg import (
     PSD_ATOL,
     TRACE_ATOL,
     X_PATTERN_ATOL,
+    _OFF_X_INDICES,
     as_matrix,
     tensor_product,
 )
@@ -142,13 +143,9 @@ def as_xstate(rho) -> XState:
     rho = as_matrix(rho)
     if rho.shape != (4, 4):
         raise ValueError("not a two-qubit state")
-    for i in range(4):
-        for j in range(4):
-            on_pattern = i == j or i + j == 3
-            if not on_pattern and abs(rho[i, j]) >= X_PATTERN_ATOL:
-                raise ValueError(
-                    f"matrix is not X-structured: entry ({i}, {j}) = {rho[i, j]!r}"
-                )
+    for i, j in _OFF_X_INDICES:  # row-major: the first offender is named
+        if abs(rho[i, j]) > X_PATTERN_ATOL:
+            raise ValueError(f"matrix is not X-structured: entry ({i}, {j}) = {rho[i, j]!r}")
     for i, j in ((0, 3), (1, 2)):
         if abs(rho[j, i] - np.conj(rho[i, j])) > HERMITIAN_ATOL:
             raise ValueError(

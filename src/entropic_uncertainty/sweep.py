@@ -5,16 +5,13 @@ steering operation to each evolved state, evaluates the requested quantities
 and emits rows in grid order.  Output is byte-stable across runs.
 
 ``_grid_points`` is the one route from a grid to evaluated points, for the
-sweep, ``errata_report`` and the applications.  The grid is evolved once, and
-all (steering strength, point) rows are one stack, in blocks of ``_STACK_ROWS``
-rows: Kraus operators built from the parameter array, evolution, steering and
-every value the outputs read are stacked products and column-wise spectra, and
-each stage returns a row mask of the dense pipeline's checks.  A row that passes
-every mask takes the stack's values; any other row is rebuilt alone by the dense
-pipeline when it is read, which raises that point's own error.  Each point comes
-with its steering-op and grid index.  That pipeline stays the oracle
-(``test_batched_*`` pin the stack bitwise to it).  Both evolve, steer and measure
-qubit A in ``bounds.BASES``, with qubit B as the memory.
+sweep, ``errata_report`` and the applications.  This module keeps the grid, the
+row routing and the CSV; the stacked stages live with their quantities:
+``channels._evolve`` and ``channels._steer``, then ``bounds._stacked_values``.
+The grid is evolved once, and all (steering strength, point) rows are one stack,
+in blocks of ``_STACK_ROWS`` rows; each stage returns a row mask of its checks.
+A row that passes every mask takes the stack's values; any other row is rebuilt
+alone by the one-state functions, which raise that point's own error.
 """
 
 from __future__ import annotations
@@ -26,17 +23,15 @@ from functools import partial
 import numpy as np
 
 from .bounds import (
-    BASES,
-    CAPACITY_IDENTITY_ATOL,
-    C,
     PointQuantities,
+    _stacked_values,
     ad_closed_form_u,
     bpf_closed_forms,
-    capacity_bound_form,
-    witnessed,
 )
 from .channels import (
     CHANNEL_FAMILIES,
+    _evolve,
+    _steer,
     apply_one_sided,
     apply_steering,
     d_of_t,
@@ -44,22 +39,8 @@ from .channels import (
     noise_kraus,
     weak_op,
 )
-from .linalg import (
-    COMPLETENESS_ATOL,
-    I2,
-    PAULI_Y,
-    POSTSELECT_MIN_PROB,
-    stacked_density_spectra,
-    stacked_partial_trace,
-    validate_density,
-)
-from .measures import (
-    discord_xstate_closed,
-    quantum_discord,
-    stacked_holevo,
-    stacked_measurement_minima,
-    stacked_von_neumann_entropy,
-)
+from .linalg import stacked_density_spectra
+from .measures import discord_xstate_closed, quantum_discord
 from .states import BellDiagonalCoeffs, as_xstate, bell_diagonal_density, coefficient_problems
 
 # Each output tag, with the PointQuantities values it reads, which a stack fills in.
@@ -191,99 +172,6 @@ def _noise_param(x: float, rate: float | None) -> float:
     return x if rate is None else d_of_t(rate, x)
 
 
-def _on_qubit_a(ops: np.ndarray) -> np.ndarray:
-    """``np.kron(op, I2)`` of each 2x2 operator of a (..., 2, 2) stack, by slice assignment."""
-    out = np.zeros(ops.shape[:-2] + (4, 4), dtype=complex)
-    out[..., 0::2, 0::2] = out[..., 1::2, 1::2] = ops
-    return out
-
-
-def _evolve(family: str, rho0: np.ndarray, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``apply_one_sided(noise_kraus(family, p), rho0)`` for every p, as one stack, and
-    which rows pass that pipeline's checks."""
-    with np.errstate(invalid="ignore"):  # a parameter outside [0, 1] fails the check below
-        root, co_root = np.sqrt(params), np.sqrt(1.0 - params)
-    ops = np.zeros((2, len(params), 2, 2), dtype=complex)
-    if family == "AD":  # diag(1, sqrt(1 - d)) and sqrt(d) |0><1|
-        ops[0, :, 0, 0], ops[0, :, 1, 1], ops[1, :, 0, 1] = 1.0, co_root, root
-    else:  # sqrt(p) I and sqrt(1 - p) sigma_y
-        ops[0], ops[1] = root[:, None, None] * I2, co_root[:, None, None] * PAULI_Y
-    defect = np.abs((ops.conj().swapaxes(-1, -2) @ ops).sum(axis=0) - I2).max(axis=(1, 2))
-    ok = defect <= COMPLETENESS_ATOL
-    try:
-        validate_density(rho0)  # as apply_one_sided does for every row
-    except (ValueError, ArithmeticError):
-        ok[:] = False
-    out = np.zeros((len(params), 4, 4), dtype=complex)
-    for e in _on_qubit_a(ops):
-        out += e @ rho0 @ e.conj().swapaxes(1, 2)
-    return out, ok
-
-
-def _steer(ops: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``apply_steering`` of each row's 2x2 operator ``ops[i]`` to ``states[i]``, and which
-    rows keep a usable post-selection probability; the input check is the caller's."""
-    e = _on_qubit_a(ops)
-    unnormalized = e @ states @ e.conj().swapaxes(1, 2)
-    norm = np.trace(unnormalized, axis1=1, axis2=2).real
-    kept = norm > POSTSELECT_MIN_PROB
-    return unnormalized / np.where(kept, norm, 1.0)[:, None, None], kept
-
-
-def _stacked_u(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``uncertainty_lhs`` of every state of the stack, and which rows pass its checks."""
-    u, ok = np.zeros(len(states)), np.ones(len(states), dtype=bool)
-    for basis in BASES:
-        dephased = np.zeros_like(states)
-        for e in basis.embedded:
-            dephased += e @ states @ e.conj().T
-        joint, good_joint = stacked_von_neumann_entropy(dephased)
-        memory, good_memory = stacked_von_neumann_entropy(stacked_partial_trace(dephased, "B"))
-        ok &= good_joint & good_memory
-        u += joint - memory
-    return u, ok
-
-
-def _stacked_values(states: np.ndarray, outputs) -> tuple[list[dict], np.ndarray]:
-    """The ``PointQuantities`` values ``outputs`` read, for every state of the stack,
-    bitwise as the state alone computes them, and which rows they hold for: X states
-    that pass every check and the capacity identity."""
-    names = set().union(*(_READS[tag] for tag in outputs))
-    if not names:  # nothing to vouch for: each row's PointQuantities is the dense one
-        return [{}] * len(states), np.ones(len(states), dtype=bool)
-    s_ab, ok = stacked_von_neumann_entropy(states)  # the state's checks and S(AB), one spectrum
-    cols = {}
-    if "u" in names:
-        cols["u"], good = _stacked_u(states)
-        ok &= good
-    if "witness" in names:
-        cols["witness"] = witnessed(cols["u"])
-    if names & {"berta", "mutual_information", "classical_correlation", "holevo", "capacity"}:
-        (s_a, good_a), (s_b, good_b) = (
-            stacked_von_neumann_entropy(stacked_partial_trace(states, k)) for k in "AB")
-        ok &= good_a & good_b
-        cols["berta"] = math.log2(1.0 / C) + (s_ab - s_b)
-        cols["mutual_information"] = mutual = s_a + s_b - s_ab
-        if "holevo" in names:
-            (h1, good_1), (h2, good_2) = (stacked_holevo(states, b, s_b) for b in BASES)
-            ok &= good_1 & good_2
-            cols["holevo"] = np.stack([h1, h2], axis=1)
-        if "capacity" in names:
-            bound_form = capacity_bound_form(s_a, cols["berta"])
-            ok &= np.abs(mutual - bound_form) <= CAPACITY_IDENTITY_ATOL
-            cols["capacity"] = mutual
-    rows = np.flatnonzero(ok)  # the optimizer runs on X states that passed every check
-    if "classical_correlation" in names:
-        minima = stacked_measurement_minima(states[rows], "A")
-        cols["classical_correlation"] = np.zeros(len(states))
-        cols["classical_correlation"][rows] = s_b[rows] - minima
-    if "s_min" in names:
-        cols["s_min"] = np.zeros(len(states))
-        cols["s_min"][rows] = stacked_measurement_minima(states[rows], "B")
-    values = [col.tolist() for col in cols.values()]
-    return [dict(zip(cols, row)) for row in zip(*values)], ok
-
-
 def _dense_point(family: str, rho0: np.ndarray, x: float, rate, op) -> PointQuantities:
     state = apply_one_sided(noise_kraus(family, _noise_param(x, rate)), rho0)
     return PointQuantities(state if op is None else apply_steering(op, state))
@@ -297,12 +185,13 @@ def _grid_points(family: str, rho0: np.ndarray, xs, rate, steering_ops, outputs)
     A point's state is ``rho0`` evolved through the channel at ``_noise_param(x, rate)``,
     then steered.  The grid is evolved once; its (op, point) rows are one stack, in blocks
     of ``_STACK_ROWS``.  A row that passes every check of the stack takes its values, any
-    other row is rebuilt alone by the dense pipeline, whose ``point()`` raises that
-    point's own error.
+    other row is rebuilt alone by the one-state functions (``_dense_point``), whose
+    ``point()`` raises that point's own error.
     """
     if len({op is None for op in steering_ops}) > 1:
         raise ValueError("steering_ops mixes None with steering operators")
     operators = None if steering_ops[0] is None else np.array([op.operator for op in steering_ops])
+    names = set().union(*(_READS[tag] for tag in outputs))
     params = []
     for x in xs:
         try:
@@ -323,7 +212,7 @@ def _grid_points(family: str, rho0: np.ndarray, xs, rate, steering_ops, outputs)
         if operators is not None:
             states, kept = _steer(operators[ks], states)
             ok &= kept
-        known, good = _stacked_values(states, outputs)
+        known, good = _stacked_values(states, names)
         for row, stacked in enumerate((ok & good).tolist()):
             k, i = divmod(first + row, n)
             if stacked:  # the stack's values stand in for the cached properties

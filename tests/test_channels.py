@@ -8,11 +8,13 @@ from conftest import (
     I2,
     ad_ops_oracle,
     bd_oracle,
+    bpf_ops_oracle,
     evolve_oracle,
     rand_bd_coeffs,
     spectrum_oracle,
     steer_oracle,
 )
+from entropic_uncertainty import channels
 from entropic_uncertainty.channels import (
     KrausChannel,
     SteeringOp,
@@ -22,6 +24,7 @@ from entropic_uncertainty.channels import (
     bpf_kraus,
     d_of_t,
     filter_op,
+    noise_kraus,
     weak_op,
 )
 from entropic_uncertainty.states import BellDiagonalCoeffs, as_xstate, bell_diagonal_density
@@ -209,3 +212,35 @@ def test_steering_preserves_x_structure():
         )
         out = apply_steering(weak_op(float(rng.uniform(0, 0.9))), rho)
         as_xstate(out)  # raises if the X pattern is broken
+
+
+def test_kraus_stack_on_qubit_a_equals_kron(monkeypatch):
+    # AD d = 1, BPF p in {0, 1/2, 1}, and parameters outside [0, 1] or NaN
+    embed, seen = channels._on_qubit_a, []
+
+    def recorded(ops):
+        seen.append((ops, embed(ops)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(channels, "_on_qubit_a", recorded)
+    rho0 = bell_diagonal_density(BellDiagonalCoeffs(-0.5, 0.4, 0.8))
+    params = np.array([0.0, 0.3, 0.5, 1.0, 1.5, -0.25, np.nan])
+    bad = ~((params >= 0.0) & (params <= 1.0))
+    for channel, ops_oracle in (("AD", ad_ops_oracle), ("BPF", bpf_ops_oracle)):
+        seen.clear()
+        states, ok = channels._evolve(channel, rho0, params)
+        ((ops, embedded),) = seen
+        kron = np.kron(ops, I2)
+        assert embedded.shape == kron.shape == (2, len(params), 4, 4)
+        assert (embedded[:, ~bad] == kron[:, ~bad]).all()
+        finite = np.isfinite(kron)
+        assert (embedded[finite] == kron[finite]).all()
+        assert ok.tolist() == (~bad).tolist()
+        for i in np.flatnonzero(~bad):
+            # the N-row stack equals N one-row calls bitwise, and the oracle closely
+            one_row = noise_kraus(channel, params[i])
+            assert all(np.array_equal(e, f) for e, f in zip(one_row.operators, ops[:, i]))
+            assert np.array_equal(states[i], apply_one_sided(one_row, rho0))
+            assert np.array_equal(states[i], channels._evolve(channel, rho0, params[i:i + 1])[0][0])
+            assert_allclose(states[i], evolve_oracle(ops_oracle(params[i]), rho0), atol=1e-15)
+

@@ -125,6 +125,19 @@ def test_capacity_stdout_sha256_is_pinned(capsys, argv, sha256):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
 
+@pytest.mark.parametrize(
+    ("channel", "sha256"),
+    [
+        ("AD", "be27ede3463d8cae9861e78975fa40e6d9b797a414991f3166e9896d953950a9"),
+        ("BPF", "4db7081b24f484c4c8ef3c9f3ee3c3a4269cf43ec445c1c92b2281edaab3748a"),
+    ],
+)
+def test_errata_stdout_sha256_is_pinned(capsys, channel, sha256):
+    # the default coefficients and 101 points
+    assert main(["errata", "--channel", channel]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
 def test_witness_command_no_threshold_exit_3(capsys):
     code = main(["witness", "--channel", "AD", "--c1", "0", "--c2", "0", "--c3", "0"])
     assert code == 3

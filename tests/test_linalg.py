@@ -11,6 +11,7 @@ from conftest import (
     rand_xstate_matrix,
     spectrum_oracle,
 )
+from entropic_uncertainty.channels import apply_one_sided, apply_steering, bpf_kraus, weak_op
 from entropic_uncertainty.linalg import (
     NotHermitianError,
     _eig2,
@@ -22,7 +23,16 @@ from entropic_uncertainty.linalg import (
     jacobi_eigenvalues,
     partial_trace,
     stacked_density_spectra,
+    stacked_partial_trace,
     tensor_product,
+    validate_two_qubit,
+)
+from entropic_uncertainty.measures import (
+    classical_correlation,
+    holevo_quantity,
+    min_conditional_entropy_over_measurements,
+    post_measurement_state,
+    sigma_z_basis,
 )
 
 
@@ -258,22 +268,66 @@ def _anti_diagonal_x(corner):
     return m
 
 
+def _huge_non_x():
+    m = np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex)
+    m[0, 1] = 1e308 + 1e308j
+    m[1, 0] = np.conj(m[0, 1])
+    return m
+
+
+PSD = (ValueError, "positive semidefinite")
+
+
 @pytest.mark.parametrize(
-    ("m", "message"),
+    ("m", "error"),
     [
-        ([[1e308, 0.0], [0.0, -1e308]], "positive semidefinite"),
-        ([[0.5, 1e308], [1e308, 0.5]], "positive semidefinite"),
-        ([[1e308, 1e308], [1e308, 1e308]], "positive semidefinite"),  # inf - inf: NaN
-        ([[1e308, 0.75e308], [0.75e308, -0.5e308]], "positive semidefinite"),
-        ([[1e308, 0.0], [0.0, 1e308]], "unit trace"),
-        (_anti_diagonal_x(1e308), "positive semidefinite"),
+        ([[1e308, 0.0], [0.0, -1e308]], PSD),
+        ([[0.5, 1e308], [1e308, 0.5]], PSD),
+        ([[1e308, 1e308], [1e308, 1e308]], PSD),  # inf - inf: NaN
+        ([[1e308, 0.75e308], [0.75e308, -0.5e308]], PSD),
+        ([[1e308, 0.0], [0.0, 1e308]], (ValueError, "unit trace")),
+        (_anti_diagonal_x(1e308), PSD),
+        (_huge_non_x(), (ArithmeticError, "overflow")),  # Jacobi's symmetrization
     ],
-    ids=["a-d", "2|b|", "a+d-and-2|b|", "hypot-of-finite-parts", "a+d", "x-block"],
+    ids=["a-d", "2|b|", "a+d-and-2|b|", "hypot-of-finite-parts", "a+d", "x-block", "jacobi"],
 )
-def test_huge_entries_are_rejected_without_a_warning(m, message):
+def test_huge_entries_are_rejected_without_a_warning(m, error):
     # pytest turns any warning (numpy's overflow ones included) into an error
     m = np.array(m, dtype=complex)
-    with pytest.raises(ValueError, match=message):
+    kind, message = error
+    with pytest.raises(kind, match=message):
         density_spectrum(m)
     _, ok = stacked_density_spectra(m[None])
     assert ok.tolist() == [False]
+
+
+def test_partial_trace_is_the_one_row_stack():
+    rng = np.random.RandomState(83)
+    states = np.array([rand_xstate_matrix(rng) for _ in range(20)])
+    for keep in "AB":
+        stack = stacked_partial_trace(states, keep)
+        for rho, reduced in zip(states, stack):
+            assert np.array_equal(partial_trace(rho, keep), reduced)
+            assert_allclose(reduced, ptrace_oracle(rho, keep), atol=1e-16)
+    with pytest.raises(ValueError, match="unknown subsystem tag 'C'"):
+        partial_trace(states[0], "C")
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda rho: apply_one_sided(bpf_kraus(0.3), rho),
+        lambda rho: apply_steering(weak_op(0.3), rho),
+        lambda rho: post_measurement_state(rho, sigma_z_basis()),
+        lambda rho: holevo_quantity(rho, sigma_z_basis()),
+        min_conditional_entropy_over_measurements,
+        classical_correlation,
+        validate_two_qubit,
+    ],
+    ids=["evolve", "steer", "dephase", "holevo", "s_min", "classical", "check"],
+)
+def test_two_qubit_inputs_take_one_check(fn):
+    with pytest.raises(ValueError, match="^not a two-qubit state$"):
+        fn(np.eye(2) / 2)  # a valid density, of one qubit
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        fn(np.diag([1.5, -0.5, 0.0, 0.0]))  # the density checks come first

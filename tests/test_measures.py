@@ -16,6 +16,7 @@ from conftest import (
     holevo_oracle,
     mutual_oracle,
     post_meas_oracle,
+    ptrace_oracle,
     rand_bd_coeffs,
     rand_xstate_matrix,
     shannon_oracle,
@@ -24,7 +25,13 @@ from conftest import (
 )
 from entropic_uncertainty import measures
 from entropic_uncertainty.applications import channel_capacity
-from entropic_uncertainty.linalg import PAULI_X, PAULI_Z, is_x_patterned
+from entropic_uncertainty.linalg import (
+    PAULI_X,
+    PAULI_Z,
+    NotHermitianError,
+    is_x_patterned,
+    stacked_partial_trace,
+)
 from entropic_uncertainty.measures import (
     BlochDirection,
     ProjectiveBasis,
@@ -213,6 +220,48 @@ def test_holevo_examples():
     got = holevo_quantity(FIG1, sigma_x_basis())
     assert got == pytest.approx(holevo_oracle(FIG1, PX_ORACLE), abs=1e-12)
     assert got == pytest.approx(1.0 - h2(0.25), abs=1e-12)
+
+
+def _locally_rotated(rng, rho):
+    """rho under a random unitary on each qubit: the same spectrum, not an X state."""
+    u_a, u_b = (np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+                for _ in range(2))
+    big = np.kron(u_a, u_b)
+    return big @ rho @ big.conj().T
+
+
+def test_holevo_and_dephasing_stacks_equal_one_row_calls():
+    # an N-row stack equals N one-row calls bitwise, and the oracles closely,
+    # on X states and on locally rotated (non-X) ones
+    rng = np.random.RandomState(661)
+    x_states = [rand_xstate_matrix(rng, real=k % 2 == 0) for k in range(60)]
+    states = np.array(x_states + [_locally_rotated(rng, rho) for rho in x_states[:20]])
+    assert [is_x_patterned(rho) for rho in states] == [True] * 60 + [False] * 20
+    s_memory, ok = measures.stacked_von_neumann_entropy(stacked_partial_trace(states, "B"))
+    assert ok.all()
+    for basis in (sigma_x_basis(), sigma_z_basis(), sigma_y_basis()):
+        dephased = measures.stacked_post_measurement_state(states, basis)
+        holevo, good = measures.stacked_holevo(states, basis, s_memory)
+        assert good.all()
+        for rho, pm, h in zip(states, dephased, holevo):
+            assert np.array_equal(pm, post_measurement_state(rho, basis))
+            assert h == holevo_quantity(rho, basis)
+            assert_allclose(pm, post_meas_oracle(rho, basis.projectors), atol=1e-15)
+            assert h == pytest.approx(holevo_oracle(rho, basis.projectors), abs=1e-10)
+
+
+def test_flagged_one_row_holevo_raises_the_dense_error():
+    # the A = 1 branch is kept at probability 1e-11, which turns an allowed 9e-11
+    # asymmetry of rho into one of 9 in the memory it leaves
+    rho = np.diag([0.5, 0.5 - 1e-11, 0.5e-11, 0.5e-11]).astype(complex)
+    rho[2, 3] = 0.9e-10
+    branch = np.diag([0.0, 0.0, 1.0, 1.0]) @ rho @ np.diag([0.0, 0.0, 1.0, 1.0])
+    with pytest.raises(NotHermitianError) as dense:
+        von_neumann_entropy(ptrace_oracle(branch, "B") / np.trace(branch).real)
+    with pytest.raises(NotHermitianError) as err:
+        holevo_quantity(rho, sigma_z_basis())
+    assert str(err.value) == str(dense.value)
+    assert "= 9.000e+00" in str(err.value)
 
 
 def test_min_conditional_entropy_examples():

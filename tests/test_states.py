@@ -12,7 +12,12 @@ from conftest import (
     rand_xstate_matrix,
     spectrum_oracle,
 )
-from entropic_uncertainty.linalg import partial_trace
+from entropic_uncertainty.linalg import (
+    X_PATTERN_ATOL,
+    is_x_patterned,
+    partial_trace,
+    stacked_density_spectra,
+)
 from entropic_uncertainty.states import (
     BellDiagonalCoeffs,
     XState,
@@ -102,6 +107,21 @@ def test_as_xstate_rejects_off_pattern():
     rho = np.eye(4, dtype=complex) / 4
     rho[0, 1] = rho[1, 0] = 0.01
     with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        as_xstate(rho)
+
+
+def test_x_pattern_tolerance_is_one_definition():
+    # an off-pattern entry of exactly X_PATTERN_ATOL is accepted by all three checks
+    rho = np.eye(4, dtype=complex) / 4
+    rho[0, 1] = rho[1, 0] = rho[3, 2] = rho[2, 3] = X_PATTERN_ATOL
+    assert is_x_patterned(rho)
+    assert stacked_density_spectra(rho[None])[1].tolist() == [True]
+    assert as_xstate(rho).populations() == (0.25, 0.25, 0.25, 0.25)
+    # and the next float above it by none; as_xstate names the first entry row by row
+    rho[3, 2] = rho[2, 3] = rho[1, 0] = np.nextafter(X_PATTERN_ATOL, 1.0)
+    assert not is_x_patterned(rho)
+    assert stacked_density_spectra(rho[None])[1].tolist() == [False]
+    with pytest.raises(ValueError, match=r"entry \(1, 0\)"):
         as_xstate(rho)
 
 

@@ -3,8 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from conftest import I2, SX, SZ, rand_bd_coeffs
-from entropic_uncertainty import bounds, sweep
+from conftest import (
+    I2,
+    SX,
+    SZ,
+    ad_ops_oracle,
+    bpf_ops_oracle,
+    evolve_oracle,
+    rand_bd_coeffs,
+    steer_oracle,
+    u_oracle,
+)
+from entropic_uncertainty import bounds, channels, sweep
 from entropic_uncertainty.applications import channel_capacity
 from entropic_uncertainty.bounds import PointQuantities, bound_report, uncertainty_lhs
 from entropic_uncertainty.channels import (
@@ -211,8 +221,8 @@ def test_numeric_error_locates_the_steered_point(monkeypatch):
     stacked = sweep._stacked_values
     blocks = []
 
-    def strength_0_4_row_1_flagged(states, outputs):
-        blocks.append(stacked(states, outputs))
+    def strength_0_4_row_1_flagged(states, names):
+        blocks.append(stacked(states, names))
         # rows 0-2 are strength 0.0, rows 3-5 strength 0.4 (one stack);
         # as when the stack's capacity identity check fails
         blocks[-1][1][3 + 1] = False
@@ -231,8 +241,11 @@ def test_numeric_error_locates_the_steered_point(monkeypatch):
     state = _dense_state("AD", bell_diagonal_density(cfg.coeffs()), 0.5, "weak", 0.4)
     capacity = channel_capacity(state)
     assert rows[4].quantities == (("capacity", capacity),)
-    # only the flagged row, grid index 1 at strength 0.4, takes the dense check
-    monkeypatch.setattr(bounds, "capacity_bound_form", lambda *args: -1.0)
+    # only the flagged row, grid index 1 at strength 0.4, takes the dense check: that
+    # check (on floats) fails, the stack's (on arrays) holds
+    form = bounds.capacity_bound_form
+    monkeypatch.setattr(bounds, "capacity_bound_form",
+                        lambda s, b: form(s, b) if isinstance(b, np.ndarray) else -1.0)
     blocks.clear()
     with pytest.raises(NumericError) as err:
         run_sweep(cfg)
@@ -241,8 +254,8 @@ def test_numeric_error_locates_the_steered_point(monkeypatch):
         f"capacity forms disagree: {capacity!r} vs -1.0"
     )
 
-    def nan_capacity(states, outputs):
-        known, ok = stacked(states, outputs)
+    def nan_capacity(states, names):
+        known, ok = stacked(states, names)
         known[0]["capacity"] = float("nan")
         return known, ok
 
@@ -263,13 +276,13 @@ def test_shared_correlations_run_once_per_point(monkeypatch):
         monkeypatch.setattr(bounds, name, counted)
     stacked = []  # (batched entry point, rows it evaluated)
     for name in ("stacked_von_neumann_entropy", "stacked_holevo", "stacked_measurement_minima"):
-        original = getattr(sweep, name)
+        original = getattr(bounds, name)
 
         def counted_stack(states, *args, _name=name, _original=original):
             stacked.append((_name, len(states), *(a for a in args if isinstance(a, str))))
             return _original(states, *args)
 
-        monkeypatch.setattr(sweep, name, counted_stack)
+        monkeypatch.setattr(bounds, name, counted_stack)
     cfg = small_cfg(outputs=("pati", "adabi", "discord", "tightness"), param_points=4)
     run_sweep(cfg)
     # S(AB), S(A), S(B) once, the dephased joint and memory entropies once per basis,
@@ -292,6 +305,7 @@ def _dense_state(channel, rho0, param, kind, strength):
 
 
 def test_batched_u_equals_dense():
+    # an N-row stack equals N one-row calls bitwise, and the conftest oracles closely;
     # each grid holds the boundary points: AD d = 1, BPF p in {0, 1/2, 1}
     rng = np.random.RandomState(607)
     triples = [(-1.0, 1.0, 1.0), (0.0, 0.0, 0.0)] + [rand_bd_coeffs(rng) for _ in range(6)]
@@ -302,7 +316,8 @@ def test_batched_u_equals_dense():
         for channel, rate in (("AD", None), ("BPF", None), ("AD", 0.4)):
             grid = np.linspace(0.0, 1.0 if rate is None else 10.0, 5)
             params = grid if rate is None else np.array([d_of_t(rate, t) for t in grid])
-            evolved, evolved_ok = sweep._evolve(channel, rho0, params)
+            evolved, evolved_ok = channels._evolve(channel, rho0, params)
+            ops_oracle = ad_ops_oracle if channel == "AD" else bpf_ops_oracle
             for kind, strengths in steerings:
                 cfg = SweepConfig(
                     channel, *coeffs, 0.0, grid[-1], 5,
@@ -318,46 +333,23 @@ def test_batched_u_equals_dense():
                         op = filter_op(s) if kind == "filter" else weak_op(s)
                         # one operator per row; the input check is the caller's
                         ops = np.broadcast_to(op.operator, (len(evolved), 2, 2))
-                        states, steered_ok = sweep._steer(ops, evolved)
+                        states, steered_ok = channels._steer(ops, evolved)
                         steered_ok &= stacked_density_spectra(evolved)[1]
-                    us, ok = sweep._stacked_u(states)
+                    us, ok = bounds._stacked_u(states)
                     assert evolved_ok.all() and steered_ok.all() and ok.all()
                     for i, param in enumerate(params):
-                        dense = _dense_state(channel, rho0, float(param), kind, s)
-                        u = uncertainty_lhs(dense)
-                        assert np.array_equal(states[i], dense), (coeffs, channel, rate, s, i)
+                        one_row = _dense_state(channel, rho0, float(param), kind, s)
+                        u = uncertainty_lhs(one_row)
+                        assert np.array_equal(states[i], one_row), (coeffs, channel, rate, s, i)
                         assert us[i] == u
                         assert next(rows).quantities == (("u", u),)
+                        oracle = evolve_oracle(ops_oracle(param), rho0)
+                        if kind is not None:
+                            oracle = steer_oracle(oracle, op.operator)
+                        np.testing.assert_allclose(states[i], oracle, rtol=0.0, atol=1e-14)
+                        assert u == pytest.approx(u_oracle(oracle), abs=1e-10)
                         compared += 1
     assert compared == len(triples) * 3 * 7 * 5
-
-
-def test_kraus_stack_on_qubit_a_equals_kron(monkeypatch):
-    # AD d = 1, BPF p in {0, 1/2, 1}, and parameters outside [0, 1] or NaN
-    embed, seen = sweep._on_qubit_a, []
-
-    def recorded(ops):
-        seen.append((ops, embed(ops)))
-        return seen[-1][1]
-
-    monkeypatch.setattr(sweep, "_on_qubit_a", recorded)
-    rho0 = bell_diagonal_density(BellDiagonalCoeffs(-0.5, 0.4, 0.8))
-    params = np.array([0.0, 0.3, 0.5, 1.0, 1.5, -0.25, np.nan])
-    bad = ~((params >= 0.0) & (params <= 1.0))
-    for channel in ("AD", "BPF"):
-        seen.clear()
-        states, ok = sweep._evolve(channel, rho0, params)
-        ((ops, embedded),) = seen
-        kron = np.kron(ops, I2)
-        assert embedded.shape == kron.shape == (2, len(params), 4, 4)
-        assert (embedded[:, ~bad] == kron[:, ~bad]).all()
-        finite = np.isfinite(kron)
-        assert (embedded[finite] == kron[finite]).all()
-        assert ok.tolist() == (~bad).tolist()
-        for i in np.flatnonzero(~bad):
-            dense = apply_one_sided(noise_kraus(channel, params[i]), rho0)
-            assert np.array_equal(states[i], sum(e @ rho0 @ e.conj().T for e in kron[:, i]))
-            assert np.array_equal(states[i], dense)
 
 
 def _dense_columns(state):
@@ -375,8 +367,8 @@ def _recording_stack(monkeypatch):
     """Record, per stack, which rows ``_stacked_values`` leaves to the dense path."""
     stacked, flagged = sweep._stacked_values, []
 
-    def recorded(states, outputs):
-        known, ok = stacked(states, outputs)
+    def recorded(states, names):
+        known, ok = stacked(states, names)
         flagged.append(np.flatnonzero(~ok).tolist())
         return known, ok
 
@@ -448,9 +440,9 @@ def test_steered_sweep_is_one_stack_in_blocks(monkeypatch):
     sizes = []
     stacked = sweep._stacked_values
 
-    def counted(states, outputs):
+    def counted(states, names):
         sizes.append(len(states))
-        return stacked(states, outputs)
+        return stacked(states, names)
 
     monkeypatch.setattr(sweep, "_stacked_values", counted)
     long_grid = small_cfg(param_points=400, steering_kind="weak",
@@ -489,7 +481,7 @@ def test_grid_points_reject_a_mix_of_none_and_operators():
 def test_non_x_rows_take_the_dense_u(monkeypatch):
     h = np.kron(I2, (SX + SZ) / np.sqrt(2.0))  # a Hadamard on the memory qubit
     x_state = bell_diagonal_density(BellDiagonalCoeffs(-0.5, 0.4, 0.8))
-    us, ok = sweep._stacked_u(np.array([x_state, h @ x_state @ h, x_state]))
+    us, ok = bounds._stacked_u(np.array([x_state, h @ x_state @ h, x_state]))
     assert us[0] == us[2] == uncertainty_lhs(x_state)
     assert ok.tolist() == [True, False, True]
 
