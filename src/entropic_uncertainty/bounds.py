@@ -14,7 +14,9 @@ at most once.  ``_stacked_values`` fills in the entropy-only values and the
 optimizer minima for a whole X-state stack at once, bitwise as each state alone
 would compute them; the formulas here derive the rest.  ``uncertainty_lhs``
 stays a per-point chain of scalar spectra for point-at-a-time callers (the
-witness bisection); ``_stacked_u`` is its stack.
+witness bisection): it checks the state once, then takes each basis's two
+entropies, five spectra for an X state.  ``_stacked_u`` is its stack, with
+both bases' dephased states in one (2N, 4, 4) stack.
 
 The numerical pipeline (build state, evolve, measure, take entropies) is the
 ground truth everywhere.  The closed-form evolved spectra are exact and used
@@ -31,12 +33,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import BOUND_ORDER_ATOL, partial_trace, stacked_partial_trace, validate_density
+from .linalg import BOUND_ORDER_ATOL, partial_trace, stacked_partial_trace, validate_two_qubit
 from .measures import (
     ProjectiveBasis,
+    _entropy_after_measurement,
     binary_entropy,
     classical_correlation,
-    conditional_entropy_after_measurement,
     discord_from,
     holevo_quantity,
     min_conditional_entropy_over_measurements,
@@ -71,10 +73,9 @@ C = complementarity_c(*BASES)
 
 
 def uncertainty_lhs(rho) -> float:
-    """S(sigma_x | B) + S(sigma_z | B), the measured uncertainty."""
-    return conditional_entropy_after_measurement(
-        rho, BASES[0]
-    ) + conditional_entropy_after_measurement(rho, BASES[1])
+    """S(sigma_x | B) + S(sigma_z | B), the measured uncertainty; rho is checked once."""
+    rho = validate_two_qubit(rho)
+    return _entropy_after_measurement(rho, BASES[0]) + _entropy_after_measurement(rho, BASES[1])
 
 
 def berta_bound(rho) -> float:
@@ -158,15 +159,14 @@ class PointQuantities:
 
 
 def _stacked_u(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``uncertainty_lhs`` of every state of the stack, and which rows pass its checks."""
-    u, ok = np.zeros(len(states)), np.ones(len(states), dtype=bool)
-    for basis in BASES:
-        dephased = stacked_post_measurement_state(states, basis)
-        joint, good_joint = stacked_von_neumann_entropy(dephased)
-        memory, good_memory = stacked_von_neumann_entropy(stacked_partial_trace(dephased, "B"))
-        ok &= good_joint & good_memory
-        u += joint - memory
-    return u, ok
+    """``uncertainty_lhs`` of every state of the stack, and which rows pass its checks; both
+    bases' dephased states are one (2N, 4, 4) stack, whose rows do not depend on position."""
+    n = len(states)
+    dephased = np.concatenate([stacked_post_measurement_state(states, b) for b in BASES])
+    joint, good_joint = stacked_von_neumann_entropy(dephased)
+    memory, good_memory = stacked_von_neumann_entropy(stacked_partial_trace(dephased, "B"))
+    per_basis, ok = joint - memory, good_joint & good_memory
+    return per_basis[:n] + per_basis[n:], ok[:n] & ok[n:]
 
 
 def _stacked_values(states: np.ndarray, names: set[str]) -> tuple[list[dict], np.ndarray]:
@@ -238,7 +238,7 @@ class BoundReport:
 
 def bound_report(rho) -> BoundReport:
     """Evaluate the uncertainty, all three bounds and the correlation measures."""
-    q = PointQuantities(validate_density(rho))
+    q = PointQuantities(validate_two_qubit(rho))
     return BoundReport(
         u_lhs=q.u,
         berta=q.berta,

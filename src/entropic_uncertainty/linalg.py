@@ -3,7 +3,8 @@
 Deliberately self-contained: spectra come from closed forms (quadratic formula
 for 2x2 blocks, anti-diagonal block split for X-shaped 4x4 matrices) with a
 cyclic Jacobi fallback, so results are exact and deterministic for the matrices
-this package actually produces.
+this package actually produces.  One matrix's checks and closed forms run on
+its entries as Python numbers, a stack's on whole columns.
 """
 
 from __future__ import annotations
@@ -109,9 +110,10 @@ def _eig2_columns(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> list[np.ndarra
 _OFF_X_INDICES = ((0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2))
 
 
-def is_x_patterned(m: np.ndarray, atol: float = X_PATTERN_ATOL) -> bool:
-    """True when every entry outside the main/anti diagonal is below atol."""
-    return all(abs(m[i, j]) <= atol for i, j in _OFF_X_INDICES)
+def is_x_patterned(m, atol: float = X_PATTERN_ATOL) -> bool:
+    """True when every entry m[i][j] (array or nested lists) off the main/anti diagonal is
+    below atol."""
+    return all(abs(m[i][j]) <= atol for i, j in _OFF_X_INDICES)
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:
@@ -119,25 +121,26 @@ def hermitian_eigenvalues(m) -> np.ndarray:
 
     1x1 and 2x2 are solved by the quadratic formula, X-shaped 4x4 matrices by
     splitting into the {|00>, |11>} and {|01>, |10>} blocks; anything else
-    falls back to cyclic Jacobi rotations converged to ``EIG_ATOL``.
+    falls back to cyclic Jacobi rotations converged to ``EIG_ATOL``.  The
+    Hermitian check, the X-pattern test and the sort run on Python numbers.
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix is not square: {m.shape}")
-    asym = max_asymmetry(m)
+    n, e = m.shape[0], m.tolist()  # Python numbers: no numpy scalar warnings
+    asym = max(abs(e[i][j] - e[j][i].conjugate()) for i in range(n) for j in range(i, n))
     if asym > HERMITIAN_ATOL:
         raise NotHermitianError(asym)
-    n, e = m.shape[0], m.tolist()  # Python numbers: no numpy scalar warnings
     if n == 1:
         vals = [e[0][0].real]
     elif n == 2:
-        vals = list(_eig2(e[0][0].real, e[1][1].real, e[0][1]))
-    elif n == 4 and is_x_patterned(m):
-        vals = list(_eig2(e[0][0].real, e[3][3].real, e[0][3]))
-        vals += list(_eig2(e[1][1].real, e[2][2].real, e[1][2]))
+        vals = _eig2(e[0][0].real, e[1][1].real, e[0][1])
+    elif n == 4 and is_x_patterned(e):
+        vals = (_eig2(e[0][0].real, e[3][3].real, e[0][3])
+                + _eig2(e[1][1].real, e[2][2].real, e[1][2]))
     else:
         return jacobi_eigenvalues(m)
-    return np.sort(np.array(vals))[::-1]
+    return np.array(sorted(vals, reverse=True))
 
 
 def jacobi_eigenvalues(m) -> np.ndarray:

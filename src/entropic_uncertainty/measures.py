@@ -99,30 +99,27 @@ def binary_entropy(q: float) -> float:
     return out
 
 
-def shannon_entropy(probabilities) -> float:
-    """Shannon entropy in bits; zero probabilities contribute nothing."""
-    p = np.asarray(probabilities, dtype=float)
-    if p.size and float(p.min()) < -PSD_ATOL:
-        raise ValueError(f"negative probability {float(p.min())!r}")
-    total = float(p.sum())
-    if abs(total - 1.0) > TRACE_ATOL:
-        raise ValueError(f"probabilities sum to {total!r}, expected 1")
-    p = np.clip(p, 0.0, 1.0)
-    mask = p > 0.0
-    return float(-(p[mask] * np.log2(p[mask])).sum())
+def _spectrum_entropy(p: np.ndarray) -> np.ndarray:
+    """Entropy in bits along the last axis of clamped, descending spectra: a zero eigenvalue
+    adds 0.0 at the end of the sum, so one spectrum gets the same bits alone or in a stack."""
+    return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
 
 
 def von_neumann_entropy(rho) -> float:
-    """Entropy in bits of a density matrix's spectrum."""
-    return shannon_entropy(density_spectrum(rho))
+    """Entropy in bits of a density matrix's spectrum, whose clamped trace must stay 1."""
+    p = density_spectrum(rho)
+    total = float(p.sum())
+    if abs(total - 1.0) > TRACE_ATOL:
+        raise ValueError(f"probabilities sum to {total!r}, expected 1")
+    return float(_spectrum_entropy(p))
 
 
 def stacked_von_neumann_entropy(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``von_neumann_entropy`` of each matrix of an (N, 2, 2) or (N, 4, 4) stack, and which
-    rows pass its checks; a zero eigenvalue adds 0.0, so rows are bitwise the dense ones."""
+    rows pass its checks, bitwise as the dense one."""
     p, ok = stacked_density_spectra(m)
     ok &= np.abs(p.sum(axis=1) - 1.0) <= TRACE_ATOL
-    return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=1), ok
+    return _spectrum_entropy(p), ok
 
 
 @dataclass(frozen=True)
@@ -203,10 +200,15 @@ def post_measurement_state(rho, basis: ProjectiveBasis) -> np.ndarray:
     return stacked_post_measurement_state(validate_two_qubit(rho), basis)
 
 
+def _entropy_after_measurement(rho: np.ndarray, basis: ProjectiveBasis) -> float:
+    """``conditional_entropy_after_measurement`` of a state that passed ``validate_two_qubit``."""
+    pm = stacked_post_measurement_state(rho, basis)
+    return von_neumann_entropy(pm) - von_neumann_entropy(stacked_partial_trace(pm, "B"))
+
+
 def conditional_entropy_after_measurement(rho, basis: ProjectiveBasis) -> float:
     """S(measured A | B) = S(post-measurement state) - S(memory B)."""
-    pm = post_measurement_state(rho, basis)
-    return von_neumann_entropy(pm) - von_neumann_entropy(partial_trace(pm, "B"))
+    return _entropy_after_measurement(validate_two_qubit(rho), basis)
 
 
 def quantum_conditional_entropy(rho) -> float:

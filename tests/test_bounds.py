@@ -15,6 +15,7 @@ from conftest import (
     spmc_satisfied,
     u_oracle,
 )
+from entropic_uncertainty import bounds, linalg, measures
 from entropic_uncertainty.bounds import (
     BoundReport,
     ad_closed_form_spectrum,
@@ -26,13 +27,17 @@ from entropic_uncertainty.bounds import (
     complementarity_c,
     uncertainty_lhs,
 )
+from entropic_uncertainty.channels import apply_steering, weak_op
+from entropic_uncertainty.linalg import NotHermitianError, density_spectrum
 from entropic_uncertainty.measures import (
     BlochDirection,
     bloch_basis,
+    conditional_entropy_after_measurement,
     min_conditional_entropy_over_measurements,
     quantum_discord,
     sigma_x_basis,
     sigma_z_basis,
+    von_neumann_entropy,
 )
 from entropic_uncertainty.states import BellDiagonalCoeffs
 
@@ -59,6 +64,115 @@ def test_uncertainty_lhs_examples():
     assert uncertainty_lhs(BELL) == pytest.approx(0.0, abs=1e-12)
     assert uncertainty_lhs(MIXED) == pytest.approx(2.0, abs=1e-12)
     assert uncertainty_lhs(FIG1) == pytest.approx(u_oracle(FIG1), abs=1e-12)
+
+
+# --- the per-point chain: spectrum -> entropy -> uncertainty_lhs ---------------------
+
+CHAIN = {
+    "density_spectrum": density_spectrum,
+    "von_neumann_entropy": von_neumann_entropy,
+    "conditional_entropy_after_measurement": lambda m: conditional_entropy_after_measurement(m, BX),
+    "uncertainty_lhs": uncertainty_lhs,
+}
+
+
+def _state(diagonal, entries=()):
+    m = np.diag(diagonal).astype(complex)
+    for (i, j), v in entries:
+        m[i, j] = v
+    return m
+
+
+QUARTERS = (0.25,) * 4
+NOT_PSD = "matrix is not positive semidefinite (eigenvalue {})"
+# (state, the error each function of CHAIN raises, the functions that return a value
+# instead); pinned from the chain before it checked each state once, so that moved no error
+BAD_INPUTS = {
+    "non-hermitian": (
+        _state((0.4, 0.3, 0.2, 0.1), [((0, 3), 1e-3)]),
+        (NotHermitianError, "matrix is not Hermitian (max |M - M^dagger| = 1.000e-03)"), ()),
+    "non-psd": (_state((0.6, 0.5, 0.0, -0.1)), (ValueError, NOT_PSD.format("-1.000e-01")), ()),
+    "nan-eigenvalue": (  # a + d overflows, and inf - inf is NaN
+        _state((1e308, 0.0, 0.0, 1e308), [((0, 3), 1e308), ((3, 0), 1e308)]),
+        (ValueError, NOT_PSD.format("nan")), ()),
+    "trace-off": (
+        _state((0.8, 0.6, 0.4, 0.2)),
+        (ValueError, "matrix does not have unit trace (trace 1.9999999999999998)"), ()),
+    "clamped-trace-off": (  # the spectrum passes; clamping it to [0, 1] moves the trace
+        _state((0.5, 0.5 + 1.8e-9, -0.9e-9, -0.9e-9)),
+        (ValueError, "probabilities sum to 1.0000000018000001, expected 1"),
+        ("density_spectrum", "conditional_entropy_after_measurement")),
+    "3x3": (np.eye(3, dtype=complex) / 3.0, (ValueError, "not a two-qubit state"),
+            ("density_spectrum", "von_neumann_entropy")),
+    "non-finite": (
+        _state((0.4, 0.3, 0.2, 0.1), [((1, 1), np.inf)]),
+        (ValueError, "matrix has non-finite entries"), ()),
+    "huge-x-block": (
+        _state(QUARTERS, [((0, 3), 1e308), ((3, 0), 1e308)]),
+        (ValueError, NOT_PSD.format("-inf")), ()),
+    "huge-diagonal": (_state((1e308, 0.0, 0.0, -1e308)), (ValueError, NOT_PSD.format("-inf")), ()),
+    "huge-non-x": (  # Jacobi's symmetrization overflows
+        _state(QUARTERS, [((0, 1), 1e308 + 1e308j), ((1, 0), 1e308 - 1e308j)]),
+        (FloatingPointError, "overflow encountered in add"), ()),
+}
+
+
+@pytest.mark.parametrize(("m", "error", "returns"), BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_chain_errors_are_pinned(m, error, returns):
+    kind, text = error
+    for name, call in CHAIN.items():
+        if name in returns:
+            call(m)
+            continue
+        with pytest.raises(kind) as err:
+            call(m)
+        assert (type(err.value), str(err.value)) == (kind, text), name
+
+
+def test_huge_asymmetric_entries_raise_without_a_warning():
+    # 1e308 - conj(-1e308) overflows to inf as a Python number, with no numpy warning
+    m = _state(QUARTERS, [((0, 3), 1e308), ((3, 0), -1e308)])
+    for call in CHAIN.values():
+        with pytest.raises(NotHermitianError, match=r"= inf\)$"):
+            call(m)
+
+
+def test_uncertainty_lhs_checks_the_state_once(monkeypatch):
+    shapes = []
+
+    def counted(m):
+        shapes.append(m.shape)
+        return real(m)
+
+    real = linalg.density_spectrum
+    monkeypatch.setattr(linalg, "density_spectrum", counted)
+    monkeypatch.setattr(measures, "density_spectrum", counted)
+    uncertainty_lhs(FIG1)
+    # rho once, then per basis the dephased state and the memory it leaves
+    assert shapes == [(4, 4), (4, 4), (2, 2), (4, 4), (2, 2)]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_uncertainty_lhs_is_the_one_row_stack():
+    rng = np.random.RandomState(1013)
+    states = []
+    for coeffs in [(-1.0, 1.0, 1.0), (0.0, 0.0, 0.0)] + [rand_bd_coeffs(rng) for _ in range(8)]:
+        rho0 = bd_oracle(*coeffs)
+        for ops in ([ad_ops_oracle(d) for d in (0.0, 0.37, 1.0)]
+                    + [bpf_ops_oracle(p) for p in (0.0, 0.5, 1.0)]):
+            evolved = evolve_oracle(ops, rho0)
+            states += [evolved] + [apply_steering(weak_op(s), evolved) for s in (0.9, 0.999999)]
+    states += [rand_xstate_matrix(rng, real=k % 2 == 0) for k in range(40)]
+    us, ok = bounds._stacked_u(np.array(states))
+    assert ok.all()
+    for rho, u in zip(states, us):
+        one, one_ok = bounds._stacked_u(rho[None])
+        assert one_ok[0]
+        assert _bits(one[0]) == _bits(u) == _bits(uncertainty_lhs(rho))
+        assert u == pytest.approx(u_oracle(rho), abs=1e-10)
 
 
 def test_berta_examples():

@@ -46,7 +46,6 @@ from entropic_uncertainty.measures import (
     post_measurement_state,
     quantum_conditional_entropy,
     quantum_discord,
-    shannon_entropy,
     sigma_x_basis,
     sigma_z_basis,
     von_neumann_entropy,
@@ -61,19 +60,19 @@ MIXED = np.eye(4, dtype=complex) / 4
 H4_FIG1 = 1.2802737180484143
 
 
-def test_shannon_entropy_examples():
-    assert shannon_entropy([1.0, 0.0]) == 0.0
-    assert shannon_entropy([0.5, 0.5]) == pytest.approx(1.0, abs=1e-15)
-    got = shannon_entropy([0.675, 0.225, 0.075, 0.025])
+def test_entropy_of_a_diagonal_state_is_its_shannon_entropy():
+    assert von_neumann_entropy(np.diag([1.0, 0.0])) == 0.0
+    assert von_neumann_entropy(np.diag([0.5, 0.5])) == pytest.approx(1.0, abs=1e-15)
+    got = von_neumann_entropy(np.diag([0.675, 0.225, 0.075, 0.025]))
     assert got == pytest.approx(H4_FIG1, abs=1e-12)
     assert got == pytest.approx(shannon_oracle([0.675, 0.225, 0.075, 0.025]), abs=1e-14)
 
 
-def test_shannon_entropy_errors():
-    with pytest.raises(ValueError, match="negative"):
-        shannon_entropy([1.1, -0.1])
-    with pytest.raises(ValueError, match="sum"):
-        shannon_entropy([0.4, 0.4])
+def test_von_neumann_entropy_errors():
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        von_neumann_entropy(np.diag([1.1, -0.1]))
+    with pytest.raises(ValueError, match="unit trace"):
+        von_neumann_entropy(np.diag([0.4, 0.4]))
 
 
 def test_binary_entropy():

@@ -285,12 +285,12 @@ def test_shared_correlations_run_once_per_point(monkeypatch):
         monkeypatch.setattr(bounds, name, counted_stack)
     cfg = small_cfg(outputs=("pati", "adabi", "discord", "tightness"), param_points=4)
     run_sweep(cfg)
-    # S(AB), S(A), S(B) once, the dephased joint and memory entropies once per basis,
-    # one Holevo quantity per basis and the measurement optimizer on qubit A once
+    # S(AB), S(A), S(B) once, the dephased joint and memory entropies of both bases as one
+    # stack each, one Holevo quantity per basis and the measurement optimizer on qubit A once
     entropy = ("stacked_von_neumann_entropy", 4)
-    assert sorted(stacked) == sorted(
-        [entropy] * 7 + [("stacked_holevo", 4)] * 2 + [("stacked_measurement_minima", 4, "A")]
-    )
+    both_bases = ("stacked_von_neumann_entropy", 8)
+    assert sorted(stacked) == sorted([entropy] * 3 + [both_bases] * 2 + [("stacked_holevo", 4)] * 2
+                                     + [("stacked_measurement_minima", 4, "A")])
     assert dense == {"mutual_information": 0, "classical_correlation": 0}
     bound_report(bell_diagonal_density(BellDiagonalCoeffs(-0.5, 0.4, 0.8)))
     assert dense == {"mutual_information": 1, "classical_correlation": 1}
