@@ -13,7 +13,9 @@ import functools
 import math
 import re
 import sys
-from dataclasses import fields, replace
+import types
+from dataclasses import MISSING, fields, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -38,150 +40,105 @@ EXIT_IO = 4
 FIG1_COEFFS = (-0.5, 0.4, 0.8)
 MAX_PURITY_WITNESS = (-1.0, 1.0, 1.0)
 MAX_PURITY_CAPACITY = (1.0, 1.0, -1.0)
-PRESET_NAMES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6")
-# figure: channel and the filter and weak-measurement strengths of its curves
-STEERING_PRESETS = {
-    "fig3": ("AD", {"filter": (0.2, 0.3, 0.4, 0.5), "weak": (0.0, 0.4, 0.6, 0.8)}),
-    "fig4": ("BPF", {"filter": (0.1, 0.25, 0.5), "weak": (0.0, 0.4, 0.7)}),
+
+# figure: the sweeps whose rows it plots, in order (SweepConfig's grid unless set)
+PRESETS = {
+    "fig1": (SweepConfig("AD", *FIG1_COEFFS),),
+    "fig2": (SweepConfig("BPF", *FIG1_COEFFS),),
+    "fig3": tuple(
+        SweepConfig("AD", *FIG1_COEFFS, steering_kind=kind, steering_strengths=s, outputs=("u",))
+        for kind, s in (("filter", (0.2, 0.3, 0.4, 0.5)), ("weak", (0.0, 0.4, 0.6, 0.8)))
+    ),
+    "fig4": tuple(
+        SweepConfig("BPF", *FIG1_COEFFS, steering_kind=kind, steering_strengths=s, outputs=("u",))
+        for kind, s in (("filter", (0.1, 0.25, 0.5)), ("weak", (0.0, 0.4, 0.7)))
+    ),
+    "fig5": tuple(
+        SweepConfig(channel, *MAX_PURITY_WITNESS, steering_kind="weak",
+                    steering_strengths=(0.0, 0.4, 0.8), outputs=("u", "witness"))
+        for channel in ("AD", "BPF")
+    ),
+    "fig6": tuple(
+        SweepConfig("AD", *MAX_PURITY_CAPACITY, param_stop=10.0, rate_lambda=rate,
+                    outputs=("capacity",))
+        for rate in (0.1, 0.3, 0.7)
+    ) + (SweepConfig("BPF", *MAX_PURITY_CAPACITY, outputs=("capacity",)),),
+}
+PRESET_NAMES = tuple(PRESETS)
+
+
+def _list_of(item):
+    return lambda text: tuple(item(tok.strip()) for tok in text.split(",") if tok.strip())
+
+
+# The reader of each SweepConfig field type, and what a value it rejects is not.
+_READERS = {
+    str: (str, None),
+    float: (float, "a number"),
+    int: (int, "an integer"),
+    tuple[float, ...]: (_list_of(float), "a list of numbers"),
+    tuple[str, ...]: (_list_of(str), None),
 }
 
-_CONFIG_KEYS = {field.name for field in fields(SweepConfig)}
+
+def _field_reader(hint):
+    """The reader of a field typed ``hint``, ``X | None`` as ``X``; no reader is a KeyError."""
+    return _READERS[get_args(hint)[0] if isinstance(hint, types.UnionType) else hint]
+
+
+_FIELD_READERS = {name: _field_reader(hint) for name, hint in get_type_hints(SweepConfig).items()}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> SweepConfig:
-    """Parse the flat key = value sweep format; '#' starts a comment."""
+    """Parse the flat key = value sweep format; '#' starts a comment.  The keys are
+    SweepConfig's fields, each read by its type; unset keys take its defaults."""
     problems: list[str] = []
-    pairs: dict[str, str] = {}
+    values: dict[str, object] = {}
+    given: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
             problems.append(f"{source}:{lineno}: expected 'key = value', got {line!r}")
-            continue
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        elif key not in _FIELD_READERS:
             problems.append(f"{source}:{lineno}: unknown key {key!r}")
-            continue
-        if key in pairs:
+        elif key in given:
             problems.append(f"{source}:{lineno}: duplicate key {key!r}")
-            continue
-        pairs[key] = value
-
-    def get_float(key: str, default=None):
-        if key not in pairs:
-            if default is None:
-                problems.append(f"{source}: missing required key {key!r}")
-            return default
-        try:
-            return float(pairs[key])
-        except ValueError:
-            problems.append(f"{source}: key {key!r} = {pairs[key]!r} is not a number")
-            return default
-
-    channel = pairs.get("channel", "")
-    if "channel" not in pairs:
-        problems.append(f"{source}: missing required key 'channel'")
-    c1 = get_float("c1")
-    c2 = get_float("c2")
-    c3 = get_float("c3")
-    start = get_float("param_start", 0.0)
-    stop = get_float("param_stop", 1.0)
-    points = 0
-    if "param_points" in pairs:
-        try:
-            points = int(pairs["param_points"])
-        except ValueError:
-            problems.append(
-                f"{source}: key 'param_points' = {pairs['param_points']!r} is not an integer"
-            )
-    else:
-        points = 101
-    rate = get_float("rate_lambda", None) if "rate_lambda" in pairs else None
-    kind = pairs.get("steering_kind")
-    strengths: tuple[float, ...] = ()
-    raw_strengths = pairs.get("steering_strengths")
-    if raw_strengths is not None:
-        try:
-            strengths = tuple(float(tok) for tok in raw_strengths.split(",") if tok.strip())
-        except ValueError:
-            problems.append(f"{source}: bad steering strength list {raw_strengths!r}")
-    outputs = tuple(
-        tok.strip() for tok in pairs.get("outputs", "u,berta,pati,adabi").split(",") if tok.strip()
-    )
+        else:
+            given.add(key)
+            read, what = _FIELD_READERS[key]
+            try:
+                values[key] = read(value)
+            except ValueError:
+                problems.append(f"{source}:{lineno}: key {key!r} = {value!r} is not {what}")
+    problems += [
+        f"{source}: missing required key {field.name!r}"
+        for field in fields(SweepConfig) if field.default is MISSING and field.name not in given
+    ]
     if problems:
         raise ConfigError(problems)
-    cfg = SweepConfig(
-        channel=channel,
-        c1=c1,
-        c2=c2,
-        c3=c3,
-        param_start=start,
-        param_stop=stop,
-        param_points=points,
-        steering_kind=kind,
-        steering_strengths=strengths,
-        rate_lambda=rate,
-        outputs=outputs,
-    )
-    more = cfg.validate()
-    if more:
-        raise ConfigError(more)
-    return cfg
+    return SweepConfig(**values)  # run_sweep validates it
 
 
 def parse_config_file(path: str) -> SweepConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), source=path)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:  # a ValueError, which main reads as numeric
+            raise ConfigError([f"{path}: not UTF-8 text ({exc})"]) from None
+    return parse_config_text(text, source=path)
 
 
 def preset_rows(name: str):
     """Rows reproducing one figure's data, caption parameters included."""
-    if name == "fig1":
-        return run_sweep(SweepConfig("AD", *FIG1_COEFFS, 0.0, 1.0, 101))
-    if name == "fig2":
-        return run_sweep(SweepConfig("BPF", *FIG1_COEFFS, 0.0, 1.0, 101))
-    if name in STEERING_PRESETS:
-        channel, strengths = STEERING_PRESETS[name]
-        rows = []
-        for kind in ("filter", "weak"):
-            rows += run_sweep(
-                SweepConfig(
-                    channel, *FIG1_COEFFS, 0.0, 1.0, 101,
-                    steering_kind=kind,
-                    steering_strengths=strengths[kind],
-                    outputs=("u",),
-                )
-            )
-        return rows
-    if name == "fig5":
-        rows = []
-        for channel in ("AD", "BPF"):
-            rows += run_sweep(
-                SweepConfig(
-                    channel, *MAX_PURITY_WITNESS, 0.0, 1.0, 101,
-                    steering_kind="weak",
-                    steering_strengths=(0.0, 0.4, 0.8),
-                    outputs=("u", "witness"),
-                )
-            )
-        return rows
-    if name == "fig6":
-        rows = []
-        for rate in (0.1, 0.3, 0.7):
-            rows += run_sweep(
-                SweepConfig(
-                    "AD", *MAX_PURITY_CAPACITY, 0.0, 10.0, 101,
-                    rate_lambda=rate,
-                    outputs=("capacity",),
-                )
-            )
-        bpf = run_sweep(
-            SweepConfig("BPF", *MAX_PURITY_CAPACITY, 0.0, 1.0, 101, outputs=("capacity",))
-        )
-        rows += [replace(row, rate_lambda=0.0) for row in bpf]  # 0 marks the direct p sweep
-        return rows
-    raise ConfigError([f"unknown preset {name!r} (expected one of {PRESET_NAMES})"])
+    if name not in PRESETS:
+        raise ConfigError([f"unknown preset {name!r} (expected one of {PRESET_NAMES})"])
+    rows = [row for cfg in PRESETS[name] for row in run_sweep(cfg)]
+    if name == "fig6":  # rate_lambda 0 marks the BPF curve, a direct p sweep
+        rows = [replace(row, rate_lambda=0.0) if row.rate_lambda is None else row for row in rows]
+    return rows
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -293,7 +250,7 @@ def main(argv=None) -> int:
                         ("channel", args.channel),
                         ("parameter", result.parameter_name),
                         ("critical_value", f"{result.critical_value:.6f}"),
-                        ("steering_s", f"{result.steering_strength_s:g}"),
+                        ("steering_s", f"{result.steering_strength_s:.12g}"),
                         ("window", result.window),
                     )
                 ),

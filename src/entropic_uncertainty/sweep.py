@@ -84,9 +84,9 @@ class SweepConfig:
     c1: float
     c2: float
     c3: float
-    param_start: float
-    param_stop: float
-    param_points: int
+    param_start: float = 0.0
+    param_stop: float = 1.0
+    param_points: int = 101
     steering_kind: str | None = None
     steering_strengths: tuple[float, ...] = ()
     rate_lambda: float | None = None
@@ -223,9 +223,12 @@ def _grid_points(family: str, rho0: np.ndarray, xs, rate, steering_ops, outputs)
                 yield k, i, partial(_dense_point, family, rho0, xs[i], rate, steering_ops[k])
 
 
+def _where(index, x, strength) -> str:  # built only when a point fails
+    return f"grid index {index} (param={x!r}, steering strength={strength!r})"
+
+
 def _evaluate_point(cfg: SweepConfig, strength, index, x, point) -> SweepRow:
     """The row of grid point ``index``, whose quantities are ``point()``."""
-    where = f"grid index {index} (param={x!r}, steering strength={strength!r})"
     try:
         q = point()
         values: list[tuple[str, float]] = []
@@ -238,10 +241,10 @@ def _evaluate_point(cfg: SweepConfig, strength, index, x, point) -> SweepRow:
             else:
                 values.append((tag, getattr(q, tag)))
     except (ValueError, ArithmeticError) as exc:
-        raise NumericError(f"sweep point at {where} failed: {exc}") from exc
+        raise NumericError(f"sweep point at {_where(index, x, strength)} failed: {exc}") from exc
     for name, v in values:
         if not math.isfinite(v):
-            raise NumericError(f"quantity {name} is not finite at {where}")
+            raise NumericError(f"quantity {name} is not finite at {_where(index, x, strength)}")
     return SweepRow(
         channel=cfg.channel,
         param=x,

@@ -2,8 +2,8 @@ import hashlib
 
 import pytest
 
-from entropic_uncertainty.cli import main, parse_config_text, preset_rows
-from entropic_uncertainty.sweep import MAX_GRID_ROWS, ConfigError, render_csv
+from entropic_uncertainty.cli import PRESETS, _field_reader, main, parse_config_text, preset_rows
+from entropic_uncertainty.sweep import MAX_GRID_ROWS, ConfigError, SweepConfig, render_csv
 
 GOOD_CONFIG = """\
 # damping sweep over the full noise range
@@ -39,6 +39,50 @@ def test_parse_config_steering_list():
         GOOD_CONFIG + "steering_kind = weak\nsteering_strengths = 0, 0.4, 0.8\n"
     )
     assert cfg.steering_strengths == (0.0, 0.4, 0.8)
+
+
+def test_parse_config_reads_every_field_by_its_type():
+    cfg = SweepConfig("AD", -0.5, 0.4, 0.8, 0.25, 7.5, 12, "weak", (0.0, 0.4), 0.3,
+                      ("u", "witness"))
+    text = "".join(
+        f"{name} = {', '.join(map(str, v)) if isinstance(v, tuple) else v}\n"
+        for name, v in vars(cfg).items()
+    )
+    assert parse_config_text(text) == cfg
+    # unset keys take SweepConfig's defaults, which are fig1's grid
+    assert parse_config_text("channel = AD\nc1 = -0.5\nc2 = 0.4\nc3 = 0.8\n") == PRESETS["fig1"][0]
+
+
+@pytest.mark.parametrize("hint", [bool, complex, complex | None, tuple[int, ...], list[float]])
+def test_field_type_without_a_reader_fails_loudly(hint):
+    # a SweepConfig field of such a type fails the import of the cli module
+    with pytest.raises(KeyError):
+        _field_reader(hint)
+
+
+def test_parse_config_lists_problems_in_file_order_then_missing_keys():
+    text = "c1 = wat\nsteering_strengths = 0.2, x\nmystery = 3\nrate_lambda = q\nnoeq\n"
+    with pytest.raises(ConfigError) as err:
+        parse_config_text(text, source="f.cfg")
+    assert err.value.problems == (
+        "f.cfg:1: key 'c1' = 'wat' is not a number",
+        "f.cfg:2: key 'steering_strengths' = '0.2, x' is not a list of numbers",
+        "f.cfg:3: unknown key 'mystery'",
+        "f.cfg:4: key 'rate_lambda' = 'q' is not a number",
+        "f.cfg:5: expected 'key = value', got 'noeq'",
+        "f.cfg: missing required key 'channel'",
+        "f.cfg: missing required key 'c2'",
+        "f.cfg: missing required key 'c3'",
+    )
+
+
+def test_sweep_config_not_utf8_exit_2(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_bytes(b"channel = AD\nc1 = -0.5\xff\n")
+    assert main(["sweep", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg_path}: not UTF-8 text" in err
+    assert "numeric failure" not in err
 
 
 def test_sweep_command_writes_csv(tmp_path):
@@ -102,8 +146,12 @@ WITNESS = ["witness", "--c1", "-1", "--c2", "1", "--c3", "1"]
         (WITNESS + ["--channel", "AD", "--s", "0.999999"],
          "channel=AD\nparameter=d\ncritical_value=0.999832\nsteering_s=0.999999\n"
          "window=[0, 0.999832)\n"),
+        # printed with the CSV's 12 digits: 6 would round the accepted strength to 1
+        (WITNESS + ["--channel", "AD", "--s", "0.99999999"],
+         "channel=AD\nparameter=d\ncritical_value=0.994342\nsteering_s=0.99999999\n"
+         "window=[0, 0.994342)\n"),
     ],
-    ids=["AD", "BPF-s0.4", "AD-s0.999999"],
+    ids=["AD", "BPF-s0.4", "AD-s0.999999", "AD-s0.99999999"],
 )
 def test_witness_stdout_is_pinned(capsys, argv, expected):
     assert main(argv) == 0
