@@ -54,14 +54,14 @@ def witness_threshold(
         rho0 = apply_steering(op, rho0)
 
     def u(x: float) -> float:  # no stacked value requested: u is uncertainty_lhs of the state
-        ((_, _, point),) = _grid_points(channel_family, rho0, [x], None, (None,), ())
-        return point().u
+        ((_, _, state, _),) = _grid_points(channel_family, rho0, [x], None, (None,), ())
+        return PointQuantities(state).u
 
     hi_end = 1.0 if channel_family == "AD" else 0.5
 
     xs = np.linspace(0.0, hi_end, _BRACKET_SCAN_POINTS)
     scan = _grid_points(channel_family, rho0, xs, None, (None,), ())  # one stack, evolved once
-    values = [point().u for _, _, point in scan]
+    values = [PointQuantities(state).u for _, _, state, _ in scan]
     bracket = None
     for i in range(1, len(xs)):
         if witnessed(values[i - 1]) and not witnessed(values[i]):
@@ -114,4 +114,4 @@ def capacity_curves(
     xs = [float(x) for x in schedule]
     points = _grid_points(channel_family, bell_diagonal_density(coeffs), xs, rate_lambda,
                           (None,), ("capacity",))
-    return [(xs[i], point().capacity) for _, i, point in points]
+    return [(xs[i], capacity) for _, i, _, ((_, capacity),) in points]

@@ -11,8 +11,9 @@ discord, of the channel capacity and of the entropic witness, as the sweep,
 ``bound_report`` and ``channel_capacity`` see them.  One state pays for each
 quantity (mutual information, the measurement optimizer, each Holevo quantity)
 at most once.  ``_stacked_values`` fills in the entropy-only values and the
-optimizer minima for a whole X-state stack at once, bitwise as each state alone
-would compute them; the formulas here derive the rest.  ``uncertainty_lhs``
+optimizer minima for a whole X-state stack at once, as columns of one
+``PointQuantities``, bitwise as each state alone would compute them; the same
+formulas derive the rest, a value or a column alike.  ``uncertainty_lhs``
 stays a per-point chain of scalar spectra for point-at-a-time callers (the
 witness bisection): it checks the state once, then takes each basis's two
 entropies, five spectra for an X state.  ``_stacked_u`` is its stack, with
@@ -37,6 +38,7 @@ from .linalg import BOUND_ORDER_ATOL, partial_trace, stacked_partial_trace, vali
 from .measures import (
     ProjectiveBasis,
     _entropy_after_measurement,
+    _positive_part,
     binary_entropy,
     classical_correlation,
     discord_from,
@@ -98,7 +100,9 @@ class PointQuantities:
     """Every quantity one state reports, each evaluated on first read only.
 
     Properties named after a module-level function (``mutual_information``,
-    ``classical_correlation``) call that function.
+    ``classical_correlation``) call that function.  The derived ones (``witness``,
+    ``discord``, ``pati``, ``adabi``) take a number or a column alike, so a stack's
+    ``PointQuantities`` from ``_stacked_values`` derives them for every row at once.
     """
 
     rho: np.ndarray
@@ -130,13 +134,13 @@ class PointQuantities:
     @cached_property
     def pati(self) -> float:
         """Berta bound plus max{0, discord - classical correlation}."""
-        return self.berta + max(0.0, self.discord - self.classical_correlation)
+        return self.berta + _positive_part(self.discord - self.classical_correlation)
 
     @cached_property
     def adabi(self) -> float:
         """Berta bound plus max{0, mutual information - both Holevo quantities}."""
         delta = self.mutual_information - self.holevo[0] - self.holevo[1]
-        return self.berta + max(0.0, delta)
+        return self.berta + _positive_part(delta)
 
     @cached_property
     def holevo(self) -> tuple[float, float]:
@@ -169,19 +173,18 @@ def _stacked_u(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return per_basis[:n] + per_basis[n:], ok[:n] & ok[n:]
 
 
-def _stacked_values(states: np.ndarray, names: set[str]) -> tuple[list[dict], np.ndarray]:
-    """The ``PointQuantities`` values ``names`` for every state of the stack, bitwise as
-    the state alone computes them, and which rows they hold for: X states that pass
-    every check and the capacity identity."""
-    if not names:  # nothing to vouch for: each row's PointQuantities is the dense one
-        return [{}] * len(states), np.ones(len(states), dtype=bool)
+def _stacked_values(states: np.ndarray, names: set[str]) -> tuple[PointQuantities, np.ndarray]:
+    """The ``PointQuantities`` of the whole stack, whose values ``names`` are columns, bitwise
+    as each state alone computes them, and which rows they hold for: X states that pass
+    every check and the capacity identity.  Its formulas derive the rest from the columns."""
+    q = PointQuantities(states)
+    if not names:  # nothing to vouch for: each row's quantities are its dense ones
+        return q, np.ones(len(states), dtype=bool)
+    cols = vars(q)  # the columns stand in for the cached properties
     s_ab, ok = stacked_von_neumann_entropy(states)  # the state's checks and S(AB), one spectrum
-    cols = {}
     if "u" in names:
         cols["u"], good = _stacked_u(states)
         ok &= good
-    if "witness" in names:
-        cols["witness"] = witnessed(cols["u"])
     if names & {"berta", "mutual_information", "classical_correlation", "holevo", "capacity"}:
         (s_a, good_a), (s_b, good_b) = (
             stacked_von_neumann_entropy(stacked_partial_trace(states, k)) for k in "AB")
@@ -191,7 +194,7 @@ def _stacked_values(states: np.ndarray, names: set[str]) -> tuple[list[dict], np
         if "holevo" in names:
             (h1, good_1), (h2, good_2) = (stacked_holevo(states, b, s_b) for b in BASES)
             ok &= good_1 & good_2
-            cols["holevo"] = np.stack([h1, h2], axis=1)
+            cols["holevo"] = (h1, h2)
         if "capacity" in names:
             bound_form = capacity_bound_form(s_a, cols["berta"])
             ok &= np.abs(mutual - bound_form) <= CAPACITY_IDENTITY_ATOL
@@ -204,8 +207,7 @@ def _stacked_values(states: np.ndarray, names: set[str]) -> tuple[list[dict], np
     if "s_min" in names:
         cols["s_min"] = np.zeros(len(states))
         cols["s_min"][rows] = stacked_measurement_minima(states[rows], "B")
-    values = [col.tolist() for col in cols.values()]
-    return [dict(zip(cols, row)) for row in zip(*values)], ok
+    return q, ok
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import math
 import re
 import sys
 import types
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, fields
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -137,7 +137,7 @@ def preset_rows(name: str):
         raise ConfigError([f"unknown preset {name!r} (expected one of {PRESET_NAMES})"])
     rows = [row for cfg in PRESETS[name] for row in run_sweep(cfg)]
     if name == "fig6":  # rate_lambda 0 marks the BPF curve, a direct p sweep
-        rows = [replace(row, rate_lambda=0.0) if row.rate_lambda is None else row for row in rows]
+        rows = [row._replace(rate_lambda=0.0) if row.rate_lambda is None else row for row in rows]
     return rows
 
 

@@ -18,6 +18,11 @@ takes the dense path: a 1-degree grid over theta in [0, pi] and phi in [0, pi)
 (n and -n give the same measurement) followed by coordinate-wise
 golden-section refinement.  Both paths are deterministic.
 
+Dephasing in a fixed basis, and the branches of the Holevo quantity, multiply by
+0/1 masks when the basis's projectors are 0/1-diagonal (sigma_z) and sandwich the
+state between the projectors otherwise (sigma_x, whose diagonal holds
+cos(pi/2) = 6.1e-17); see ``ProjectiveBasis``.
+
 Side conventions: the fixed-basis quantities measure qubit A (the qubit exposed
 to noise) with qubit B as the memory.  Only the optimizer takes a side:
 ``classical_correlation`` and ``quantum_discord`` measure A by default, while
@@ -147,10 +152,19 @@ class BlochDirection:
 @dataclass(frozen=True, eq=False)
 class ProjectiveBasis:
     """Two orthogonal rank-1 projectors forming a complete qubit measurement, and
-    ``embedded``, both on qubit A (P (x) I) as a (2, 4, 4) array built once."""
+    ``embedded``, both on qubit A (P (x) I) as a (2, 4, 4) array built once.
+
+    When both embedded projectors are 0/1-diagonal, as sigma_z's are exactly, outcome x
+    keeps entry (i, j) of a state iff ``branch_masks[x, i, j]`` is 1, and dephasing keeps
+    ``dephasing_mask``: a product with these masks gives the projector sandwich's numbers
+    (up to the sign of an exact zero) without its matmuls.  Otherwise both are None; sigma_x's
+    projectors carry cos(pi/2) = 6.1e-17 on the diagonal, so they keep the sandwich.
+    """
 
     projectors: tuple[np.ndarray, np.ndarray]
     embedded: np.ndarray = field(init=False, repr=False)
+    branch_masks: np.ndarray | None = field(init=False, repr=False, default=None)
+    dephasing_mask: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         projs = tuple(as_matrix(p) for p in self.projectors)
@@ -167,7 +181,14 @@ class ProjectiveBasis:
         defect = float(np.abs(projs[0] + projs[1] - I2).max())
         if defect > COMPLETENESS_ATOL:
             raise ValueError(f"projectors do not sum to identity (defect {defect:.3e})")
-        object.__setattr__(self, "embedded", np.kron(np.array(projs), I2))
+        embedded = np.kron(np.array(projs), I2)
+        object.__setattr__(self, "embedded", embedded)
+        diagonals = np.diagonal(embedded, axis1=1, axis2=2)
+        if (np.isin(diagonals, (0.0, 1.0)).all()
+                and (embedded == diagonals[:, :, None] * np.eye(4)).all()):
+            masks = diagonals[:, :, None] * diagonals[:, None, :]
+            object.__setattr__(self, "branch_masks", masks)
+            object.__setattr__(self, "dephasing_mask", masks.sum(axis=0))
 
 
 def bloch_basis(direction: BlochDirection) -> ProjectiveBasis:
@@ -189,6 +210,8 @@ def sigma_z_basis() -> ProjectiveBasis:
 
 def stacked_post_measurement_state(states: np.ndarray, basis: ProjectiveBasis) -> np.ndarray:
     """``post_measurement_state`` of each state of an (N, 4, 4) stack, or of one (4, 4) state."""
+    if basis.dephasing_mask is not None:
+        return states * basis.dephasing_mask
     out = np.zeros_like(states)
     for e in basis.embedded:
         out += e @ states @ e.conj().T
@@ -228,8 +251,11 @@ def mutual_information(rho) -> float:
 def _branch_memories(states: np.ndarray, basis: ProjectiveBasis):
     """Per outcome of ``basis`` on qubit A, for each state of the stack: its probability,
     whether it is kept (above ``POSTSELECT_MIN_PROB``) and the memory it leaves."""
-    for e in basis.embedded:
-        branch = e @ states @ e.conj().T
+    if basis.branch_masks is not None:
+        branches = (states * mask for mask in basis.branch_masks)
+    else:
+        branches = (e @ states @ e.conj().T for e in basis.embedded)
+    for branch in branches:
         prob = np.trace(branch, axis1=1, axis2=2).real
         kept = prob > POSTSELECT_MIN_PROB
         memory = stacked_partial_trace(branch, "B") / np.where(kept, prob, 1.0)[:, None, None]
@@ -471,9 +497,14 @@ def classical_correlation(rho, measured_side: str = "A") -> float:
     return von_neumann_entropy(other) - _minimize_avg_branch_entropy(rho, measured_side)
 
 
-def discord_from(mutual: float, classical: float) -> float:
-    """Mutual information minus classical correlation, floored at zero."""
-    return max(0.0, mutual - classical)
+def _positive_part(x):
+    """max(0, x) of a number, or of each entry of a column."""
+    return np.maximum(0.0, x) if isinstance(x, np.ndarray) else max(0.0, x)
+
+
+def discord_from(mutual, classical):
+    """Mutual information minus classical correlation, floored at zero (numbers or columns)."""
+    return _positive_part(mutual - classical)
 
 
 def quantum_discord(rho, measured_side: str = "A") -> float:

@@ -6,19 +6,25 @@ and emits rows in grid order.  Output is byte-stable across runs.
 
 ``_grid_points`` is the one route from a grid to evaluated points, for the
 sweep, ``errata_report`` and the applications.  This module keeps the grid, the
-row routing and the CSV; the stacked stages live with their quantities:
-``channels._evolve`` and ``channels._steer``, then ``bounds._stacked_values``.
-The grid is evolved once, and all (steering strength, point) rows are one stack,
-in blocks of ``_STACK_ROWS`` rows; each stage returns a row mask of its checks.
-A row that passes every mask takes the stack's values; any other row is rebuilt
-alone by the one-state functions, which raise that point's own error.
+row routing, the output columns and the CSV; the stacked stages live with their
+quantities: ``channels._evolve`` and ``channels._steer``, then
+``bounds._stacked_values``.  The grid is evolved once, and all (steering
+strength, point) rows are one stack, in blocks of ``_STACK_ROWS`` rows; each
+stage returns a row mask of its checks.  A row that passes every mask takes its
+values straight from the stack's columns; any other row is rebuilt alone by the
+one-state functions, which raise that point's own error.  ``_output_rows`` is
+the one mapping from output tags to CSV columns, applied alike to a block's
+columns and to a rebuilt row's ``PointQuantities``; ``render_csv`` formats the
+cells a run of rows shares once per run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from itertools import groupby
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +49,7 @@ from .linalg import stacked_density_spectra
 from .measures import discord_xstate_closed, quantum_discord
 from .states import BellDiagonalCoeffs, as_xstate, bell_diagonal_density, coefficient_problems
 
-# Each output tag, with the PointQuantities values it reads, which a stack fills in.
+# Each output tag, with the PointQuantities values a stack fills in for it.
 _READS = {
     "u": {"u"},
     "berta": {"berta"},
@@ -53,7 +59,7 @@ _READS = {
     "discord": {"mutual_information", "classical_correlation"},
     "s_min": {"s_min"},
     "capacity": {"capacity"},
-    "witness": {"u", "witness"},
+    "witness": {"u"},
 }
 OUTPUT_TAGS = tuple(_READS)
 # Rows per stack: long grids go in blocks, so a stack's temporaries stay a few MB.
@@ -152,8 +158,7 @@ class SweepConfig:
         return BellDiagonalCoeffs(self.c1, self.c2, self.c3)
 
 
-@dataclass(frozen=True, slots=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One grid point: the inputs that produced it plus the requested values."""
 
     channel: str
@@ -172,21 +177,45 @@ def _noise_param(x: float, rate: float | None) -> float:
     return x if rate is None else d_of_t(rate, x)
 
 
-def _dense_point(family: str, rho0: np.ndarray, x: float, rate, op) -> PointQuantities:
+def _dense_state(family: str, rho0: np.ndarray, x: float, rate, op) -> np.ndarray:
     state = apply_one_sided(noise_kraus(family, _noise_param(x, rate)), rho0)
-    return PointQuantities(state if op is None else apply_steering(op, state))
+    return state if op is None else apply_steering(op, state)
+
+
+class _NotFinite(ArithmeticError):
+    """A point's output value is not finite."""
+
+
+def _output_rows(q: PointQuantities, outputs, n: int) -> tuple[list[tuple], list[bool]]:
+    """The output columns of ``q``, one point's (``n`` = 1) or a stack's of ``n`` rows alike:
+    each row's ``(name, value)`` pairs of floats, and whether its values are all finite.
+    ``tightness`` is ``u`` minus each bound, ``witness`` is 1.0 or 0.0."""
+    columns = []
+    for tag in outputs:
+        if tag == "tightness":
+            columns += [(f"tightness_{b}", q.u - getattr(q, b)) for b in ("berta", "pati", "adabi")]
+        elif tag == "witness":
+            columns.append(("witness", 1.0 * q.witness))
+        else:
+            columns.append((tag, getattr(q, tag)))
+    names = [name for name, _ in columns]
+    table = np.array([column for _, column in columns], dtype=float).reshape(len(columns), n)
+    rows = [tuple(zip(names, values)) for values in table.T.tolist()]
+    return rows, np.isfinite(table).all(axis=0).tolist()
 
 
 def _grid_points(family: str, rho0: np.ndarray, xs, rate, steering_ops, outputs):
-    """``(k, i, point)`` for every grid point ``xs[i]`` under ``steering_ops[k]`` (all
-    SteeringOps, or all None to leave states unsteered), op by op, each in grid order;
-    ``point()`` gives its ``PointQuantities``.
+    """``(k, i, state, quantities)`` for every grid point ``xs[i]`` under ``steering_ops[k]``
+    (all SteeringOps, or all None to leave states unsteered), op by op, each in grid order:
+    the point's state and its ``(name, value)`` output columns (``_output_rows``).
 
     A point's state is ``rho0`` evolved through the channel at ``_noise_param(x, rate)``,
     then steered.  The grid is evolved once; its (op, point) rows are one stack, in blocks
-    of ``_STACK_ROWS``.  A row that passes every check of the stack takes its values, any
-    other row is rebuilt alone by the one-state functions (``_dense_point``), whose
-    ``point()`` raises that point's own error.
+    of ``_STACK_ROWS``.  A row that passes every check of the stack takes the stack's
+    columns; any other row is rebuilt alone by the one-state functions (``_dense_state``),
+    which raise that point's own error.  A non-finite value raises ``_NotFinite``.  Every
+    error is raised in the place of its point, so it belongs to the point after the last
+    one yielded, and the first bad point in order is the one raised.
     """
     if len({op is None for op in steering_ops}) > 1:
         raise ValueError("steering_ops mixes None with steering operators")
@@ -212,50 +241,20 @@ def _grid_points(family: str, rho0: np.ndarray, xs, rate, steering_ops, outputs)
         if operators is not None:
             states, kept = _steer(operators[ks], states)
             ok &= kept
-        known, good = _stacked_values(states, names)
+        q, good = _stacked_values(states, names)
+        with np.errstate(invalid="ignore", over="ignore"):  # flagged rows' columns are unused
+            table, finite = _output_rows(q, outputs, len(states))
         for row, stacked in enumerate((ok & good).tolist()):
             k, i = divmod(first + row, n)
-            if stacked:  # the stack's values stand in for the cached properties
-                q = PointQuantities(states[row])
-                vars(q).update(known[row])
-                yield k, i, (lambda q=q: q)
+            if stacked:
+                state, quantities, all_finite = states[row], table[row], finite[row]
             else:
-                yield k, i, partial(_dense_point, family, rho0, xs[i], rate, steering_ops[k])
-
-
-def _where(index, x, strength) -> str:  # built only when a point fails
-    return f"grid index {index} (param={x!r}, steering strength={strength!r})"
-
-
-def _evaluate_point(cfg: SweepConfig, strength, index, x, point) -> SweepRow:
-    """The row of grid point ``index``, whose quantities are ``point()``."""
-    try:
-        q = point()
-        values: list[tuple[str, float]] = []
-        for tag in cfg.outputs:
-            if tag == "tightness":
-                for bound in ("berta", "pati", "adabi"):
-                    values.append((f"tightness_{bound}", q.u - getattr(q, bound)))
-            elif tag == "witness":
-                values.append(("witness", 1.0 if q.witness else 0.0))
-            else:
-                values.append((tag, getattr(q, tag)))
-    except (ValueError, ArithmeticError) as exc:
-        raise NumericError(f"sweep point at {_where(index, x, strength)} failed: {exc}") from exc
-    for name, v in values:
-        if not math.isfinite(v):
-            raise NumericError(f"quantity {name} is not finite at {_where(index, x, strength)}")
-    return SweepRow(
-        channel=cfg.channel,
-        param=x,
-        c1=cfg.c1,
-        c2=cfg.c2,
-        c3=cfg.c3,
-        steer_kind=cfg.steering_kind if strength is not None else None,
-        steer_strength=strength,
-        rate_lambda=cfg.rate_lambda,
-        quantities=tuple(values),
-    )
+                state = _dense_state(family, rho0, xs[i], rate, steering_ops[k])
+                [quantities], [all_finite] = _output_rows(PointQuantities(state), outputs, 1)
+            if not all_finite:
+                name = next(name for name, v in quantities if not math.isfinite(v))
+                raise _NotFinite(f"quantity {name} is not finite")
+            yield k, i, state, quantities
 
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
@@ -268,8 +267,20 @@ def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     strengths = cfg.steering_strengths or (None,)
     steer = filter_op if cfg.steering_kind == "filter" else weak_op
     ops = [None if s is None else steer(s) for s in strengths]
-    points = _grid_points(cfg.channel, rho0, grid, cfg.rate_lambda, ops, cfg.outputs)
-    return [_evaluate_point(cfg, strengths[k], i, grid[i], point) for k, i, point in points]
+    kind = cfg.steering_kind if cfg.steering_strengths else None
+    rows = []
+    try:
+        for k, i, _, quantities in _grid_points(cfg.channel, rho0, grid, cfg.rate_lambda, ops,
+                                                cfg.outputs):
+            rows.append(SweepRow(cfg.channel, grid[i], cfg.c1, cfg.c2, cfg.c3, kind,
+                                 strengths[k], cfg.rate_lambda, quantities))
+    except (ValueError, ArithmeticError) as exc:
+        k, i = divmod(len(rows), len(grid))  # the point after the last one yielded
+        where = f"grid index {i} (param={grid[i]!r}, steering strength={strengths[k]!r})"
+        if isinstance(exc, _NotFinite):
+            raise NumericError(f"{exc} at {where}") from exc
+        raise NumericError(f"sweep point at {where} failed: {exc}") from exc
+    return rows
 
 
 def _format_number(v: float) -> str:
@@ -289,32 +300,40 @@ def row_columns(row: SweepRow) -> list[str]:
     return cols + [name for name, _ in row.quantities]
 
 
-def _row_values(row: SweepRow) -> list[str]:
-    vals = [
-        row.channel,
-        _format_number(row.param),
-        _format_number(row.c1),
-        _format_number(row.c2),
-        _format_number(row.c3),
-    ]
+def _constant_cells(row: SweepRow) -> str:
+    """The C1..C3, steering and rate cells of a row, formatted."""
+    cells = [_format_number(row.c1), _format_number(row.c2), _format_number(row.c3)]
     if row.steer_kind is not None:
-        vals += [row.steer_kind, _format_number(row.steer_strength)]
+        cells += [row.steer_kind, _format_number(row.steer_strength)]
     if row.rate_lambda is not None:
-        vals += [_format_number(row.rate_lambda)]
-    return vals + [_format_number(v) for _, v in row.quantities]
+        cells.append(_format_number(row.rate_lambda))
+    return ",".join(cells)
+
+
+# The columns a run of rows from one sweep (and one steering strength) shares.
+_CONSTANTS = attrgetter("channel", "c1", "c2", "c3", "steer_kind", "steer_strength", "rate_lambda")
 
 
 def render_csv(rows) -> str:
-    """CSV text for a list of rows sharing one schema."""
+    """CSV text for a list of rows sharing one schema.  The constant cells of each run of
+    rows that share them are formatted, and their columns checked, once per run; each row's
+    quantity names are checked against the header's."""
     rows = list(rows)
     if not rows:
         raise ValueError("no rows to emit")
     header = row_columns(rows[0])
+    names = [name for name, _ in rows[0].quantities]
     lines = [",".join(header)]
-    for row in rows:
-        if row_columns(row) != header:
+    for _, run in groupby(rows, _CONSTANTS):
+        run = list(run)
+        if row_columns(run[0]) != header:
             raise ValueError("rows do not share a single column schema")
-        lines.append(",".join(_row_values(row)))
+        channel, constants = run[0].channel, _constant_cells(run[0])
+        for row in run:
+            if [name for name, _ in row.quantities] != names:
+                raise ValueError("rows do not share a single column schema")
+            lines.append(",".join([channel, _format_number(row.param), constants,
+                                   *[_format_number(v) for _, v in row.quantities]]))
     return "\n".join(lines) + "\n"
 
 
@@ -342,25 +361,26 @@ def errata_report(coeffs: BellDiagonalCoeffs, channel: str, grid) -> str:
         if best is None or gap > best[0]:
             gaps[name] = (gap, x)
 
-    for _, i, point in _grid_points(channel, rho0, grid, None, (None,), ("u", "berta")):
-        x, q = grid[i], point()
+    for _, i, state, ((_, u), (_, berta)) in _grid_points(channel, rho0, grid, None, (None,),
+                                                          ("u", "berta")):
+        x = grid[i]
         if channel == "AD":
             closed_u = ad_closed_form_u(coeffs, x)
             record(
                 "evolved-state uncertainty (closed form)",
-                None if closed_u is None else abs(closed_u - q.u),
+                None if closed_u is None else abs(closed_u - u),
                 x,
             )
         else:
             closed_u, closed_bound = bpf_closed_forms(coeffs, x)
             record(
                 "evolved-state uncertainty (closed form)",
-                abs(closed_u - q.u),
+                abs(closed_u - u),
                 x,
             )
-            record("uncertainty lower bound (closed form)", abs(closed_bound - q.berta), x)
-        closed_d = discord_xstate_closed(as_xstate(q.rho))
-        numeric_d = quantum_discord(q.rho, measured_side="B")
+            record("uncertainty lower bound (closed form)", abs(closed_bound - berta), x)
+        closed_d = discord_xstate_closed(as_xstate(state))
+        numeric_d = quantum_discord(state, measured_side="B")
         record("x-state discord (closed form)", abs(closed_d - numeric_d), x)
 
     names = sorted(set(gaps) | set(skipped))

@@ -23,13 +23,14 @@ from conftest import (
     sigma_y_basis,
     spectrum_oracle,
 )
-from entropic_uncertainty import measures
+from entropic_uncertainty import channels, measures
 from entropic_uncertainty.applications import channel_capacity
 from entropic_uncertainty.linalg import (
     PAULI_X,
     PAULI_Z,
     NotHermitianError,
     is_x_patterned,
+    stacked_density_spectra,
     stacked_partial_trace,
 )
 from entropic_uncertainty.measures import (
@@ -464,3 +465,58 @@ def test_non_x_state_takes_dense_path(monkeypatch):
             assert abs(rotated_value - value) <= 1e-12
             attained = avg_branch_entropy_oracle(rotated, theta, phi, side)
             assert abs(attained - rotated_value) <= 1e-12
+
+
+def _sandwich_only(basis):
+    """The same basis with its masks taken away, so it dephases by the projector sandwich."""
+    plain = ProjectiveBasis(basis.projectors)
+    object.__setattr__(plain, "branch_masks", None)
+    object.__setattr__(plain, "dephasing_mask", None)
+    return plain
+
+
+def test_only_zero_one_diagonal_bases_dephase_by_mask():
+    z = sigma_z_basis()
+    assert np.array_equal(z.dephasing_mask, np.kron(np.eye(2), np.ones((2, 2))))
+    assert np.array_equal(z.branch_masks.sum(axis=0), z.dephasing_mask)
+    # sigma_x's diagonal carries cos(pi/2) = 6.1e-17, and sigma_y's projectors are not diagonal
+    for basis in (sigma_x_basis(), sigma_y_basis(), bloch_basis(BlochDirection(1e-9, 0.0))):
+        assert basis.branch_masks is None and basis.dephasing_mask is None
+
+
+def test_sigma_z_mask_dephasing_equals_the_projector_sandwich():
+    # equal under == (only the sign of an exact zero may differ), with the same rows
+    # flagged, on random non-X states, evolved and steered X states and infinite entries
+    rng = np.random.RandomState(677)
+    x_states = [rand_xstate_matrix(rng, real=k % 2 == 0) for k in range(40)]
+    rotated = [_locally_rotated(rng, rho) for rho in x_states]
+    evolved = []
+    for family in ("AD", "BPF"):
+        states, ok = channels._evolve(family, bd_oracle(*rand_bd_coeffs(rng)),
+                                      np.linspace(0.0, 1.0, 21))
+        assert ok.all()
+        ops = np.array([channels.weak_op(s).operator for s in rng.uniform(0.0, 0.99, 21)])
+        steered, kept = channels._steer(ops, states)
+        assert kept.all()
+        evolved += [*states, *steered]
+    kept_inf, dropped_inf = x_states[0].copy(), x_states[1].copy()
+    kept_inf[1, 1] = np.inf  # an entry the mask keeps, and one it multiplies by 0
+    dropped_inf[0, 2] = np.inf
+    states = np.array(x_states + rotated + evolved + [kept_inf, dropped_inf])
+    z, sandwich = sigma_z_basis(), _sandwich_only(sigma_z_basis())
+    with np.errstate(invalid="ignore"):  # 0 * inf, in the sandwich's matmul as in the mask's
+        masked = measures.stacked_post_measurement_state(states, z)
+        reference = measures.stacked_post_measurement_state(states, sandwich)
+    assert np.array_equal(masked[:-2], reference[:-2])
+    flags = stacked_density_spectra(masked)[1]
+    assert np.array_equal(flags, stacked_density_spectra(reference)[1])
+    assert flags.tolist() == [True] * 40 + [False] * 40 + [True] * 84 + [False] * 2
+    for rho in states[:-2:7]:  # one (4, 4) state
+        assert np.array_equal(measures.stacked_post_measurement_state(rho, z),
+                              measures.stacked_post_measurement_state(rho, sandwich))
+    s_memory, ok = measures.stacked_von_neumann_entropy(stacked_partial_trace(states[:-2], "B"))
+    assert ok.all()
+    holevo, good = measures.stacked_holevo(states[:-2], z, s_memory)
+    ref_holevo, ref_good = measures.stacked_holevo(states[:-2], sandwich, s_memory)
+    assert np.array_equal(holevo, ref_holevo) and np.array_equal(good, ref_good)
+    assert good.all()

@@ -32,6 +32,7 @@ from entropic_uncertainty.sweep import (
     ConfigError,
     NumericError,
     SweepConfig,
+    SweepRow,
     errata_report,
     render_csv,
     run_sweep,
@@ -119,6 +120,59 @@ def test_csv_round_trip_precision():
 def test_render_csv_empty_rows():
     with pytest.raises(ValueError, match="no rows"):
         render_csv([])
+
+
+def _row(**overrides):
+    fields = dict(channel="AD", param=0.5, c1=-0.5, c2=0.4, c3=0.8, steer_kind=None,
+                  steer_strength=None, rate_lambda=None, quantities=(("u", 1.25),))
+    return SweepRow(**(fields | overrides))
+
+
+@pytest.mark.parametrize(
+    "second",
+    [
+        _row(steer_kind="weak", steer_strength=0.4),
+        _row(param=0.6, quantities=(("berta", 1.25),)),  # same constant cells as the first
+        _row(c1=0.1, quantities=(("berta", 1.25),)),
+        _row(rate_lambda=0.3),
+    ],
+    ids=["steered_after_unsteered", "quantity_renamed", "quantity_renamed_new_run",
+         "rate_after_none"],
+)
+def test_render_csv_refuses_rows_of_another_schema(second):
+    assert render_csv([_row(), _row(param=0.75)]) == "channel,param,C1,C2,C3,u\n" + (
+        "AD,0.5,-0.5,0.4,0.8,1.25\nAD,0.75,-0.5,0.4,0.8,1.25\n")
+    for rows in ([_row(), second], [_row(), _row(param=0.75), second, _row()]):
+        with pytest.raises(ValueError, match="^rows do not share a single column schema$"):
+            render_csv(rows)
+
+
+@pytest.mark.parametrize(
+    "overrides, value",
+    [
+        ({"param": math.nan}, "nan"),
+        ({"quantities": (("u", math.inf),)}, "inf"),
+        ({"steer_kind": "weak", "steer_strength": -math.inf}, "-inf"),
+        ({"rate_lambda": math.nan}, "nan"),
+    ],
+    ids=["param", "value", "strength", "rate"],
+)
+def test_render_csv_refuses_non_finite_cells(overrides, value):
+    runs = [[_row(**overrides)]]
+    if len(overrides) == 1 and "rate_lambda" not in overrides:  # after a good row of its run
+        runs.append([_row(), _row(**overrides)])
+    for rows in runs:
+        with pytest.raises(NumericError, match=f"^refusing to emit non-finite value {value}$"):
+            render_csv(rows)
+
+
+def test_render_csv_prints_negative_zero_as_zero():
+    rows = [_row(param=-0.0, c1=-0.0, quantities=(("u", -0.0), ("berta", 0.0))),
+            _row(param=0.5, c1=-0.0, quantities=(("u", -0.0), ("berta", -1.5)))]
+    assert render_csv(rows) == "channel,param,C1,C2,C3,u,berta\nAD,0,0,0.4,0.8,0,0\n" + (
+        "AD,0.5,0,0.4,0.8,0,-1.5\n")
+    steered = _row(steer_kind="filter", steer_strength=-0.0, rate_lambda=-0.0)
+    assert render_csv([steered]).splitlines()[1] == "AD,0.5,-0.5,0.4,0.8,filter,0,0,1.25"
 
 
 def test_steering_columns_present():
@@ -255,13 +309,48 @@ def test_numeric_error_locates_the_steered_point(monkeypatch):
     )
 
     def nan_capacity(states, names):
-        known, ok = stacked(states, names)
-        known[0]["capacity"] = float("nan")
+        known, ok = stacked(states, names)  # known: the stack's PointQuantities of columns
+        known.capacity[0] = float("nan")
         return known, ok
 
     monkeypatch.setattr(sweep, "_stacked_values", nan_capacity)
     with pytest.raises(NumericError, match=r"capacity is not finite at grid index 0 "):
         run_sweep(cfg)
+
+
+@pytest.mark.parametrize("block", [1024, 2])
+@pytest.mark.parametrize("flagged, nan_row", [(2, 4), (4, 2)])
+def test_first_bad_point_in_order_names_its_grid_index(monkeypatch, block, flagged, nan_row):
+    # rows 0-2 are strength 0.2, rows 3-5 strength 0.4: the flagged row's dense rebuild fails,
+    # the stacked row's u is NaN, and whichever comes first in order is the error
+    stacked, seen = sweep._stacked_values, [0]
+
+    def two_bad_rows(states, names):
+        known, ok = stacked(states, names)
+        first, seen[0] = seen[0], seen[0] + len(states)
+        for row in range(first, seen[0]):
+            if row == flagged:
+                ok[row - first] = False
+            if row == nan_row:
+                known.u[row - first] = math.nan
+        return known, ok
+
+    def dense_u_fails(rho):
+        raise ValueError("dense u failed")
+
+    monkeypatch.setattr(sweep, "_stacked_values", two_bad_rows)
+    monkeypatch.setattr(bounds, "uncertainty_lhs", dense_u_fails)
+    monkeypatch.setattr(sweep, "_STACK_ROWS", block)
+    cfg = small_cfg(param_points=3, steering_kind="weak", steering_strengths=(0.2, 0.4),
+                    outputs=("u", "witness"))
+    with pytest.raises(NumericError) as err:
+        run_sweep(cfg)
+    k, i = divmod(min(flagged, nan_row), 3)
+    where = f"grid index {i} (param={[0.0, 0.5, 1.0][i]!r}, steering strength={(0.2, 0.4)[k]!r})"
+    if flagged < nan_row:
+        assert str(err.value) == f"sweep point at {where} failed: dense u failed"
+    else:
+        assert str(err.value) == f"quantity u is not finite at {where}"
 
 
 def test_shared_correlations_run_once_per_point(monkeypatch):
