@@ -45,6 +45,10 @@ def witness_threshold(
     For the damping channel the witnessed window is [0, d_m); for the flip
     channel the solve runs on [0, 1/2] and the mirrored upper window follows
     from the p <-> 1 - p symmetry of the channel.
+
+    As s -> 1 the window is set by ``BOUND_ORDER_ATOL``: the state tends to a product state
+    whose margin log2(1/c) - u at d = 0 falls to that tolerance, so the threshold falls
+    again, as a 50-digit evaluation under the same criterion gives (ROADMAP.md's table).
     """
     if channel_family not in CHANNEL_FAMILIES:
         raise ValueError(f"unknown channel family {channel_family!r}")

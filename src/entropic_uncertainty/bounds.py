@@ -6,18 +6,17 @@ The setup is the quantum-memory game of Berta et al. (Nature Phys. 6, 659
 complementarity ``C`` is 1/2) and qubit B is the quantum memory.  Every formula
 and every stack here uses that one setup.
 
-``PointQuantities`` is the one definition of the Pati and Adabi bounds, of
-discord, of the channel capacity and of the entropic witness, as the sweep,
-``bound_report`` and ``channel_capacity`` see them.  One state pays for each
-quantity (mutual information, the measurement optimizer, each Holevo quantity)
-at most once.  ``_stacked_values`` fills in the entropy-only values and the
-optimizer minima for a whole X-state stack at once, as columns of one
-``PointQuantities``, bitwise as each state alone would compute them; the same
-formulas derive the rest, a value or a column alike.  ``uncertainty_lhs``
-stays a per-point chain of scalar spectra for point-at-a-time callers (the
-witness bisection): it checks the state once, then takes each basis's two
-entropies, five spectra for an X state.  ``_stacked_u`` is its stack, with
-both bases' dephased states in one (2N, 4, 4) stack.
+``PointQuantities`` is the one evaluator of one state and, through its private
+``_stack``, of an X-state stack, for the sweep, ``errata_report``,
+``bound_report``, ``berta_bound`` and ``channel_capacity``.  It holds each
+formula once (the Berta, Pati and Adabi bounds, mutual information, classical
+correlation, discord, the capacity and the entropic witness), over a number or a
+column alike, and computes each value a state pays for on first read only, a
+stack's bitwise as each state alone.
+``uncertainty_lhs`` stays a per-point chain of scalar spectra for point-at-a-time
+callers (the witness bisection): it checks the state once, then takes each
+basis's two entropies, five spectra for an X state.  ``_stacked_u`` is its
+stack, with both bases' dephased states in one (2N, 4, 4) stack.
 
 The numerical pipeline (build state, evolve, measure, take entropies) is the
 ground truth everywhere.  The closed-form evolved spectra are exact and used
@@ -40,12 +39,9 @@ from .measures import (
     _entropy_after_measurement,
     _positive_part,
     binary_entropy,
-    classical_correlation,
     discord_from,
     holevo_quantity,
     min_conditional_entropy_over_measurements,
-    mutual_information,
-    quantum_conditional_entropy,
     sigma_x_basis,
     sigma_z_basis,
     stacked_holevo,
@@ -81,8 +77,8 @@ def uncertainty_lhs(rho) -> float:
 
 
 def berta_bound(rho) -> float:
-    """log2(1/c) + S(rho) - S(rho_B)."""
-    return math.log2(1.0 / C) + quantum_conditional_entropy(rho)
+    """log2(1/c) + S(rho) - S(rho_B) of one state."""
+    return PointQuantities(rho).berta
 
 
 def witnessed(u):
@@ -97,66 +93,113 @@ def capacity_bound_form(s_measured, berta):
 
 @dataclass(eq=False)
 class PointQuantities:
-    """Every quantity one state reports, each evaluated on first read only.
+    """Every quantity of one state, or with ``_stack`` of each state of an (N, 4, 4) complex
+    stack, each evaluated on first read only.
 
-    Properties named after a module-level function (``mutual_information``,
-    ``classical_correlation``) call that function.  The derived ones (``witness``,
-    ``discord``, ``pati``, ``adabi``) take a number or a column alike, so a stack's
-    ``PointQuantities`` from ``_stacked_values`` derives them for every row at once.
+    A state pays for ``s_ab``, ``s_a`` and ``s_b`` (the entropies of the state and of each
+    qubit), ``u``, ``holevo`` and the measurement minima ``min_a`` (measuring A) and
+    ``s_min`` (measuring B).  For one state each calls its one-state function, which raises
+    that state's error.  For a stack each runs its stacked kernel after the state's own check
+    (``s_ab``: the S(AB) spectrum and the X pattern) and ANDs the kernel's row mask into
+    ``ok``, the rows every value read so far holds for; the optimizer runs on those rows
+    only.  Every other property is a formula over these values.
     """
 
     rho: np.ndarray
+    stacked, ok = False, True
+
+    @classmethod
+    def _stack(cls, states: np.ndarray) -> PointQuantities:
+        q = cls(states)
+        q.stacked, q.ok = True, np.ones(len(states), dtype=bool)
+        return q
+
+    def _column(self, values, good):
+        """A stack kernel's column, whose row mask ``good`` is ANDed into ``ok``."""
+        self.ok &= good
+        return values
 
     @cached_property
-    def mutual_information(self) -> float:
-        return mutual_information(self.rho)
+    def s_ab(self):
+        if self.stacked:  # the state's own check: its S(AB) spectrum and X pattern
+            return self._column(*stacked_von_neumann_entropy(self.rho))
+        return von_neumann_entropy(self.rho)
+
+    def _reduced_entropy(self, keep: str):
+        if not self.stacked:
+            return von_neumann_entropy(partial_trace(self.rho, keep))
+        self.s_ab  # the state's own check first
+        return self._column(*stacked_von_neumann_entropy(stacked_partial_trace(self.rho, keep)))
+
+    s_a = cached_property(lambda self: self._reduced_entropy("A"))
+    s_b = cached_property(lambda self: self._reduced_entropy("B"))
 
     @cached_property
-    def classical_correlation(self) -> float:
-        return classical_correlation(self.rho)
+    def u(self):
+        if not self.stacked:
+            return uncertainty_lhs(self.rho)
+        self.s_ab  # the state's own check first
+        return self._column(*_stacked_u(self.rho))
 
     @cached_property
-    def u(self) -> float:
-        return uncertainty_lhs(self.rho)
+    def holevo(self):
+        """The Holevo quantity of each basis."""
+        if not self.stacked:
+            return tuple(holevo_quantity(self.rho, b) for b in BASES)
+        return tuple(self._column(*stacked_holevo(self.rho, b, self.s_b)) for b in BASES)
+
+    def _minimum(self, measured_side: str):
+        if not self.stacked:
+            return min_conditional_entropy_over_measurements(self.rho, measured_side)
+        self.s_ab  # the state's own check first
+        minima = np.zeros(len(self.rho))
+        minima[self.ok] = stacked_measurement_minima(self.rho[self.ok], measured_side)
+        return minima
+
+    min_a = cached_property(lambda self: self._minimum("A"))
+    s_min = cached_property(lambda self: self._minimum("B"))
 
     @cached_property
-    def witness(self) -> bool:
+    def berta(self):
+        return math.log2(1.0 / C) + (self.s_ab - self.s_b)
+
+    @cached_property
+    def mutual_information(self):
+        return self.s_a + self.s_b - self.s_ab
+
+    @cached_property
+    def classical_correlation(self):
+        """Measuring A; ``min_a`` checks one whole state before ``s_b`` is read."""
+        min_a = self.min_a
+        return self.s_b - min_a
+
+    @cached_property
+    def witness(self):
         return witnessed(self.u)
 
     @cached_property
-    def berta(self) -> float:
-        return berta_bound(self.rho)
-
-    @cached_property
-    def discord(self) -> float:
+    def discord(self):
         return discord_from(self.mutual_information, self.classical_correlation)
 
     @cached_property
-    def pati(self) -> float:
+    def pati(self):
         """Berta bound plus max{0, discord - classical correlation}."""
         return self.berta + _positive_part(self.discord - self.classical_correlation)
 
     @cached_property
-    def adabi(self) -> float:
+    def adabi(self):
         """Berta bound plus max{0, mutual information - both Holevo quantities}."""
         delta = self.mutual_information - self.holevo[0] - self.holevo[1]
         return self.berta + _positive_part(delta)
 
     @cached_property
-    def holevo(self) -> tuple[float, float]:
-        """The Holevo quantity of each basis."""
-        return tuple(holevo_quantity(self.rho, b) for b in BASES)
-
-    @cached_property
-    def s_min(self) -> float:
-        return min_conditional_entropy_over_measurements(self.rho)
-
-    @cached_property
-    def capacity(self) -> float:
-        """The mutual information, cross-checked against ``capacity_bound_form``."""
+    def capacity(self):
+        """The mutual information, cross-checked against ``capacity_bound_form``: one state
+        raises where the two disagree, a stack drops those rows from ``ok``."""
         capacity = self.mutual_information
-        s_measured = von_neumann_entropy(partial_trace(self.rho, "A"))
-        bound_form = capacity_bound_form(s_measured, self.berta)
+        bound_form = capacity_bound_form(self.s_a, self.berta)
+        if self.stacked:
+            return self._column(capacity, np.abs(capacity - bound_form) <= CAPACITY_IDENTITY_ATOL)
         if abs(capacity - bound_form) > CAPACITY_IDENTITY_ATOL:
             raise ArithmeticError(f"capacity forms disagree: {capacity!r} vs {bound_form!r}")
         return capacity
@@ -171,43 +214,6 @@ def _stacked_u(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     memory, good_memory = stacked_von_neumann_entropy(stacked_partial_trace(dephased, "B"))
     per_basis, ok = joint - memory, good_joint & good_memory
     return per_basis[:n] + per_basis[n:], ok[:n] & ok[n:]
-
-
-def _stacked_values(states: np.ndarray, names: set[str]) -> tuple[PointQuantities, np.ndarray]:
-    """The ``PointQuantities`` of the whole stack, whose values ``names`` are columns, bitwise
-    as each state alone computes them, and which rows they hold for: X states that pass
-    every check and the capacity identity.  Its formulas derive the rest from the columns."""
-    q = PointQuantities(states)
-    if not names:  # nothing to vouch for: each row's quantities are its dense ones
-        return q, np.ones(len(states), dtype=bool)
-    cols = vars(q)  # the columns stand in for the cached properties
-    s_ab, ok = stacked_von_neumann_entropy(states)  # the state's checks and S(AB), one spectrum
-    if "u" in names:
-        cols["u"], good = _stacked_u(states)
-        ok &= good
-    if names & {"berta", "mutual_information", "classical_correlation", "holevo", "capacity"}:
-        (s_a, good_a), (s_b, good_b) = (
-            stacked_von_neumann_entropy(stacked_partial_trace(states, k)) for k in "AB")
-        ok &= good_a & good_b
-        cols["berta"] = math.log2(1.0 / C) + (s_ab - s_b)
-        cols["mutual_information"] = mutual = s_a + s_b - s_ab
-        if "holevo" in names:
-            (h1, good_1), (h2, good_2) = (stacked_holevo(states, b, s_b) for b in BASES)
-            ok &= good_1 & good_2
-            cols["holevo"] = (h1, h2)
-        if "capacity" in names:
-            bound_form = capacity_bound_form(s_a, cols["berta"])
-            ok &= np.abs(mutual - bound_form) <= CAPACITY_IDENTITY_ATOL
-            cols["capacity"] = mutual
-    rows = np.flatnonzero(ok)  # the optimizer runs on X states that passed every check
-    if "classical_correlation" in names:
-        minima = stacked_measurement_minima(states[rows], "A")
-        cols["classical_correlation"] = np.zeros(len(states))
-        cols["classical_correlation"][rows] = s_b[rows] - minima
-    if "s_min" in names:
-        cols["s_min"] = np.zeros(len(states))
-        cols["s_min"][rows] = stacked_measurement_minima(states[rows], "B")
-    return q, ok
 
 
 @dataclass(frozen=True)

@@ -208,8 +208,8 @@ def sigma_z_basis() -> ProjectiveBasis:
     return bloch_basis(BlochDirection(0.0, 0.0))
 
 
-def stacked_post_measurement_state(states: np.ndarray, basis: ProjectiveBasis) -> np.ndarray:
-    """``post_measurement_state`` of each state of an (N, 4, 4) stack, or of one (4, 4) state."""
+def _dephased(states: np.ndarray, basis: ProjectiveBasis) -> np.ndarray:
+    """Dephasing of one checked state or of a stack, unguarded: a non-finite entry warns."""
     if basis.dephasing_mask is not None:
         return states * basis.dephasing_mask
     out = np.zeros_like(states)
@@ -218,14 +218,20 @@ def stacked_post_measurement_state(states: np.ndarray, basis: ProjectiveBasis) -
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite row fails its own check
+def stacked_post_measurement_state(states: np.ndarray, basis: ProjectiveBasis) -> np.ndarray:
+    """``post_measurement_state`` of each state of an (N, 4, 4) stack, or of one (4, 4) state."""
+    return _dephased(states, basis)
+
+
 def post_measurement_state(rho, basis: ProjectiveBasis) -> np.ndarray:
     """Dephased state sum_x (P_x)_A rho (P_x)_A after measuring qubit A."""
-    return stacked_post_measurement_state(validate_two_qubit(rho), basis)
+    return _dephased(validate_two_qubit(rho), basis)
 
 
 def _entropy_after_measurement(rho: np.ndarray, basis: ProjectiveBasis) -> float:
     """``conditional_entropy_after_measurement`` of a state that passed ``validate_two_qubit``."""
-    pm = stacked_post_measurement_state(rho, basis)
+    pm = _dephased(rho, basis)
     return von_neumann_entropy(pm) - von_neumann_entropy(stacked_partial_trace(pm, "B"))
 
 
@@ -266,10 +272,11 @@ def stacked_holevo(states: np.ndarray, basis: ProjectiveBasis, s_memory: np.ndar
     """``holevo_quantity`` of each state of an (N, 4, 4) stack with memory entropies
     ``s_memory``, and which rows pass every kept branch's checks."""
     total, ok = s_memory, np.ones(len(states), dtype=bool)
-    for prob, kept, memory in _branch_memories(states, basis):
-        entropy, good = stacked_von_neumann_entropy(memory)
-        ok &= good | ~kept
-        total = total - np.where(kept, prob * entropy, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row fails its own check
+        for prob, kept, memory in _branch_memories(states, basis):
+            entropy, good = stacked_von_neumann_entropy(memory)
+            ok &= good | ~kept
+            total = total - np.where(kept, prob * entropy, 0.0)
     return total, ok
 
 

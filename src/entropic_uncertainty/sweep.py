@@ -7,15 +7,15 @@ and emits rows in grid order.  Output is byte-stable across runs.
 ``_grid_points`` is the one route from a grid to evaluated points, for the
 sweep, ``errata_report`` and the applications.  This module keeps the grid, the
 row routing, the output columns and the CSV; the stacked stages live with their
-quantities: ``channels._evolve`` and ``channels._steer``, then
-``bounds._stacked_values``.  The grid is evolved once, and all (steering
-strength, point) rows are one stack, in blocks of ``_STACK_ROWS`` rows; each
-stage returns a row mask of its checks.  A row that passes every mask takes its
-values straight from the stack's columns; any other row is rebuilt alone by the
-one-state functions, which raise that point's own error.  ``_output_rows`` is
-the one mapping from output tags to CSV columns, applied alike to a block's
-columns and to a rebuilt row's ``PointQuantities``; ``render_csv`` formats the
-cells a run of rows shares once per run.
+quantities: ``channels._evolve`` and ``channels._steer``, then the block's
+``bounds.PointQuantities``, which computes only the values its columns read.
+The grid is evolved once, and all (steering strength, point) rows are one stack,
+in blocks of ``_STACK_ROWS`` rows; each stage keeps a row mask of its checks.  A
+row that passes every mask takes its values straight from the stack's columns;
+any other row is rebuilt alone by the one-state functions, which raise that
+point's own error.  ``_output_rows`` is the one mapping from output names to CSV
+columns, applied alike to a block's ``PointQuantities`` and to a rebuilt row's;
+``render_csv`` formats the cells a run of rows shares once per run.
 """
 
 from __future__ import annotations
@@ -28,12 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import (
-    PointQuantities,
-    _stacked_values,
-    ad_closed_form_u,
-    bpf_closed_forms,
-)
+from .bounds import PointQuantities, ad_closed_form_u, bpf_closed_forms
 from .channels import (
     CHANNEL_FAMILIES,
     _evolve,
@@ -46,22 +41,11 @@ from .channels import (
     weak_op,
 )
 from .linalg import stacked_density_spectra
-from .measures import discord_xstate_closed, quantum_discord
+from .measures import discord_from, discord_xstate_closed
 from .states import BellDiagonalCoeffs, as_xstate, bell_diagonal_density, coefficient_problems
 
-# Each output tag, with the PointQuantities values a stack fills in for it.
-_READS = {
-    "u": {"u"},
-    "berta": {"berta"},
-    "pati": {"berta", "mutual_information", "classical_correlation"},
-    "adabi": {"berta", "mutual_information", "holevo"},
-    "tightness": {"u", "berta", "mutual_information", "classical_correlation", "holevo"},
-    "discord": {"mutual_information", "classical_correlation"},
-    "s_min": {"s_min"},
-    "capacity": {"capacity"},
-    "witness": {"u"},
-}
-OUTPUT_TAGS = tuple(_READS)
+OUTPUT_TAGS = ("u", "berta", "pati", "adabi", "tightness", "discord", "s_min", "capacity",
+               "witness")
 # Rows per stack: long grids go in blocks, so a stack's temporaries stay a few MB.
 _STACK_ROWS = 1024
 STEERING_KINDS = ("filter", "weak")
@@ -189,7 +173,7 @@ class _NotFinite(ArithmeticError):
 def _output_rows(q: PointQuantities, outputs, n: int) -> tuple[list[tuple], list[bool]]:
     """The output columns of ``q``, one point's (``n`` = 1) or a stack's of ``n`` rows alike:
     each row's ``(name, value)`` pairs of floats, and whether its values are all finite.
-    ``tightness`` is ``u`` minus each bound, ``witness`` is 1.0 or 0.0."""
+    ``tightness`` is ``u`` minus each bound, ``witness`` 1.0 or 0.0, any other name q's value."""
     columns = []
     for tag in outputs:
         if tag == "tightness":
@@ -207,11 +191,12 @@ def _output_rows(q: PointQuantities, outputs, n: int) -> tuple[list[tuple], list
 def _grid_points(family: str, rho0: np.ndarray, xs, rate, steering_ops, outputs):
     """``(k, i, state, quantities)`` for every grid point ``xs[i]`` under ``steering_ops[k]``
     (all SteeringOps, or all None to leave states unsteered), op by op, each in grid order:
-    the point's state and its ``(name, value)`` output columns (``_output_rows``).
+    the point's state and its ``(name, value)`` columns of ``outputs`` (``_output_rows``).
 
     A point's state is ``rho0`` evolved through the channel at ``_noise_param(x, rate)``,
     then steered.  The grid is evolved once; its (op, point) rows are one stack, in blocks
-    of ``_STACK_ROWS``.  A row that passes every check of the stack takes the stack's
+    of ``_STACK_ROWS``.  Each block's ``PointQuantities`` computes the columns, and only
+    then is its ``ok`` read: a row that passes every check of the stack takes the stack's
     columns; any other row is rebuilt alone by the one-state functions (``_dense_state``),
     which raise that point's own error.  A non-finite value raises ``_NotFinite``.  Every
     error is raised in the place of its point, so it belongs to the point after the last
@@ -220,7 +205,6 @@ def _grid_points(family: str, rho0: np.ndarray, xs, rate, steering_ops, outputs)
     if len({op is None for op in steering_ops}) > 1:
         raise ValueError("steering_ops mixes None with steering operators")
     operators = None if steering_ops[0] is None else np.array([op.operator for op in steering_ops])
-    names = set().union(*(_READS[tag] for tag in outputs))
     params = []
     for x in xs:
         try:
@@ -241,10 +225,10 @@ def _grid_points(family: str, rho0: np.ndarray, xs, rate, steering_ops, outputs)
         if operators is not None:
             states, kept = _steer(operators[ks], states)
             ok &= kept
-        q, good = _stacked_values(states, names)
+        q = PointQuantities._stack(states)
         with np.errstate(invalid="ignore", over="ignore"):  # flagged rows' columns are unused
             table, finite = _output_rows(q, outputs, len(states))
-        for row, stacked in enumerate((ok & good).tolist()):
+        for row, stacked in enumerate((ok & q.ok).tolist()):
             k, i = divmod(first + row, n)
             if stacked:
                 state, quantities, all_finite = states[row], table[row], finite[row]
@@ -361,9 +345,10 @@ def errata_report(coeffs: BellDiagonalCoeffs, channel: str, grid) -> str:
         if best is None or gap > best[0]:
             gaps[name] = (gap, x)
 
-    for _, i, state, ((_, u), (_, berta)) in _grid_points(channel, rho0, grid, None, (None,),
-                                                          ("u", "berta")):
+    values = ("u", "berta", "mutual_information", "s_a", "s_min")
+    for _, i, state, quantities in _grid_points(channel, rho0, grid, None, (None,), values):
         x = grid[i]
+        (_, u), (_, berta), (_, mutual), (_, s_a), (_, s_min) = quantities
         if channel == "AD":
             closed_u = ad_closed_form_u(coeffs, x)
             record(
@@ -373,14 +358,10 @@ def errata_report(coeffs: BellDiagonalCoeffs, channel: str, grid) -> str:
             )
         else:
             closed_u, closed_bound = bpf_closed_forms(coeffs, x)
-            record(
-                "evolved-state uncertainty (closed form)",
-                abs(closed_u - u),
-                x,
-            )
+            record("evolved-state uncertainty (closed form)", abs(closed_u - u), x)
             record("uncertainty lower bound (closed form)", abs(closed_bound - berta), x)
         closed_d = discord_xstate_closed(as_xstate(state))
-        numeric_d = quantum_discord(state, measured_side="B")
+        numeric_d = discord_from(mutual, s_a - s_min)  # bitwise quantum_discord(state, "B")
         record("x-state discord (closed form)", abs(closed_d - numeric_d), x)
 
     names = sorted(set(gaps) | set(skipped))

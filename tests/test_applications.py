@@ -160,6 +160,17 @@ def test_witness_scan_evolves_one_stack(monkeypatch):
         assert counts["_evolve"] == counts["uncertainty_lhs"] - 100
 
 
+def test_witness_requests_no_stacked_value(monkeypatch):
+    # the scan and bisection stacks read no value: each u is the state's dense one
+    def no_stacked_entropy(m):
+        raise AssertionError(f"stacked entropy of {m.shape}")
+
+    monkeypatch.setattr(bounds, "stacked_von_neumann_entropy", no_stacked_entropy)
+    for family in ("AD", "BPF"):
+        for s in (0.0, 0.4):
+            witness_threshold(family, WITNESS_COEFFS, s)
+
+
 @pytest.mark.parametrize("s", (-0.3, math.nan))
 def test_witness_threshold_rejects_a_bad_strength(s):
     with pytest.raises(ValueError, match=r"outside \[0, 1\)"):

@@ -16,8 +16,10 @@ from conftest import (
     u_oracle,
 )
 from entropic_uncertainty import bounds, linalg, measures
+from entropic_uncertainty.applications import channel_capacity
 from entropic_uncertainty.bounds import (
     BoundReport,
+    PointQuantities,
     ad_closed_form_spectrum,
     ad_closed_form_u,
     berta_bound,
@@ -32,8 +34,12 @@ from entropic_uncertainty.linalg import NotHermitianError, density_spectrum
 from entropic_uncertainty.measures import (
     BlochDirection,
     bloch_basis,
+    classical_correlation,
     conditional_entropy_after_measurement,
+    holevo_quantity,
     min_conditional_entropy_over_measurements,
+    mutual_information,
+    quantum_conditional_entropy,
     quantum_discord,
     sigma_x_basis,
     sigma_z_basis,
@@ -129,6 +135,41 @@ def test_chain_errors_are_pinned(m, error, returns):
         assert (type(err.value), str(err.value)) == (kind, text), name
 
 
+# each value of one state's PointQuantities, and the one-state function it equals, value or error
+ONE_STATE = {
+    "u": uncertainty_lhs,
+    "berta": lambda m: 1.0 + quantum_conditional_entropy(m),
+    "mutual_information": mutual_information,
+    "classical_correlation": classical_correlation,
+    "discord": quantum_discord,
+    "s_min": min_conditional_entropy_over_measurements,
+    "holevo": lambda m: (holevo_quantity(m, BX), holevo_quantity(m, BZ)),
+}
+
+
+def _outcome(call, m):
+    try:
+        return "value", call(m)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+STACK = np.array([BELL, FIG1])
+
+
+@pytest.mark.parametrize("m", [m for m, _, _ in BAD_INPUTS.values()] + [BELL, FIG1, MIXED, STACK],
+                         ids=[*BAD_INPUTS, "bell", "fig1", "mixed", "stack"])
+def test_point_quantities_are_the_one_state_functions(m):
+    for name, call in ONE_STATE.items():
+        assert _outcome(lambda m: getattr(PointQuantities(m), name), m) == _outcome(call, m), name
+
+
+def test_a_stack_is_not_one_state():
+    # only _stack reads a stack; the public entry points refuse one as they refuse any 3-D input
+    for call in (berta_bound, channel_capacity, bound_report, lambda m: PointQuantities(m).u):
+        assert _outcome(call, STACK) == (ValueError, "expected a 2-D matrix, got shape (2, 4, 4)")
+
+
 def test_huge_asymmetric_entries_raise_without_a_warning():
     # 1e308 - conj(-1e308) overflows to inf as a Python number, with no numpy warning
     m = _state(QUARTERS, [((0, 3), 1e308), ((3, 0), -1e308)])
@@ -173,6 +214,22 @@ def test_uncertainty_lhs_is_the_one_row_stack():
         assert one_ok[0]
         assert _bits(one[0]) == _bits(u) == _bits(uncertainty_lhs(rho))
         assert u == pytest.approx(u_oracle(rho), abs=1e-10)
+
+
+def test_a_stack_with_an_infinite_row_flags_only_that_row():
+    # the suite turns warnings into errors: the dephasings of u and of the Holevo quantities
+    # must not warn on the infinite rows, which only fail their own checks
+    rng = np.random.RandomState(1019)
+    states = np.array([rand_xstate_matrix(rng, real=k % 2 == 0) for k in range(6)])
+    states[2, 1, 1] = np.inf  # a diagonal entry, which the sigma_z mask keeps
+    states[4, 0, 2] = np.inf  # an entry sigma_z's mask multiplies by 0
+    q = PointQuantities._stack(states)
+    u, holevo = q.u, q.holevo
+    assert q.ok.tolist() == [True, True, False, True, False, True]
+    for row in (0, 1, 3, 5):
+        one = PointQuantities(states[row])
+        assert u[row] == one.u
+        assert (holevo[0][row], holevo[1][row]) == one.holevo
 
 
 def test_berta_examples():

@@ -1,4 +1,5 @@
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from entropic_uncertainty.channels import (
     weak_op,
 )
 from entropic_uncertainty.linalg import is_x_patterned, stacked_density_spectra
+from entropic_uncertainty.measures import quantum_discord
 from entropic_uncertainty.sweep import (
     MAX_GRID_ROWS,
     OUTPUT_TAGS,
@@ -252,6 +254,32 @@ def test_errata_report_contents():
             route()
 
 
+def test_errata_discord_is_the_dense_discord_on_b(monkeypatch):
+    # errata's discord, from the stack's columns, equals quantum_discord(state, "B") bitwise
+    states, discords = [], []
+    as_xstate, discord_from = sweep.as_xstate, sweep.discord_from
+
+    def recorded_state(state):
+        states.append(state)
+        return as_xstate(state)
+
+    def recorded_discord(mutual, classical):
+        discords.append(discord_from(mutual, classical))
+        return discords[-1]
+
+    monkeypatch.setattr(sweep, "as_xstate", recorded_state)
+    monkeypatch.setattr(sweep, "discord_from", recorded_discord)
+    rng = np.random.RandomState(1021)
+    triples = [(-1.0, 1.0, 1.0), (0.0, 0.0, 0.0)] + [rand_bd_coeffs(rng) for _ in range(8)]
+    for coeffs in triples:
+        for channel in ("AD", "BPF"):
+            errata_report(BellDiagonalCoeffs(*coeffs), channel, [0.0, 0.5, 1.0])
+    assert len(states) == len(discords) == len(triples) * 2 * 3
+    for state, discord in zip(states, discords):
+        assert discord == quantum_discord(state, measured_side="B")
+        assert type(discord) is float
+
+
 def test_grid_size_limit_in_validation():
     assert small_cfg(param_points=MAX_GRID_ROWS).validate() == []
     too_long = small_cfg(param_points=MAX_GRID_ROWS + 1).validate()
@@ -271,18 +299,33 @@ def test_grid_size_limit_in_validation():
         run_sweep(steered)
 
 
+def _recorded_stacks(monkeypatch, cls=PointQuantities):
+    """Make ``_grid_points`` build ``cls`` and record each stack's ``PointQuantities``: one per
+    block, whose ``ok`` marks, once the block's columns are read, the rows the stack gives."""
+    stacks = []
+
+    class Recorded(cls):
+        @classmethod
+        def _stack(cls, states):
+            stacks.append(super()._stack(states))
+            return stacks[-1]
+
+    monkeypatch.setattr(sweep, "PointQuantities", Recorded)
+    return stacks
+
+
 def test_numeric_error_locates_the_steered_point(monkeypatch):
-    stacked = sweep._stacked_values
-    blocks = []
+    class Row4Flagged(PointQuantities):
+        @cached_property
+        def capacity(self):
+            capacity = super().capacity
+            if self.stacked:
+                # rows 0-2 are strength 0.0, rows 3-5 strength 0.4 (one stack);
+                # as when the stack's capacity identity check fails
+                self.ok[3 + 1] = False
+            return capacity
 
-    def strength_0_4_row_1_flagged(states, names):
-        blocks.append(stacked(states, names))
-        # rows 0-2 are strength 0.0, rows 3-5 strength 0.4 (one stack);
-        # as when the stack's capacity identity check fails
-        blocks[-1][1][3 + 1] = False
-        return blocks[-1]
-
-    monkeypatch.setattr(sweep, "_stacked_values", strength_0_4_row_1_flagged)
+    stacks = _recorded_stacks(monkeypatch, Row4Flagged)
     cfg = small_cfg(
         param_points=3,
         steering_kind="weak",
@@ -291,7 +334,7 @@ def test_numeric_error_locates_the_steered_point(monkeypatch):
     )
     # a flagged row whose dense evaluation passes keeps the dense value
     rows = run_sweep(cfg)
-    assert len(blocks) == 1
+    assert len(stacks) == 1
     state = _dense_state("AD", bell_diagonal_density(cfg.coeffs()), 0.5, "weak", 0.4)
     capacity = channel_capacity(state)
     assert rows[4].quantities == (("capacity", capacity),)
@@ -300,7 +343,6 @@ def test_numeric_error_locates_the_steered_point(monkeypatch):
     form = bounds.capacity_bound_form
     monkeypatch.setattr(bounds, "capacity_bound_form",
                         lambda s, b: form(s, b) if isinstance(b, np.ndarray) else -1.0)
-    blocks.clear()
     with pytest.raises(NumericError) as err:
         run_sweep(cfg)
     assert str(err.value) == (
@@ -308,12 +350,15 @@ def test_numeric_error_locates_the_steered_point(monkeypatch):
         f"capacity forms disagree: {capacity!r} vs -1.0"
     )
 
-    def nan_capacity(states, names):
-        known, ok = stacked(states, names)  # known: the stack's PointQuantities of columns
-        known.capacity[0] = float("nan")
-        return known, ok
+    class NanCapacity(PointQuantities):
+        @cached_property
+        def capacity(self):
+            capacity = super().capacity  # a stack's: a column
+            if self.stacked:
+                capacity[0] = math.nan
+            return capacity
 
-    monkeypatch.setattr(sweep, "_stacked_values", nan_capacity)
+    monkeypatch.setattr(sweep, "PointQuantities", NanCapacity)
     with pytest.raises(NumericError, match=r"capacity is not finite at grid index 0 "):
         run_sweep(cfg)
 
@@ -323,22 +368,25 @@ def test_numeric_error_locates_the_steered_point(monkeypatch):
 def test_first_bad_point_in_order_names_its_grid_index(monkeypatch, block, flagged, nan_row):
     # rows 0-2 are strength 0.2, rows 3-5 strength 0.4: the flagged row's dense rebuild fails,
     # the stacked row's u is NaN, and whichever comes first in order is the error
-    stacked, seen = sweep._stacked_values, [0]
+    seen = [0]
 
-    def two_bad_rows(states, names):
-        known, ok = stacked(states, names)
-        first, seen[0] = seen[0], seen[0] + len(states)
-        for row in range(first, seen[0]):
-            if row == flagged:
-                ok[row - first] = False
-            if row == nan_row:
-                known.u[row - first] = math.nan
-        return known, ok
+    class TwoBadRows(PointQuantities):
+        @cached_property
+        def u(self):
+            u = super().u
+            if self.stacked:
+                first, seen[0] = seen[0], seen[0] + len(u)
+                for row in range(first, seen[0]):
+                    if row == flagged:
+                        self.ok[row - first] = False
+                    if row == nan_row:
+                        u[row - first] = math.nan
+            return u
 
     def dense_u_fails(rho):
         raise ValueError("dense u failed")
 
-    monkeypatch.setattr(sweep, "_stacked_values", two_bad_rows)
+    monkeypatch.setattr(sweep, "PointQuantities", TwoBadRows)
     monkeypatch.setattr(bounds, "uncertainty_lhs", dense_u_fails)
     monkeypatch.setattr(sweep, "_STACK_ROWS", block)
     cfg = small_cfg(param_points=3, steering_kind="weak", steering_strengths=(0.2, 0.4),
@@ -353,36 +401,62 @@ def test_first_bad_point_in_order_names_its_grid_index(monkeypatch, block, flagg
         assert str(err.value) == f"quantity u is not finite at {where}"
 
 
+def _counted(monkeypatch, module, names, calls):
+    """Wrap each function ``names`` of ``module`` to append (name, what it was given) to
+    ``calls``: an array's shape, and any string argument (a side or a kept qubit)."""
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original):
+            given = [np.shape(a) if isinstance(a, np.ndarray) else a for a in args]
+            calls.append((_name, *(g for g in given if isinstance(g, (tuple, str)))))
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+
 def test_shared_correlations_run_once_per_point(monkeypatch):
-    dense = {"mutual_information": 0, "classical_correlation": 0}
-    for name in dense:
-        original = getattr(bounds, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            dense[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(bounds, name, counted)
-    stacked = []  # (batched entry point, rows it evaluated)
-    for name in ("stacked_von_neumann_entropy", "stacked_holevo", "stacked_measurement_minima"):
-        original = getattr(bounds, name)
-
-        def counted_stack(states, *args, _name=name, _original=original):
-            stacked.append((_name, len(states), *(a for a in args if isinstance(a, str))))
-            return _original(states, *args)
-
-        monkeypatch.setattr(bounds, name, counted_stack)
+    dense, stacked = [], []  # (entry point, the shapes and sides it was given)
+    _counted(monkeypatch, bounds, ("von_neumann_entropy",
+                                   "min_conditional_entropy_over_measurements"), dense)
+    _counted(monkeypatch, bounds, ("stacked_von_neumann_entropy", "stacked_holevo",
+                                   "stacked_measurement_minima"), stacked)
     cfg = small_cfg(outputs=("pati", "adabi", "discord", "tightness"), param_points=4)
     run_sweep(cfg)
     # S(AB), S(A), S(B) once, the dephased joint and memory entropies of both bases as one
     # stack each, one Holevo quantity per basis and the measurement optimizer on qubit A once
-    entropy = ("stacked_von_neumann_entropy", 4)
-    both_bases = ("stacked_von_neumann_entropy", 8)
-    assert sorted(stacked) == sorted([entropy] * 3 + [both_bases] * 2 + [("stacked_holevo", 4)] * 2
-                                     + [("stacked_measurement_minima", 4, "A")])
-    assert dense == {"mutual_information": 0, "classical_correlation": 0}
-    bound_report(bell_diagonal_density(BellDiagonalCoeffs(-0.5, 0.4, 0.8)))
-    assert dense == {"mutual_information": 1, "classical_correlation": 1}
+    entropy = ("stacked_von_neumann_entropy", (4, 4, 4))
+    memory = ("stacked_von_neumann_entropy", (4, 2, 2))
+    both_bases = [("stacked_von_neumann_entropy", (8, 4, 4)),
+                  ("stacked_von_neumann_entropy", (8, 2, 2))]
+    assert sorted(stacked) == sorted([entropy] + [memory] * 2 + both_bases
+                                     + [("stacked_holevo", (4, 4, 4), (4,))] * 2
+                                     + [("stacked_measurement_minima", (4, 4, 4), "A")])
+    assert dense == []
+    # one state's S(AB), S(A) and S(B) once each, and the optimizer once on each qubit
+    rho = bell_diagonal_density(BellDiagonalCoeffs(-0.5, 0.4, 0.8))
+    bound_report(rho)
+    assert sorted(dense) == sorted([("von_neumann_entropy", (4, 4))]
+                                   + [("von_neumann_entropy", (2, 2))] * 2
+                                   + [("min_conditional_entropy_over_measurements", (4, 4), side)
+                                      for side in "AB"])
+
+
+@pytest.mark.parametrize(("output", "expected"), [
+    # S(AB) (the state's check), then both bases' dephased joint states and their memories
+    ("u", [((5, 4, 4),), ((10, 4, 4),), ((10, 2, 2),)]),
+    # S(AB) and S(B), and no S(A)
+    ("berta", [((5, 4, 4),), ((5, 2, 2),)]),
+])
+def test_a_stacked_read_computes_only_what_it_needs(monkeypatch, output, expected):
+    calls = []
+    _counted(monkeypatch, bounds, ("stacked_von_neumann_entropy", "stacked_partial_trace",
+                                   "stacked_holevo", "stacked_measurement_minima"), calls)
+    run_sweep(small_cfg(outputs=(output,)))
+    assert [c[1:] for c in calls if c[0] == "stacked_von_neumann_entropy"] == expected
+    traced = [c[1:] for c in calls if c[0] == "stacked_partial_trace"]
+    assert traced == ([((10, 4, 4), "B")] if output == "u" else [((5, 4, 4), "B")])
+    assert {c[0] for c in calls} == {"stacked_von_neumann_entropy", "stacked_partial_trace"}
 
 
 def _dense_state(channel, rho0, param, kind, strength):
@@ -452,23 +526,15 @@ def _dense_columns(state):
     return columns
 
 
-def _recording_stack(monkeypatch):
-    """Record, per stack, which rows ``_stacked_values`` leaves to the dense path."""
-    stacked, flagged = sweep._stacked_values, []
-
-    def recorded(states, names):
-        known, ok = stacked(states, names)
-        flagged.append(np.flatnonzero(~ok).tolist())
-        return known, ok
-
-    monkeypatch.setattr(sweep, "_stacked_values", recorded)
-    return flagged
+def _flagged(stacks):
+    """Per recorded stack, the rows it leaves to the dense path."""
+    return [np.flatnonzero(~q.ok).tolist() for q in stacks]
 
 
 def test_batched_columns_equal_dense(monkeypatch):
     # every column of every row equals the state's own dense evaluation, bitwise;
     # each grid holds the boundary points: AD d = 1, BPF p in {0, 1/2, 1}
-    flagged = _recording_stack(monkeypatch)
+    stacks = _recorded_stacks(monkeypatch)
     rng = np.random.RandomState(613)
     triples = [(-1.0, 1.0, 1.0), (0.0, 0.0, 0.0), rand_bd_coeffs(rng)]
     steerings = [(None, ()), ("filter", (1e-9, 0.35, 1.0 - 1e-9)), ("weak", (0.0, 0.6, 0.999))]
@@ -491,21 +557,27 @@ def test_batched_columns_equal_dense(monkeypatch):
                     compared += 1
     assert compared == len(triples) * 3 * 7 * 5
     # one stack per sweep, and the stack gave every row
-    assert flagged == [[]] * (len(triples) * 3 * 3)
+    assert _flagged(stacks) == [[]] * (len(triples) * 3 * 3)
 
-    # a Hadamard on the memory qubit: d = 1 leaves an X state, the other rows are not
+    # a Hadamard on the memory qubit: d = 1 leaves an X state, the other rows are not; every
+    # stacked value includes the state's own check, so each tag alone flags them too
     h = np.kron(I2, (SX + SZ) / np.sqrt(2.0))
     monkeypatch.setattr(sweep, "bell_diagonal_density", lambda c: h @ bell_diagonal_density(c) @ h)
-    for stop, expected in ((1.0, [[0, 1, 2, 3]]), (0.5, [[0, 1, 2, 3, 4]])):
+    cases = [(OUTPUT_TAGS, 1.0, [[0, 1, 2, 3]]), (OUTPUT_TAGS, 0.5, [[0, 1, 2, 3, 4]])]
+    cases += [((tag,), 0.5, [[0, 1, 2, 3, 4]]) for tag in OUTPUT_TAGS]
+    for outputs, stop, expected in cases:
         cfg = small_cfg(param_stop=stop, steering_kind="weak", steering_strengths=(0.4,),
-                        outputs=OUTPUT_TAGS)
-        flagged.clear()
+                        outputs=outputs)
+        stacks.clear()
         rows = run_sweep(cfg)
-        assert flagged == expected
+        assert _flagged(stacks) == expected, outputs
         rho0 = h @ bell_diagonal_density(cfg.coeffs()) @ h
         for row in rows:
             state = _dense_state("AD", rho0, row.param, "weak", 0.4)
-            assert dict(row.quantities) == _dense_columns(state)
+            expected = _dense_columns(state)
+            if outputs != OUTPUT_TAGS:  # one tag: the columns it expands to
+                expected = {n: v for n, v in expected.items() if n.startswith(outputs[0])}
+            assert dict(row.quantities) == expected, (outputs, row)
 
 
 def test_long_grid_blocks_equal_one_stack(monkeypatch):
@@ -526,18 +598,11 @@ def test_long_grid_blocks_equal_one_stack(monkeypatch):
 
 def test_steered_sweep_is_one_stack_in_blocks(monkeypatch):
     # K strengths x N points are one stack of K*N rows, in ceil(K*N / _STACK_ROWS) blocks
-    sizes = []
-    stacked = sweep._stacked_values
-
-    def counted(states, names):
-        sizes.append(len(states))
-        return stacked(states, names)
-
-    monkeypatch.setattr(sweep, "_stacked_values", counted)
+    stacks = _recorded_stacks(monkeypatch)
     long_grid = small_cfg(param_points=400, steering_kind="weak",
                           steering_strengths=(0.1, 0.5, 0.9), outputs=("u",))
     rows = run_sweep(long_grid)
-    assert sizes == [sweep._STACK_ROWS, 1200 - sweep._STACK_ROWS]
+    assert [len(q.rho) for q in stacks] == [sweep._STACK_ROWS, 1200 - sweep._STACK_ROWS]
     assert [row.steer_strength for row in rows] == [0.1] * 400 + [0.5] * 400 + [0.9] * 400
 
     # a block boundary inside one strength's rows changes no value
@@ -549,9 +614,9 @@ def test_steered_sweep_is_one_stack_in_blocks(monkeypatch):
         grid = np.linspace(0.0, 1.0, 7).tolist()
         for block in (5, 3):  # 5 cuts the first strength's 7 rows after row 4
             monkeypatch.setattr(sweep, "_STACK_ROWS", block)
-            sizes.clear()
+            stacks.clear()
             rows = run_sweep(cfg)
-            assert len(sizes) == math.ceil(7 * len(strengths) / block)
+            assert len(stacks) == math.ceil(7 * len(strengths) / block)
             assert [(row.steer_strength, row.param) for row in rows] == [
                 (s, x) for s in strengths for x in grid
             ]
