@@ -13,10 +13,11 @@ formula once (the Berta, Pati and Adabi bounds, mutual information, classical
 correlation, discord, the capacity and the entropic witness), over a number or a
 column alike, and computes each value a state pays for on first read only, a
 stack's bitwise as each state alone.
-``uncertainty_lhs`` stays a per-point chain of scalar spectra for point-at-a-time
-callers (the witness bisection): it checks the state once, then takes each
-basis's two entropies, five spectra for an X state.  ``_stacked_u`` is its
-stack, with both bases' dephased states in one (2N, 4, 4) stack.
+``uncertainty_lhs`` stays a per-point chain for point-at-a-time callers (the
+witness bisection): it checks the state once, then takes each basis's two
+entropies, five spectra for an X state, on the entries as Python numbers at about
+half the cost of a one-row stack.  ``_stacked_u`` is its stack, with both bases'
+dephased states in one (2N, 4, 4) stack.
 
 The numerical pipeline (build state, evolve, measure, take entropies) is the
 ground truth everywhere.  The closed-form evolved spectra are exact and used

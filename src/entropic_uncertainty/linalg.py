@@ -3,8 +3,9 @@
 Deliberately self-contained: spectra come from closed forms (quadratic formula
 for 2x2 blocks, anti-diagonal block split for X-shaped 4x4 matrices) with a
 cyclic Jacobi fallback, so results are exact and deterministic for the matrices
-this package actually produces.  One matrix's checks and closed forms run on
-its entries as Python numbers, a stack's on whole columns.
+this package actually produces.  One matrix's checks, closed forms, trace and
+clamp run on its entries as Python numbers (``_spectrum``), a stack's on whole
+columns, to the same bits.
 """
 
 from __future__ import annotations
@@ -116,18 +117,16 @@ def is_x_patterned(m, atol: float = X_PATTERN_ATOL) -> bool:
     return all(abs(m[i][j]) <= atol for i, j in _OFF_X_INDICES)
 
 
-def hermitian_eigenvalues(m) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, sorted descending.
-
-    1x1 and 2x2 are solved by the quadratic formula, X-shaped 4x4 matrices by
-    splitting into the {|00>, |11>} and {|01>, |10>} blocks; anything else
-    falls back to cyclic Jacobi rotations converged to ``EIG_ATOL``.  The
-    Hermitian check, the X-pattern test and the sort run on Python numbers.
-    """
-    m = as_matrix(m)
+def _entries(m: np.ndarray) -> list:
+    """A square matrix's entries as nested lists of Python numbers (no numpy warnings)."""
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix is not square: {m.shape}")
-    n, e = m.shape[0], m.tolist()  # Python numbers: no numpy scalar warnings
+    return m.tolist()
+
+
+def _eigenvalues(e: list) -> list[float]:
+    """``hermitian_eigenvalues`` of a square matrix's entries (``_entries``), as a list."""
+    n = len(e)
     asym = max(abs(e[i][j] - e[j][i].conjugate()) for i in range(n) for j in range(i, n))
     if asym > HERMITIAN_ATOL:
         raise NotHermitianError(asym)
@@ -139,8 +138,19 @@ def hermitian_eigenvalues(m) -> np.ndarray:
         vals = (_eig2(e[0][0].real, e[3][3].real, e[0][3])
                 + _eig2(e[1][1].real, e[2][2].real, e[1][2]))
     else:
-        return jacobi_eigenvalues(m)
-    return np.array(sorted(vals, reverse=True))
+        return jacobi_eigenvalues(e).tolist()
+    return sorted(vals, reverse=True)
+
+
+def hermitian_eigenvalues(m) -> np.ndarray:
+    """Real eigenvalues of a Hermitian matrix, sorted descending.
+
+    1x1 and 2x2 are solved by the quadratic formula, X-shaped 4x4 matrices by
+    splitting into the {|00>, |11>} and {|01>, |10>} blocks; anything else
+    falls back to cyclic Jacobi rotations converged to ``EIG_ATOL``.  The
+    Hermitian check, the X-pattern test and the sort run on Python numbers.
+    """
+    return np.array(_eigenvalues(_entries(as_matrix(m))))
 
 
 def jacobi_eigenvalues(m) -> np.ndarray:
@@ -184,18 +194,32 @@ def jacobi_eigenvalues(m) -> np.ndarray:
         return np.sort(np.diag(a).real)[::-1]
 
 
-def density_spectrum(rho) -> np.ndarray:
-    """Spectrum of a density matrix: validated, clamped to [0, 1], descending."""
-    vals = hermitian_eigenvalues(rho)
-    low = float(vals.min())
-    if not low >= -PSD_ATOL:  # a NaN eigenvalue (inf - inf) fails too
-        raise ValueError(
-            f"matrix is not positive semidefinite (eigenvalue {low:.3e})"
-        )
-    total = float(vals.sum())
+def _ordered_sum(values) -> float:
+    """numpy's sum of fewer than 8 float64 values: from 0.0, left to right (``math.fsum``
+    and, from Python 3.12 on, the builtin ``sum`` are compensated)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _spectrum(e: list) -> list[float]:
+    """``density_spectrum`` of a square matrix's entries (``_entries``), as a list: the
+    checks, the trace and the clamp on Python floats, bitwise as numpy's."""
+    vals = _eigenvalues(e)
+    # numpy's min propagates a NaN eigenvalue (inf - inf); Python's min may skip it
+    low = math.nan if any(map(math.isnan, vals)) else min(vals)
+    if not low >= -PSD_ATOL:
+        raise ValueError(f"matrix is not positive semidefinite (eigenvalue {low:.3e})")
+    total = _ordered_sum(vals)
     if abs(total - 1.0) > TRACE_ATOL:
         raise ValueError(f"matrix does not have unit trace (trace {total!r})")
-    return np.clip(vals, 0.0, 1.0)
+    return [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in vals]  # np.clip keeps -0.0
+
+
+def density_spectrum(rho) -> np.ndarray:
+    """Spectrum of a density matrix: validated, clamped to [0, 1], descending."""
+    return np.array(_spectrum(_entries(as_matrix(rho))))
 
 
 def stacked_density_spectra(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,7 +244,7 @@ def stacked_density_spectra(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def validate_density(rho) -> np.ndarray:
     """Check Hermiticity, trace and positivity; return the matrix unchanged."""
     rho = as_matrix(rho)
-    density_spectrum(rho)
+    _spectrum(_entries(rho))
     return rho
 
 

@@ -49,8 +49,10 @@ from .linalg import (
     POSTSELECT_MIN_PROB,
     PSD_ATOL,
     TRACE_ATOL,
+    _entries,
+    _ordered_sum,
+    _spectrum,
     as_matrix,
-    density_spectrum,
     is_x_patterned,
     partial_trace,
     stacked_density_spectra,
@@ -104,27 +106,29 @@ def binary_entropy(q: float) -> float:
     return out
 
 
-def _spectrum_entropy(p: np.ndarray) -> np.ndarray:
-    """Entropy in bits along the last axis of clamped, descending spectra: a zero eigenvalue
-    adds 0.0 at the end of the sum, so one spectrum gets the same bits alone or in a stack."""
-    return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
+def _entropy(e: list) -> float:
+    """``von_neumann_entropy`` of a square matrix's entries (``linalg._entries``): one
+    ``np.log2`` call (``math.log2`` differs in the last bit), the products and the sums on
+    Python floats, bitwise as ``stacked_von_neumann_entropy``."""
+    p = _spectrum(e)
+    total = _ordered_sum(p)
+    if abs(total - 1.0) > TRACE_ATOL:
+        raise ValueError(f"probabilities sum to {total!r}, expected 1")
+    logs = np.log2([x if x > 0.0 else 1.0 for x in p]).tolist()
+    return -_ordered_sum([x * y for x, y in zip(p, logs)])
 
 
 def von_neumann_entropy(rho) -> float:
     """Entropy in bits of a density matrix's spectrum, whose clamped trace must stay 1."""
-    p = density_spectrum(rho)
-    total = float(p.sum())
-    if abs(total - 1.0) > TRACE_ATOL:
-        raise ValueError(f"probabilities sum to {total!r}, expected 1")
-    return float(_spectrum_entropy(p))
+    return _entropy(_entries(as_matrix(rho)))
 
 
 def stacked_von_neumann_entropy(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``von_neumann_entropy`` of each matrix of an (N, 2, 2) or (N, 4, 4) stack, and which
-    rows pass its checks, bitwise as the dense one."""
+    rows pass its checks, bitwise as the dense one: a zero eigenvalue adds 0.0 to the sum."""
     p, ok = stacked_density_spectra(m)
     ok &= np.abs(p.sum(axis=1) - 1.0) <= TRACE_ATOL
-    return _spectrum_entropy(p), ok
+    return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1), ok
 
 
 @dataclass(frozen=True)
@@ -231,8 +235,8 @@ def post_measurement_state(rho, basis: ProjectiveBasis) -> np.ndarray:
 
 def _entropy_after_measurement(rho: np.ndarray, basis: ProjectiveBasis) -> float:
     """``conditional_entropy_after_measurement`` of a state that passed ``validate_two_qubit``."""
-    pm = _dephased(rho, basis)
-    return von_neumann_entropy(pm) - von_neumann_entropy(stacked_partial_trace(pm, "B"))
+    e = _dephased(rho, basis).tolist()  # the memory's entry [b][c] is e[b][c] + e[2 + b][2 + c]
+    return _entropy(e) - _entropy([[e[b][c] + e[2 + b][2 + c] for c in (0, 1)] for b in (0, 1)])
 
 
 def conditional_entropy_after_measurement(rho, basis: ProjectiveBasis) -> float:

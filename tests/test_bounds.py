@@ -43,6 +43,7 @@ from entropic_uncertainty.measures import (
     quantum_discord,
     sigma_x_basis,
     sigma_z_basis,
+    stacked_von_neumann_entropy,
     von_neumann_entropy,
 )
 from entropic_uncertainty.states import BellDiagonalCoeffs
@@ -101,6 +102,12 @@ BAD_INPUTS = {
     "nan-eigenvalue": (  # a + d overflows, and inf - inf is NaN
         _state((1e308, 0.0, 0.0, 1e308), [((0, 3), 1e308), ((3, 0), 1e308)]),
         (ValueError, NOT_PSD.format("nan")), ()),
+    # Python's min over a list skips a NaN unless it comes first; numpy's min does not
+    "nan-in-01-10-block": (
+        _state((0.0, 1e308, 1e308, 0.0), [((1, 2), 1e308), ((2, 1), 1e308)]),
+        (ValueError, NOT_PSD.format("nan")), ()),
+    "nan-2x2": (_state((1e308, 1e308), [((0, 1), 1e308), ((1, 0), 1e308)]),
+                (ValueError, NOT_PSD.format("nan")), ()),
     "trace-off": (
         _state((0.8, 0.6, 0.4, 0.2)),
         (ValueError, "matrix does not have unit trace (trace 1.9999999999999998)"), ()),
@@ -179,15 +186,17 @@ def test_huge_asymmetric_entries_raise_without_a_warning():
 
 
 def test_uncertainty_lhs_checks_the_state_once(monkeypatch):
+    # linalg._spectrum is the one checked spectrum of the scalar chain; it takes the entries
+    # as nested lists
     shapes = []
 
-    def counted(m):
-        shapes.append(m.shape)
-        return real(m)
+    def counted(e):
+        shapes.append((len(e), len(e[0])))
+        return real(e)
 
-    real = linalg.density_spectrum
-    monkeypatch.setattr(linalg, "density_spectrum", counted)
-    monkeypatch.setattr(measures, "density_spectrum", counted)
+    real = linalg._spectrum
+    monkeypatch.setattr(linalg, "_spectrum", counted)
+    monkeypatch.setattr(measures, "_spectrum", counted)
     uncertainty_lhs(FIG1)
     # rho once, then per basis the dephased state and the memory it leaves
     assert shapes == [(4, 4), (4, 4), (2, 2), (4, 4), (2, 2)]
@@ -195,6 +204,44 @@ def test_uncertainty_lhs_checks_the_state_once(monkeypatch):
 
 def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _left_to_right(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def test_one_state_entropy_sums_and_logs_as_the_stack():
+    # numpy sums fewer than 8 float64 values from 0.0 left to right, and the scalar chain
+    # writes that loop out; on these spectra a compensated sum (math.fsum, or the builtin sum
+    # from Python 3.12 on) or math.log2 in place of np.log2 gives other bits
+    trace_sum = _state((0.7, 0.1, 0.1, 0.1))
+    entropy_sum = _state((0.05, 0.05, 0.25, 0.65))
+    log2_memory = _state((1 - 0.2344, 0.2344))
+    for m in (trace_sum, entropy_sum, log2_memory):
+        stacked, ok = stacked_von_neumann_entropy(m[None])
+        assert ok[0] and _bits(von_neumann_entropy(m)) == _bits(stacked[0])
+    p = density_spectrum(trace_sum).tolist()
+    assert (_left_to_right(p), math.fsum(p)) == (0.9999999999999999, 1.0)
+    p = density_spectrum(entropy_sum)
+    terms = (p * np.log2(p)).tolist()
+    assert _left_to_right(terms) != math.fsum(terms)
+    p = density_spectrum(log2_memory).tolist()
+    assert -_left_to_right(x * math.log2(x) for x in p) != von_neumann_entropy(log2_memory)
+    # within an ulp of the trace tolerance the sum order decides the check: the first state
+    # fails left to right (trace 1.000000001) and passes by fsum, the second the other way
+    fails = _state((0.8000000009999999, 0.11, 0.05, 0.04))
+    passes = _state((0.710000001, 0.02, 0.09, 0.18))
+    with pytest.raises(ValueError, match=r"unit trace \(trace 1\.000000001\)$"):
+        von_neumann_entropy(fails)
+    for m, dense_ok in ((fails, False), (passes, True)):
+        p = linalg.hermitian_eigenvalues(m).tolist()
+        assert (abs(math.fsum(p) - 1.0) <= linalg.TRACE_ATOL) != dense_ok
+        stacked, ok = stacked_von_neumann_entropy(m[None])
+        assert ok[0] == dense_ok
+    assert _bits(von_neumann_entropy(passes)) == _bits(stacked[0])
 
 
 def test_uncertainty_lhs_is_the_one_row_stack():
