@@ -37,6 +37,7 @@ import numpy as np
 from .linalg import BOUND_ORDER_ATOL, partial_trace, stacked_partial_trace, validate_two_qubit
 from .measures import (
     ProjectiveBasis,
+    _dephased,
     _entropy_after_measurement,
     _positive_part,
     binary_entropy,
@@ -47,7 +48,6 @@ from .measures import (
     sigma_z_basis,
     stacked_holevo,
     stacked_measurement_minima,
-    stacked_post_measurement_state,
     stacked_von_neumann_entropy,
     von_neumann_entropy,
 )
@@ -210,7 +210,8 @@ def _stacked_u(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``uncertainty_lhs`` of every state of the stack, and which rows pass its checks; both
     bases' dephased states are one (2N, 4, 4) stack, whose rows do not depend on position."""
     n = len(states)
-    dephased = np.concatenate([stacked_post_measurement_state(states, b) for b in BASES])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row fails its own check
+        dephased = np.concatenate([_dephased(states, b) for b in BASES])
     joint, good_joint = stacked_von_neumann_entropy(dephased)
     memory, good_memory = stacked_von_neumann_entropy(stacked_partial_trace(dephased, "B"))
     per_basis, ok = joint - memory, good_joint & good_memory

@@ -6,9 +6,10 @@ untouched.  Steering operations are non-trace-preserving single-qubit maps
 applied with post-selection, i.e. the output is renormalized by the success
 probability.
 
-Each stage is one stacked kernel (``_kraus_stack``, ``_evolve``, ``_steer``) that
-returns a row mask of its checks; ``ad_kraus``, ``bpf_kraus``, ``apply_one_sided``
-and ``apply_steering`` are its one-row case, which raises instead.
+Both are the map sum_k (E_k (x) I) rho (E_k (x) I)^dagger of ``linalg._sandwiches``.
+Each stage is one stacked kernel (``_kraus_stack``, ``_evolve``, ``_steer``) that flags
+its rows; ``ad_kraus``, ``bpf_kraus``, ``apply_one_sided`` and ``apply_steering`` are
+its one-row case, which raises instead.
 """
 
 from __future__ import annotations
@@ -23,16 +24,13 @@ from .linalg import (
     I2,
     PAULI_Y,
     POSTSELECT_MIN_PROB,
+    _on_qubit_a,
+    _sandwiches,
     as_matrix,
     validate_two_qubit,
 )
 
 CHANNEL_FAMILIES = ("AD", "BPF")
-
-
-def _completeness_defect(ops: np.ndarray) -> np.ndarray:
-    """|sum_k E_k^dagger E_k - I| of each channel of a (K, N, 2, 2) Kraus stack."""
-    return np.abs((ops.conj().swapaxes(-1, -2) @ ops).sum(axis=0) - I2).max(axis=(1, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +45,7 @@ class KrausChannel:
         for e in ops:
             if e.shape != (2, 2):
                 raise ValueError(f"Kraus operator has shape {e.shape}, expected (2, 2)")
-        defect = float(_completeness_defect(np.array(ops).reshape(-1, 1, 2, 2))[0])
+        defect = float(np.abs(sum(e.conj().T @ e for e in ops) - I2).max())
         if defect > COMPLETENESS_ATOL:
             raise ValueError(
                 f"Kraus set is not trace preserving: |sum E^dag E - I| = {defect:.3e}"
@@ -56,7 +54,7 @@ class KrausChannel:
 
 def _kraus_stack(family: str, params: np.ndarray) -> np.ndarray:
     """The Kraus operators of ``family`` at every parameter, as a (2, N, 2, 2) stack;
-    a parameter outside [0, 1] gives NaN entries, which fail the completeness check."""
+    a parameter outside [0, 1] gives NaN entries."""
     with np.errstate(invalid="ignore"):
         root, co_root = np.sqrt(params), np.sqrt(1.0 - params)
     ops = np.zeros((2, len(params), 2, 2), dtype=complex)
@@ -99,32 +97,16 @@ def noise_kraus(family: str, param: float) -> KrausChannel:
     raise ValueError(f"unknown channel family {family!r}")
 
 
-def _on_qubit_a(ops: np.ndarray) -> np.ndarray:
-    """``np.kron(op, I2)`` of each 2x2 operator of a (..., 2, 2) stack, by slice assignment."""
-    out = np.zeros(ops.shape[:-2] + (4, 4), dtype=complex)
-    out[..., 0::2, 0::2] = out[..., 1::2, 1::2] = ops
-    return out
-
-
 def _sandwich(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """sum_k (E_k (x) I) rho (E_k (x) I)^dagger for each row of a (K, N, 2, 2) operator
     stack, with one state ``rho`` or an (N, 4, 4) stack of them."""
-    out = np.zeros(ops.shape[1:-2] + (4, 4), dtype=complex)
-    for e in _on_qubit_a(ops):
-        out += e @ rho @ e.conj().swapaxes(-1, -2)
-    return out
+    return sum(_sandwiches(_on_qubit_a(ops), rho))
 
 
 def _evolve(family: str, rho0: np.ndarray, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``apply_one_sided(noise_kraus(family, p), rho0)`` for every p, as one stack, and
-    which rows pass that function's checks."""
-    ops = _kraus_stack(family, params)
-    ok = _completeness_defect(ops) <= COMPLETENESS_ATOL
-    try:
-        validate_two_qubit(rho0)  # as apply_one_sided does for every row
-    except (ValueError, ArithmeticError):
-        ok[:] = False
-    return _sandwich(ops, rho0), ok
+    """``apply_one_sided(noise_kraus(family, p), rho0)`` of a checked ``rho0`` for every p,
+    as one stack, and which p lie in [0, 1], the range ``ad_kraus`` and ``bpf_kraus`` check."""
+    return _sandwich(_kraus_stack(family, params), rho0), (params >= 0.0) & (params <= 1.0)
 
 
 def apply_one_sided(channel: KrausChannel, rho) -> np.ndarray:

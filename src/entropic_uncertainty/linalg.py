@@ -46,6 +46,8 @@ def as_matrix(entries) -> np.ndarray:
     m = np.asarray(entries, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
+    if m.size == 0:
+        raise ValueError(f"matrix has no entries, shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
@@ -59,6 +61,19 @@ def max_asymmetry(m: np.ndarray) -> float:
 def tensor_product(a, b) -> np.ndarray:
     """Kronecker product: block (i, j) of the result is a[i, j] * b."""
     return np.kron(as_matrix(a), as_matrix(b))
+
+
+def _on_qubit_a(ops: np.ndarray) -> np.ndarray:
+    """E (x) I of each 2x2 operator E of a (..., 2, 2) stack, exact zeros off E's entries."""
+    out = np.zeros(ops.shape[:-2] + (4, 4), dtype=complex)
+    out[..., 0::2, 0::2] = out[..., 1::2, 1::2] = ops
+    return out
+
+
+def _sandwiches(embedded: np.ndarray, rho: np.ndarray) -> list[np.ndarray]:
+    """The terms e rho e^dagger, one per operator e of ``embedded`` (a (K, 4, 4) or
+    (K, N, 4, 4) stack from ``_on_qubit_a``), for one state ``rho`` or an (N, 4, 4) stack."""
+    return [e @ rho @ e.conj().swapaxes(-1, -2) for e in embedded]
 
 
 def stacked_partial_trace(m: np.ndarray, keep: str) -> np.ndarray:
@@ -111,10 +126,10 @@ def _eig2_columns(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> list[np.ndarra
 _OFF_X_INDICES = ((0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2))
 
 
-def is_x_patterned(m, atol: float = X_PATTERN_ATOL) -> bool:
+def is_x_patterned(m) -> bool:
     """True when every entry m[i][j] (array or nested lists) off the main/anti diagonal is
-    below atol."""
-    return all(abs(m[i][j]) <= atol for i, j in _OFF_X_INDICES)
+    at most ``X_PATTERN_ATOL``."""
+    return all(abs(m[i][j]) <= X_PATTERN_ATOL for i, j in _OFF_X_INDICES)
 
 
 def _entries(m: np.ndarray) -> list:

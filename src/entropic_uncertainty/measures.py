@@ -18,10 +18,10 @@ takes the dense path: a 1-degree grid over theta in [0, pi] and phi in [0, pi)
 (n and -n give the same measurement) followed by coordinate-wise
 golden-section refinement.  Both paths are deterministic.
 
-Dephasing in a fixed basis, and the branches of the Holevo quantity, multiply by
-0/1 masks when the basis's projectors are 0/1-diagonal (sigma_z) and sandwich the
-state between the projectors otherwise (sigma_x, whose diagonal holds
-cos(pi/2) = 6.1e-17); see ``ProjectiveBasis``.
+Each outcome of a fixed-basis measurement leaves one unnormalized branch (``_branches``):
+dephasing is their sum, and the Holevo quantity reads each branch's memory.  A branch
+multiplies by a 0/1 mask when the projectors are 0/1-diagonal (sigma_z), else sandwiches
+the state (sigma_x's diagonal holds cos(pi/2) = 6.1e-17); see ``ProjectiveBasis``.
 
 Side conventions: the fixed-basis quantities measure qubit A (the qubit exposed
 to noise) with qubit B as the memory.  Only the optimizer takes a side:
@@ -50,7 +50,9 @@ from .linalg import (
     PSD_ATOL,
     TRACE_ATOL,
     _entries,
+    _on_qubit_a,
     _ordered_sum,
+    _sandwiches,
     _spectrum,
     as_matrix,
     is_x_patterned,
@@ -159,16 +161,14 @@ class ProjectiveBasis:
     ``embedded``, both on qubit A (P (x) I) as a (2, 4, 4) array built once.
 
     When both embedded projectors are 0/1-diagonal, as sigma_z's are exactly, outcome x
-    keeps entry (i, j) of a state iff ``branch_masks[x, i, j]`` is 1, and dephasing keeps
-    ``dephasing_mask``: a product with these masks gives the projector sandwich's numbers
-    (up to the sign of an exact zero) without its matmuls.  Otherwise both are None; sigma_x's
-    projectors carry cos(pi/2) = 6.1e-17 on the diagonal, so they keep the sandwich.
+    keeps entry (i, j) of a state iff ``branch_masks[x, i, j]`` is 1, the projector
+    sandwich's numbers (up to the sign of an exact zero) without its matmuls.  Otherwise it
+    is None: sigma_x's projectors carry cos(pi/2) = 6.1e-17 on the diagonal.
     """
 
     projectors: tuple[np.ndarray, np.ndarray]
     embedded: np.ndarray = field(init=False, repr=False)
     branch_masks: np.ndarray | None = field(init=False, repr=False, default=None)
-    dephasing_mask: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         projs = tuple(as_matrix(p) for p in self.projectors)
@@ -185,14 +185,13 @@ class ProjectiveBasis:
         defect = float(np.abs(projs[0] + projs[1] - I2).max())
         if defect > COMPLETENESS_ATOL:
             raise ValueError(f"projectors do not sum to identity (defect {defect:.3e})")
-        embedded = np.kron(np.array(projs), I2)
+        embedded = _on_qubit_a(np.array(projs))
         object.__setattr__(self, "embedded", embedded)
         diagonals = np.diagonal(embedded, axis1=1, axis2=2)
         if (np.isin(diagonals, (0.0, 1.0)).all()
                 and (embedded == diagonals[:, :, None] * np.eye(4)).all()):
             masks = diagonals[:, :, None] * diagonals[:, None, :]
             object.__setattr__(self, "branch_masks", masks)
-            object.__setattr__(self, "dephasing_mask", masks.sum(axis=0))
 
 
 def bloch_basis(direction: BlochDirection) -> ProjectiveBasis:
@@ -212,20 +211,18 @@ def sigma_z_basis() -> ProjectiveBasis:
     return bloch_basis(BlochDirection(0.0, 0.0))
 
 
+def _branches(states: np.ndarray, basis: ProjectiveBasis) -> list[np.ndarray]:
+    """The unnormalized state (P_x)_A rho (P_x)_A that each outcome x of ``basis`` leaves,
+    of one state or of an (N, 4, 4) stack: by ``branch_masks`` where the basis has them,
+    else by the projector sandwich.  Unguarded: a non-finite entry warns."""
+    if basis.branch_masks is not None:
+        return [states * mask for mask in basis.branch_masks]
+    return _sandwiches(basis.embedded, states)
+
+
 def _dephased(states: np.ndarray, basis: ProjectiveBasis) -> np.ndarray:
-    """Dephasing of one checked state or of a stack, unguarded: a non-finite entry warns."""
-    if basis.dephasing_mask is not None:
-        return states * basis.dephasing_mask
-    out = np.zeros_like(states)
-    for e in basis.embedded:
-        out += e @ states @ e.conj().T
-    return out
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a non-finite row fails its own check
-def stacked_post_measurement_state(states: np.ndarray, basis: ProjectiveBasis) -> np.ndarray:
-    """``post_measurement_state`` of each state of an (N, 4, 4) stack, or of one (4, 4) state."""
-    return _dephased(states, basis)
+    """Dephasing of one state or of a stack: the sum of its ``_branches``."""
+    return sum(_branches(states, basis))
 
 
 def post_measurement_state(rho, basis: ProjectiveBasis) -> np.ndarray:
@@ -261,11 +258,7 @@ def mutual_information(rho) -> float:
 def _branch_memories(states: np.ndarray, basis: ProjectiveBasis):
     """Per outcome of ``basis`` on qubit A, for each state of the stack: its probability,
     whether it is kept (above ``POSTSELECT_MIN_PROB``) and the memory it leaves."""
-    if basis.branch_masks is not None:
-        branches = (states * mask for mask in basis.branch_masks)
-    else:
-        branches = (e @ states @ e.conj().T for e in basis.embedded)
-    for branch in branches:
+    for branch in _branches(states, basis):
         prob = np.trace(branch, axis1=1, axis2=2).real
         kept = prob > POSTSELECT_MIN_PROB
         memory = stacked_partial_trace(branch, "B") / np.where(kept, prob, 1.0)[:, None, None]
@@ -383,10 +376,7 @@ def _avg_branch_entropy_at(mom: _CrossMoments, theta: float, phi: float) -> floa
 
 
 def _golden_section(f, lo: float, hi: float) -> tuple[float, float]:
-    """Deterministic golden-section minimum of f on [lo, hi]."""
-    if hi - lo <= _ANGLE_TOL:
-        mid = 0.5 * (lo + hi)
-        return mid, f(mid)
+    """Deterministic golden-section minimum of f on [lo, hi], wider than ``_ANGLE_TOL``."""
     span = hi - lo
     c = hi - _GOLDEN_RATIO_CONJ * span
     d = lo + _GOLDEN_RATIO_CONJ * span

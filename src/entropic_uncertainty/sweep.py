@@ -40,7 +40,7 @@ from .channels import (
     noise_kraus,
     weak_op,
 )
-from .linalg import stacked_density_spectra
+from .linalg import stacked_density_spectra, validate_two_qubit
 from .measures import discord_from, discord_xstate_closed
 from .states import BellDiagonalCoeffs, as_xstate, bell_diagonal_density, coefficient_problems
 
@@ -200,17 +200,19 @@ def _grid_points(family: str, rho0: np.ndarray, xs, rate, steering_ops, outputs)
     columns; any other row is rebuilt alone by the one-state functions (``_dense_state``),
     which raise that point's own error.  A non-finite value raises ``_NotFinite``.  Every
     error is raised in the place of its point, so it belongs to the point after the last
-    one yielded, and the first bad point in order is the one raised.
+    one yielded, and the first bad point in order is the one raised; ``rho0`` is checked
+    once, before the first point.
     """
     if len({op is None for op in steering_ops}) > 1:
         raise ValueError("steering_ops mixes None with steering operators")
     operators = None if steering_ops[0] is None else np.array([op.operator for op in steering_ops])
+    validate_two_qubit(rho0)  # apply_one_sided's input check, once for the grid
     params = []
     for x in xs:
         try:
             params.append(_noise_param(x, rate))
         except ValueError:
-            params.append(math.nan)  # fails the Kraus check; the dense rebuild raises
+            params.append(math.nan)  # outside [0, 1], as _evolve flags; the dense rebuild raises
     n = len(params)
     evolved, evolved_ok = np.empty((n, 4, 4), dtype=complex), np.empty(n, dtype=bool)
     for first in range(0, n, _STACK_ROWS):

@@ -1,0 +1,95 @@
+"""Input checks that no other test reaches: each raises its own error with its own message."""
+
+import contextlib
+import io
+import re
+
+import numpy as np
+import pytest
+
+from entropic_uncertainty import applications, channels, cli, linalg, measures, states, sweep
+from entropic_uncertainty.linalg import NotHermitianError
+from entropic_uncertainty.states import BellDiagonalCoeffs, XState
+
+FIG1 = BellDiagonalCoeffs(-0.5, 0.4, 0.8)
+CONFIG = "channel = AD\nc1 = 0\nc2 = 0\nc3 = 0\n"
+ONE_SIDED_COHERENCE = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
+ONE_SIDED_COHERENCE[0, 3] = 0.1  # and (3, 0) stays 0
+SKEW = np.array([[1, 1], [0, 0]])  # idempotent, not Hermitian
+
+
+def _eur(argv):
+    """Run ``cli.main`` and raise its exit code and stderr as one error, as the table reads."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    raise SystemExit(f"exit {code}: {err.getvalue().strip()}")
+
+
+CASES = [
+    ("kraus-operator-shape", lambda tmp: channels.KrausChannel((np.eye(3),)),
+     ValueError, "Kraus operator has shape (3, 3), expected (2, 2)"),
+    ("noise-kraus-unknown-channel", lambda tmp: channels.noise_kraus("GAD", 0.5),
+     ValueError, "unknown channel family 'GAD'"),
+    ("witness-unknown-channel", lambda tmp: applications.witness_threshold("GAD", FIG1),
+     ValueError, "unknown channel family 'GAD'"),
+    ("errata-unknown-channel", lambda tmp: sweep.errata_report(FIG1, "GAD", [0.0, 1.0]),
+     ValueError, "unknown channel family 'GAD'"),
+    ("steering-shape", lambda tmp: channels.SteeringOp(np.eye(3)),
+     ValueError, "steering operator has shape (3, 3), expected (2, 2)"),
+    ("steering-off-diagonal", lambda tmp: channels.SteeringOp(np.array([[1.0, 0.1], [0.0, 1.0]])),
+     ValueError, "steering operator must be diagonal"),
+    ("steering-above-1", lambda tmp: channels.SteeringOp(np.diag([1.0, 1.5])),
+     ValueError, "diagonal entry np.complex128(1.5+0j) outside the allowed range [0, 1]"),
+    ("steering-imaginary", lambda tmp: channels.SteeringOp(np.diag([1.0, 0.5j])),
+     ValueError, "diagonal entry np.complex128(0.5j) outside the allowed range [0, 1]"),
+    ("basis-three-projectors",
+     lambda tmp: measures.ProjectiveBasis((np.diag([1, 0]), np.diag([0, 1]), np.diag([0, 0]))),
+     ValueError, "a qubit basis needs exactly two projectors"),
+    ("basis-3x3-projector", lambda tmp: measures.ProjectiveBasis((np.eye(3), np.diag([0, 1]))),
+     ValueError, "projector has shape (3, 3), expected (2, 2)"),
+    ("basis-non-hermitian",
+     lambda tmp: measures.ProjectiveBasis((SKEW, np.eye(2) - SKEW)),
+     ValueError, "projector is not Hermitian"),
+    ("unknown-side",
+     lambda tmp: measures.classical_correlation(states.bell_diagonal_density(FIG1), "C"),
+     ValueError, "unknown subsystem tag 'C' (expected 'A' or 'B')"),
+    ("binary-entropy-above-1", lambda tmp: measures.binary_entropy(1.5),
+     ValueError, "probability 1.5 outside [0, 1]"),
+    ("binary-entropy-below-0", lambda tmp: measures.binary_entropy(-0.1),
+     ValueError, "probability -0.1 outside [0, 1]"),
+    ("xstate-negative-population", lambda tmp: XState(1.1, -0.1, 0.0, 0.0, 0.0, 0.0),
+     ValueError, "population d22 = -0.1 is negative"),
+    ("xstate-populations-sum", lambda tmp: XState(0.5, 0.5, 0.5, 0.0, 0.0, 0.0),
+     ValueError, "populations sum to 1.5, expected 1"),
+    ("as-xstate-3x3", lambda tmp: states.as_xstate(np.eye(3) / 3),
+     ValueError, "not a two-qubit state"),
+    ("as-xstate-coherence-pair", lambda tmp: states.as_xstate(ONE_SIDED_COHERENCE),
+     ValueError, "coherence pair (0, 3) is not Hermitian-conjugate"),
+    ("as-xstate-complex-diagonal", lambda tmp: states.as_xstate(np.diag([0.5, 0.5j, 0.0, 0.0])),
+     ValueError, "diagonal entry (1, 1) is not real"),
+    ("jacobi-not-square", lambda tmp: linalg.jacobi_eigenvalues(np.zeros((2, 3))),
+     ValueError, "matrix is not square: (2, 3)"),
+    ("jacobi-not-hermitian", lambda tmp: linalg.jacobi_eigenvalues(np.array([[0, 1], [0, 0]])),
+     NotHermitianError, "matrix is not Hermitian (max |M - M^dagger| = 1.000e+00)"),
+    ("entries-not-square", lambda tmp: linalg._entries(np.zeros((2, 3))),
+     ValueError, "matrix is not square: (2, 3)"),
+    ("config-duplicate-key", lambda tmp: cli.parse_config_text(CONFIG + "c1 = 0.1\n"),
+     cli.ConfigError, "invalid sweep configuration:\n  - <config>:5: duplicate key 'c1'"),
+    ("negative-time",
+     lambda tmp: sweep.run_sweep(cli.parse_config_text(
+         CONFIG + "rate_lambda = 1\nparam_start = -1\nparam_stop = 1\n")),
+     cli.ConfigError,
+     "invalid sweep configuration:\n  - param_start = -1.0 must be nonnegative (time grid)"),
+    ("out-is-a-directory",
+     lambda tmp: _eur(["capacity", "--channel", "AD", "--points", "2", "--out", str(tmp)]),
+     SystemExit, "exit 4: [Errno 21] Is a directory:"),
+]
+
+
+@pytest.mark.parametrize(("call", "error", "message"), [case[1:] for case in CASES],
+                         ids=[case[0] for case in CASES])
+def test_input_check_names_the_problem(tmp_path, call, error, message):
+    with pytest.raises(error, match=re.escape(message)) as info:
+        call(tmp_path)
+    assert type(info.value) is error

@@ -11,6 +11,7 @@ from conftest import (
     rand_xstate_matrix,
     spectrum_oracle,
 )
+from entropic_uncertainty.bounds import uncertainty_lhs
 from entropic_uncertainty.channels import apply_one_sided, apply_steering, bpf_kraus, weak_op
 from entropic_uncertainty.linalg import (
     NotHermitianError,
@@ -192,6 +193,16 @@ def test_as_matrix_rejects_any_non_finite_part(bad):
     m[0, 1] = bad
     with pytest.raises(ValueError, match="non-finite"):
         as_matrix(m)
+
+
+@pytest.mark.parametrize(
+    "fn", [density_spectrum, hermitian_eigenvalues, jacobi_eigenvalues, uncertainty_lhs]
+)
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0)])
+def test_a_matrix_without_entries_names_its_shape(fn, shape):
+    with pytest.raises(ValueError) as info:
+        fn(np.zeros(shape))
+    assert str(info.value) == f"matrix has no entries, shape {shape}"
 
 
 def test_stacked_spectra_equal_dense_on_x_states_and_marginals():

@@ -23,7 +23,7 @@ from conftest import (
     sigma_y_basis,
     spectrum_oracle,
 )
-from entropic_uncertainty import channels, measures
+from entropic_uncertainty import bounds, channels, measures
 from entropic_uncertainty.applications import channel_capacity
 from entropic_uncertainty.linalg import (
     PAULI_X,
@@ -231,8 +231,8 @@ def _locally_rotated(rng, rho):
 
 
 def test_holevo_and_dephasing_stacks_equal_one_row_calls():
-    # an N-row stack equals N one-row calls bitwise, and the oracles closely,
-    # on X states and on locally rotated (non-X) ones
+    # an N-row stack (the sum of its branches, as _stacked_u dephases it) equals N one-row
+    # calls bitwise, and the oracles closely, on X states and on locally rotated (non-X) ones
     rng = np.random.RandomState(661)
     x_states = [rand_xstate_matrix(rng, real=k % 2 == 0) for k in range(60)]
     states = np.array(x_states + [_locally_rotated(rng, rho) for rho in x_states[:20]])
@@ -240,7 +240,7 @@ def test_holevo_and_dephasing_stacks_equal_one_row_calls():
     s_memory, ok = measures.stacked_von_neumann_entropy(stacked_partial_trace(states, "B"))
     assert ok.all()
     for basis in (sigma_x_basis(), sigma_z_basis(), sigma_y_basis()):
-        dephased = measures.stacked_post_measurement_state(states, basis)
+        dephased = measures._dephased(states, basis)
         holevo, good = measures.stacked_holevo(states, basis, s_memory)
         assert good.all()
         for rho, pm, h in zip(states, dephased, holevo):
@@ -468,23 +468,25 @@ def test_non_x_state_takes_dense_path(monkeypatch):
 
 
 def _sandwich_only(basis):
-    """The same basis with its masks taken away, so it dephases by the projector sandwich."""
+    """The same basis with its masks taken away, so its branches are projector sandwiches."""
     plain = ProjectiveBasis(basis.projectors)
     object.__setattr__(plain, "branch_masks", None)
-    object.__setattr__(plain, "dephasing_mask", None)
     return plain
 
 
 def test_only_zero_one_diagonal_bases_dephase_by_mask():
     z = sigma_z_basis()
-    assert np.array_equal(z.dephasing_mask, np.kron(np.eye(2), np.ones((2, 2))))
-    assert np.array_equal(z.branch_masks.sum(axis=0), z.dephasing_mask)
+    # outcome 0 keeps the |0>_A block of a state, outcome 1 the |1>_A block
+    blocks = [np.kron(np.diag(d), np.ones((2, 2))) for d in ([1.0, 0.0], [0.0, 1.0])]
+    assert np.array_equal(z.branch_masks, blocks)
+    # the dephasing, the sum of both branches, keeps both blocks
+    assert np.array_equal(z.branch_masks.sum(axis=0), np.kron(np.eye(2), np.ones((2, 2))))
     # sigma_x's diagonal carries cos(pi/2) = 6.1e-17, and sigma_y's projectors are not diagonal
     for basis in (sigma_x_basis(), sigma_y_basis(), bloch_basis(BlochDirection(1e-9, 0.0))):
-        assert basis.branch_masks is None and basis.dephasing_mask is None
+        assert basis.branch_masks is None
 
 
-def test_sigma_z_mask_dephasing_equals_the_projector_sandwich():
+def test_sigma_z_mask_dephasing_equals_the_projector_sandwich(monkeypatch):
     # equal under == (only the sign of an exact zero may differ), with the same rows
     # flagged, on random non-X states, evolved and steered X states and infinite entries
     rng = np.random.RandomState(677)
@@ -504,16 +506,24 @@ def test_sigma_z_mask_dephasing_equals_the_projector_sandwich():
     dropped_inf[0, 2] = np.inf
     states = np.array(x_states + rotated + evolved + [kept_inf, dropped_inf])
     z, sandwich = sigma_z_basis(), _sandwich_only(sigma_z_basis())
-    # 0 * inf, in the sandwich's matmul as in the mask's, raises no warning
-    masked = measures.stacked_post_measurement_state(states, z)
-    reference = measures.stacked_post_measurement_state(states, sandwich)
-    assert np.array_equal(masked[:-2], reference[:-2])
+    finite = states[:-2]
+    for masked, reference in zip(measures._branches(finite, z),
+                                 measures._branches(finite, sandwich)):
+        assert np.array_equal(masked, reference)
+    masked, reference = measures._dephased(finite, z), measures._dephased(finite, sandwich)
+    assert np.array_equal(masked, reference)
     flags = stacked_density_spectra(masked)[1]
     assert np.array_equal(flags, stacked_density_spectra(reference)[1])
-    assert flags.tolist() == [True] * 40 + [False] * 40 + [True] * 84 + [False] * 2
-    for rho in states[:-2:7]:  # one (4, 4) state
-        assert np.array_equal(measures.stacked_post_measurement_state(rho, z),
-                              measures.stacked_post_measurement_state(rho, sandwich))
+    assert flags.tolist() == [True] * 40 + [False] * 40 + [True] * 84
+    for rho in finite[::7]:  # one (4, 4) state
+        assert np.array_equal(measures._dephased(rho, z), measures._dephased(rho, sandwich))
+    # the guarded stacked path: 0 * inf, in the sandwich's matmul as in the mask's, raises no
+    # warning (warnings are errors here), and both flag the same rows
+    u, good = bounds._stacked_u(states)
+    monkeypatch.setattr(bounds, "BASES", (bounds.BASES[0], sandwich))
+    ref_u, ref_good = bounds._stacked_u(states)
+    assert np.array_equal(good, ref_good) and np.array_equal(u[good], ref_u[good])
+    assert good.tolist() == [True] * 40 + [False] * 40 + [True] * 84 + [False] * 2
     s_memory, ok = measures.stacked_von_neumann_entropy(stacked_partial_trace(states[:-2], "B"))
     assert ok.all()
     holevo, good = measures.stacked_holevo(states[:-2], z, s_memory)

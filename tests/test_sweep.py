@@ -26,7 +26,7 @@ from entropic_uncertainty.channels import (
     noise_kraus,
     weak_op,
 )
-from entropic_uncertainty.linalg import is_x_patterned, stacked_density_spectra
+from entropic_uncertainty.linalg import NotHermitianError, is_x_patterned, stacked_density_spectra
 from entropic_uncertainty.measures import quantum_discord
 from entropic_uncertainty.sweep import (
     MAX_GRID_ROWS,
@@ -630,6 +630,25 @@ def test_grid_points_reject_a_mix_of_none_and_operators():
     for ops in ((None, weak_op(0.3)), (filter_op(0.5), None)):
         with pytest.raises(ValueError, match="mixes None with steering operators"):
             next(sweep._grid_points("AD", rho0, [0.0, 0.5], None, ops, ("u",)))
+
+
+def test_grid_points_check_rho0_once_before_evolving(monkeypatch):
+    rho0 = bell_diagonal_density(BellDiagonalCoeffs(-0.5, 0.4, 0.8))
+    checks, blocks = [], []
+    validate, evolve = sweep.validate_two_qubit, sweep._evolve
+    monkeypatch.setattr(sweep, "validate_two_qubit", lambda r: checks.append(r) or validate(r))
+    monkeypatch.setattr(sweep, "_evolve", lambda *args: blocks.append(args) or evolve(*args))
+    monkeypatch.setattr(sweep, "_STACK_ROWS", 2)  # two blocks
+    assert len(list(sweep._grid_points("AD", rho0, [0.0, 0.5, 1.0], None, (None,), ("u",)))) == 3
+    assert len(checks) == 1 and len(blocks) == 2
+    # a bad rho0 raises its own error before any block is evolved, even where the first
+    # point's parameter is out of range too (no command reaches that case)
+    monkeypatch.undo()
+    not_hermitian = rho0.copy()
+    not_hermitian[0, 3] += 1e-3
+    monkeypatch.setattr(sweep, "_evolve", lambda *args: pytest.fail("evolved a bad rho0"))
+    with pytest.raises(NotHermitianError):
+        next(sweep._grid_points("AD", not_hermitian, [1.5, 0.5], None, (None,), ("u",)))
 
 
 def test_non_x_rows_take_the_dense_u(monkeypatch):
