@@ -131,9 +131,7 @@ class SteeringOp:
         for i in range(2):
             v = op[i, i]
             if abs(v.imag) > 0 or not -1e-15 <= v.real <= 1.0 + 1e-15:
-                raise ValueError(
-                    f"diagonal entry {v!r} outside the allowed range [0, 1]"
-                )
+                raise ValueError(f"diagonal entry {v.item()!r} outside the allowed range [0, 1]")
 
 
 def filter_op(k: float) -> SteeringOp:

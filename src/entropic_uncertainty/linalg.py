@@ -10,6 +10,7 @@ columns, to the same bits.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -53,11 +54,6 @@ def as_matrix(entries) -> np.ndarray:
     return m
 
 
-def max_asymmetry(m: np.ndarray) -> float:
-    """Largest |M - M^dagger| entry."""
-    return float(np.abs(m - m.conj().T).max())
-
-
 def tensor_product(a, b) -> np.ndarray:
     """Kronecker product: block (i, j) of the result is a[i, j] * b."""
     return np.kron(as_matrix(a), as_matrix(b))
@@ -70,10 +66,11 @@ def _on_qubit_a(ops: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sandwiches(embedded: np.ndarray, rho: np.ndarray) -> list[np.ndarray]:
-    """The terms e rho e^dagger, one per operator e of ``embedded`` (a (K, 4, 4) or
-    (K, N, 4, 4) stack from ``_on_qubit_a``), for one state ``rho`` or an (N, 4, 4) stack."""
-    return [e @ rho @ e.conj().swapaxes(-1, -2) for e in embedded]
+def _sandwiches(embedded: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """The terms e rho e^dagger, one per operator e of ``embedded`` (a (K, 4, 4) or (K, N, 4, 4)
+    stack from ``_on_qubit_a``), of one state or an (N, 4, 4) stack, in one batched product."""
+    e = embedded[:, None] if embedded.ndim == rho.ndim else embedded  # (K, 4, 4) on a stack
+    return e @ rho @ e.conj().swapaxes(-1, -2)
 
 
 def stacked_partial_trace(m: np.ndarray, keep: str) -> np.ndarray:
@@ -139,10 +136,14 @@ def _entries(m: np.ndarray) -> list:
     return m.tolist()
 
 
+# the Hermitian check's (i, j), i <= j, of an n x n matrix, in row-major order
+_upper_triangle = functools.cache(lambda n: tuple((i, j) for i in range(n) for j in range(i, n)))
+
+
 def _eigenvalues(e: list) -> list[float]:
     """``hermitian_eigenvalues`` of a square matrix's entries (``_entries``), as a list."""
     n = len(e)
-    asym = max(abs(e[i][j] - e[j][i].conjugate()) for i in range(n) for j in range(i, n))
+    asym = max(abs(e[i][j] - e[j][i].conjugate()) for i, j in _upper_triangle(n))
     if asym > HERMITIAN_ATOL:
         raise NotHermitianError(asym)
     if n == 1:
@@ -173,7 +174,7 @@ def jacobi_eigenvalues(m) -> np.ndarray:
     a = as_matrix(m).copy()
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix is not square: {a.shape}")
-    asym = max_asymmetry(a)
+    asym = float(np.abs(a - a.conj().T).max())
     if asym > HERMITIAN_ATOL:
         raise NotHermitianError(asym)
     # huge entries raise FloatingPointError (an ArithmeticError), not a warning

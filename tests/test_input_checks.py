@@ -40,9 +40,9 @@ CASES = [
     ("steering-off-diagonal", lambda tmp: channels.SteeringOp(np.array([[1.0, 0.1], [0.0, 1.0]])),
      ValueError, "steering operator must be diagonal"),
     ("steering-above-1", lambda tmp: channels.SteeringOp(np.diag([1.0, 1.5])),
-     ValueError, "diagonal entry np.complex128(1.5+0j) outside the allowed range [0, 1]"),
+     ValueError, "diagonal entry (1.5+0j) outside the allowed range [0, 1]"),
     ("steering-imaginary", lambda tmp: channels.SteeringOp(np.diag([1.0, 0.5j])),
-     ValueError, "diagonal entry np.complex128(0.5j) outside the allowed range [0, 1]"),
+     ValueError, "diagonal entry 0.5j outside the allowed range [0, 1]"),
     ("basis-three-projectors",
      lambda tmp: measures.ProjectiveBasis((np.diag([1, 0]), np.diag([0, 1]), np.diag([0, 0]))),
      ValueError, "a qubit basis needs exactly two projectors"),

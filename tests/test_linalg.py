@@ -11,12 +11,15 @@ from conftest import (
     rand_xstate_matrix,
     spectrum_oracle,
 )
+from entropic_uncertainty import channels
 from entropic_uncertainty.bounds import uncertainty_lhs
 from entropic_uncertainty.channels import apply_one_sided, apply_steering, bpf_kraus, weak_op
 from entropic_uncertainty.linalg import (
     NotHermitianError,
     _eig2,
     _eig2_columns,
+    _on_qubit_a,
+    _sandwiches,
     as_matrix,
     conjugate_sandwich,
     density_spectrum,
@@ -33,6 +36,7 @@ from entropic_uncertainty.measures import (
     holevo_quantity,
     min_conditional_entropy_over_measurements,
     post_measurement_state,
+    sigma_x_basis,
     sigma_z_basis,
 )
 
@@ -342,3 +346,38 @@ def test_two_qubit_inputs_take_one_check(fn):
         fn(np.eye(2) / 2)  # a valid density, of one qubit
     with pytest.raises(ValueError, match="not positive semidefinite"):
         fn(np.diag([1.5, -0.5, 0.0, 0.0]))  # the density checks come first
+
+
+def _sandwich_loop(embedded, rho):
+    """The sandwich terms one operator at a time: the reference for the batched product."""
+    return [e @ rho @ e.conj().swapaxes(-1, -2) for e in embedded]
+
+
+def _same_bits(a, b):
+    """Equal under == and in the sign of every zero, real and imaginary parts alike."""
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+            and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
+
+
+def test_batched_sandwiches_are_the_per_operator_loop():
+    # every shape in use: a basis or a Kraus set on one state, a basis on a stack, a Kraus
+    # stack on a stack or on one state, and one channel's (K, 1, 4, 4) on one state; the terms
+    # and their sum from 0 keep their bits, signs of zeros included
+    rng = np.random.RandomState(3301)
+    states = np.array([rand_xstate_matrix(rng, real=k % 2 == 0) for k in range(12)])
+    states[3] = np.kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))  # exact zeros
+    kraus = channels._kraus_stack("AD", rng.uniform(0.0, 1.0, len(states)))
+    bpf = channels._kraus_stack("BPF", rng.uniform(0.0, 1.0, len(states)))
+    bases = [sigma_x_basis().embedded, sigma_z_basis().embedded]
+    cases = [(b, rho) for b in bases for rho in states[:4]]  # (K, 4, 4) on one state
+    cases += [(b, states) for b in bases]  # (K, 4, 4) on an (N, 4, 4) stack
+    cases += [(_on_qubit_a(ops), states) for ops in (kraus, bpf)]  # (K, N, 4, 4) on a stack
+    cases += [(_on_qubit_a(ops), states[0]) for ops in (kraus, bpf)]  # ... on one state
+    cases += [(_on_qubit_a(ops[:, :1]), rho) for ops in (kraus, bpf) for rho in states[:4]]
+    for embedded, rho in cases:
+        batched, loop = _sandwiches(embedded, rho), _sandwich_loop(embedded, rho)
+        assert len(batched) == len(loop)
+        for term, reference in zip(batched, loop):
+            assert _same_bits(term, reference)
+        assert _same_bits(sum(batched), sum(loop))

@@ -530,3 +530,29 @@ def test_sigma_z_mask_dephasing_equals_the_projector_sandwich(monkeypatch):
     ref_holevo, ref_good = measures.stacked_holevo(states[:-2], sandwich, s_memory)
     assert np.array_equal(holevo, ref_holevo) and np.array_equal(good, ref_good)
     assert good.all()
+
+
+def _float_bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def test_one_log2_call_gives_each_spectrum_its_own_bits():
+    # np.log2 gives the same bits at any position of its array, so the entropies of many
+    # spectra from one call are each spectrum's alone and the stack's, zero eigenvalues and
+    # a 1x1 matrix included, in any order and past numpy's vector width
+    rng = np.random.RandomState(5501)
+    # (0.7656, 0.2344) is a spectrum on which math.log2 and np.log2 differ in the last bit
+    matrices = [np.eye(1, dtype=complex), np.diag([1.0, 0.0]).astype(complex), BELL, MIXED,
+                FIG1, stacked_partial_trace(FIG1, "B"), np.diag([1 - 0.2344, 0.2344]) + 0j]
+    matrices += [rand_xstate_matrix(rng, real=k % 2 == 0) for k in range(30)]
+    matrices += [stacked_partial_trace(m, "B") for m in matrices[-10:]]
+    spectra = [measures._probabilities(m.tolist()) for m in matrices]
+    together = measures._entropies(spectra)
+    alone = [measures._entropies([p])[0] for p in spectra]
+    assert _float_bits(together) == _float_bits(alone)
+    assert _float_bits(measures._entropies(spectra[::-1])) == _float_bits(together[::-1])
+    assert _float_bits([von_neumann_entropy(m) for m in matrices]) == _float_bits(together)
+    for m, entropy in zip(matrices[1:], together[1:]):  # the stack takes 2x2 and 4x4 only
+        stacked, ok = measures.stacked_von_neumann_entropy(m[None])
+        assert ok[0] and _float_bits(stacked) == _float_bits([entropy])
+    assert together[:4] == [0.0, 0.0, 0.0, 2.0]
