@@ -4,11 +4,11 @@ The witness protocol optionally protects the travelling qubit with a weak
 measurement *before* it enters the noise channel; that is the ordering under
 which a stronger weak measurement enlarges the witnessed noise window.
 
-Both take their points from ``sweep._grid_points``: a capacity curve and the
-witness's bracket scan as one stack each, its bisection one point per call;
-every witness ``u`` is the dense ``uncertainty_lhs`` of the point's state, judged
-by ``bounds.witnessed`` as the sweep's ``witness`` column is.  A flagged point is
-rebuilt alone by the dense pipeline, which raises its own error.
+A capacity curve and the witness's bracket scan are one ``sweep._grid_points`` stack
+each (a flagged point is rebuilt alone, raising its own error); the bisection evolves
+each point by one ``channels._evolve`` call, bitwise the grid's state, and does not
+check rho0 again.  Every witness ``u`` is the dense ``uncertainty_lhs`` of the point's state, judged
+by ``bounds.witnessed`` as the sweep's ``witness`` column is.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import PointQuantities, witnessed
-from .channels import CHANNEL_FAMILIES, apply_steering, weak_op
+from .channels import CHANNEL_FAMILIES, _evolve, apply_steering, weak_op
 from .states import BellDiagonalCoeffs, bell_diagonal_density
 from .sweep import _grid_points
 
@@ -57,11 +57,10 @@ def witness_threshold(
     if s > 0.0:
         rho0 = apply_steering(op, rho0)
 
-    def u(x: float) -> float:  # no stacked value requested: u is uncertainty_lhs of the state
-        ((_, _, state, _),) = _grid_points(channel_family, rho0, [x], None, (None,), ())
-        return PointQuantities(state).u
-
     hi_end = 1.0 if channel_family == "AD" else 0.5
+
+    def u(x: float) -> float:  # every x lies in [0, hi_end], so _evolve's range flag holds
+        return PointQuantities(_evolve(channel_family, rho0, np.array([x]))[0][0]).u
 
     xs = np.linspace(0.0, hi_end, _BRACKET_SCAN_POINTS)
     scan = _grid_points(channel_family, rho0, xs, None, (None,), ())  # one stack, evolved once

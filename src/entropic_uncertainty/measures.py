@@ -20,9 +20,9 @@ golden-section refinement.  Both paths are deterministic.
 
 Each outcome of a fixed-basis measurement leaves one unnormalized branch (``_branches``):
 dephasing is their sum, and the Holevo quantity reads each branch's memory.  A branch
-multiplies by a 0/1 mask when the projectors are 0/1-diagonal (sigma_z: about 3.5 us a
-state), else sandwiches the state, all outcomes in one batched product (sigma_x, whose
-diagonal holds cos(pi/2) = 6.1e-17: about 7 us on one Xeon CPU); see ``ProjectiveBasis``.
+multiplies by a 0/1 mask when the projectors are 0/1-diagonal (sigma_z: dephased by the
+summed mask in 0.6 us a state), else sandwiches the state, all outcomes in one batched
+product (sigma_x, with cos(pi/2) = 6.1e-17 on its diagonal: 7 us); see ``ProjectiveBasis``.
 
 Side conventions: the fixed-basis quantities measure qubit A (the qubit exposed
 to noise) with qubit B as the memory.  Only the optimizer takes a side:
@@ -168,13 +168,14 @@ class ProjectiveBasis:
 
     When both embedded projectors are 0/1-diagonal, as sigma_z's are exactly, outcome x
     keeps entry (i, j) of a state iff ``branch_masks[x, i, j]`` is 1, the projector
-    sandwich's numbers (up to the sign of an exact zero) without its matmuls.  Otherwise it
-    is None: sigma_x's projectors carry cos(pi/2) = 6.1e-17 on the diagonal.
+    sandwich's numbers (up to the sign of an exact zero) without its matmuls; their sum is
+    ``dephasing_mask``.  Else both are None: sigma_x's diagonal carries cos(pi/2) = 6.1e-17.
     """
 
     projectors: tuple[np.ndarray, np.ndarray]
     embedded: np.ndarray = field(init=False, repr=False)
     branch_masks: np.ndarray | None = field(init=False, repr=False, default=None)
+    dephasing_mask: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         projs = tuple(as_matrix(p) for p in self.projectors)
@@ -198,6 +199,7 @@ class ProjectiveBasis:
                 and (embedded == diagonals[:, :, None] * np.eye(4)).all()):
             masks = diagonals[:, :, None] * diagonals[:, None, :]
             object.__setattr__(self, "branch_masks", masks)
+            object.__setattr__(self, "dephasing_mask", masks[0] + masks[1])
 
 
 def bloch_basis(direction: BlochDirection) -> ProjectiveBasis:
@@ -217,18 +219,21 @@ def sigma_z_basis() -> ProjectiveBasis:
     return bloch_basis(BlochDirection(0.0, 0.0))
 
 
-def _branches(states: np.ndarray, basis: ProjectiveBasis):
+def _branches(states: np.ndarray, basis: ProjectiveBasis, summed: bool = False):
     """The unnormalized state (P_x)_A rho (P_x)_A that each outcome x of ``basis`` leaves,
-    of one state or of an (N, 4, 4) stack: by ``branch_masks`` where the basis has them,
-    else by the projector sandwich.  Unguarded: a non-finite entry warns."""
+    of one state or of an (N, 4, 4) stack, or their sum if ``summed``: by ``branch_masks``
+    (summed: ``dephasing_mask``) where the basis has them, else by the projector sandwich.
+    Unguarded: a non-finite entry warns."""
     if basis.branch_masks is not None:
-        return [states * mask for mask in basis.branch_masks]
-    return _sandwiches(basis.embedded, states)
+        return states * basis.dephasing_mask if summed else [states * m for m in basis.branch_masks]
+    terms = _sandwiches(basis.embedded, states)
+    return terms[0] + terms[1] if summed else terms
 
 
 def _dephased(states: np.ndarray, basis: ProjectiveBasis) -> np.ndarray:
-    """Dephasing of one state or of a stack: the sum of its ``_branches``."""
-    return sum(_branches(states, basis))
+    """Dephasing of one state or of a stack: the sum of its ``_branches`` (adding them to 0
+    one by one would make an exact zero's sign positive)."""
+    return _branches(states, basis, summed=True)
 
 
 def post_measurement_state(rho, basis: ProjectiveBasis) -> np.ndarray:
@@ -430,15 +435,14 @@ def _minimize_x_states(mom: _CrossMoments) -> list[tuple[float, float, float]]:
     values = _avg_branch_entropy_grid(mom, _X_SIN_T * cos_phi, _X_SIN_T * sin_phi, _X_COS_T)
     out = []
     for m, phi, start in zip(rows, phis, _X_THETAS[np.argmin(values, axis=1)].tolist()):
-        refined, _ = _golden_section(
+        refined, at_refined = _golden_section(
             lambda t: _avg_branch_entropy_at(m, t, phi),
             start - _GRID_STEP,
             start + _GRID_STEP,
         )
         # the endpoints (z and equatorial measurements) are evaluated exactly
-        value, theta = min(
-            (_avg_branch_entropy_at(m, t, phi), t) for t in (0.0, 0.5 * math.pi, refined)
-        )
+        ends = [(_avg_branch_entropy_at(m, t, phi), t) for t in (0.0, 0.5 * math.pi)]
+        value, theta = min(*ends, (at_refined, refined))
         out.append((value, theta, phi))
     return out
 

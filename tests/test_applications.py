@@ -19,7 +19,7 @@ from entropic_uncertainty.applications import (
     channel_capacity,
     witness_threshold,
 )
-from entropic_uncertainty import bounds, sweep
+from entropic_uncertainty import applications, bounds, channels, sweep
 from entropic_uncertainty.bounds import (
     C,
     PointQuantities,
@@ -137,27 +137,61 @@ def test_witness_threshold_equals_the_dense_loop(family, coeffs, s):
     assert witness_threshold(family, coeffs, s).critical_value == expected
 
 
+def _record(monkeypatch, module, name, calls):
+    """Wrap ``module.name`` so that each call appends ``(arguments, result)`` to ``calls``."""
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 def test_witness_scan_evolves_one_stack(monkeypatch):
-    counts = {}
-
-    def counted(module, name):
-        real = getattr(module, name)
-
-        def wrapper(*args):
-            counts[name] += 1
-            return real(*args)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(sweep, "_evolve")
-    counted(bounds, "uncertainty_lhs")
+    evolved, u_calls = [], []
+    for module in (sweep, applications):  # the scan's _grid_points, and the bisection
+        _record(monkeypatch, module, "_evolve", evolved)
+    _record(monkeypatch, bounds, "uncertainty_lhs", u_calls)
     for family, hi_end in (("AD", 1.0), ("BPF", 0.5)):
-        counts.update(_evolve=0, uncertainty_lhs=0)
+        evolved.clear()
+        u_calls.clear()
         witness_threshold(family, WITNESS_COEFFS)
         # the bisection halves one of the 100 scan intervals down to 1e-7
         steps = math.ceil(math.log2(hi_end / 100 / 1e-7))
-        assert counts["uncertainty_lhs"] == 101 + steps + 2  # scan, bisection, straddle
-        assert counts["_evolve"] == counts["uncertainty_lhs"] - 100
+        # one 101-row stack for the scan, then one point per bisection step and straddle check
+        assert [len(params) for (_, _, params), _ in evolved] == [101] + [1] * (steps + 2)
+        assert len(u_calls) == 101 + steps + 2  # each point's u is the dense one
+
+
+@pytest.mark.parametrize("s", (0.0, 0.4))
+def test_witness_checks_rho0_once_per_solve(monkeypatch, s):
+    checked = []
+    for module in (sweep, channels):  # the scan's check of rho0, and apply_steering's
+        _record(monkeypatch, module, "validate_two_qubit", checked)
+    rho0 = bell_diagonal_density(WITNESS_COEFFS)
+    steered = apply_steering(weak_op(s), rho0) if s > 0.0 else rho0
+    for family in ("AD", "BPF"):
+        checked.clear()
+        witness_threshold(family, WITNESS_COEFFS, s)
+        assert len(checked) == 1 + (s > 0.0)
+        assert np.array_equal(checked[-1][0][0], steered)  # the scan checks the steered rho0
+
+
+@pytest.mark.parametrize("s", (0.0, 0.4, 0.999999))
+@pytest.mark.parametrize("family", ("AD", "BPF"))
+def test_bisection_states_are_the_grid_states(monkeypatch, family, s):
+    # each bisection and straddle point evolved alone is, byte for byte, the state
+    # _grid_points gives at the same x, and lies in the range _evolve checks
+    points = []
+    _record(monkeypatch, applications, "_evolve", points)
+    witness_threshold(family, WITNESS_COEFFS, s)
+    assert len(points) >= 18
+    for (channel, rho0, params), (states, in_range) in points:
+        assert in_range.tolist() == [True]
+        ((_, _, state, _),) = sweep._grid_points(channel, rho0, [float(params[0])], None,
+                                                 (None,), ())
+        assert states[0].tobytes() == state.tobytes()
 
 
 def test_witness_requests_no_stacked_value(monkeypatch):
