@@ -20,10 +20,10 @@ call, about 46 us a call against 140 us for a one-row ``_stacked_u`` (one CPU of
 2-core Xeon).  ``_stacked_u`` is its stack, both bases' dephased states in one (2N, 4, 4).
 
 The numerical pipeline (build state, evolve, measure, take entropies) is the
-ground truth everywhere.  The closed-form evolved spectra are exact and used
-directly in tests; the closed-form uncertainty expressions are transcriptions
-with known defects, so they are only ever *compared* against the pipeline and
-their gaps reported, never asserted.
+ground truth everywhere.  ``eur errata`` evaluates the published closed forms kept
+here: the exact BPF spectrum and the AD and BPF uncertainty transcriptions, whose
+known defects keep them *compared* against the pipeline, never asserted.  The
+exact AD spectrum is an oracle in the tests' ``conftest``.
 """
 
 from __future__ import annotations
@@ -267,40 +267,6 @@ def bound_report(rho) -> BoundReport:
 
 
 # --- published closed forms, kept verbatim as cross-checks -------------------
-
-
-def ad_closed_form_spectrum(coeffs: BellDiagonalCoeffs, d: float) -> np.ndarray:
-    """Printed eigenvalues of the damping-evolved state (exact), descending."""
-    c1, c2, c3 = coeffs.as_tuple()
-    rad_plus = (
-        c1 * c1
-        + 2.0 * c1 * c2
-        + c2 * c2
-        - c1 * c1 * d
-        - 2.0 * c1 * c2 * d
-        - c2 * c2 * d
-        + d * d
-    )
-    rad_minus = (
-        c1 * c1
-        - 2.0 * c1 * c2
-        + c2 * c2
-        - c1 * c1 * d
-        + 2.0 * c1 * c2 * d
-        - c2 * c2 * d
-        + d * d
-    )
-    sq_plus = math.sqrt(max(rad_plus, 0.0))
-    sq_minus = math.sqrt(max(rad_minus, 0.0))
-    vals = np.array(
-        [
-            (1.0 - c3 + c3 * d - sq_plus) / 4.0,
-            (1.0 - c3 + c3 * d + sq_plus) / 4.0,
-            (1.0 + c3 - c3 * d - sq_minus) / 4.0,
-            (1.0 + c3 - c3 * d + sq_minus) / 4.0,
-        ]
-    )
-    return np.sort(vals)[::-1]
 
 
 def bpf_closed_form_spectrum(coeffs: BellDiagonalCoeffs, p: float) -> np.ndarray:

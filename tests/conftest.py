@@ -1,6 +1,8 @@
 """Shared test helpers: independent oracle implementations built straight from
 definitions (np.kron, np.linalg.eigvalsh, explicit index loops) so package
-results can be checked against a second, unrelated code path."""
+results can be checked against a second, unrelated code path, and the paper's
+printed AD eigenvalues (``ad_closed_form_spectrum``), exact, which no command
+evaluates."""
 
 import math
 import pathlib
@@ -11,6 +13,7 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from entropic_uncertainty.measures import ProjectiveBasis  # noqa: E402
+from entropic_uncertainty.states import BellDiagonalCoeffs  # noqa: E402
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -44,6 +47,40 @@ def ptrace_oracle(rho, keep):
 def spectrum_oracle(m):
     """Eigenvalues via numpy's LAPACK solver, descending."""
     return np.sort(np.linalg.eigvalsh(m))[::-1]
+
+
+def ad_closed_form_spectrum(coeffs: BellDiagonalCoeffs, d: float) -> np.ndarray:
+    """Printed eigenvalues of the damping-evolved state (exact), descending."""
+    c1, c2, c3 = coeffs.as_tuple()
+    rad_plus = (
+        c1 * c1
+        + 2.0 * c1 * c2
+        + c2 * c2
+        - c1 * c1 * d
+        - 2.0 * c1 * c2 * d
+        - c2 * c2 * d
+        + d * d
+    )
+    rad_minus = (
+        c1 * c1
+        - 2.0 * c1 * c2
+        + c2 * c2
+        - c1 * c1 * d
+        + 2.0 * c1 * c2 * d
+        - c2 * c2 * d
+        + d * d
+    )
+    sq_plus = math.sqrt(max(rad_plus, 0.0))
+    sq_minus = math.sqrt(max(rad_minus, 0.0))
+    vals = np.array(
+        [
+            (1.0 - c3 + c3 * d - sq_plus) / 4.0,
+            (1.0 - c3 + c3 * d + sq_plus) / 4.0,
+            (1.0 + c3 - c3 * d - sq_minus) / 4.0,
+            (1.0 + c3 - c3 * d + sq_minus) / 4.0,
+        ]
+    )
+    return np.sort(vals)[::-1]
 
 
 def entropy_oracle(rho):

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     I2,
+    ad_closed_form_spectrum,
     bd_oracle,
     h2,
     rand_bd_coeffs,
@@ -15,7 +16,6 @@ from conftest import (
 )
 from entropic_uncertainty.applications import channel_capacity, witness_threshold
 from entropic_uncertainty.bounds import (
-    ad_closed_form_spectrum,
     ad_closed_form_u,
     berta_bound,
     bound_report,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    ad_closed_form_spectrum,
     ad_ops_oracle,
     bd_oracle,
     bpf_ops_oracle,
@@ -23,7 +24,6 @@ from entropic_uncertainty import applications, bounds, channels, sweep
 from entropic_uncertainty.bounds import (
     C,
     PointQuantities,
-    ad_closed_form_spectrum,
     bpf_closed_form_spectrum,
     complementarity_c,
     uncertainty_lhs,

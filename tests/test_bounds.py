@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    ad_closed_form_spectrum,
     ad_ops_oracle,
     bd_oracle,
     bpf_ops_oracle,
@@ -20,7 +21,6 @@ from entropic_uncertainty.applications import channel_capacity
 from entropic_uncertainty.bounds import (
     BoundReport,
     PointQuantities,
-    ad_closed_form_spectrum,
     ad_closed_form_u,
     berta_bound,
     bound_report,

@@ -150,8 +150,24 @@ WITNESS = ["witness", "--c1", "-1", "--c2", "1", "--c3", "1"]
         (WITNESS + ["--channel", "AD", "--s", "0.99999999"],
          "channel=AD\nparameter=d\ncritical_value=0.994342\nsteering_s=0.99999999\n"
          "window=[0, 0.994342)\n"),
+        # with AD-s0.999999 and AD-s0.99999999, the `eur witness` column of ROADMAP's s -> 1
+        # table: the threshold rises with s, then falls once the witness tolerance sets it
+        (WITNESS + ["--channel", "AD", "--s", "0.99"],
+         "channel=AD\nparameter=d\ncritical_value=0.974686\nsteering_s=0.99\n"
+         "window=[0, 0.974686)\n"),
+        (WITNESS + ["--channel", "AD", "--s", "0.9999"],
+         "channel=AD\nparameter=d\ncritical_value=0.999722\nsteering_s=0.9999\n"
+         "window=[0, 0.999722)\n"),
+        (WITNESS + ["--channel", "AD", "--s", "0.999999999"],
+         "channel=AD\nparameter=d\ncritical_value=0.958220\nsteering_s=0.999999999\n"
+         "window=[0, 0.958220)\n"),
+        # an unsteered BPF solve: the window is mirrored about p = 1/2 as for s = 0.4
+        (WITNESS + ["--channel", "BPF", "--s", "0"],
+         "channel=BPF\nparameter=p\ncritical_value=0.110028\nsteering_s=0\n"
+         "window=[0, 0.110028) U (0.889972, 1]\n"),
     ],
-    ids=["AD", "BPF-s0.4", "AD-s0.999999", "AD-s0.99999999"],
+    ids=["AD", "BPF-s0.4", "AD-s0.999999", "AD-s0.99999999", "AD-s0.99", "AD-s0.9999",
+         "AD-s0.999999999", "BPF-s0"],
 )
 def test_witness_stdout_is_pinned(capsys, argv, expected):
     assert main(argv) == 0

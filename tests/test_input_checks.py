@@ -62,6 +62,8 @@ CASES = [
      ValueError, "population d22 = -0.1 is negative"),
     ("xstate-populations-sum", lambda tmp: XState(0.5, 0.5, 0.5, 0.0, 0.0, 0.0),
      ValueError, "populations sum to 1.5, expected 1"),
+    ("xstate-a23-not-positive", lambda tmp: XState(0.0, 0.5, 0.5, 0.0, 0.0, 0.6),
+     ValueError, "|a23| = 0.6 exceeds sqrt(d22*d33), state not positive"),
     ("as-xstate-3x3", lambda tmp: states.as_xstate(np.eye(3) / 3),
      ValueError, "not a two-qubit state"),
     ("as-xstate-coherence-pair", lambda tmp: states.as_xstate(ONE_SIDED_COHERENCE),

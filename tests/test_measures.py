@@ -441,6 +441,26 @@ def test_x_state_path_beats_coarse_oracle_grid():
             assert abs(attained - value) <= 1e-12
 
 
+def test_x_state_minimum_never_exceeds_its_exact_endpoints():
+    # the z (theta = 0) and equatorial (theta = pi/2) measurements are evaluated
+    # exactly; the golden section near an endpoint can stop a rounding step above
+    # that exact value (14 of these 88 rows), and the minimum must not report it
+    rng = np.random.RandomState(5)
+    states = np.array([
+        channels.apply_one_sided(
+            channels.noise_kraus(family, float(rng.uniform(0.0, 1.0))),
+            bd_oracle(*rand_bd_coeffs(rng)),
+        )
+        for family in ("AD", "BPF")
+        for _ in range(22)
+    ])
+    for side in ("A", "B"):
+        mom = measures._cross_moments(states, side)
+        for (value, _, phi), m in zip(measures._minimize_x_states(mom), mom.rows()):
+            assert value <= measures._avg_branch_entropy_at(m, 0.0, phi)
+            assert value <= measures._avg_branch_entropy_at(m, 0.5 * math.pi, phi)
+
+
 def test_non_x_state_takes_dense_path(monkeypatch):
     dense_calls = []
     dense = measures._minimize_dense

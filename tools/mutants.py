@@ -1,0 +1,131 @@
+"""Mutation check: each mutant below breaks one contract of the package on purpose,
+and the test files listed with it must catch it.
+
+Run from anywhere with ``python tools/mutants.py``.  Each mutant is an exact text
+replacement that must match once.  The script copies ``src/``, ``tests/`` and
+``pyproject.toml`` to a temporary directory per mutant, applies the mutant there
+and runs only its test files with ``-x``; one more copy checks that every listed
+file passes unmutated.  Two copies run at a time.  It exits 1 if a mutant
+survives, if its old text no longer matches, or if the unmutated tests fail.
+Standard library and pytest only; it is not part of the Tier-1 collection
+(``testpaths = ["tests"]``).
+"""
+
+from __future__ import annotations
+
+import concurrent.futures
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = "src/entropic_uncertainty/"
+
+# (name, file, exact old text, new text, test files expected to catch it)
+MUTANTS = [
+    (
+        "plain min in place of the NaN-aware minimum in linalg._spectrum",
+        PACKAGE + "linalg.py",
+        "low = math.nan if any(map(math.isnan, vals)) else min(vals)",
+        "low = min(vals)",
+        ("tests/test_bounds.py",),
+    ),
+    (
+        "math.fsum in linalg._ordered_sum",
+        PACKAGE + "linalg.py",
+        "    total = 0.0\n    for v in values:\n        total += v\n    return total\n",
+        "    return math.fsum(values)\n",
+        ("tests/test_bounds.py",),
+    ),
+    (
+        "bounds._stacked_u without its np.errstate",
+        PACKAGE + "bounds.py",
+        'with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row fails its own check',
+        "with np.errstate():",
+        ("tests/test_bounds.py",),
+    ),
+    (
+        "sigma_z's branch_masks swapped in measures._branches",
+        PACKAGE + "measures.py",
+        "[states * m for m in basis.branch_masks]",
+        "[states * m for m in basis.branch_masks[::-1]]",
+        ("tests/test_measures.py",),
+    ),
+    (
+        "bounds.witnessed without BOUND_ORDER_ATOL",
+        PACKAGE + "bounds.py",
+        "return u < math.log2(1.0 / C) - BOUND_ORDER_ATOL",
+        "return u < math.log2(1.0 / C)",
+        ("tests/test_cli.py",),
+    ),
+    (
+        "the refined theta without the exact endpoint evaluations in measures._minimize_x_states",
+        PACKAGE + "measures.py",
+        "value, theta = min(*ends, (at_refined, refined))",
+        "value, theta = (at_refined, refined)",
+        ("tests/test_measures.py",),
+    ),
+]
+
+
+def run_tests(tree: pathlib.Path, files) -> tuple[int, str]:
+    """pytest on ``files`` in ``tree``, stopping at the first failure: (exit code, first failure)."""
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "--tb=no", "-rf", *files],
+        cwd=tree, env={**os.environ, "PYTHONPATH": "src"}, capture_output=True, text=True,
+    )
+    failed = [line.split()[1] for line in result.stdout.splitlines() if line.startswith("FAILED ")]
+    return result.returncode, failed[0] if failed else result.stdout[-500:]
+
+
+def copy_tree(tree: pathlib.Path) -> None:
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(ROOT / "pyproject.toml", tree / "pyproject.toml")
+
+
+def run_unmutated(tree: pathlib.Path, files) -> tuple[int, str]:
+    copy_tree(tree)
+    return run_tests(tree, files)
+
+
+def try_mutant(tree: pathlib.Path, mutant) -> tuple[bool, str]:
+    """Apply one mutant to its own copy of the tree and run its test files: (killed, report)."""
+    name, rel, old, new, files = mutant
+    copy_tree(tree)
+    path = tree / rel
+    original = path.read_text(encoding="utf-8")
+    if original.count(old) != 1:
+        return False, f"STALE     {name}: old text matches {original.count(old)} times in {rel}"
+    path.write_text(original.replace(old, new), encoding="utf-8")
+    code, detail = run_tests(tree, files)
+    if code == 1:
+        return True, f"killed    {name}\n          by {detail}"
+    verdict = "SURVIVED" if code == 0 else f"ERROR {code}"
+    return False, f"{verdict:<9} {name}: {' '.join(files)}\n          {detail}"
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="eur-mutants-") as tmp:
+        trees = [pathlib.Path(tmp) / str(i) for i in range(len(MUTANTS) + 1)]
+        every_file = sorted({f for *_, files in MUTANTS for f in files})
+        # two at a time: the unmutated run, then the mutants, each in its own copy
+        with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+            clean = pool.submit(run_unmutated, trees[0], every_file)
+            results = list(pool.map(try_mutant, trees[1:], MUTANTS))
+        code, detail = clean.result()
+    if code != 0:
+        print(f"unmutated tests fail (exit {code}): {detail}")
+        return 1
+    for _, report in results:
+        print(report)
+    killed = sum(k for k, _ in results)
+    print(f"{killed} of {len(MUTANTS)} mutants killed")
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
