@@ -4,11 +4,11 @@ The witness protocol optionally protects the travelling qubit with a weak
 measurement *before* it enters the noise channel; that is the ordering under
 which a stronger weak measurement enlarges the witnessed noise window.
 
-A capacity curve and the witness's bracket scan are one ``sweep._grid_points`` stack
-each (a flagged point is rebuilt alone, raising its own error); the bisection evolves
-each point by one ``channels._evolve`` call, bitwise the grid's state, and does not
-check rho0 again.  Every witness ``u`` is the dense ``uncertainty_lhs`` of the point's state, judged
-by ``bounds.witnessed`` as the sweep's ``witness`` column is.
+A capacity curve is one ``sweep._grid_points`` stack (a flagged point is rebuilt alone,
+raising its own error).  A witness point is one ``channels._evolve`` call, bitwise the
+grid's state, and then its dense ``uncertainty_lhs``, judged by ``bounds.witnessed`` as
+the sweep's ``witness`` column is: the bracket scan evolves its 101 points as one such
+call, each bisection step and straddle check its one point, and rho0 is checked once.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 
 from .bounds import PointQuantities, witnessed
 from .channels import CHANNEL_FAMILIES, _evolve, apply_steering, weak_op
+from .linalg import validate_two_qubit
 from .states import BellDiagonalCoeffs, bell_diagonal_density
 from .sweep import _grid_points
 
@@ -56,15 +57,15 @@ def witness_threshold(
     rho0 = bell_diagonal_density(coeffs)
     if s > 0.0:
         rho0 = apply_steering(op, rho0)
-
+    validate_two_qubit(rho0)  # _evolve's input check, once per solve
     hi_end = 1.0 if channel_family == "AD" else 0.5
 
-    def u(x: float) -> float:  # every x lies in [0, hi_end], so _evolve's range flag holds
-        return PointQuantities(_evolve(channel_family, rho0, np.array([x]))[0][0]).u
+    def u(points) -> list[float]:  # each in [0, hi_end], so _evolve's range flag holds
+        states, _ = _evolve(channel_family, rho0, np.array(points))  # one stack
+        return [PointQuantities(state).u for state in states]  # each the dense u
 
     xs = np.linspace(0.0, hi_end, _BRACKET_SCAN_POINTS)
-    scan = _grid_points(channel_family, rho0, xs, None, (None,), ())  # one stack, evolved once
-    values = [PointQuantities(state).u for _, _, state, _ in scan]
+    values = u(xs)
     bracket = None
     for i in range(1, len(xs)):
         if witnessed(values[i - 1]) and not witnessed(values[i]):
@@ -75,17 +76,15 @@ def witness_threshold(
     lo, hi = bracket
     while hi - lo > _BISECTION_TOL:
         mid = 0.5 * (lo + hi)
-        if witnessed(u(mid)):
+        if witnessed(u([mid])[0]):
             lo = mid
         else:
             hi = mid
     critical = 0.5 * (lo + hi)
-    below = u(max(critical - _STRADDLE_STEP, 0.0))
-    above = u(min(critical + _STRADDLE_STEP, hi_end))
+    below = u([max(critical - _STRADDLE_STEP, 0.0)])[0]
+    above = u([min(critical + _STRADDLE_STEP, hi_end)])[0]
     if not (witnessed(below) and not witnessed(above)):
-        raise ArithmeticError(
-            f"threshold bracketing check failed around {critical!r}"
-        )
+        raise ArithmeticError(f"threshold bracketing check failed around {critical!r}")
     window = f"[0, {critical:.6f})"
     if channel_family == "BPF":  # and the mirrored upper window
         window += f" U ({1.0 - critical:.6f}, 1]"

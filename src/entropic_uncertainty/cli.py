@@ -65,6 +65,8 @@ PRESETS = {
     ) + (SweepConfig("BPF", *MAX_PURITY_CAPACITY, outputs=("capacity",)),),
 }
 PRESET_NAMES = tuple(PRESETS)
+# command: the --c1..--c3 its unset flags take (None: the flags are required)
+COEFFICIENT_DEFAULTS = {"witness": None, "capacity": MAX_PURITY_CAPACITY, "errata": FIG1_COEFFS}
 
 
 def _list_of(item):
@@ -149,15 +151,6 @@ def _write_text(text: str, out: str | None) -> None:
         fh.write(text)
 
 
-def _coeffs(args, problems: list[str], default=(None,) * 3) -> BellDiagonalCoeffs | None:
-    """The --c1..--c3 triple (unset flags take ``default``), or None after
-    adding its problems to ``problems``."""
-    c = [d if v is None else v for v, d in zip((args.c1, args.c2, args.c3), default)]
-    more = coefficient_problems(*c, names=("--c1", "--c2", "--c3"))
-    problems += more
-    return None if more else BellDiagonalCoeffs(*c)
-
-
 def _nonfinite_flags(args) -> list[str]:
     """One problem per float flag other than --c1..--c3 given as inf or nan
     (argparse accepts both; the coefficient check reports those three)."""
@@ -199,30 +192,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_preset.add_argument("name", choices=PRESET_NAMES)
     p_preset.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
-    p_wit = sub.add_parser("witness", help="solve the witness noise threshold")
-    p_wit.add_argument("--channel", required=True, choices=CHANNEL_FAMILIES)
-    p_wit.add_argument("--c1", type=float, required=True)
-    p_wit.add_argument("--c2", type=float, required=True)
-    p_wit.add_argument("--c3", type=float, required=True)
-    p_wit.add_argument("--s", type=float, default=0.0, help="weak-measurement strength")
-
-    p_cap = sub.add_parser("capacity", help="emit a channel-capacity curve")
-    p_cap.add_argument("--channel", required=True, choices=CHANNEL_FAMILIES)
-    p_cap.add_argument("--lambda", dest="rate_lambda", type=float, default=None,
-                       help="decay rate; sweeps time in [0, 10] instead of d")
-    p_cap.add_argument("--c1", type=float, default=None)
-    p_cap.add_argument("--c2", type=float, default=None)
-    p_cap.add_argument("--c3", type=float, default=None)
-    p_cap.add_argument("--points", type=int, default=101)
-    p_cap.add_argument("--out", default=None)
-
-    p_err = sub.add_parser("errata", help="closed-form vs pipeline gap report")
-    p_err.add_argument("--channel", required=True, choices=CHANNEL_FAMILIES)
-    p_err.add_argument("--c1", type=float, default=None)
-    p_err.add_argument("--c2", type=float, default=None)
-    p_err.add_argument("--c3", type=float, default=None)
-    p_err.add_argument("--points", type=int, default=101)
-    p_err.add_argument("--out", default=None)
+    commands = {}
+    for name, text in (("witness", "solve the witness noise threshold"),
+                       ("capacity", "emit a channel-capacity curve"),
+                       ("errata", "closed-form vs pipeline gap report")):
+        cmd = commands[name] = sub.add_parser(name, help=text)
+        cmd.add_argument("--channel", required=True, choices=CHANNEL_FAMILIES)
+        default = COEFFICIENT_DEFAULTS[name]
+        for flag, value in zip(("--c1", "--c2", "--c3"), default or (None,) * 3):
+            cmd.add_argument(flag, type=float, required=default is None, default=value)
+    commands["witness"].add_argument("--s", type=float, default=0.0,
+                                     help="weak-measurement strength")
+    commands["capacity"].add_argument("--lambda", dest="rate_lambda", type=float, default=None,
+                                      help="decay rate; sweeps time in [0, 10] instead of d")
+    for name in ("capacity", "errata"):
+        commands[name].add_argument("--points", type=int, default=101)
+        commands[name].add_argument("--out", default=None)
     return parser
 
 
@@ -230,6 +215,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         problems = _nonfinite_flags(args)
+        if args.command in COEFFICIENT_DEFAULTS:  # None if the triple has problems
+            c = (args.c1, args.c2, args.c3)
+            more = coefficient_problems(*c, names=("--c1", "--c2", "--c3"))
+            problems += more
+            coeffs = None if more else BellDiagonalCoeffs(*c)
+        if args.command in ("capacity", "errata"):  # a capacity curve needs both ends
+            problems += _points_problems(args.points, 2 if args.command == "capacity" else 1)
         if args.command == "sweep":
             rows = run_sweep(parse_config_file(args.config))
             _write_text(render_csv(rows), args.out)
@@ -237,7 +229,6 @@ def main(argv=None) -> int:
             rows = preset_rows(args.name)
             _write_text(render_csv(rows), args.out)
         elif args.command == "witness":
-            coeffs = _coeffs(args, problems)
             if math.isfinite(args.s) and not 0.0 <= args.s < 1.0:
                 problems.append(f"--s {args.s} outside [0, 1)")
             if problems:
@@ -257,8 +248,6 @@ def main(argv=None) -> int:
                 None,
             )
         elif args.command == "capacity":
-            coeffs = _coeffs(args, problems, MAX_PURITY_CAPACITY)
-            problems += _points_problems(args.points, 2)
             if args.rate_lambda is not None and -math.inf < args.rate_lambda <= 0.0:
                 problems.append(f"--lambda {args.rate_lambda} must be positive")
             if args.rate_lambda is not None and args.channel != "AD":
@@ -272,8 +261,6 @@ def main(argv=None) -> int:
             lines += [f"{x:.12g},{c:.12g}" for x, c in curve]
             _write_text("\n".join(lines) + "\n", args.out)
         elif args.command == "errata":
-            coeffs = _coeffs(args, problems, FIG1_COEFFS)
-            problems += _points_problems(args.points, 1)
             if problems:
                 raise ConfigError(problems)
             grid = np.linspace(0.0, 1.0, args.points)

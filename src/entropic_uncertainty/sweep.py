@@ -4,8 +4,8 @@ A sweep walks a noise-parameter grid for one channel, optionally applies a
 steering operation to each evolved state, evaluates the requested quantities
 and emits rows in grid order.  Output is byte-stable across runs.
 
-``_grid_points`` is the one route from a grid to evaluated points, for the
-sweep, ``errata_report`` and the applications.  This module keeps the grid, the
+``_grid_points`` is the one route from a grid to evaluated points, for sweeps,
+presets, capacity curves and ``errata_report``.  This module keeps the grid, the
 row routing, the output columns and the CSV; the stacked stages live with their
 quantities: ``channels._evolve`` and ``channels._steer``, then the block's
 ``bounds.PointQuantities``, which computes only the values its columns read.

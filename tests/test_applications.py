@@ -20,7 +20,7 @@ from entropic_uncertainty.applications import (
     channel_capacity,
     witness_threshold,
 )
-from entropic_uncertainty import applications, bounds, channels, sweep
+from entropic_uncertainty import applications, bounds, channels, cli, sweep
 from entropic_uncertainty.bounds import (
     C,
     PointQuantities,
@@ -167,7 +167,7 @@ def test_witness_scan_evolves_one_stack(monkeypatch):
 @pytest.mark.parametrize("s", (0.0, 0.4))
 def test_witness_checks_rho0_once_per_solve(monkeypatch, s):
     checked = []
-    for module in (sweep, channels):  # the scan's check of rho0, and apply_steering's
+    for module in (applications, channels):  # the solve's check of rho0, and apply_steering's
         _record(monkeypatch, module, "validate_two_qubit", checked)
     rho0 = bell_diagonal_density(WITNESS_COEFFS)
     steered = apply_steering(weak_op(s), rho0) if s > 0.0 else rho0
@@ -175,23 +175,22 @@ def test_witness_checks_rho0_once_per_solve(monkeypatch, s):
         checked.clear()
         witness_threshold(family, WITNESS_COEFFS, s)
         assert len(checked) == 1 + (s > 0.0)
-        assert np.array_equal(checked[-1][0][0], steered)  # the scan checks the steered rho0
+        assert np.array_equal(checked[-1][0][0], steered)  # the solve checks the steered rho0
 
 
 @pytest.mark.parametrize("s", (0.0, 0.4, 0.999999))
 @pytest.mark.parametrize("family", ("AD", "BPF"))
 def test_bisection_states_are_the_grid_states(monkeypatch, family, s):
-    # each bisection and straddle point evolved alone is, byte for byte, the state
-    # _grid_points gives at the same x, and lies in the range _evolve checks
+    # every row of the scan's stack and of each bisection and straddle point is, byte for
+    # byte, the state _grid_points gives at the same x, and lies in the range _evolve checks
     points = []
     _record(monkeypatch, applications, "_evolve", points)
     witness_threshold(family, WITNESS_COEFFS, s)
-    assert len(points) >= 18
+    assert len(points) >= 18 and len(points[0][0][2]) == 101
     for (channel, rho0, params), (states, in_range) in points:
-        assert in_range.tolist() == [True]
-        ((_, _, state, _),) = sweep._grid_points(channel, rho0, [float(params[0])], None,
-                                                 (None,), ())
-        assert states[0].tobytes() == state.tobytes()
+        assert in_range.all()
+        grid = sweep._grid_points(channel, rho0, params.tolist(), None, (None,), ())
+        assert [state.tobytes() for _, _, state, _ in grid] == [row.tobytes() for row in states]
 
 
 def test_witness_requests_no_stacked_value(monkeypatch):
@@ -209,6 +208,19 @@ def test_witness_requests_no_stacked_value(monkeypatch):
 def test_witness_threshold_rejects_a_bad_strength(s):
     with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
         witness_threshold("AD", WITNESS_COEFFS, s)
+
+
+@pytest.mark.parametrize("family", ("AD", "BPF"))
+def test_a_failed_straddle_check_raises_and_exits_3(monkeypatch, capsys, family):
+    # with no step, the points below and above the threshold are one point, so the check
+    # that the witness fires below it and not above it must fail
+    monkeypatch.setattr(applications, "_STRADDLE_STEP", 0.0)
+    with pytest.raises(ArithmeticError, match="threshold bracketing check failed around 0[.]"):
+        witness_threshold(family, WITNESS_COEFFS, 0.4)
+    argv = ["witness", "--channel", family, "--c1", "-1", "--c2", "1", "--c3", "1", "--s", "0.4"]
+    assert cli.main(argv) == cli.EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numeric failure: threshold bracketing check failed")
 
 
 def test_witness_threshold_no_crossing():

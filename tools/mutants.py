@@ -68,6 +68,35 @@ MUTANTS = [
         "value, theta = (at_refined, refined)",
         ("tests/test_measures.py",),
     ),
+    (
+        "math.log2 per value in place of one np.log2 call in measures._entropies",
+        PACKAGE + "measures.py",
+        "logs = iter(np.log2([x if x > 0.0 else 1.0 for p in spectra for x in p]).tolist())",
+        "logs = iter([math.log2(x) if x > 0.0 else 0.0 for p in spectra for x in p])",
+        ("tests/test_measures.py",),
+    ),
+    (
+        "sweep._grid_points without its check of rho0",
+        PACKAGE + "sweep.py",
+        "    validate_two_qubit(rho0)  # apply_one_sided's input check, once for the grid\n",
+        "",
+        ("tests/test_sweep.py",),
+    ),
+    (
+        "applications.witness_threshold without its check of rho0",
+        PACKAGE + "applications.py",
+        "    validate_two_qubit(rho0)  # _evolve's input check, once per solve\n",
+        "",
+        ("tests/test_applications.py",),
+    ),
+    (
+        "applications.witness_threshold without its straddle check",
+        PACKAGE + "applications.py",
+        "    if not (witnessed(below) and not witnessed(above)):\n"
+        '        raise ArithmeticError(f"threshold bracketing check failed around {critical!r}")\n',
+        "",
+        ("tests/test_applications.py",),
+    ),
 ]
 
 
