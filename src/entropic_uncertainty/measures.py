@@ -62,7 +62,6 @@ from .linalg import (
     stacked_partial_trace,
     validate_two_qubit,
 )
-from .states import XState
 
 _GOLDEN_RATIO_CONJ = (math.sqrt(5.0) - 1.0) / 2.0
 _ANGLE_TOL = 1e-10
@@ -99,7 +98,7 @@ def _other_side(side: str) -> str:
 
 def binary_entropy(q: float) -> float:
     """Entropy in bits of a (q, 1 - q) distribution."""
-    if q < -PSD_ATOL or q > 1.0 + PSD_ATOL:
+    if not -PSD_ATOL <= q <= 1.0 + PSD_ATOL:  # NaN fails both comparisons
         raise ValueError(f"probability {q!r} outside [0, 1]")
     q = min(max(q, 0.0), 1.0)
     out = 0.0
@@ -525,26 +524,29 @@ def quantum_discord(rho, measured_side: str = "A") -> float:
     return discord_from(mutual_information(rho), classical_correlation(rho, measured_side))
 
 
-def discord_xstate_closed(x: XState) -> float:
-    """Fast closed-form discord of an X state (measurement on the memory qubit).
+def discord_xstate_closed(rho: np.ndarray) -> float:
+    """Fast closed-form discord of a checked X-shaped (4, 4) state, measured on the memory
+    qubit.
 
     Takes the better of the optimal equatorial measurement and the z
     measurement; this covers the X-state family except for a small parameter
     region where a tilted measurement wins, so the sweep-based
-    ``quantum_discord`` stays the ground truth.
+    ``quantum_discord`` stays the ground truth.  The formulas read only the
+    diagonal's real parts and the coherences (0, 3) and (1, 2); the moduli are
+    Python's complex ``abs`` (``np.abs`` can differ in the last bit).
     """
-    pops = x.populations()
+    e = rho.tolist()
+    pops = [e[i][i].real for i in range(4)]
+    d11, _, d33, d44 = pops
     gamma = 0.5 * (
         1.0
         + math.sqrt(
-            (1.0 - 2.0 * (x.d33 + x.d44)) ** 2
-            + 4.0 * (abs(x.a14) + abs(x.a23)) ** 2
+            (1.0 - 2.0 * (d33 + d44)) ** 2
+            + 4.0 * (abs(e[0][3]) + abs(e[1][2])) ** 2
         )
     )
     p1 = binary_entropy(min(gamma, 1.0))
-    p2 = sum(-p * math.log2(p) for p in pops if p > 0.0) - binary_entropy(
-        x.d11 + x.d33
-    )
-    s_memory = binary_entropy(x.d11 + x.d33)
-    s_joint = von_neumann_entropy(x.to_matrix())
+    p2 = sum(-p * math.log2(p) for p in pops if p > 0.0) - binary_entropy(d11 + d33)
+    s_memory = binary_entropy(d11 + d33)
+    s_joint = von_neumann_entropy(rho)
     return min(p1, p2) + s_memory - s_joint

@@ -1,7 +1,8 @@
-"""Two-qubit Bell-diagonal initial states and the X-shaped matrices they evolve into.
+"""Two-qubit Bell-diagonal initial states and the checks of their coefficients.
 
 Basis order is |00>, |01>, |10>, |11> with the first factor being qubit A, so
-the anti-diagonal coherences sit at entries (0, 3) and (1, 2).
+the X-shaped states the channels evolve them into keep their anti-diagonal
+coherences at entries (0, 3) and (1, 2).
 """
 
 from __future__ import annotations
@@ -11,19 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    HERMITIAN_ATOL,
-    I2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    PSD_ATOL,
-    TRACE_ATOL,
-    X_PATTERN_ATOL,
-    _OFF_X_INDICES,
-    as_matrix,
-    tensor_product,
-)
+from .linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, PSD_ATOL, tensor_product
 
 # (label, sign pattern applied to (c1, c2, c3)) for the four eigenvalues
 # (1 +/- c1 -/+ c2 +/- c3) / 4 of the Bell-diagonal family.
@@ -90,75 +79,3 @@ def bell_diagonal_density(coeffs: BellDiagonalCoeffs) -> np.ndarray:
     for c, sigma in zip(coeffs.as_tuple(), (PAULI_X, PAULI_Y, PAULI_Z)):
         rho = rho + c * tensor_product(sigma, sigma)
     return rho / 4.0
-
-
-@dataclass(frozen=True)
-class XState:
-    """The seven independent entries of an X-shaped two-qubit density matrix."""
-
-    d11: float
-    d22: float
-    d33: float
-    d44: float
-    a14: complex
-    a23: complex
-
-    def __post_init__(self):
-        pops = (self.d11, self.d22, self.d33, self.d44)
-        for i, p in enumerate(pops):
-            if p < -PSD_ATOL:
-                raise ValueError(f"population d{i + 1}{i + 1} = {p!r} is negative")
-        total = sum(pops)
-        if abs(total - 1.0) > TRACE_ATOL:
-            raise ValueError(f"populations sum to {total!r}, expected 1")
-        if abs(self.a14) > math.sqrt(max(self.d11 * self.d44, 0.0)) + PSD_ATOL:
-            raise ValueError(
-                f"|a14| = {abs(self.a14):.6g} exceeds sqrt(d11*d44), state not positive"
-            )
-        if abs(self.a23) > math.sqrt(max(self.d22 * self.d33, 0.0)) + PSD_ATOL:
-            raise ValueError(
-                f"|a23| = {abs(self.a23):.6g} exceeds sqrt(d22*d33), state not positive"
-            )
-
-    def to_matrix(self) -> np.ndarray:
-        rho = np.zeros((4, 4), dtype=complex)
-        rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = (
-            self.d11,
-            self.d22,
-            self.d33,
-            self.d44,
-        )
-        rho[0, 3] = self.a14
-        rho[3, 0] = np.conj(self.a14)
-        rho[1, 2] = self.a23
-        rho[2, 1] = np.conj(self.a23)
-        return rho
-
-    def populations(self) -> tuple[float, float, float, float]:
-        return (self.d11, self.d22, self.d33, self.d44)
-
-
-def as_xstate(rho) -> XState:
-    """Extract the X-pattern entries; rejects matrices with off-pattern residue."""
-    rho = as_matrix(rho)
-    if rho.shape != (4, 4):
-        raise ValueError("not a two-qubit state")
-    for i, j in _OFF_X_INDICES:  # row-major: the first offender is named
-        if abs(rho[i, j]) > X_PATTERN_ATOL:
-            raise ValueError(f"matrix is not X-structured: entry ({i}, {j}) = {rho[i, j]!r}")
-    for i, j in ((0, 3), (1, 2)):
-        if abs(rho[j, i] - np.conj(rho[i, j])) > HERMITIAN_ATOL:
-            raise ValueError(
-                f"coherence pair ({i}, {j}) is not Hermitian-conjugate"
-            )
-    for i in range(4):
-        if abs(rho[i, i].imag) > HERMITIAN_ATOL:
-            raise ValueError(f"diagonal entry ({i}, {i}) is not real")
-    return XState(
-        d11=rho[0, 0].real,
-        d22=rho[1, 1].real,
-        d33=rho[2, 2].real,
-        d44=rho[3, 3].real,
-        a14=complex(rho[0, 3]),
-        a23=complex(rho[1, 2]),
-    )

@@ -42,7 +42,7 @@ from .channels import (
 )
 from .linalg import stacked_density_spectra, validate_two_qubit
 from .measures import discord_from, discord_xstate_closed
-from .states import BellDiagonalCoeffs, as_xstate, bell_diagonal_density, coefficient_problems
+from .states import BellDiagonalCoeffs, bell_diagonal_density, coefficient_problems
 
 OUTPUT_TAGS = ("u", "berta", "pati", "adabi", "tightness", "discord", "s_min", "capacity",
                "witness")
@@ -362,7 +362,7 @@ def errata_report(coeffs: BellDiagonalCoeffs, channel: str, grid) -> str:
             closed_u, closed_bound = bpf_closed_forms(coeffs, x)
             record("evolved-state uncertainty (closed form)", abs(closed_u - u), x)
             record("uncertainty lower bound (closed form)", abs(closed_bound - berta), x)
-        closed_d = discord_xstate_closed(as_xstate(state))
+        closed_d = discord_xstate_closed(state)
         numeric_d = discord_from(mutual, s_a - s_min)  # bitwise quantum_discord(state, "B")
         record("x-state discord (closed form)", abs(closed_d - numeric_d), x)
 

@@ -27,7 +27,8 @@ from entropic_uncertainty.channels import (
     noise_kraus,
     weak_op,
 )
-from entropic_uncertainty.states import BellDiagonalCoeffs, as_xstate, bell_diagonal_density
+from entropic_uncertainty.linalg import is_x_patterned, validate_two_qubit
+from entropic_uncertainty.states import BellDiagonalCoeffs, bell_diagonal_density
 
 
 def kraus_completeness_defect(channel):
@@ -105,7 +106,7 @@ def test_bpf_coefficient_scaling():
 
 def test_bpf_evolved_element():
     out = apply_one_sided(bpf_kraus(0.2), bd_oracle(-0.5, 0.4, 0.8))
-    assert as_xstate(out).d11 == pytest.approx(0.13, abs=1e-14)
+    assert out[0, 0].real == pytest.approx(0.13, abs=1e-14)
 
 
 def test_ad_evolved_elements_match_formulas():
@@ -115,13 +116,12 @@ def test_ad_evolved_elements_match_formulas():
         c1, c2, c3 = rand_bd_coeffs(rng)
         d = float(rng.uniform(0, 1))
         out = apply_one_sided(ad_kraus(d), bd_oracle(c1, c2, c3))
-        x = as_xstate(out)
-        assert x.d11 == pytest.approx((1 + c3 + d - c3 * d) / 4, abs=1e-12)
-        assert x.d22 == pytest.approx((1 + c3 * (-1 + d) + d) / 4, abs=1e-12)
-        assert x.d33 == pytest.approx((-1 + c3) * (-1 + d) / 4, abs=1e-12)
-        assert x.d44 == pytest.approx(-(1 + c3) * (-1 + d) / 4, abs=1e-12)
-        assert abs(x.a14 - (c1 - c2) * math.sqrt(1 - d) / 4) < 1e-12
-        assert abs(x.a23 - (c1 + c2) * math.sqrt(1 - d) / 4) < 1e-12
+        assert out[0, 0].real == pytest.approx((1 + c3 + d - c3 * d) / 4, abs=1e-12)
+        assert out[1, 1].real == pytest.approx((1 + c3 * (-1 + d) + d) / 4, abs=1e-12)
+        assert out[2, 2].real == pytest.approx((-1 + c3) * (-1 + d) / 4, abs=1e-12)
+        assert out[3, 3].real == pytest.approx(-(1 + c3) * (-1 + d) / 4, abs=1e-12)
+        assert abs(out[0, 3] - (c1 - c2) * math.sqrt(1 - d) / 4) < 1e-12
+        assert abs(out[1, 2] - (c1 + c2) * math.sqrt(1 - d) / 4) < 1e-12
 
 
 def test_apply_one_sided_preserves_density():
@@ -185,7 +185,7 @@ def test_filtered_population_formula():
     evolved = evolve_oracle(ad_ops_oracle(d), bd_oracle(c1, c2, c3))
     out = apply_steering(filter_op(k), evolved)
     expected = (1 + c3 + d - c3 * d) * (1 - k) / (2 * (1 + d - 2 * d * k))
-    assert as_xstate(out).d11 == pytest.approx(expected, abs=1e-12)
+    assert out[0, 0].real == pytest.approx(expected, abs=1e-12)
 
 
 def test_steering_invariant_under_rescaling():
@@ -211,7 +211,7 @@ def test_steering_preserves_x_structure():
             bd_oracle(*rand_bd_coeffs(rng)),
         )
         out = apply_steering(weak_op(float(rng.uniform(0, 0.9))), rho)
-        as_xstate(out)  # raises if the X pattern is broken
+        assert is_x_patterned(validate_two_qubit(out))
 
 
 def test_kraus_stack_on_qubit_a_equals_kron(monkeypatch):

@@ -194,11 +194,17 @@ def test_capacity_stdout_sha256_is_pinned(capsys, argv, sha256):
     [
         ("AD", "be27ede3463d8cae9861e78975fa40e6d9b797a414991f3166e9896d953950a9"),
         ("BPF", "4db7081b24f484c4c8ef3c9f3ee3c3a4269cf43ec445c1c92b2281edaab3748a"),
+        # (1, 1, -1) starts with |a23| = sqrt(d22*d33) exactly, on the edge of positivity
+        ("AD --c1 1 --c2 1 --c3 -1",
+         "529768886aba06994fd7d7bc046a78ef6f63c6c1e00f0893a4f9231fae5b6cbd"),
+        ("BPF --c1 1 --c2 1 --c3 -1",
+         "f9284f1658913119be7df1170598b1126950a0e0392b2ddab61926e51db8c554"),
     ],
+    ids=[None, None, "AD-edge", "BPF-edge"],  # None keeps the generated id
 )
 def test_errata_stdout_sha256_is_pinned(capsys, channel, sha256):
-    # the default coefficients and 101 points
-    assert main(["errata", "--channel", channel]) == 0
+    # the channel, then any coefficient flags (else the defaults); 101 points
+    assert main(["errata", "--channel", *channel.split()]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
 

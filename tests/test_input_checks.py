@@ -9,12 +9,10 @@ import pytest
 
 from entropic_uncertainty import applications, channels, cli, linalg, measures, states, sweep
 from entropic_uncertainty.linalg import NotHermitianError
-from entropic_uncertainty.states import BellDiagonalCoeffs, XState
+from entropic_uncertainty.states import BellDiagonalCoeffs
 
 FIG1 = BellDiagonalCoeffs(-0.5, 0.4, 0.8)
 CONFIG = "channel = AD\nc1 = 0\nc2 = 0\nc3 = 0\n"
-ONE_SIDED_COHERENCE = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)
-ONE_SIDED_COHERENCE[0, 3] = 0.1  # and (3, 0) stays 0
 SKEW = np.array([[1, 1], [0, 0]])  # idempotent, not Hermitian
 
 
@@ -58,18 +56,8 @@ CASES = [
      ValueError, "probability 1.5 outside [0, 1]"),
     ("binary-entropy-below-0", lambda tmp: measures.binary_entropy(-0.1),
      ValueError, "probability -0.1 outside [0, 1]"),
-    ("xstate-negative-population", lambda tmp: XState(1.1, -0.1, 0.0, 0.0, 0.0, 0.0),
-     ValueError, "population d22 = -0.1 is negative"),
-    ("xstate-populations-sum", lambda tmp: XState(0.5, 0.5, 0.5, 0.0, 0.0, 0.0),
-     ValueError, "populations sum to 1.5, expected 1"),
-    ("xstate-a23-not-positive", lambda tmp: XState(0.0, 0.5, 0.5, 0.0, 0.0, 0.6),
-     ValueError, "|a23| = 0.6 exceeds sqrt(d22*d33), state not positive"),
-    ("as-xstate-3x3", lambda tmp: states.as_xstate(np.eye(3) / 3),
-     ValueError, "not a two-qubit state"),
-    ("as-xstate-coherence-pair", lambda tmp: states.as_xstate(ONE_SIDED_COHERENCE),
-     ValueError, "coherence pair (0, 3) is not Hermitian-conjugate"),
-    ("as-xstate-complex-diagonal", lambda tmp: states.as_xstate(np.diag([0.5, 0.5j, 0.0, 0.0])),
-     ValueError, "diagonal entry (1, 1) is not real"),
+    ("binary-entropy-nan", lambda tmp: measures.binary_entropy(float("nan")),
+     ValueError, "probability nan outside [0, 1]"),
     ("jacobi-not-square", lambda tmp: linalg.jacobi_eigenvalues(np.zeros((2, 3))),
      ValueError, "matrix is not square: (2, 3)"),
     ("jacobi-not-hermitian", lambda tmp: linalg.jacobi_eigenvalues(np.array([[0, 1], [0, 0]])),

@@ -51,7 +51,6 @@ from entropic_uncertainty.measures import (
     sigma_z_basis,
     von_neumann_entropy,
 )
-from entropic_uncertainty.states import as_xstate
 
 BELL = bd_oracle(1.0, -1.0, 1.0)
 FIG1 = bd_oracle(-0.5, 0.4, 0.8)
@@ -322,8 +321,8 @@ def test_discord_is_mutual_minus_classical():
 
 def test_discord_closed_form_trivial_cases():
     product = np.kron(np.diag([0.7, 0.3]), np.diag([0.6, 0.4])).astype(complex)
-    assert discord_xstate_closed(as_xstate(product)) == pytest.approx(0.0, abs=1e-12)
-    assert discord_xstate_closed(as_xstate(BELL)) == pytest.approx(1.0, abs=1e-9)
+    assert discord_xstate_closed(product) == pytest.approx(0.0, abs=1e-12)
+    assert discord_xstate_closed(BELL) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_discord_closed_form_vs_sweep():
@@ -333,7 +332,7 @@ def test_discord_closed_form_vs_sweep():
     worst = 0.0
     for _ in range(200):
         rho = rand_xstate_matrix(rng)
-        closed = discord_xstate_closed(as_xstate(rho))
+        closed = discord_xstate_closed(rho)
         numeric = quantum_discord(rho, measured_side="B")
         assert closed >= numeric - 1e-8
         worst = max(worst, abs(closed - numeric))

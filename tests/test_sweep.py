@@ -257,17 +257,17 @@ def test_errata_report_contents():
 def test_errata_discord_is_the_dense_discord_on_b(monkeypatch):
     # errata's discord, from the stack's columns, equals quantum_discord(state, "B") bitwise
     states, discords = [], []
-    as_xstate, discord_from = sweep.as_xstate, sweep.discord_from
+    discord_xstate_closed, discord_from = sweep.discord_xstate_closed, sweep.discord_from
 
     def recorded_state(state):
         states.append(state)
-        return as_xstate(state)
+        return discord_xstate_closed(state)
 
     def recorded_discord(mutual, classical):
         discords.append(discord_from(mutual, classical))
         return discords[-1]
 
-    monkeypatch.setattr(sweep, "as_xstate", recorded_state)
+    monkeypatch.setattr(sweep, "discord_xstate_closed", recorded_state)
     monkeypatch.setattr(sweep, "discord_from", recorded_discord)
     rng = np.random.RandomState(1021)
     triples = [(-1.0, 1.0, 1.0), (0.0, 0.0, 0.0)] + [rand_bd_coeffs(rng) for _ in range(8)]

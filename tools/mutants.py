@@ -97,6 +97,27 @@ MUTANTS = [
         "",
         ("tests/test_applications.py",),
     ),
+    (
+        "< in place of <= against X_PATTERN_ATOL in linalg.is_x_patterned",
+        PACKAGE + "linalg.py",
+        "abs(m[i][j]) <= X_PATTERN_ATOL",
+        "abs(m[i][j]) < X_PATTERN_ATOL",
+        ("tests/test_states.py",),
+    ),
+    (
+        "< in place of <= against X_PATTERN_ATOL in linalg.stacked_density_spectra",
+        PACKAGE + "linalg.py",
+        "np.abs(m[:, rows, cols]) <= X_PATTERN_ATOL",
+        "np.abs(m[:, rows, cols]) < X_PATTERN_ATOL",
+        ("tests/test_states.py",),
+    ),
+    (
+        "measures.binary_entropy without its NaN rejection",
+        PACKAGE + "measures.py",
+        "if not -PSD_ATOL <= q <= 1.0 + PSD_ATOL:",
+        "if q < -PSD_ATOL or q > 1.0 + PSD_ATOL:",
+        ("tests/test_input_checks.py",),
+    ),
 ]
 
 
