@@ -151,23 +151,6 @@ def _write_text(text: str, out: str | None) -> None:
         fh.write(text)
 
 
-def _nonfinite_flags(args) -> list[str]:
-    """One problem per float flag other than --c1..--c3 given as inf or nan
-    (argparse accepts both; the coefficient check reports those three)."""
-    return [
-        f"--{'lambda' if dest == 'rate_lambda' else dest} = {value!r} is not finite"
-        for dest, value in vars(args).items()
-        if isinstance(value, float) and dest not in ("c1", "c2", "c3")
-        and not math.isfinite(value)
-    ]
-
-
-def _points_problems(points: int, least: int) -> list[str]:
-    if least <= points <= MAX_GRID_ROWS:
-        return []
-    return [f"--points {points} outside [{least}, {MAX_GRID_ROWS}]"]
-
-
 class _Parser(argparse.ArgumentParser):
     """Reads '-1e-5', '-inf' and '-nan' as values, as argparse does '-1' and '-.5'."""
 
@@ -183,94 +166,94 @@ def build_parser() -> argparse.ArgumentParser:
         description="Entropic-uncertainty dynamics for two-qubit states under one-sided noise.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sweep = sub.add_parser("sweep", help="run a sweep described by a config file")
-    p_sweep.add_argument("--config", required=True, help="flat key = value config file")
-    p_sweep.add_argument("--out", default=None, help="output CSV path (default stdout)")
-
-    p_preset = sub.add_parser("preset", help="reproduce a figure's data grid")
-    p_preset.add_argument("name", choices=PRESET_NAMES)
-    p_preset.add_argument("--out", default=None, help="output CSV path (default stdout)")
-
-    commands = {}
-    for name, text in (("witness", "solve the witness noise threshold"),
-                       ("capacity", "emit a channel-capacity curve"),
-                       ("errata", "closed-form vs pipeline gap report")):
-        cmd = commands[name] = sub.add_parser(name, help=text)
-        cmd.add_argument("--channel", required=True, choices=CHANNEL_FAMILIES)
-        default = COEFFICIENT_DEFAULTS[name]
+    commands = {
+        name: sub.add_parser(name, help=text)
+        for name, text in (("sweep", "run a sweep described by a config file"),
+                           ("preset", "reproduce a figure's data grid"),
+                           ("witness", "solve the witness noise threshold"),
+                           ("capacity", "emit a channel-capacity curve"),
+                           ("errata", "closed-form vs pipeline gap report"))
+    }
+    commands["sweep"].add_argument("--config", required=True, help="flat key = value config file")
+    commands["preset"].add_argument("name", choices=PRESET_NAMES)
+    for name, default in COEFFICIENT_DEFAULTS.items():
+        commands[name].add_argument("--channel", required=True, choices=CHANNEL_FAMILIES)
         for flag, value in zip(("--c1", "--c2", "--c3"), default or (None,) * 3):
-            cmd.add_argument(flag, type=float, required=default is None, default=value)
+            commands[name].add_argument(flag, type=float, required=default is None, default=value)
     commands["witness"].add_argument("--s", type=float, default=0.0,
                                      help="weak-measurement strength")
     commands["capacity"].add_argument("--lambda", dest="rate_lambda", type=float, default=None,
                                       help="decay rate; sweeps time in [0, 10] instead of d")
     for name in ("capacity", "errata"):
         commands[name].add_argument("--points", type=int, default=101)
-        commands[name].add_argument("--out", default=None)
+    for name in ("sweep", "preset", "capacity", "errata"):
+        commands[name].add_argument("--out", default=None, help="output path (default stdout)")
+    commands["witness"].set_defaults(out=None)  # the threshold report goes to stdout
     return parser
+
+
+def _flag_problems(args) -> list[str]:
+    """Every problem with a witness, capacity or errata command's flags, in check order.
+    argparse accepts inf and nan; the coefficient check reports them for --c1..--c3."""
+    problems = [
+        f"--{'lambda' if dest == 'rate_lambda' else dest} = {value!r} is not finite"
+        for dest, value in vars(args).items()
+        if isinstance(value, float) and dest not in ("c1", "c2", "c3")
+        and not math.isfinite(value)
+    ]
+    problems += coefficient_problems(args.c1, args.c2, args.c3, names=("--c1", "--c2", "--c3"))
+    least = {"capacity": 2, "errata": 1}.get(args.command)  # a capacity curve needs both ends
+    if least is not None and not least <= args.points <= MAX_GRID_ROWS:
+        problems.append(f"--points {args.points} outside [{least}, {MAX_GRID_ROWS}]")
+    s = getattr(args, "s", 0.0)
+    if math.isfinite(s) and not 0.0 <= s < 1.0:
+        problems.append(f"--s {s} outside [0, 1)")
+    rate = getattr(args, "rate_lambda", None)
+    if rate is not None and -math.inf < rate <= 0.0:
+        problems.append(f"--lambda {rate} must be positive")
+    if rate is not None and args.channel != "AD":
+        problems.append("--lambda only applies to the AD channel")
+    return problems
+
+
+def _command_text(args) -> str:
+    """The text one command writes; a witness, capacity or errata run checks its flags first."""
+    if args.command == "sweep":
+        return render_csv(run_sweep(parse_config_file(args.config)))
+    if args.command == "preset":
+        return render_csv(preset_rows(args.name))
+    problems = _flag_problems(args)
+    if problems:
+        raise ConfigError(problems, f"{args.command} flags")
+    coeffs = BellDiagonalCoeffs(args.c1, args.c2, args.c3)
+    if args.command == "witness":
+        result = witness_threshold(args.channel, coeffs, s=args.s)
+        return "".join(
+            f"{key}={value}\n"
+            for key, value in (
+                ("channel", args.channel),
+                ("parameter", result.parameter_name),
+                ("critical_value", f"{result.critical_value:.6f}"),
+                ("steering_s", f"{result.steering_strength_s:.12g}"),
+                ("window", result.window),
+            )
+        )
+    if args.command == "capacity":
+        stop = 10.0 if args.rate_lambda is not None else 1.0
+        schedule = np.linspace(0.0, stop, args.points)
+        curve = capacity_curves(args.channel, coeffs, schedule, args.rate_lambda)
+        lines = ["param,capacity", *(f"{x:.12g},{c:.12g}" for x, c in curve)]
+        return "\n".join(lines) + "\n"
+    return errata_report(coeffs, args.channel, np.linspace(0.0, 1.0, args.points))
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        problems = _nonfinite_flags(args)
-        if args.command in COEFFICIENT_DEFAULTS:  # None if the triple has problems
-            c = (args.c1, args.c2, args.c3)
-            more = coefficient_problems(*c, names=("--c1", "--c2", "--c3"))
-            problems += more
-            coeffs = None if more else BellDiagonalCoeffs(*c)
-        if args.command in ("capacity", "errata"):  # a capacity curve needs both ends
-            problems += _points_problems(args.points, 2 if args.command == "capacity" else 1)
-        if args.command == "sweep":
-            rows = run_sweep(parse_config_file(args.config))
-            _write_text(render_csv(rows), args.out)
-        elif args.command == "preset":
-            rows = preset_rows(args.name)
-            _write_text(render_csv(rows), args.out)
-        elif args.command == "witness":
-            if math.isfinite(args.s) and not 0.0 <= args.s < 1.0:
-                problems.append(f"--s {args.s} outside [0, 1)")
-            if problems:
-                raise ConfigError(problems)
-            result = witness_threshold(args.channel, coeffs, s=args.s)
-            _write_text(
-                "".join(
-                    f"{key}={value}\n"
-                    for key, value in (
-                        ("channel", args.channel),
-                        ("parameter", result.parameter_name),
-                        ("critical_value", f"{result.critical_value:.6f}"),
-                        ("steering_s", f"{result.steering_strength_s:.12g}"),
-                        ("window", result.window),
-                    )
-                ),
-                None,
-            )
-        elif args.command == "capacity":
-            if args.rate_lambda is not None and -math.inf < args.rate_lambda <= 0.0:
-                problems.append(f"--lambda {args.rate_lambda} must be positive")
-            if args.rate_lambda is not None and args.channel != "AD":
-                problems.append("--lambda only applies to the AD channel")
-            if problems:
-                raise ConfigError(problems)
-            stop = 10.0 if args.rate_lambda is not None else 1.0
-            schedule = np.linspace(0.0, stop, args.points)
-            curve = capacity_curves(args.channel, coeffs, schedule, args.rate_lambda)
-            lines = ["param,capacity"]
-            lines += [f"{x:.12g},{c:.12g}" for x, c in curve]
-            _write_text("\n".join(lines) + "\n", args.out)
-        elif args.command == "errata":
-            if problems:
-                raise ConfigError(problems)
-            grid = np.linspace(0.0, 1.0, args.points)
-            _write_text(errata_report(coeffs, args.channel, grid), args.out)
+        _write_text(_command_text(args), args.out)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_IO
     except (NumericError, ValueError, ArithmeticError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -55,11 +55,11 @@ MAX_GRID_ROWS = 10**6
 
 
 class ConfigError(ValueError):
-    """Invalid sweep configuration; collects every violation found."""
+    """Invalid sweep configuration or ``subject`` (a command's flags); lists every violation."""
 
-    def __init__(self, problems):
+    def __init__(self, problems, subject: str = "sweep configuration"):
         self.problems = tuple(problems)
-        super().__init__("invalid sweep configuration:\n" + "\n".join(
+        super().__init__(f"invalid {subject}:\n" + "\n".join(
             f"  - {p}" for p in self.problems
         ))
 

@@ -2,7 +2,14 @@ import hashlib
 
 import pytest
 
-from entropic_uncertainty.cli import PRESETS, _field_reader, main, parse_config_text, preset_rows
+from entropic_uncertainty.cli import (
+    PRESETS,
+    _field_reader,
+    build_parser,
+    main,
+    parse_config_text,
+    preset_rows,
+)
 from entropic_uncertainty.sweep import MAX_GRID_ROWS, ConfigError, SweepConfig, render_csv
 
 GOOD_CONFIG = """\
@@ -301,6 +308,61 @@ def test_negative_values_as_separate_arguments_exit_2(capsys, argv, problems):
     assert "expected one argument" not in err
     for problem in problems:
         assert problem in err
+
+
+# the whole stderr of one multi-problem run per command: every problem, in check order
+@pytest.mark.parametrize(
+    ("argv", "expected"),
+    [
+        (["witness", "--channel", "AD", "--c1", "2", "--c2", "nan", "--c3", "1", "--s", "1"],
+         "invalid witness flags:\n"
+         "  - --c1 = 2.0 outside [-1, 1]\n"
+         "  - --c2 = nan is not finite\n"
+         "  - --s 1.0 outside [0, 1)\n"),
+        (["capacity", "--channel", "BPF", "--c3", "-inf", "--lambda", "-1", "--points", "1"],
+         "invalid capacity flags:\n"
+         "  - --c3 = -inf is not finite\n"
+         "  - --points 1 outside [2, 1000000]\n"
+         "  - --lambda -1.0 must be positive\n"
+         "  - --lambda only applies to the AD channel\n"),
+        (["errata", "--channel", "AD", "--c1", "1.5", "--points", "0"],
+         "invalid errata flags:\n"
+         "  - --c1 = 1.5 outside [-1, 1]\n"
+         "  - --points 0 outside [1, 1000000]\n"),
+    ],
+    ids=["witness", "capacity", "errata"],
+)
+def test_flag_problems_stderr_is_pinned(capsys, argv, expected):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", expected)
+
+
+@pytest.mark.parametrize("command", ["witness", "capacity", "errata"])
+def test_flag_problems_are_headed_by_their_command(capsys, command):
+    # no sweep is involved, so the heading names the command's flags
+    assert main([command, "--channel", "AD", "--c1", "2", "--c2", "0", "--c3", "0"]) == 2
+    assert capsys.readouterr().err == f"invalid {command} flags:\n  - --c1 = 2.0 outside [-1, 1]\n"
+
+
+def test_each_command_takes_the_same_option_strings(capsys):
+    # the whole command-line surface: a new flag, or --out on witness, changes this table
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    options = {
+        name: [action.option_strings or [action.dest] for action in parser._actions]
+        for name, parser in sub.choices.items()
+    }
+    shared = [["--channel"], ["--c1"], ["--c2"], ["--c3"]]
+    assert options == {
+        "sweep": [["-h", "--help"], ["--config"], ["--out"]],
+        "preset": [["-h", "--help"], ["name"], ["--out"]],
+        "witness": [["-h", "--help"], *shared, ["--s"]],
+        "capacity": [["-h", "--help"], *shared, ["--lambda"], ["--points"], ["--out"]],
+        "errata": [["-h", "--help"], *shared, ["--points"], ["--out"]],
+    }
+    with pytest.raises(SystemExit) as exit_:
+        main(["witness", "--channel", "AD", "--c1", "-1", "--c2", "1", "--c3", "1", "--out", "w"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --out w" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

@@ -1,11 +1,11 @@
 """Mutation check: each mutant below breaks one contract of the package on purpose,
-and the test files listed with it must catch it.
+and the test ids listed with it must catch it.
 
 Run from anywhere with ``python tools/mutants.py``.  Each mutant is an exact text
 replacement that must match once.  The script copies ``src/``, ``tests/`` and
 ``pyproject.toml`` to a temporary directory per mutant, applies the mutant there
-and runs only its test files with ``-x``; one more copy checks that every listed
-file passes unmutated.  Two copies run at a time.  It exits 1 if a mutant
+and runs only its test ids with ``-x``; one more copy checks that every listed
+id passes unmutated.  Two copies run at a time.  It exits 1 if a mutant
 survives, if its old text no longer matches, or if the unmutated tests fail.
 Standard library and pytest only; it is not part of the Tier-1 collection
 (``testpaths = ["tests"]``).
@@ -24,70 +24,71 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = "src/entropic_uncertainty/"
 
-# (name, file, exact old text, new text, test files expected to catch it)
+# (name, file, exact old text, new text, test ids expected to catch it)
 MUTANTS = [
     (
         "plain min in place of the NaN-aware minimum in linalg._spectrum",
         PACKAGE + "linalg.py",
         "low = math.nan if any(map(math.isnan, vals)) else min(vals)",
         "low = min(vals)",
-        ("tests/test_bounds.py",),
+        ("tests/test_bounds.py::test_chain_errors_are_pinned[nan-eigenvalue]",),
     ),
     (
         "math.fsum in linalg._ordered_sum",
         PACKAGE + "linalg.py",
         "    total = 0.0\n    for v in values:\n        total += v\n    return total\n",
         "    return math.fsum(values)\n",
-        ("tests/test_bounds.py",),
+        ("tests/test_bounds.py::test_chain_errors_are_pinned[trace-off]",),
     ),
     (
         "bounds._stacked_u without its np.errstate",
         PACKAGE + "bounds.py",
         'with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row fails its own check',
         "with np.errstate():",
-        ("tests/test_bounds.py",),
+        ("tests/test_bounds.py::test_a_stack_with_an_infinite_row_flags_only_that_row",),
     ),
     (
         "sigma_z's branch_masks swapped in measures._branches",
         PACKAGE + "measures.py",
         "[states * m for m in basis.branch_masks]",
         "[states * m for m in basis.branch_masks[::-1]]",
-        ("tests/test_measures.py",),
+        ("tests/test_measures.py"
+         "::test_sigma_z_mask_dephasing_equals_the_projector_sandwich",),
     ),
     (
         "bounds.witnessed without BOUND_ORDER_ATOL",
         PACKAGE + "bounds.py",
         "return u < math.log2(1.0 / C) - BOUND_ORDER_ATOL",
         "return u < math.log2(1.0 / C)",
-        ("tests/test_cli.py",),
+        ("tests/test_cli.py::test_witness_stdout_is_pinned[AD-s0.999999]",),
     ),
     (
         "the refined theta without the exact endpoint evaluations in measures._minimize_x_states",
         PACKAGE + "measures.py",
         "value, theta = min(*ends, (at_refined, refined))",
         "value, theta = (at_refined, refined)",
-        ("tests/test_measures.py",),
+        ("tests/test_measures.py::test_x_state_minimum_never_exceeds_its_exact_endpoints",),
     ),
     (
         "math.log2 per value in place of one np.log2 call in measures._entropies",
         PACKAGE + "measures.py",
         "logs = iter(np.log2([x if x > 0.0 else 1.0 for p in spectra for x in p]).tolist())",
         "logs = iter([math.log2(x) if x > 0.0 else 0.0 for p in spectra for x in p])",
-        ("tests/test_measures.py",),
+        ("tests/test_measures.py::test_one_log2_call_gives_each_spectrum_its_own_bits",),
     ),
     (
         "sweep._grid_points without its check of rho0",
         PACKAGE + "sweep.py",
         "    validate_two_qubit(rho0)  # apply_one_sided's input check, once for the grid\n",
         "",
-        ("tests/test_sweep.py",),
+        ("tests/test_sweep.py::test_grid_points_check_rho0_once_before_evolving",),
     ),
     (
         "applications.witness_threshold without its check of rho0",
         PACKAGE + "applications.py",
         "    validate_two_qubit(rho0)  # _evolve's input check, once per solve\n",
         "",
-        ("tests/test_applications.py",),
+        ("tests/test_applications.py::test_witness_checks_rho0_once_per_solve[0.0]",),
     ),
     (
         "applications.witness_threshold without its straddle check",
@@ -95,36 +96,44 @@ MUTANTS = [
         "    if not (witnessed(below) and not witnessed(above)):\n"
         '        raise ArithmeticError(f"threshold bracketing check failed around {critical!r}")\n',
         "",
-        ("tests/test_applications.py",),
+        ("tests/test_applications.py::test_a_failed_straddle_check_raises_and_exits_3[AD]",),
     ),
     (
         "< in place of <= against X_PATTERN_ATOL in linalg.is_x_patterned",
         PACKAGE + "linalg.py",
         "abs(m[i][j]) <= X_PATTERN_ATOL",
         "abs(m[i][j]) < X_PATTERN_ATOL",
-        ("tests/test_states.py",),
+        ("tests/test_states.py::test_x_pattern_tolerance_is_one_definition",),
     ),
     (
         "< in place of <= against X_PATTERN_ATOL in linalg.stacked_density_spectra",
         PACKAGE + "linalg.py",
         "np.abs(m[:, rows, cols]) <= X_PATTERN_ATOL",
         "np.abs(m[:, rows, cols]) < X_PATTERN_ATOL",
-        ("tests/test_states.py",),
+        ("tests/test_states.py::test_x_pattern_tolerance_is_one_definition",),
     ),
     (
         "measures.binary_entropy without its NaN rejection",
         PACKAGE + "measures.py",
         "if not -PSD_ATOL <= q <= 1.0 + PSD_ATOL:",
         "if q < -PSD_ATOL or q > 1.0 + PSD_ATOL:",
-        ("tests/test_input_checks.py",),
+        ("tests/test_input_checks.py"
+         "::test_input_check_names_the_problem[binary-entropy-nan]",),
+    ),
+    (
+        "errata's --points lower bound 2 in place of 1 in cli._flag_problems",
+        PACKAGE + "cli.py",
+        'least = {"capacity": 2, "errata": 1}.get(args.command)',
+        'least = {"capacity": 2, "errata": 2}.get(args.command)',
+        ("tests/test_cli.py::test_grid_limits_exit_2_with_every_problem",),
     ),
 ]
 
 
-def run_tests(tree: pathlib.Path, files) -> tuple[int, str]:
-    """pytest on ``files`` in ``tree``, stopping at the first failure: (exit code, first failure)."""
+def run_tests(tree: pathlib.Path, ids) -> tuple[int, str]:
+    """pytest on ``ids`` in ``tree``, stopping at the first failure: (exit code, first failure)."""
     result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "--tb=no", "-rf", *files],
+        [sys.executable, "-m", "pytest", "-x", "-q", "--tb=no", "-rf", *ids],
         cwd=tree, env={**os.environ, "PYTHONPATH": "src"}, capture_output=True, text=True,
     )
     failed = [line.split()[1] for line in result.stdout.splitlines() if line.startswith("FAILED ")]
@@ -137,34 +146,34 @@ def copy_tree(tree: pathlib.Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", tree / "pyproject.toml")
 
 
-def run_unmutated(tree: pathlib.Path, files) -> tuple[int, str]:
+def run_unmutated(tree: pathlib.Path, ids) -> tuple[int, str]:
     copy_tree(tree)
-    return run_tests(tree, files)
+    return run_tests(tree, ids)
 
 
 def try_mutant(tree: pathlib.Path, mutant) -> tuple[bool, str]:
-    """Apply one mutant to its own copy of the tree and run its test files: (killed, report)."""
-    name, rel, old, new, files = mutant
+    """Apply one mutant to its own copy of the tree and run its test ids: (killed, report)."""
+    name, rel, old, new, ids = mutant
     copy_tree(tree)
     path = tree / rel
     original = path.read_text(encoding="utf-8")
     if original.count(old) != 1:
         return False, f"STALE     {name}: old text matches {original.count(old)} times in {rel}"
     path.write_text(original.replace(old, new), encoding="utf-8")
-    code, detail = run_tests(tree, files)
+    code, detail = run_tests(tree, ids)
     if code == 1:
         return True, f"killed    {name}\n          by {detail}"
     verdict = "SURVIVED" if code == 0 else f"ERROR {code}"
-    return False, f"{verdict:<9} {name}: {' '.join(files)}\n          {detail}"
+    return False, f"{verdict:<9} {name}: {' '.join(ids)}\n          {detail}"
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="eur-mutants-") as tmp:
         trees = [pathlib.Path(tmp) / str(i) for i in range(len(MUTANTS) + 1)]
-        every_file = sorted({f for *_, files in MUTANTS for f in files})
+        every_id = sorted({i for *_, ids in MUTANTS for i in ids})
         # two at a time: the unmutated run, then the mutants, each in its own copy
         with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
-            clean = pool.submit(run_unmutated, trees[0], every_file)
+            clean = pool.submit(run_unmutated, trees[0], every_id)
             results = list(pool.map(try_mutant, trees[1:], MUTANTS))
         code, detail = clean.result()
     if code != 0:
