@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import PointQuantities, witnessed
-from .channels import CHANNEL_FAMILIES, _evolve, apply_steering, weak_op
+from .channels import _evolve, apply_steering, weak_op
 from .linalg import validate_two_qubit
 from .states import BellDiagonalCoeffs, bell_diagonal_density
 from .sweep import _grid_points
@@ -51,8 +51,6 @@ def witness_threshold(
     whose margin log2(1/c) - u at d = 0 falls to that tolerance, so the threshold falls
     again, as a 50-digit evaluation under the same criterion gives (ROADMAP.md's table).
     """
-    if channel_family not in CHANNEL_FAMILIES:
-        raise ValueError(f"unknown channel family {channel_family!r}")
     op = weak_op(s)  # raises for s outside [0, 1)
     rho0 = bell_diagonal_density(coeffs)
     if s > 0.0:
@@ -92,8 +90,7 @@ def witness_threshold(
 
 
 def channel_capacity(rho) -> float:
-    """Mutual information of the evolved state, cross-checked against the
-    equivalent bound form S(rho_A) - U_b + 1 at complementarity 1/2."""
+    """Mutual information of the evolved state, the capacity S(A) - U_b + log2(1/c)."""
     return PointQuantities(rho).capacity
 
 
@@ -109,8 +106,6 @@ def capacity_curves(
     ``rate_lambda`` is given (damping channel only).  A bad point raises its
     own error, the first in schedule order.
     """
-    if channel_family not in CHANNEL_FAMILIES:
-        raise ValueError(f"unknown channel family {channel_family!r}")
     if rate_lambda is not None and channel_family != "AD":
         raise ValueError("a decay rate only parametrizes the damping channel")
     xs = [float(x) for x in schedule]

@@ -9,10 +9,10 @@ and every stack here uses that one setup.
 ``PointQuantities`` is the one evaluator of one state and, through its private
 ``_stack``, of an X-state stack, for the sweep, ``errata_report``,
 ``bound_report``, ``berta_bound`` and ``channel_capacity``.  It holds each
-formula once (the Berta, Pati and Adabi bounds, mutual information, classical
-correlation, discord, the capacity and the entropic witness), over a number or a
-column alike, and computes each value a state pays for on first read only, a
-stack's bitwise as each state alone.
+formula once (the Berta, Pati and Adabi bounds, mutual information, which is the
+capacity S(A) - U_b + log2(1/c), classical correlation, discord and the entropic
+witness), over a number or a column alike, and computes each value a state pays for
+on first read only, a stack's bitwise as each state alone.
 ``uncertainty_lhs`` stays a per-point chain for point-at-a-time callers (the
 witness bisection): it checks the state once, then takes both bases' four entropy
 spectra on the entries as Python numbers and their logarithms from one ``np.log2``
@@ -54,7 +54,6 @@ from .measures import (
 )
 from .states import BellDiagonalCoeffs
 
-CAPACITY_IDENTITY_ATOL = 1e-10
 _EDGE = 1.0 - 1e-12
 
 
@@ -88,11 +87,6 @@ def berta_bound(rho) -> float:
 def witnessed(u):
     """The entropic witness U < log2(1/c) (scalars or arrays); equality does not witness."""
     return u < math.log2(1.0 / C) - BOUND_ORDER_ATOL
-
-
-def capacity_bound_form(s_measured, berta):
-    """S(rho_A) - Berta bound + log2(1/c), equal to the mutual information."""
-    return s_measured - berta + math.log2(1.0 / C)
 
 
 @dataclass(eq=False)
@@ -196,17 +190,7 @@ class PointQuantities:
         delta = self.mutual_information - self.holevo[0] - self.holevo[1]
         return self.berta + _positive_part(delta)
 
-    @cached_property
-    def capacity(self):
-        """The mutual information, cross-checked against ``capacity_bound_form``: one state
-        raises where the two disagree, a stack drops those rows from ``ok``."""
-        capacity = self.mutual_information
-        bound_form = capacity_bound_form(self.s_a, self.berta)
-        if self.stacked:
-            return self._column(capacity, np.abs(capacity - bound_form) <= CAPACITY_IDENTITY_ATOL)
-        if abs(capacity - bound_form) > CAPACITY_IDENTITY_ATOL:
-            raise ArithmeticError(f"capacity forms disagree: {capacity!r} vs {bound_form!r}")
-        return capacity
+    capacity = cached_property(lambda self: self.mutual_information)  # U_b = log2(1/c) + S(A|B)
 
 
 def _stacked_u(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

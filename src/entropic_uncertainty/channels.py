@@ -54,7 +54,9 @@ class KrausChannel:
 
 def _kraus_stack(family: str, params: np.ndarray) -> np.ndarray:
     """The Kraus operators of ``family`` at every parameter, as a (2, N, 2, 2) stack;
-    a parameter outside [0, 1] gives NaN entries."""
+    a parameter outside [0, 1] gives NaN entries, a family other than AD and BPF an error."""
+    if family not in CHANNEL_FAMILIES:
+        raise ValueError(f"unknown channel family {family!r}")
     with np.errstate(invalid="ignore"):
         root, co_root = np.sqrt(params), np.sqrt(1.0 - params)
     ops = np.zeros((2, len(params), 2, 2), dtype=complex)

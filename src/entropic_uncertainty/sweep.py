@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import groupby
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import NamedTuple
 
 import numpy as np
@@ -101,11 +101,16 @@ class SweepConfig:
                 problems.append(f"unknown output tag {tag!r}")
             if self.outputs.count(tag) > 1:
                 problems.append(f"output tag {tag!r} given {self.outputs.count(tag)} times")
-        if self.param_points < 2:
-            problems.append(f"param_points = {self.param_points} < 2")
-        rows = self.param_points * max(1, len(self.steering_strengths))
-        if rows > MAX_GRID_ROWS:
-            problems.append(f"grid of {rows} rows exceeds the limit of {MAX_GRID_ROWS}")
+        try:
+            points = index(self.param_points)  # as np.linspace reads it
+        except TypeError:
+            problems.append(f"param_points = {self.param_points!r} is not an integer")
+        else:
+            if points < 2:
+                problems.append(f"param_points = {self.param_points} < 2")
+            rows = points * max(1, len(self.steering_strengths))
+            if rows > MAX_GRID_ROWS:
+                problems.append(f"grid of {rows} rows exceeds the limit of {MAX_GRID_ROWS}")
         ends = (("param_start", self.param_start), ("param_stop", self.param_stop))
         finite_ends = [(name, v) for name, v in ends if finite(name, v)]
         if self.rate_lambda is None:
@@ -329,8 +334,6 @@ def errata_report(coeffs: BellDiagonalCoeffs, channel: str, grid) -> str:
     Reports, per formula, the largest absolute gap and where it occurs; points
     where a closed form is not evaluable are counted, not scored.
     """
-    if channel not in CHANNEL_FAMILIES:
-        raise ValueError(f"unknown channel family {channel!r}")
     grid = [float(x) for x in grid]
     if not grid:
         raise ValueError("empty parameter grid")

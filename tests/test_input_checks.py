@@ -66,6 +66,9 @@ CASES = [
      ValueError, "matrix is not square: (2, 3)"),
     ("config-duplicate-key", lambda tmp: cli.parse_config_text(CONFIG + "c1 = 0.1\n"),
      cli.ConfigError, "invalid sweep configuration:\n  - <config>:5: duplicate key 'c1'"),
+    ("param-points-not-integer",
+     lambda tmp: sweep.run_sweep(sweep.SweepConfig("AD", -0.5, 0.4, 0.8, param_points=2.5)),
+     sweep.ConfigError, "invalid sweep configuration:\n  - param_points = 2.5 is not an integer"),
     ("negative-time",
      lambda tmp: sweep.run_sweep(cli.parse_config_text(
          CONFIG + "rate_lambda = 1\nparam_start = -1\nparam_stop = 1\n")),

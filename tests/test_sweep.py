@@ -280,6 +280,15 @@ def test_errata_discord_is_the_dense_discord_on_b(monkeypatch):
         assert type(discord) is float
 
 
+@pytest.mark.parametrize("points", [2.5, 3.0, 1.5])
+def test_a_non_integer_point_count_is_its_one_problem(points):
+    # judged as np.linspace judges it, so 3.0 is refused too; the < 2 and grid-size checks
+    # of the field are skipped
+    expected = [f"param_points = {points!r} is not an integer"]
+    assert small_cfg(param_points=points).validate() == expected
+    assert small_cfg(param_points=np.int64(3)).validate() == []
+
+
 def test_grid_size_limit_in_validation():
     assert small_cfg(param_points=MAX_GRID_ROWS).validate() == []
     too_long = small_cfg(param_points=MAX_GRID_ROWS + 1).validate()
@@ -321,7 +330,7 @@ def test_numeric_error_locates_the_steered_point(monkeypatch):
             capacity = super().capacity
             if self.stacked:
                 # rows 0-2 are strength 0.0, rows 3-5 strength 0.4 (one stack);
-                # as when the stack's capacity identity check fails
+                # as when one of the stack's checks fails on that row
                 self.ok[3 + 1] = False
             return capacity
 
@@ -338,16 +347,17 @@ def test_numeric_error_locates_the_steered_point(monkeypatch):
     state = _dense_state("AD", bell_diagonal_density(cfg.coeffs()), 0.5, "weak", 0.4)
     capacity = channel_capacity(state)
     assert rows[4].quantities == (("capacity", capacity),)
-    # only the flagged row, grid index 1 at strength 0.4, takes the dense check: that
-    # check (on floats) fails, the stack's (on arrays) holds
-    form = bounds.capacity_bound_form
-    monkeypatch.setattr(bounds, "capacity_bound_form",
-                        lambda s, b: form(s, b) if isinstance(b, np.ndarray) else -1.0)
+    # only the flagged row, grid index 1 at strength 0.4, is rebuilt densely: its one-state
+    # entropy (which no stacked row calls) fails, and the error names that row
+    def dense_entropy_fails(rho):
+        raise ArithmeticError(f"dense entropy of a {rho.shape} matrix")
+
+    monkeypatch.setattr(bounds, "von_neumann_entropy", dense_entropy_fails)
     with pytest.raises(NumericError) as err:
         run_sweep(cfg)
     assert str(err.value) == (
         "sweep point at grid index 1 (param=0.5, steering strength=0.4) failed: "
-        f"capacity forms disagree: {capacity!r} vs -1.0"
+        "dense entropy of a (2, 2) matrix"
     )
 
     class NanCapacity(PointQuantities):
@@ -630,6 +640,18 @@ def test_grid_points_reject_a_mix_of_none_and_operators():
     for ops in ((None, weak_op(0.3)), (filter_op(0.5), None)):
         with pytest.raises(ValueError, match="mixes None with steering operators"):
             next(sweep._grid_points("AD", rho0, [0.0, 0.5], None, ops, ("u",)))
+
+
+@pytest.mark.parametrize("family", ["ad", "GAD"])
+def test_grid_and_witness_routes_refuse_an_unknown_family(family):
+    # both routes build their Kraus stack in channels._kraus_stack, which refuses a family
+    # other than AD and BPF instead of building the flip channel for it
+    rho0 = bell_diagonal_density(BellDiagonalCoeffs(-0.5, 0.4, 0.8))
+    message = f"unknown channel family '{family}'"
+    with pytest.raises(ValueError, match=message):
+        channels._evolve(family, rho0, np.array([0.3]))  # the witness route
+    with pytest.raises(ValueError, match=message):
+        next(sweep._grid_points(family, rho0, [0.3], None, (None,), ("u",)))
 
 
 def test_grid_points_check_rho0_once_before_evolving(monkeypatch):

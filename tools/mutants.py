@@ -127,6 +127,30 @@ MUTANTS = [
         'least = {"capacity": 2, "errata": 2}.get(args.command)',
         ("tests/test_cli.py::test_grid_limits_exit_2_with_every_problem",),
     ),
+    (
+        "channels._kraus_stack without its channel-family check",
+        PACKAGE + "channels.py",
+        "    if family not in CHANNEL_FAMILIES:\n"
+        '        raise ValueError(f"unknown channel family {family!r}")\n'
+        "    with np.errstate",
+        "    with np.errstate",
+        ("tests/test_sweep.py::test_grid_and_witness_routes_refuse_an_unknown_family[ad]",),
+    ),
+    (
+        "sweep.SweepConfig.validate without its integer check of param_points",
+        PACKAGE + "sweep.py",
+        "points = index(self.param_points)",
+        "points = self.param_points",
+        ("tests/test_input_checks.py"
+         "::test_input_check_names_the_problem[param-points-not-integer]",),
+    ),
+    (
+        "bounds.BoundReport's ordering check without BOUND_ORDER_ATOL",
+        PACKAGE + "bounds.py",
+        "if lo > hi + BOUND_ORDER_ATOL:",
+        "if lo > hi:",
+        ("tests/test_bounds.py::test_adabi_saturates_under_bpf",),
+    ),
 ]
 
 
