@@ -10,13 +10,15 @@ one-dimensional: the unmeasured qubit's branch diagonals depend on theta only,
 and at fixed diagonals a branch's entropy falls as its coherence rises, so phi
 is fixed in closed form as the azimuth of largest coherence.  theta is then
 searched on [0, pi/2] (theta and pi - theta only swap the two outcomes) by a
-1-degree grid, both endpoints exactly, and one golden-section refinement (the
-one-parameter minimization of Huang, PRA 88, 014302 (2013)); a stack of X
-states takes its grids as one (N, 91) array and refines each row alone, so a
-state gets the same bits in a stack as on its own.  Any other state
-takes the dense path: a 1-degree grid over theta in [0, pi] and phi in [0, pi)
-(n and -n give the same measurement) followed by coordinate-wise
-golden-section refinement.  Both paths are deterministic.
+1-degree grid and both endpoints exactly (the one-parameter minimization of
+Huang, PRA 88, 014302 (2013)).  A golden-section refinement runs only for an
+interior grid minimum, or where one probe half a step inside an endpoint minimum
+is lower: the average branch entropy is even about theta = 0 and theta = pi/2, so
+both endpoints are stationary.  A stack of X states takes its grids as one (N, 91)
+array and refines each row alone, so a state gets the same bits in a stack as on
+its own.  Any other state takes the dense path: a 1-degree grid over theta in
+[0, pi] and phi in [0, pi) (n and -n give the same measurement) followed by
+coordinate-wise golden-section refinement.  Both paths are deterministic.
 
 Each outcome of a fixed-basis measurement leaves one unnormalized branch (``_branches``):
 dephasing is their sum, and the Holevo quantity reads each branch's memory.  A branch
@@ -423,8 +425,12 @@ def _x_state_azimuth(mom: _CrossMoments) -> float:
 def _minimize_x_states(mom: _CrossMoments) -> list[tuple[float, float, float]]:
     """Exact one-parameter minimum of each X state of a stack: (value, theta, phi).
 
-    The theta grid is one (N, 91) array, elementwise as for one state; the
-    refinement stays scalar ``math`` per row, since ``np.hypot`` (libm's) and
+    The theta grid is one (N, 91) array, elementwise as for one state.  A row whose
+    grid minimum is at an endpoint takes the smaller exact endpoint value, unless
+    the guard's probe half a step inside is lower than that endpoint's; only then,
+    or for an interior minimum, does the golden section refine it.  The guard misses
+    a minimum closer than about 0.35 degrees to an endpoint.  Endpoints, probe and
+    refinement stay scalar ``math`` per row, since ``np.hypot`` (libm's) and
     ``np.log2`` can differ from ``math.hypot`` (CPython's own) and ``math.log2``.
     """
     rows = mom.rows()
@@ -433,14 +439,20 @@ def _minimize_x_states(mom: _CrossMoments) -> list[tuple[float, float, float]]:
     sin_phi = np.array([math.sin(phi) for phi in phis])[:, None]
     values = _avg_branch_entropy_grid(mom, _X_SIN_T * cos_phi, _X_SIN_T * sin_phi, _X_COS_T)
     out = []
-    for m, phi, start in zip(rows, phis, _X_THETAS[np.argmin(values, axis=1)].tolist()):
+    for m, phi, i in zip(rows, phis, np.argmin(values, axis=1).tolist()):
+        # the endpoints (z and equatorial measurements) are evaluated exactly
+        ends = [(_avg_branch_entropy_at(m, t, phi), t) for t in (0.0, 0.5 * math.pi)]
+        start = float(_X_THETAS[i])
+        if i in (0, 90):  # stationary there: refine only if half a step inside is lower
+            inside = start + (0.5 if i == 0 else -0.5) * _GRID_STEP
+            if _avg_branch_entropy_at(m, inside, phi) >= ends[i // 90][0]:
+                out.append((*min(ends), phi))
+                continue
         refined, at_refined = _golden_section(
             lambda t: _avg_branch_entropy_at(m, t, phi),
             start - _GRID_STEP,
             start + _GRID_STEP,
         )
-        # the endpoints (z and equatorial measurements) are evaluated exactly
-        ends = [(_avg_branch_entropy_at(m, t, phi), t) for t in (0.0, 0.5 * math.pi)]
         value, theta = min(*ends, (at_refined, refined))
         out.append((value, theta, phi))
     return out

@@ -21,6 +21,7 @@ columns, applied alike to a block's ``PointQuantities`` and to a rebuilt row's;
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter, index
@@ -92,15 +93,26 @@ class SweepConfig:
             problems.append(f"{name} = {v!r} is not finite")
             return False
 
+        def listed(name: str, v) -> bool:
+            # a string would be read letter by letter, a number not at all
+            if isinstance(v, Sequence) and not isinstance(v, str):
+                return True
+            problems.append(f"{name} = {v!r} is not a list")
+            return False
+
         if self.channel not in CHANNEL_FAMILIES:
             problems.append(f"channel {self.channel!r} not one of {CHANNEL_FAMILIES}")
-        if not self.outputs:
+        # a field that is not a list has that one problem, and the checks of its items skip it
+        outputs = self.outputs if listed("outputs", self.outputs) else None
+        strengths = self.steering_strengths if listed("steering_strengths",
+                                                      self.steering_strengths) else None
+        if outputs is not None and not outputs:
             problems.append("outputs list is empty")
-        for tag in dict.fromkeys(self.outputs):
+        for tag in dict.fromkeys(outputs or ()):
             if tag not in OUTPUT_TAGS:
                 problems.append(f"unknown output tag {tag!r}")
-            if self.outputs.count(tag) > 1:
-                problems.append(f"output tag {tag!r} given {self.outputs.count(tag)} times")
+            if outputs.count(tag) > 1:
+                problems.append(f"output tag {tag!r} given {outputs.count(tag)} times")
         try:
             points = index(self.param_points)  # as np.linspace reads it
         except TypeError:
@@ -108,7 +120,7 @@ class SweepConfig:
         else:
             if points < 2:
                 problems.append(f"param_points = {self.param_points} < 2")
-            rows = points * max(1, len(self.steering_strengths))
+            rows = points * max(1, len(strengths or ()))
             if rows > MAX_GRID_ROWS:
                 problems.append(f"grid of {rows} rows exceeds the limit of {MAX_GRID_ROWS}")
         ends = (("param_start", self.param_start), ("param_stop", self.param_stop))
@@ -127,14 +139,14 @@ class SweepConfig:
                     problems.append(f"{name} = {v!r} must be nonnegative (time grid)")
         if len(finite_ends) == 2 and self.param_stop < self.param_start:
             problems.append("param_stop is smaller than param_start")
-        steered = self.steering_kind is not None or self.steering_strengths
+        steered = self.steering_kind is not None or strengths
         if steered and self.steering_kind not in STEERING_KINDS:
             problems.append(
                 f"steering_kind {self.steering_kind!r} not one of {STEERING_KINDS}"
             )
-        if self.steering_kind in STEERING_KINDS and not self.steering_strengths:
+        if self.steering_kind in STEERING_KINDS and strengths is not None and not strengths:
             problems.append("steering_kind given but no steering_strengths")
-        for s in self.steering_strengths:
+        for s in strengths or ():
             if not finite("steering strength", s):
                 continue
             if self.steering_kind == "filter" and not 0.0 < s < 1.0:

@@ -2,8 +2,10 @@
 definitions (np.kron, np.linalg.eigvalsh, explicit index loops) so package
 results can be checked against a second, unrelated code path, and the paper's
 printed AD eigenvalues (``ad_closed_form_spectrum``), exact, which no command
-evaluates."""
+evaluates, and a 50-digit ``decimal`` oracle of the measurement optimizer's two
+endpoints (``endpoint_entropies_oracle``)."""
 
+import decimal
 import math
 import pathlib
 import sys
@@ -201,6 +203,45 @@ def avg_branch_entropy_oracle(rho, theta, phi, measured="A"):
         other = ptrace_oracle(branch, "B" if measured == "A" else "A") / prob
         total += prob * entropy_oracle(other)
     return total
+
+
+X_PATTERN = np.eye(4) + np.fliplr(np.eye(4))  # the diagonal and the anti-diagonal
+
+
+def _branch_entropy_dec(m00, m11, coherence):
+    """Entropy a 2x2 branch [[m00, c], [c*, m11]] with |c| = ``coherence`` adds to the average:
+    the entropy of its eigenvalues less that of its trace t, -x log2 x each, in the context's
+    precision; an eigenvalue a float entry leaves at or below 0 adds 0, as in the package."""
+    def h(x):
+        return -x * x.ln() / decimal.Decimal(2).ln() if x > 0 else decimal.Decimal(0)
+
+    t = m00 + m11
+    disc = ((m00 - m11) ** 2 + 4 * coherence ** 2).sqrt()
+    return h((t + disc) / 2) + h((t - disc) / 2) - h(t)
+
+
+def endpoint_entropies_oracle(rho, measured="A"):
+    """Average branch entropy of a real X state measured along z (theta = 0) and in the
+    equatorial plane at its best azimuth (theta = pi/2), each to 50 digits with the
+    standard library's ``decimal`` and rounded once to a float.
+
+    The float entries are read exactly.  Along z each outcome leaves the unmeasured qubit
+    diagonal: the populations of one block.  In the plane both outcomes leave probability
+    1/2 and the unmeasured qubit's populations, with coherence |rho_03| + |rho_12| at the
+    best azimuth (0 or pi/2 for real coherences)."""
+    e = np.asarray(rho)
+    if e.shape != (4, 4) or np.any(e.imag) or np.any(e[X_PATTERN == 0]):
+        raise ValueError("the endpoint oracle takes a real X-shaped (4, 4) state")
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        d = [decimal.Decimal(float(e[i, i].real)) for i in range(4)]
+        coherence = abs(decimal.Decimal(float(e[0, 3].real))) + abs(
+            decimal.Decimal(float(e[1, 2].real)))
+        blocks = ((d[0], d[1]), (d[2], d[3])) if measured == "A" else ((d[0], d[2]), (d[1], d[3]))
+        along_z = sum(_branch_entropy_dec(p, q, 0) for p, q in blocks)
+        p0, p1 = (x + y for x, y in zip(*blocks))  # the unmeasured qubit's populations
+        in_plane = 2 * _branch_entropy_dec(p0 / 2, p1 / 2, coherence / 2)
+        return float(along_z), float(in_plane)
 
 
 def rand_bd_coeffs(rng):

@@ -199,15 +199,15 @@ def test_capacity_stdout_sha256_is_pinned(capsys, argv, sha256):
 @pytest.mark.parametrize(
     ("channel", "sha256"),
     [
-        ("AD", "be27ede3463d8cae9861e78975fa40e6d9b797a414991f3166e9896d953950a9"),
-        ("BPF", "4db7081b24f484c4c8ef3c9f3ee3c3a4269cf43ec445c1c92b2281edaab3748a"),
+        ("AD", "313af27bae15b79c5c26f64134834c2d45fa6830bc78328550d34902abf90f37"),
+        ("BPF", "0cf0c6519ea4acb326b8033366d0d09816d1cf69917b9969355532ae1231ee09"),
         # (1, 1, -1) starts with |a23| = sqrt(d22*d33) exactly, on the edge of positivity
         ("AD --c1 1 --c2 1 --c3 -1",
-         "529768886aba06994fd7d7bc046a78ef6f63c6c1e00f0893a4f9231fae5b6cbd"),
+         "3c55947f807254543571a40851b08b718e23a12857c846e1d398a17e4cf91b9c"),
         ("BPF --c1 1 --c2 1 --c3 -1",
          "f9284f1658913119be7df1170598b1126950a0e0392b2ddab61926e51db8c554"),
     ],
-    ids=[None, None, "AD-edge", "BPF-edge"],  # None keeps the generated id
+    ids=["AD", "BPF", "AD-edge", "BPF-edge"],  # named, so a moved pin keeps its id
 )
 def test_errata_stdout_sha256_is_pinned(capsys, channel, sha256):
     # the channel, then any coefficient flags (else the defaults); 101 points

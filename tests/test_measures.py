@@ -10,6 +10,7 @@ from conftest import (
     avg_branch_entropy_oracle,
     bd_oracle,
     cond_ent_oracle,
+    endpoint_entropies_oracle,
     entropy_oracle,
     evolve_oracle,
     h2,
@@ -51,6 +52,7 @@ from entropic_uncertainty.measures import (
     sigma_z_basis,
     von_neumann_entropy,
 )
+from entropic_uncertainty.states import BellDiagonalCoeffs, bell_diagonal_density
 
 BELL = bd_oracle(1.0, -1.0, 1.0)
 FIG1 = bd_oracle(-0.5, 0.4, 0.8)
@@ -458,6 +460,77 @@ def test_x_state_minimum_never_exceeds_its_exact_endpoints():
         for (value, _, phi), m in zip(measures._minimize_x_states(mom), mom.rows()):
             assert value <= measures._avg_branch_entropy_at(m, 0.0, phi)
             assert value <= measures._avg_branch_entropy_at(m, 0.5 * math.pi, phi)
+
+
+def test_a_flat_profile_reports_no_more_than_its_exact_endpoints():
+    # every measurement of a product state leaves the other qubit alone, so the average
+    # branch entropy is flat in theta up to rounding: the grid's minimum lands inside, and
+    # the refinement there can stop a rounding step above the exact endpoint values (7 of
+    # these 400 rows), which the minimum must not report
+    rng = np.random.RandomState(9)
+    states = np.array([np.kron(np.diag([a, 1.0 - a]), np.diag([b, 1.0 - b]))
+                       for a, b in rng.uniform(0.0, 1.0, (200, 2))], dtype=complex)
+    for side in ("A", "B"):
+        mom = measures._cross_moments(states, side)
+        for (value, _, phi), m in zip(measures._minimize_x_states(mom), mom.rows()):
+            assert value <= measures._avg_branch_entropy_at(m, 0.0, phi)
+            assert value <= measures._avg_branch_entropy_at(m, 0.5 * math.pi, phi)
+
+
+def test_endpoint_guard_refines_a_minimum_half_a_step_inside():
+    # measured on B, this state's minimum lies 0.4997 degrees from theta = 0 and 3.0e-7
+    # below it: the 1-degree grid's smallest value is the endpoint's, and only the guard's
+    # probe half a step inside sees the dip (found by scaling the coherences of a
+    # Dirichlet(0.3) state until its interior minimum came that close)
+    rho = np.diag([6.779e-06, 0.99734996, 1.6043e-05, 0.002627218]).astype(complex)
+    rho[0, 3] = rho[3, 0] = 1.1067e-05
+    rho[1, 2] = rho[2, 1] = 0.0036169
+    mom = measures._cross_moments(rho[None], "B")
+    [(value, theta, phi)] = measures._minimize_x_states(mom)
+    [m] = mom.rows()
+    on_grid = [measures._avg_branch_entropy_at(m, t, phi) for t in measures._X_THETAS.tolist()]
+    assert on_grid.index(min(on_grid)) == 0
+    assert 0.35 < math.degrees(theta) < 0.7
+    dense_value, _, _ = measures._minimize_dense(mom)
+    assert abs(value - dense_value) <= 1e-12
+    assert value < on_grid[0] and value < on_grid[-1]
+
+
+def test_rows_that_skip_the_refinement_sit_at_the_50_digit_endpoint(monkeypatch):
+    # a row whose grid minimum is at an endpoint, stationary there, reports the smaller
+    # exact endpoint value: within 4 ulps of 1 (each entropy term is of order 1) of the
+    # 50-digit value, on the errata grids (fig1's coefficients and the AD edge) and on
+    # seeded rows of both channels
+    rng = np.random.RandomState(5)
+    grid = np.linspace(0.0, 1.0, 101)
+    stacks = [
+        channels._evolve(channel, bell_diagonal_density(BellDiagonalCoeffs(*coeffs)), grid)[0]
+        for channel, coeffs in (("AD", (-0.5, 0.4, 0.8)), ("BPF", (-0.5, 0.4, 0.8)),
+                                ("AD", (1.0, 1.0, -1.0)))
+    ]
+    stacks.append([
+        channels.apply_one_sided(
+            channels.noise_kraus(family, float(rng.uniform(0.0, 1.0))),
+            bd_oracle(*rand_bd_coeffs(rng)),
+        )
+        for family in ("AD", "BPF")
+        for _ in range(22)
+    ])
+    refinements = []
+    golden_section = measures._golden_section
+    monkeypatch.setattr(measures, "_golden_section",
+                        lambda *args: refinements.append(args) or golden_section(*args))
+    skipped = rows = 0
+    for rho in (rho for stack in stacks for rho in stack):
+        for side in ("A", "B"):
+            refinements.clear()
+            [(value, _, _)] = measures._minimize_x_states(measures._cross_moments(rho[None], side))
+            rows += 1
+            if not refinements:
+                skipped += 1
+                exact = min(endpoint_entropies_oracle(rho, side))
+                assert abs(value - exact) <= 4 * math.ulp(1.0)
+    assert skipped >= 0.9 * rows
 
 
 def test_non_x_state_takes_dense_path(monkeypatch):

@@ -289,6 +289,22 @@ def test_a_non_integer_point_count_is_its_one_problem(points):
     assert small_cfg(param_points=np.int64(3)).validate() == []
 
 
+@pytest.mark.parametrize("outputs", ["ub", "u"])
+def test_an_outputs_string_is_its_one_problem(outputs):
+    # read letter by letter, "ub" would report an unknown tag 'b' and "u" would pass
+    expected = [f"outputs = {outputs!r} is not a list"]
+    assert small_cfg(outputs=outputs).validate() == expected
+    assert small_cfg(outputs=["u", "berta"]).validate() == []
+
+
+def test_a_scalar_steering_strength_is_its_one_problem():
+    # len() of a float raised TypeError; the strength and grid-size checks skip the field
+    cfg = small_cfg(steering_kind="weak", steering_strengths=0.4)
+    assert cfg.validate() == ["steering_strengths = 0.4 is not a list"]
+    with pytest.raises(ConfigError, match="steering_strengths = 0.4 is not a list"):
+        run_sweep(cfg)
+
+
 def test_grid_size_limit_in_validation():
     assert small_cfg(param_points=MAX_GRID_ROWS).validate() == []
     too_long = small_cfg(param_points=MAX_GRID_ROWS + 1).validate()

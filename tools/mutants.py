@@ -67,7 +67,14 @@ MUTANTS = [
         PACKAGE + "measures.py",
         "value, theta = min(*ends, (at_refined, refined))",
         "value, theta = (at_refined, refined)",
-        ("tests/test_measures.py::test_x_state_minimum_never_exceeds_its_exact_endpoints",),
+        ("tests/test_measures.py::test_a_flat_profile_reports_no_more_than_its_exact_endpoints",),
+    ),
+    (
+        "measures._minimize_x_states skips the refinement at an endpoint without its probe",
+        PACKAGE + "measures.py",
+        "if _avg_branch_entropy_at(m, inside, phi) >= ends[i // 90][0]:",
+        "if True:",
+        ("tests/test_measures.py::test_endpoint_guard_refines_a_minimum_half_a_step_inside",),
     ),
     (
         "math.log2 per value in place of one np.log2 call in measures._entropies",
