@@ -21,7 +21,7 @@ from .bounds import PointQuantities, witnessed
 from .channels import _evolve, apply_steering, weak_op
 from .linalg import validate_two_qubit
 from .states import BellDiagonalCoeffs, bell_diagonal_density
-from .sweep import _grid_points
+from .sweep import _grid_points, _numbers
 
 _BISECTION_TOL = 1e-7
 _BRACKET_SCAN_POINTS = 101
@@ -108,7 +108,7 @@ def capacity_curves(
     """
     if rate_lambda is not None and channel_family != "AD":
         raise ValueError("a decay rate only parametrizes the damping channel")
-    xs = [float(x) for x in schedule]
+    xs = _numbers("schedule", schedule)
     points = _grid_points(channel_family, bell_diagonal_density(coeffs), xs, rate_lambda,
                           (None,), ("capacity",))
     return [(xs[i], capacity) for _, i, _, ((_, capacity),) in points]

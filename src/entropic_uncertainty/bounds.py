@@ -17,7 +17,8 @@ on first read only, a stack's bitwise as each state alone.
 witness bisection): it checks the state once, then takes both bases' four entropy
 spectra on the entries as Python numbers and their logarithms from one ``np.log2``
 call, about 46 us a call against 140 us for a one-row ``_stacked_u`` (one CPU of a
-2-core Xeon).  ``_stacked_u`` is its stack, both bases' dephased states in one (2N, 4, 4).
+2-core Xeon).  ``_stacked_u`` is its stack, both bases' dephased states in one (2N, 4, 4),
+as a stack's ``holevo`` takes both bases' branch memories in one (4N, 2, 2).
 
 The numerical pipeline (build state, evolve, measure, take entropies) is the
 ground truth everywhere.  ``eur errata`` evaluates the published closed forms kept
@@ -144,7 +145,7 @@ class PointQuantities:
         """The Holevo quantity of each basis."""
         if not self.stacked:
             return tuple(holevo_quantity(self.rho, b) for b in BASES)
-        return tuple(self._column(*stacked_holevo(self.rho, b, self.s_b)) for b in BASES)
+        return tuple(self._column(*stacked_holevo(self.rho, BASES, self.s_b)))
 
     def _minimum(self, measured_side: str):
         if not self.stacked:

@@ -14,17 +14,18 @@ searched on [0, pi/2] (theta and pi - theta only swap the two outcomes) by a
 Huang, PRA 88, 014302 (2013)).  A golden-section refinement runs only for an
 interior grid minimum, or where one probe half a step inside an endpoint minimum
 is lower: the average branch entropy is even about theta = 0 and theta = pi/2, so
-both endpoints are stationary.  A stack of X states takes its grids as one (N, 91)
-array and refines each row alone, so a state gets the same bits in a stack as on
-its own.  Any other state takes the dense path: a 1-degree grid over theta in
+both endpoints are stationary.  A stack of X states takes its grids, both outcome signs,
+as one (2, N, 91) array and refines each row alone, so a state gets the same bits in a
+stack as on its own.  Any other state takes the dense path: a 1-degree grid over theta in
 [0, pi] and phi in [0, pi) (n and -n give the same measurement) followed by
 coordinate-wise golden-section refinement.  Both paths are deterministic.
 
 Each outcome of a fixed-basis measurement leaves one unnormalized branch (``_branches``):
-dephasing is their sum, and the Holevo quantity reads each branch's memory.  A branch
-multiplies by a 0/1 mask when the projectors are 0/1-diagonal (sigma_z: dephased by the
-summed mask in 0.6 us a state), else sandwiches the state, all outcomes in one batched
-product (sigma_x, with cos(pi/2) = 6.1e-17 on its diagonal: 7 us); see ``ProjectiveBasis``.
+dephasing is their sum, and the Holevo quantity reads each branch's memory (all of a
+stack's, both bases', as one entropy stack).  A branch multiplies by a 0/1 mask when the
+projectors are 0/1-diagonal (sigma_z: dephased by the summed mask in 0.6 us a state), else
+sandwiches the state, all outcomes in one batched product (sigma_x, with cos(pi/2) =
+6.1e-17 on its diagonal: 7 us); see ``ProjectiveBasis``.
 
 Side conventions: the fixed-basis quantities measure qubit A (the qubit exposed
 to noise) with qubit B as the memory.  Only the optimizer takes a side:
@@ -86,8 +87,9 @@ def _dense_grid() -> tuple[np.ndarray, ...]:
 _X_THETAS = np.linspace(0.0, 0.5 * math.pi, 91)
 _X_SIN_T = np.sin(_X_THETAS)
 _X_COS_T = np.cos(_X_THETAS)
-# Rows per theta grid: about 20 (rows, 91) temporaries stay near 0.5 MB.
+# Rows per theta grid: about 20 (2, rows, 91) temporaries, both outcome signs, stay near 1 MB.
 _GRID_ROWS = 32
+_OUTCOME_SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1)  # (I +/- n.sigma) / 2 on a 2-D grid
 
 
 def _other_side(side: str) -> str:
@@ -269,36 +271,39 @@ def mutual_information(rho) -> float:
     )
 
 
-def _branch_memories(states: np.ndarray, basis: ProjectiveBasis):
-    """Per outcome of ``basis`` on qubit A, for each state of the stack: its probability,
-    whether it is kept (above ``POSTSELECT_MIN_PROB``) and the memory it leaves."""
-    for branch in _branches(states, basis):
-        prob = np.trace(branch, axis1=1, axis2=2).real
-        kept = prob > POSTSELECT_MIN_PROB
-        memory = stacked_partial_trace(branch, "B") / np.where(kept, prob, 1.0)[:, None, None]
-        yield prob, kept, memory
+def _branch_memories(states: np.ndarray, bases):
+    """Every outcome of each of ``bases`` on qubit A, basis by basis, for each state of the
+    (N, 4, 4) stack, as one stack of 2 len(bases) N branches: each one's probability, whether
+    it is kept (above ``POSTSELECT_MIN_PROB``) and the memory it leaves.  Unguarded."""
+    branches = np.concatenate([b for basis in bases for b in _branches(states, basis)])
+    prob = np.trace(branches, axis1=1, axis2=2).real
+    kept = prob > POSTSELECT_MIN_PROB
+    memory = stacked_partial_trace(branches, "B") / np.where(kept, prob, 1.0)[:, None, None]
+    return prob, kept, memory
 
 
-def stacked_holevo(states: np.ndarray, basis: ProjectiveBasis, s_memory: np.ndarray):
+def stacked_holevo(states: np.ndarray, bases, s_memory: np.ndarray):
     """``holevo_quantity`` of each state of an (N, 4, 4) stack with memory entropies
-    ``s_memory``, and which rows pass every kept branch's checks."""
-    total, ok = s_memory, np.ones(len(states), dtype=bool)
+    ``s_memory``, one column per basis of ``bases``, and which rows pass every kept branch's
+    checks; all branch memories are one entropy stack, bitwise as one basis's alone."""
+    n = len(states)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row fails its own check
-        for prob, kept, memory in _branch_memories(states, basis):
-            entropy, good = stacked_von_neumann_entropy(memory)
-            ok &= good | ~kept
-            total = total - np.where(kept, prob * entropy, 0.0)
-    return total, ok
+        prob, kept, memory = _branch_memories(states, bases)
+        entropy, good = stacked_von_neumann_entropy(memory)
+        lost = np.where(kept, prob * entropy, 0.0).reshape(len(bases), 2, n)
+        totals = [s_memory - outcomes[0] - outcomes[1] for outcomes in lost]
+    return totals, (good | ~kept).reshape(2 * len(bases), n).all(axis=0)
 
 
 def holevo_quantity(rho, basis: ProjectiveBasis) -> float:
     """Accessible-information bound S(rho_B) - sum_i p_i S(rho_B | outcome i of A)."""
     states = validate_two_qubit(rho)[None]
-    total, ok = stacked_holevo(states, basis, von_neumann_entropy(partial_trace(states[0], "B")))
+    s_memory = von_neumann_entropy(partial_trace(states[0], "B"))
+    [total], ok = stacked_holevo(states, (basis,), s_memory)
     if not ok[0]:  # the first kept branch memory that fails raises its own error
-        for _, kept, memory in _branch_memories(states, basis):
-            if kept[0]:
-                von_neumann_entropy(memory[0])
+        _, kept, memory = _branch_memories(states, (basis,))
+        for m in memory[kept]:
+            von_neumann_entropy(m)
     return float(total[0])
 
 
@@ -347,21 +352,22 @@ def _neg_xlog2x(x: np.ndarray) -> np.ndarray:
 
 
 def _avg_branch_entropy_grid(mom: _CrossMoments, nx, ny, nz) -> np.ndarray:
-    """Average branch entropy at every direction of the (broadcast) arrays nx, ny, nz."""
+    """Average branch entropy at every direction of the 2-D (broadcast) arrays nx, ny, nz;
+    both outcome signs in one pass, each element's operations and sum as one sign's alone."""
     g00 = nx * mom.r00[0] + ny * mom.r00[1] + nz * mom.r00[2]
     g11 = nx * mom.r11[0] + ny * mom.r11[1] + nz * mom.r11[2]
     g01 = nx * mom.r01[0] + ny * mom.r01[1] + nz * mom.r01[2]
-    total = np.zeros_like(g00)
-    for sign in (1.0, -1.0):
-        m00 = 0.5 * (mom.b00 + sign * g00)
-        m11 = 0.5 * (mom.b11 + sign * g11)
-        m01 = 0.5 * (mom.b01 + sign * g01)
-        t = m00 + m11
-        disc = np.sqrt((m00 - m11) ** 2 + 4.0 * np.abs(m01) ** 2)
-        lam1 = np.maximum(0.5 * (t + disc), 0.0)
-        lam2 = np.maximum(0.5 * (t - disc), 0.0)
-        contrib = _neg_xlog2x(lam1) + _neg_xlog2x(lam2) - _neg_xlog2x(t)
-        total += np.where(t > POSTSELECT_MIN_PROB, contrib, 0.0)
+    m00 = 0.5 * (mom.b00 + _OUTCOME_SIGNS * g00)
+    m11 = 0.5 * (mom.b11 + _OUTCOME_SIGNS * g11)
+    m01 = 0.5 * (mom.b01 + _OUTCOME_SIGNS * g01)
+    t = m00 + m11
+    disc = np.sqrt((m00 - m11) ** 2 + 4.0 * np.abs(m01) ** 2)
+    lam1 = np.maximum(0.5 * (t + disc), 0.0)
+    lam2 = np.maximum(0.5 * (t - disc), 0.0)
+    contrib = _neg_xlog2x(lam1) + _neg_xlog2x(lam2) - _neg_xlog2x(t)
+    kept = np.where(t > POSTSELECT_MIN_PROB, contrib, 0.0)
+    total = np.zeros_like(g00) + kept[0]  # from zeros, as one sign at a time: -0.0 gives 0.0
+    total += kept[1]
     return total
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -23,6 +24,9 @@ _BELL_EIGENVALUE_TERMS = (
     ("(1 - c1 - c2 - c3)/4", (-1.0, -1.0, -1.0)),
 )
 
+# I (x) I and each sigma_j (x) sigma_j, built once
+_IDENTITY, *_CORRELATORS = (tensor_product(s, s) for s in (I2, PAULI_X, PAULI_Y, PAULI_Z))
+
 
 def _bell_eigenvalues(c: tuple[float, float, float]) -> tuple[float, float, float, float]:
     return tuple(
@@ -34,13 +38,15 @@ def _bell_eigenvalues(c: tuple[float, float, float]) -> tuple[float, float, floa
 def coefficient_problems(c1, c2, c3, names=("c1", "c2", "c3")) -> list[str]:
     """Every reason (c1, c2, c3) is not a Bell-diagonal state, each named once.
 
-    A coefficient is checked for being finite, then for lying in [-1, 1]; only
-    when all three pass are the four eigenvalues checked for positivity.
+    A coefficient is checked for being a real number, then finite, then for lying in
+    [-1, 1]; only when all three pass are the four eigenvalues checked for positivity.
     ``names`` labels the coefficients in the messages (the CLI passes its flags).
     """
     problems = []
     for name, value in zip(names, (c1, c2, c3)):
-        if not math.isfinite(value):
+        if not isinstance(value, Real):
+            problems.append(f"{name} = {value!r} is not a real number")
+        elif not math.isfinite(value):
             problems.append(f"{name} = {value!r} is not finite")
         elif abs(value) > 1.0 + PSD_ATOL:
             problems.append(f"{name} = {value!r} outside [-1, 1]")
@@ -75,7 +81,9 @@ class BellDiagonalCoeffs:
 
 def bell_diagonal_density(coeffs: BellDiagonalCoeffs) -> np.ndarray:
     """Density matrix (I (x) I + sum_j c_j sigma_j (x) sigma_j) / 4."""
-    rho = tensor_product(I2, I2)
-    for c, sigma in zip(coeffs.as_tuple(), (PAULI_X, PAULI_Y, PAULI_Z)):
-        rho = rho + c * tensor_product(sigma, sigma)
+    if not isinstance(coeffs, BellDiagonalCoeffs):
+        raise TypeError(f"coeffs = {coeffs!r} is not a BellDiagonalCoeffs")
+    rho = _IDENTITY
+    for c, correlator in zip(coeffs.as_tuple(), _CORRELATORS):
+        rho = rho + c * correlator
     return rho / 4.0

@@ -21,9 +21,10 @@ columns, applied alike to a block's ``PointQuantities`` and to a rebuilt row's;
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import groupby
+from numbers import Real
 from operator import attrgetter, index
 from typing import NamedTuple
 
@@ -86,11 +87,12 @@ class SweepConfig:
     def validate(self) -> list[str]:
         problems = []
 
-        def finite(name: str, v: float) -> bool:
-            # a non-finite value gets this one problem instead of a range check
-            if math.isfinite(v):
+        def finite(name: str, v) -> bool:
+            # a non-real or non-finite value gets this one problem instead of a range check
+            real = isinstance(v, Real)
+            if real and math.isfinite(v):
                 return True
-            problems.append(f"{name} = {v!r} is not finite")
+            problems.append(f"{name} = {v!r} is not {'finite' if real else 'a real number'}")
             return False
 
         def listed(name: str, v) -> bool:
@@ -340,13 +342,20 @@ def render_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _numbers(name: str, values) -> list[float]:
+    """``values`` as floats; a string or a single number is refused, not iterated."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise TypeError(f"{name} = {values!r} is not a list of numbers")
+    return [float(x) for x in values]
+
+
 def errata_report(coeffs: BellDiagonalCoeffs, channel: str, grid) -> str:
     """Compare the published closed forms against the pipeline over a grid.
 
     Reports, per formula, the largest absolute gap and where it occurs; points
     where a closed form is not evaluable are counted, not scored.
     """
-    grid = [float(x) for x in grid]
+    grid = _numbers("grid", grid)
     if not grid:
         raise ValueError("empty parameter grid")
     rho0 = bell_diagonal_density(coeffs)

@@ -2,8 +2,9 @@
 definitions (np.kron, np.linalg.eigvalsh, explicit index loops) so package
 results can be checked against a second, unrelated code path, and the paper's
 printed AD eigenvalues (``ad_closed_form_spectrum``), exact, which no command
-evaluates, and a 50-digit ``decimal`` oracle of the measurement optimizer's two
-endpoints (``endpoint_entropies_oracle``)."""
+evaluates, a 50-digit ``decimal`` oracle of the measurement optimizer's two
+endpoints (``endpoint_entropies_oracle``), and the optimizer's grid one outcome sign
+at a time (``avg_branch_entropy_grid_oracle``)."""
 
 import decimal
 import math
@@ -14,6 +15,7 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from entropic_uncertainty.linalg import POSTSELECT_MIN_PROB  # noqa: E402
 from entropic_uncertainty.measures import ProjectiveBasis  # noqa: E402
 from entropic_uncertainty.states import BellDiagonalCoeffs  # noqa: E402
 
@@ -202,6 +204,30 @@ def avg_branch_entropy_oracle(rho, theta, phi, measured="A"):
             continue
         other = ptrace_oracle(branch, "B" if measured == "A" else "A") / prob
         total += prob * entropy_oracle(other)
+    return total
+
+
+def avg_branch_entropy_grid_oracle(mom, nx, ny, nz):
+    """The measurement grid of ``measures._avg_branch_entropy_grid`` written as one pass per
+    outcome sign, each pass's terms added to zeros in turn: the same operations on each
+    element in the same order, so the package's grid must equal it bitwise."""
+    def neg_xlog2x(x):
+        return np.where(x > 0.0, -x * np.log2(np.where(x > 0.0, x, 1.0)), 0.0)
+
+    g00 = nx * mom.r00[0] + ny * mom.r00[1] + nz * mom.r00[2]
+    g11 = nx * mom.r11[0] + ny * mom.r11[1] + nz * mom.r11[2]
+    g01 = nx * mom.r01[0] + ny * mom.r01[1] + nz * mom.r01[2]
+    total = np.zeros_like(g00)
+    for sign in (1.0, -1.0):
+        m00 = 0.5 * (mom.b00 + sign * g00)
+        m11 = 0.5 * (mom.b11 + sign * g11)
+        m01 = 0.5 * (mom.b01 + sign * g01)
+        t = m00 + m11
+        disc = np.sqrt((m00 - m11) ** 2 + 4.0 * np.abs(m01) ** 2)
+        lam1 = np.maximum(0.5 * (t + disc), 0.0)
+        lam2 = np.maximum(0.5 * (t - disc), 0.0)
+        contrib = neg_xlog2x(lam1) + neg_xlog2x(lam2) - neg_xlog2x(t)
+        total += np.where(t > POSTSELECT_MIN_PROB, contrib, 0.0)
     return total
 
 

@@ -210,6 +210,24 @@ def test_witness_threshold_rejects_a_bad_strength(s):
         witness_threshold("AD", WITNESS_COEFFS, s)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: witness_threshold("AD", (-1, 1, 1)),
+     r"^coeffs = \(-1, 1, 1\) is not a BellDiagonalCoeffs$"),
+    (lambda: capacity_curves("AD", (1.0, 1.0, -1.0), [0.5]),
+     r"^coeffs = \(1.0, 1.0, -1.0\) is not a BellDiagonalCoeffs$"),
+    (lambda: sweep.errata_report(WITNESS_COEFFS, "AD", "0.5"),
+     r"^grid = '0.5' is not a list of numbers$"),
+    (lambda: sweep.errata_report(WITNESS_COEFFS, "AD", 0.5),
+     r"^grid = 0.5 is not a list of numbers$"),
+    (lambda: capacity_curves("AD", CAPACITY_COEFFS, "01"),
+     r"^schedule = '01' is not a list of numbers$"),
+], ids=["witness-tuple", "capacity-tuple", "errata-string", "errata-number", "capacity-string"])
+def test_a_wrongly_typed_argument_is_named(call, message):
+    # a tuple has no as_tuple (AttributeError), and a string grid was read letter by letter
+    with pytest.raises(TypeError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("family", ("AD", "BPF"))
 def test_a_failed_straddle_check_raises_and_exits_3(monkeypatch, capsys, family):
     # with no step, the points below and above the threshold are one point, so the check

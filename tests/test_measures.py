@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from conftest import (
     PX_ORACLE,
     ad_ops_oracle,
+    avg_branch_entropy_grid_oracle,
     avg_branch_entropy_oracle,
     bd_oracle,
     cond_ent_oracle,
@@ -233,17 +234,21 @@ def _locally_rotated(rng, rho):
 
 def test_holevo_and_dephasing_stacks_equal_one_row_calls():
     # an N-row stack (the sum of its branches, as _stacked_u dephases it) equals N one-row
-    # calls bitwise, and the oracles closely, on X states and on locally rotated (non-X) ones
+    # calls bitwise, and the oracles closely, on X states and on locally rotated (non-X) ones;
+    # the Holevo columns of several bases from one call equal each basis's call alone
     rng = np.random.RandomState(661)
     x_states = [rand_xstate_matrix(rng, real=k % 2 == 0) for k in range(60)]
     states = np.array(x_states + [_locally_rotated(rng, rho) for rho in x_states[:20]])
     assert [is_x_patterned(rho) for rho in states] == [True] * 60 + [False] * 20
     s_memory, ok = measures.stacked_von_neumann_entropy(stacked_partial_trace(states, "B"))
     assert ok.all()
-    for basis in (sigma_x_basis(), sigma_z_basis(), sigma_y_basis()):
+    bases = (sigma_x_basis(), sigma_z_basis(), sigma_y_basis())
+    columns, good = measures.stacked_holevo(states, bases, s_memory)
+    assert len(columns) == 3 and good.all()
+    for basis, column in zip(bases, columns):
         dephased = measures._dephased(states, basis)
-        holevo, good = measures.stacked_holevo(states, basis, s_memory)
-        assert good.all()
+        [holevo], good = measures.stacked_holevo(states, (basis,), s_memory)
+        assert good.all() and np.array_equal(column, holevo)
         for rho, pm, h in zip(states, dephased, holevo):
             assert np.array_equal(pm, post_measurement_state(rho, basis))
             assert h == holevo_quantity(rho, basis)
@@ -422,6 +427,53 @@ def test_x_state_path_matches_dense_path():
                 assert x_value == min_conditional_entropy_over_measurements(rho, side)
             dense_value, _, _ = measures._minimize_dense(measures._cross_moments(rho[None], side))
             assert abs(x_value - dense_value) <= 1e-12
+
+
+def _grid_bits(grid):
+    return np.ascontiguousarray(grid).view(np.int64)
+
+
+def test_both_grids_equal_the_per_sign_loop_bitwise():
+    # both outcome signs in one pass give each element the operations of its sign's own
+    # pass, so the X grid of a stack, of each row alone, and the dense grid equal the
+    # per-sign loop bit for bit, signed zeros included; evolved Bell-diagonal states (one
+    # in three weak-steered), random complex X states and pure, product and mixed edges
+    rng = np.random.RandomState(2707)
+    states = []
+    for k in range(12):
+        family = ("AD", "BPF")[k % 2]
+        evolved, ok = channels._evolve(family, bd_oracle(*rand_bd_coeffs(rng)),
+                                       np.linspace(0.0, 1.0, 21))
+        assert ok.all()
+        if k % 3 == 2:
+            ops = np.array([channels.weak_op(s).operator for s in rng.uniform(0.0, 0.9, 21)])
+            evolved, kept = channels._steer(ops, evolved)
+            assert kept.all()
+        states += list(evolved)
+    states += [rand_xstate_matrix(rng, real=k % 2 == 0) for k in range(40)]
+    states += [BELL, MIXED, np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), bd_oracle(1, 1, -1)]
+    states = np.array(states)
+    for side in ("A", "B"):
+        mom = measures._cross_moments(states, side)
+        phis = [measures._x_state_azimuth(m) for m in mom.rows()]
+        cos_phi = np.array([math.cos(phi) for phi in phis])[:, None]
+        sin_phi = np.array([math.sin(phi) for phi in phis])[:, None]
+        nx, ny, nz = measures._X_SIN_T * cos_phi, measures._X_SIN_T * sin_phi, measures._X_COS_T
+        grid = measures._avg_branch_entropy_grid(mom, nx, ny, nz)
+        assert grid.shape == (len(states), 91)
+        assert np.array_equal(_grid_bits(grid),
+                              _grid_bits(avg_branch_entropy_grid_oracle(mom, nx, ny, nz)))
+        for i in range(0, len(states), 7):  # a row alone equals its row of the stack
+            one = measures._cross_moments(states[i:i + 1], side)
+            alone = measures._avg_branch_entropy_grid(one, nx[i:i + 1], ny[i:i + 1], nz)
+            assert np.array_equal(_grid_bits(alone), _grid_bits(grid[i:i + 1]))
+        for rho in (states[3], _locally_rotated(rng, states[50]), states[-1]):
+            one = measures._cross_moments(rho[None], side)
+            dense = measures._dense_grid()[2:]
+            got = measures._avg_branch_entropy_grid(one, *dense)
+            assert got.shape == (181, 180)
+            assert np.array_equal(_grid_bits(got),
+                                  _grid_bits(avg_branch_entropy_grid_oracle(one, *dense)))
 
 
 def test_x_state_path_beats_coarse_oracle_grid():
@@ -618,8 +670,8 @@ def test_sigma_z_mask_dephasing_equals_the_projector_sandwich(monkeypatch):
     assert good.tolist() == [True] * 40 + [False] * 40 + [True] * 84 + [False] * 2
     s_memory, ok = measures.stacked_von_neumann_entropy(stacked_partial_trace(states[:-2], "B"))
     assert ok.all()
-    holevo, good = measures.stacked_holevo(states[:-2], z, s_memory)
-    ref_holevo, ref_good = measures.stacked_holevo(states[:-2], sandwich, s_memory)
+    [holevo], good = measures.stacked_holevo(states[:-2], (z,), s_memory)
+    [ref_holevo], ref_good = measures.stacked_holevo(states[:-2], (sandwich,), s_memory)
     assert np.array_equal(holevo, ref_holevo) and np.array_equal(good, ref_good)
     assert good.all()
 

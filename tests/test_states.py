@@ -12,6 +12,9 @@ from conftest import (
     spectrum_oracle,
 )
 from entropic_uncertainty.linalg import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     X_PATTERN_ATOL,
     is_x_patterned,
     partial_trace,
@@ -40,6 +43,21 @@ def test_fig1_coeffs_entries():
     assert rho[0, 0].real == pytest.approx((1 + 0.8) / 4)
     assert rho[0, 3] == pytest.approx((-0.5 - 0.4) / 4)
     assert rho[1, 2] == pytest.approx((-0.5 + 0.4) / 4)
+
+
+def test_density_equals_the_kron_build_bitwise():
+    # the Pauli products are constants built once; each state sums them in the order the
+    # np.kron build does, so its entries carry the same bits, signed zeros included
+    rng = np.random.RandomState(41)
+    edges = [(0, 0, 0), (1, -1, 1), (-1, 1, 1), (1, 1, -1), (-1, -1, -1), (-0.5, 0.4, 0.8),
+             (1.0 + 9e-10, -1.0, 1.0), (0.0, -0.0, 1.0), (1e-300, -1e-300, 0.5)]
+    for c in edges + [rand_bd_coeffs(rng) for _ in range(200)]:
+        kron = np.kron(I2, I2)
+        for x, sigma in zip(c, (PAULI_X, PAULI_Y, PAULI_Z)):
+            kron = kron + x * np.kron(sigma, sigma)
+        kron = kron / 4.0
+        rho = bell_diagonal_density(BellDiagonalCoeffs(*c))
+        assert np.array_equal(rho.view(np.int64), kron.view(np.int64))
 
 
 def test_spectra_match_closed_forms():

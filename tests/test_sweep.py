@@ -297,6 +297,24 @@ def test_an_outputs_string_is_its_one_problem(outputs):
     assert small_cfg(outputs=["u", "berta"]).validate() == []
 
 
+@pytest.mark.parametrize("value", ["0.1", 1j])
+@pytest.mark.parametrize("field", ["c1", "c2", "c3", "param_start", "param_stop", "rate_lambda"])
+def test_a_non_real_number_is_its_one_problem(field, value):
+    # math.isfinite raised TypeError on a string; the field's range and ordering checks,
+    # and for a coefficient the eigenvalue checks, skip it
+    cfg = small_cfg(**{field: value})
+    assert cfg.validate() == [f"{field} = {value!r} is not a real number"]
+    with pytest.raises(ConfigError, match=f"{field} = {value!r} is not a real number"):
+        run_sweep(cfg)
+    real = 0.5 if field == "rate_lambda" else getattr(small_cfg(), field)
+    assert small_cfg(**{field: np.float64(real)}).validate() == []
+
+
+def test_a_non_real_steering_strength_is_its_one_problem():
+    cfg = small_cfg(steering_kind="weak", steering_strengths=(0.2, "0.4"))
+    assert cfg.validate() == ["steering strength = '0.4' is not a real number"]
+
+
 def test_a_scalar_steering_strength_is_its_one_problem():
     # len() of a float raised TypeError; the strength and grid-size checks skip the field
     cfg = small_cfg(steering_kind="weak", steering_strengths=0.4)
@@ -450,13 +468,14 @@ def test_shared_correlations_run_once_per_point(monkeypatch):
     cfg = small_cfg(outputs=("pati", "adabi", "discord", "tightness"), param_points=4)
     run_sweep(cfg)
     # S(AB), S(A), S(B) once, the dephased joint and memory entropies of both bases as one
-    # stack each, one Holevo quantity per basis and the measurement optimizer on qubit A once
+    # stack each, both bases' Holevo quantities from one call and the measurement optimizer
+    # on qubit A once
     entropy = ("stacked_von_neumann_entropy", (4, 4, 4))
     memory = ("stacked_von_neumann_entropy", (4, 2, 2))
     both_bases = [("stacked_von_neumann_entropy", (8, 4, 4)),
                   ("stacked_von_neumann_entropy", (8, 2, 2))]
     assert sorted(stacked) == sorted([entropy] + [memory] * 2 + both_bases
-                                     + [("stacked_holevo", (4, 4, 4), (4,))] * 2
+                                     + [("stacked_holevo", (4, 4, 4), bounds.BASES, (4,))]
                                      + [("stacked_measurement_minima", (4, 4, 4), "A")])
     assert dense == []
     # one state's S(AB), S(A) and S(B) once each, and the optimizer once on each qubit

@@ -77,6 +77,20 @@ MUTANTS = [
         ("tests/test_measures.py::test_endpoint_guard_refines_a_minimum_half_a_step_inside",),
     ),
     (
+        "measures._avg_branch_entropy_grid drops its second outcome",
+        PACKAGE + "measures.py",
+        "    total += kept[1]\n",
+        "",
+        ("tests/test_measures.py::test_both_grids_equal_the_per_sign_loop_bitwise",),
+    ),
+    (
+        "measures.stacked_holevo weighs each branch by the entropy of the branch before it",
+        PACKAGE + "measures.py",
+        "np.where(kept, prob * entropy, 0.0)",
+        "np.where(kept, prob * np.roll(entropy, n), 0.0)",
+        ("tests/test_measures.py::test_holevo_and_dephasing_stacks_equal_one_row_calls",),
+    ),
+    (
         "math.log2 per value in place of one np.log2 call in measures._entropies",
         PACKAGE + "measures.py",
         "logs = iter(np.log2([x if x > 0.0 else 1.0 for p in spectra for x in p]).tolist())",
