@@ -5,20 +5,19 @@ quantities (classical correlation, discord, minimal conditional entropy)
 restrict the optimization to rank-1 projective measurements parametrized by a
 Bloch direction (theta, phi).
 
-For X states (every state this package produces) the search is exact and
-one-dimensional: the unmeasured qubit's branch diagonals depend on theta only,
-and at fixed diagonals a branch's entropy falls as its coherence rises, so phi
-is fixed in closed form as the azimuth of largest coherence.  theta is then
-searched on [0, pi/2] (theta and pi - theta only swap the two outcomes) by a
-1-degree grid and both endpoints exactly (the one-parameter minimization of
-Huang, PRA 88, 014302 (2013)).  A golden-section refinement runs only for an
-interior grid minimum, or where one probe half a step inside an endpoint minimum
-is lower: the average branch entropy is even about theta = 0 and theta = pi/2, so
-both endpoints are stationary.  A stack of X states takes its grids, both outcome signs,
-as one (2, N, 91) array and refines each row alone, so a state gets the same bits in a
-stack as on its own.  Any other state takes the dense path: a 1-degree grid over theta in
-[0, pi] and phi in [0, pi) (n and -n give the same measurement) followed by
-coordinate-wise golden-section refinement.  Both paths are deterministic.
+The optimizer takes X states only (every state this package produces; local AD and BPF
+noise keep the X shape) and refuses any other state.  There the search is exact and
+one-dimensional: the unmeasured qubit's branch diagonals depend on theta only, and at
+fixed diagonals a branch's entropy falls as its coherence rises, so phi is fixed in
+closed form as the azimuth of largest coherence.  theta is then searched on [0, pi/2]
+(theta and pi - theta only swap the two outcomes) by a 1-degree grid whose ends are both
+endpoints exactly (the one-parameter minimization of Huang, PRA 88, 014302 (2013)).  A
+golden-section refinement runs only for an interior grid minimum, or where one probe half
+a step inside an endpoint minimum is lower: the average branch entropy is even about
+theta = 0 and theta = pi/2, so both endpoints are stationary.  One formula,
+``_avg_branch_entropy_grid``, gives every value: a stack's grids and probes, both outcome
+signs, as one (2, N, 93) array, and each refined row's on Python numbers, so a state gets
+the same bits in a stack as on its own.  The optimizer is deterministic.
 
 Each outcome of a fixed-basis measurement leaves one unnormalized branch (``_branches``):
 dephasing is their sum, and the Holevo quantity reads each branch's memory (all of a
@@ -36,7 +35,6 @@ qubit B and averaging the entropy of the unmeasured qubit A.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -69,25 +67,14 @@ from .linalg import (
 _GOLDEN_RATIO_CONJ = (math.sqrt(5.0) - 1.0) / 2.0
 _ANGLE_TOL = 1e-10
 _GRID_STEP = math.pi / 180.0
-_DENSE_MAX_ROUNDS = 100
-
-
-@functools.cache  # built on first use: X states, all the package builds, never take it
-def _dense_grid() -> tuple[np.ndarray, ...]:
-    """Dense path: theta in [0, pi] x phi in [0, pi), since n and -n are one
-    measurement; returns the angles and the direction components nx, ny, nz."""
-    thetas = np.linspace(0.0, math.pi, 181)
-    phis = np.linspace(0.0, math.pi, 180, endpoint=False)
-    sin_t = np.sin(thetas)[:, None]
-    return (thetas, phis, sin_t * np.cos(phis)[None, :], sin_t * np.sin(phis)[None, :],
-            np.cos(thetas)[:, None])
-
-
-# X-state path: theta in [0, pi/2] at the closed-form optimal phi
-_X_THETAS = np.linspace(0.0, 0.5 * math.pi, 91)
+# X-state path: theta in [0, pi/2] at the closed-form optimal phi.  Columns 0..90 are the
+# 1-degree grid (``linspace`` ends exactly on both endpoints), 91 and 92 the endpoint
+# guard's probes half a step inside them.
+_X_THETAS = np.append(np.linspace(0.0, 0.5 * math.pi, 91),
+                      [0.5 * _GRID_STEP, 0.5 * math.pi - 0.5 * _GRID_STEP])
 _X_SIN_T = np.sin(_X_THETAS)
 _X_COS_T = np.cos(_X_THETAS)
-# Rows per theta grid: about 20 (2, rows, 91) temporaries, both outcome signs, stay near 1 MB.
+# Rows per theta grid: about 20 (2, rows, 93) temporaries, both outcome signs, stay near 1 MB.
 _GRID_ROWS = 32
 _OUTCOME_SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1)  # (I +/- n.sigma) / 2 on a 2-D grid
 
@@ -371,30 +358,6 @@ def _avg_branch_entropy_grid(mom: _CrossMoments, nx, ny, nz) -> np.ndarray:
     return total
 
 
-def _avg_branch_entropy_at(mom: _CrossMoments, theta: float, phi: float) -> float:
-    st = math.sin(theta)
-    nx = st * math.cos(phi)
-    ny = st * math.sin(phi)
-    nz = math.cos(theta)
-    g00 = nx * mom.r00[0] + ny * mom.r00[1] + nz * mom.r00[2]
-    g11 = nx * mom.r11[0] + ny * mom.r11[1] + nz * mom.r11[2]
-    g01 = nx * mom.r01[0] + ny * mom.r01[1] + nz * mom.r01[2]
-    total = 0.0
-    for sign in (1.0, -1.0):
-        m00 = 0.5 * (mom.b00 + sign * g00)
-        m11 = 0.5 * (mom.b11 + sign * g11)
-        m01 = 0.5 * (mom.b01 + sign * g01)
-        t = m00 + m11
-        if t <= POSTSELECT_MIN_PROB:
-            continue
-        disc = math.hypot(m00 - m11, 2.0 * abs(m01))
-        for lam in (0.5 * (t + disc), 0.5 * (t - disc)):
-            if lam > 0.0:
-                total -= lam * math.log2(lam)
-        total += t * math.log2(t)
-    return total
-
-
 def _golden_section(f, lo: float, hi: float) -> tuple[float, float]:
     """Deterministic golden-section minimum of f on [lo, hi], wider than ``_ANGLE_TOL``."""
     span = hi - lo
@@ -431,73 +394,37 @@ def _x_state_azimuth(mom: _CrossMoments) -> float:
 def _minimize_x_states(mom: _CrossMoments) -> list[tuple[float, float, float]]:
     """Exact one-parameter minimum of each X state of a stack: (value, theta, phi).
 
-    The theta grid is one (N, 91) array, elementwise as for one state.  A row whose
-    grid minimum is at an endpoint takes the smaller exact endpoint value, unless
-    the guard's probe half a step inside is lower than that endpoint's; only then,
-    or for an interior minimum, does the golden section refine it.  The guard misses
-    a minimum closer than about 0.35 degrees to an endpoint.  Endpoints, probe and
-    refinement stay scalar ``math`` per row, since ``np.hypot`` (libm's) and
-    ``np.log2`` can differ from ``math.hypot`` (CPython's own) and ``math.log2``.
+    The theta grid and the two probes are one (N, 93) array, elementwise as for one
+    state.  A row whose grid minimum (columns 0..90) is at an endpoint takes the smaller
+    endpoint value, unless the guard's probe half a step inside is lower than that
+    endpoint's; only then, or for an interior minimum, does the golden section refine
+    it, by the same formula on the row's Python numbers.  The guard misses a minimum
+    closer than about 0.35 degrees to an endpoint.
     """
     rows = mom.rows()
     phis = [_x_state_azimuth(m) for m in rows]
     cos_phi = np.array([math.cos(phi) for phi in phis])[:, None]
     sin_phi = np.array([math.sin(phi) for phi in phis])[:, None]
     values = _avg_branch_entropy_grid(mom, _X_SIN_T * cos_phi, _X_SIN_T * sin_phi, _X_COS_T)
+    grid_argmin = np.argmin(values[:, :91], axis=1).tolist()
     out = []
-    for m, phi, i in zip(rows, phis, np.argmin(values, axis=1).tolist()):
-        # the endpoints (z and equatorial measurements) are evaluated exactly
-        ends = [(_avg_branch_entropy_at(m, t, phi), t) for t in (0.0, 0.5 * math.pi)]
-        start = float(_X_THETAS[i])
-        if i in (0, 90):  # stationary there: refine only if half a step inside is lower
-            inside = start + (0.5 if i == 0 else -0.5) * _GRID_STEP
-            if _avg_branch_entropy_at(m, inside, phi) >= ends[i // 90][0]:
+    for m, phi, row, i in zip(rows, phis, values.tolist(), grid_argmin):
+        ends = [(row[0], 0.0), (row[90], 0.5 * math.pi)]  # the z and equatorial measurements
+        if i in (0, 90):  # stationary there: refine only if the probe half a step inside is lower
+            if row[91 + i // 90] >= row[i]:
                 out.append((*min(ends), phi))
                 continue
+        start = float(_X_THETAS[i])
+        c, s = math.cos(phi), math.sin(phi)
         refined, at_refined = _golden_section(
-            lambda t: _avg_branch_entropy_at(m, t, phi),
+            lambda t: _avg_branch_entropy_grid(m, math.sin(t) * c, math.sin(t) * s,
+                                               math.cos(t)).item(),
             start - _GRID_STEP,
             start + _GRID_STEP,
         )
         value, theta = min(*ends, (at_refined, refined))
         out.append((value, theta, phi))
     return out
-
-
-def _minimize_dense(mom: _CrossMoments) -> tuple[float, float, float]:
-    """Grid plus coordinate golden-section minimum for one state: (value, theta, phi)."""
-    thetas, phis, *directions = _dense_grid()
-    grid = _avg_branch_entropy_grid(mom, *directions)
-    flat = int(np.argmin(grid))  # first minimum: smallest theta, then smallest phi
-    ti, pj = divmod(flat, grid.shape[1])
-    theta = float(thetas[ti])
-    phi = float(phis[pj])
-    value = float(grid[ti, pj])
-    [mom] = mom.rows()
-    # the trig parametrization is valid and smooth for any real angles, so the
-    # refinement brackets are left unclipped (crucial when the optimum sits
-    # across the phi seam or a pole).
-    # A round moves each angle by at most one grid step, and in a flat valley
-    # the optimum can lie several steps away, so rounds repeat until one stalls.
-    for _ in range(_DENSE_MAX_ROUNDS):
-        start = value
-        x, fx = _golden_section(
-            lambda t: _avg_branch_entropy_at(mom, t, phi),
-            theta - _GRID_STEP,
-            theta + _GRID_STEP,
-        )
-        if fx < value:
-            theta, value = x, fx
-        x, fx = _golden_section(
-            lambda p: _avg_branch_entropy_at(mom, theta, p),
-            phi - _GRID_STEP,
-            phi + _GRID_STEP,
-        )
-        if fx < value:
-            phi, value = x, fx
-        if value == start:
-            break
-    return value, theta, phi
 
 
 def stacked_measurement_minima(states: np.ndarray, measured_side: str) -> list[float]:
@@ -508,10 +435,9 @@ def stacked_measurement_minima(states: np.ndarray, measured_side: str) -> list[f
 
 
 def _minimize_avg_branch_entropy(rho: np.ndarray, measured_side: str) -> float:
-    if is_x_patterned(rho):
-        return stacked_measurement_minima(rho[None], measured_side)[0]
-    value, _, _ = _minimize_dense(_cross_moments(rho[None], measured_side))
-    return value
+    if not is_x_patterned(rho):
+        raise ValueError("the measurement optimizer takes X-shaped states only")
+    return stacked_measurement_minima(rho[None], measured_side)[0]
 
 
 def min_conditional_entropy_over_measurements(rho, measured_side: str = "B") -> float:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    OPTIMIZER_REFUSAL,
     ad_closed_form_spectrum,
     ad_ops_oracle,
     bd_oracle,
@@ -339,8 +340,9 @@ def _random_full_rank(rng):
 
 
 def test_bound_ordering_on_random_samples():
-    # evolved Bell-diagonal states (real coherences), complex X states, and
-    # full-rank states, which take the dense optimizer
+    # evolved Bell-diagonal states (real coherences) and complex X states; full-rank
+    # states are not X-shaped, so the optimizer refuses their report, while their u
+    # still takes any state
     rng = np.random.RandomState(103)
     samples = []
     for i in range(60):
@@ -349,7 +351,11 @@ def test_bound_ordering_on_random_samples():
         ops = ad_ops_oracle(x) if i % 2 == 0 else bpf_ops_oracle(x)
         samples.append(evolve_oracle(ops, bd_oracle(*coeffs)))
     samples += [rand_xstate_matrix(rng) for _ in range(200)]
-    samples += [_random_full_rank(rng) for _ in range(12)]
+    for rho in [_random_full_rank(rng) for _ in range(12)]:
+        with pytest.raises(ValueError) as err:
+            bound_report(rho)
+        assert str(err.value) == OPTIMIZER_REFUSAL
+        assert uncertainty_lhs(rho) == pytest.approx(u_oracle(rho), abs=1e-11)
     for rho in samples:
         r = bound_report(rho)
         assert r.berta <= r.pati + 1e-9
@@ -357,6 +363,22 @@ def test_bound_ordering_on_random_samples():
         assert r.adabi <= r.u_lhs + 1e-9
         assert r.tightness_berta >= -1e-9
         assert r.u_lhs == pytest.approx(u_oracle(rho), abs=1e-11)
+
+
+def test_point_minima_and_bound_report_refuse_a_non_x_state():
+    # both measurement minima of one state, and the report that reads them, raise the
+    # optimizer's refusal; the values that take any state still evaluate
+    had = np.kron(np.eye(2), np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0))
+    rho = had @ bd_oracle(-0.5, 0.4, 0.8) @ had
+    assert not linalg.is_x_patterned(rho)
+    for read in (lambda: PointQuantities(rho).min_a, lambda: PointQuantities(rho).s_min,
+                 lambda: bound_report(rho)):
+        with pytest.raises(ValueError) as err:
+            read()
+        assert str(err.value) == OPTIMIZER_REFUSAL
+    q = PointQuantities(rho)
+    assert q.u == pytest.approx(u_oracle(rho), abs=1e-11)
+    assert q.adabi >= q.berta
 
 
 def test_bound_report_fields_consistent():

@@ -203,7 +203,7 @@ def test_capacity_stdout_sha256_is_pinned(capsys, argv, sha256):
         ("BPF", "0cf0c6519ea4acb326b8033366d0d09816d1cf69917b9969355532ae1231ee09"),
         # (1, 1, -1) starts with |a23| = sqrt(d22*d33) exactly, on the edge of positivity
         ("AD --c1 1 --c2 1 --c3 -1",
-         "3c55947f807254543571a40851b08b718e23a12857c846e1d398a17e4cf91b9c"),
+         "8e8dbaf1ac6280d0a3519e34f9c61548a190b5651736f072f5fe26b5793f81bc"),
         ("BPF --c1 1 --c2 1 --c3 -1",
          "f9284f1658913119be7df1170598b1126950a0e0392b2ddab61926e51db8c554"),
     ],

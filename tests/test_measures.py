@@ -5,17 +5,20 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import (
+    OPTIMIZER_REFUSAL,
     PX_ORACLE,
     ad_ops_oracle,
     avg_branch_entropy_grid_oracle,
     avg_branch_entropy_oracle,
     bd_oracle,
     cond_ent_oracle,
+    dense_grid_oracle,
     endpoint_entropies_oracle,
     entropy_oracle,
     evolve_oracle,
     h2,
     holevo_oracle,
+    minimize_dense_oracle,
     mutual_oracle,
     post_meas_oracle,
     ptrace_oracle,
@@ -390,15 +393,17 @@ def test_bell_diagonal_optimum_on_pauli_axis():
 
 def test_min_entropy_invariant_under_local_pauli_rotation():
     # conjugating the measured qubit by the Hadamard-like x<->z swap must not
-    # change the optimized value
+    # change the optimized value: the X path on rho against the 2-D oracle search on
+    # the rotated state, which is not X-shaped
     had = (PAULI_X + PAULI_Z) / math.sqrt(2)
     big = np.kron(had, np.eye(2)).astype(complex)
     rng = np.random.RandomState(89)
     for _ in range(10):
         rho = rand_xstate_matrix(rng, real=True)
         rotated = big @ rho @ big.conj().T
+        assert not is_x_patterned(rotated)
         a = min_conditional_entropy_over_measurements(rho, "A")
-        b = min_conditional_entropy_over_measurements(rotated, "A")
+        b, _, _ = minimize_dense_oracle(measures._cross_moments(rotated[None], "A"))
         assert a == pytest.approx(b, abs=1e-9)
 
 
@@ -415,7 +420,7 @@ def _complex_x_states(seed, count):
 
 
 def test_x_state_path_matches_dense_path():
-    # the one-parameter X-state optimizer against the dense 2-D grid it replaces;
+    # the one-parameter X-state optimizer against the 2-D oracle search over both angles;
     # one stack of states gets bitwise what each state gets alone
     states = np.array(_complex_x_states(101, 300))
     for side in ("A", "B"):
@@ -425,7 +430,7 @@ def test_x_state_path_matches_dense_path():
         for i, (rho, (x_value, _, _)) in enumerate(zip(states, stacked)):
             if i < 100:
                 assert x_value == min_conditional_entropy_over_measurements(rho, side)
-            dense_value, _, _ = measures._minimize_dense(measures._cross_moments(rho[None], side))
+            dense_value, _, _ = minimize_dense_oracle(measures._cross_moments(rho[None], side))
             assert abs(x_value - dense_value) <= 1e-12
 
 
@@ -436,8 +441,10 @@ def _grid_bits(grid):
 def test_both_grids_equal_the_per_sign_loop_bitwise():
     # both outcome signs in one pass give each element the operations of its sign's own
     # pass, so the X grid of a stack, of each row alone, and the dense grid equal the
-    # per-sign loop bit for bit, signed zeros included; evolved Bell-diagonal states (one
-    # in three weak-steered), random complex X states and pure, product and mixed edges
+    # per-sign loop bit for bit, signed zeros included (the X grid's 93 columns: 91 angles
+    # and the endpoint guard's two probes; the dense grid is the 2-D oracle's); evolved
+    # Bell-diagonal states (one in three weak-steered), random complex X states and pure,
+    # product and mixed edges
     rng = np.random.RandomState(2707)
     states = []
     for k in range(12):
@@ -460,7 +467,7 @@ def test_both_grids_equal_the_per_sign_loop_bitwise():
         sin_phi = np.array([math.sin(phi) for phi in phis])[:, None]
         nx, ny, nz = measures._X_SIN_T * cos_phi, measures._X_SIN_T * sin_phi, measures._X_COS_T
         grid = measures._avg_branch_entropy_grid(mom, nx, ny, nz)
-        assert grid.shape == (len(states), 91)
+        assert grid.shape == (len(states), 93)
         assert np.array_equal(_grid_bits(grid),
                               _grid_bits(avg_branch_entropy_grid_oracle(mom, nx, ny, nz)))
         for i in range(0, len(states), 7):  # a row alone equals its row of the stack
@@ -469,7 +476,7 @@ def test_both_grids_equal_the_per_sign_loop_bitwise():
             assert np.array_equal(_grid_bits(alone), _grid_bits(grid[i:i + 1]))
         for rho in (states[3], _locally_rotated(rng, states[50]), states[-1]):
             one = measures._cross_moments(rho[None], side)
-            dense = measures._dense_grid()[2:]
+            dense = dense_grid_oracle()[2:]
             got = measures._avg_branch_entropy_grid(one, *dense)
             assert got.shape == (181, 180)
             assert np.array_equal(_grid_bits(got),
@@ -494,6 +501,19 @@ def test_x_state_path_beats_coarse_oracle_grid():
             assert abs(attained - value) <= 1e-12
 
 
+def _profile(m, phi, thetas):
+    """The optimizer's one formula on one state's Python-number moments at phi, at each
+    of ``thetas``."""
+    thetas = np.asarray(thetas)
+    directions = np.sin(thetas) * math.cos(phi), np.sin(thetas) * math.sin(phi), np.cos(thetas)
+    return measures._avg_branch_entropy_grid(m, *directions).ravel().tolist()
+
+
+def _endpoints(m, phi):
+    """The z (theta = 0) and equatorial (theta = pi/2) values of ``_profile``."""
+    return _profile(m, phi, [0.0, 0.5 * math.pi])
+
+
 def test_x_state_minimum_never_exceeds_its_exact_endpoints():
     # the z (theta = 0) and equatorial (theta = pi/2) measurements are evaluated
     # exactly; the golden section near an endpoint can stop a rounding step above
@@ -510,8 +530,9 @@ def test_x_state_minimum_never_exceeds_its_exact_endpoints():
     for side in ("A", "B"):
         mom = measures._cross_moments(states, side)
         for (value, _, phi), m in zip(measures._minimize_x_states(mom), mom.rows()):
-            assert value <= measures._avg_branch_entropy_at(m, 0.0, phi)
-            assert value <= measures._avg_branch_entropy_at(m, 0.5 * math.pi, phi)
+            along_z, in_plane = _endpoints(m, phi)
+            assert value <= along_z
+            assert value <= in_plane
 
 
 def test_a_flat_profile_reports_no_more_than_its_exact_endpoints():
@@ -525,8 +546,9 @@ def test_a_flat_profile_reports_no_more_than_its_exact_endpoints():
     for side in ("A", "B"):
         mom = measures._cross_moments(states, side)
         for (value, _, phi), m in zip(measures._minimize_x_states(mom), mom.rows()):
-            assert value <= measures._avg_branch_entropy_at(m, 0.0, phi)
-            assert value <= measures._avg_branch_entropy_at(m, 0.5 * math.pi, phi)
+            along_z, in_plane = _endpoints(m, phi)
+            assert value <= along_z
+            assert value <= in_plane
 
 
 def test_endpoint_guard_refines_a_minimum_half_a_step_inside():
@@ -540,10 +562,10 @@ def test_endpoint_guard_refines_a_minimum_half_a_step_inside():
     mom = measures._cross_moments(rho[None], "B")
     [(value, theta, phi)] = measures._minimize_x_states(mom)
     [m] = mom.rows()
-    on_grid = [measures._avg_branch_entropy_at(m, t, phi) for t in measures._X_THETAS.tolist()]
+    on_grid = _profile(m, phi, measures._X_THETAS[:91])
     assert on_grid.index(min(on_grid)) == 0
     assert 0.35 < math.degrees(theta) < 0.7
-    dense_value, _, _ = measures._minimize_dense(mom)
+    dense_value, _, _ = minimize_dense_oracle(mom)
     assert abs(value - dense_value) <= 1e-12
     assert value < on_grid[0] and value < on_grid[-1]
 
@@ -585,30 +607,26 @@ def test_rows_that_skip_the_refinement_sit_at_the_50_digit_endpoint(monkeypatch)
     assert skipped >= 0.9 * rows
 
 
-def test_non_x_state_takes_dense_path(monkeypatch):
-    dense_calls = []
-    dense = measures._minimize_dense
-
-    def spy(mom):
-        dense_calls.append(dense(mom))
-        return dense_calls[-1]
-
-    monkeypatch.setattr(measures, "_minimize_dense", spy)
+def test_non_x_state_is_refused_by_the_optimizer():
+    # a Hadamard on the measured qubit turns an X state into a valid state that is not
+    # X-shaped; every route to the optimizer refuses it with one text, and the fixed-basis
+    # quantities still take it
     had = (PAULI_X + PAULI_Z) / math.sqrt(2)
+    routes = (
+        measures._minimize_avg_branch_entropy,
+        min_conditional_entropy_over_measurements,
+        classical_correlation,
+        quantum_discord,
+    )
     for side, big in (("A", np.kron(had, np.eye(2))), ("B", np.kron(np.eye(2), had))):
         for rho in _complex_x_states(103, 5):
-            value = measures._minimize_avg_branch_entropy(rho, side)
-            assert not dense_calls
             rotated = big @ rho @ big.conj().T
             assert not is_x_patterned(rotated)
-            rotated_value = measures._minimize_avg_branch_entropy(rotated, side)
-            [(dense_value, theta, phi)] = dense_calls
-            dense_calls.clear()
-            assert dense_value == rotated_value
-            # a local unitary on the measured qubit relabels the measurements
-            assert abs(rotated_value - value) <= 1e-12
-            attained = avg_branch_entropy_oracle(rotated, theta, phi, side)
-            assert abs(attained - rotated_value) <= 1e-12
+            for route in routes:
+                with pytest.raises(ValueError) as err:
+                    route(rotated, side)
+                assert str(err.value) == OPTIMIZER_REFUSAL
+            assert mutual_information(rotated) == pytest.approx(mutual_oracle(rotated), abs=1e-11)
 
 
 def _sandwich_only(basis):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    OPTIMIZER_REFUSAL,
     I2,
     SX,
     SZ,
@@ -605,24 +606,36 @@ def test_batched_columns_equal_dense(monkeypatch):
     assert _flagged(stacks) == [[]] * (len(triples) * 3 * 3)
 
     # a Hadamard on the memory qubit: d = 1 leaves an X state, the other rows are not; every
-    # stacked value includes the state's own check, so each tag alone flags them too
+    # stacked value includes the state's own check, so each tag alone flags them too; a tag
+    # that reads a measurement minimum stops at the first flagged row, grid index 0, whose
+    # rebuild the optimizer refuses
     h = np.kron(I2, (SX + SZ) / np.sqrt(2.0))
     monkeypatch.setattr(sweep, "bell_diagonal_density", lambda c: h @ bell_diagonal_density(c) @ h)
     cases = [(OUTPUT_TAGS, 1.0, [[0, 1, 2, 3]]), (OUTPUT_TAGS, 0.5, [[0, 1, 2, 3, 4]])]
     cases += [((tag,), 0.5, [[0, 1, 2, 3, 4]]) for tag in OUTPUT_TAGS]
+    refused = 0
     for outputs, stop, expected in cases:
         cfg = small_cfg(param_stop=stop, steering_kind="weak", steering_strengths=(0.4,),
                         outputs=outputs)
         stacks.clear()
+        if {"pati", "tightness", "discord", "s_min"} & set(outputs):
+            with pytest.raises(NumericError) as err:
+                run_sweep(cfg)
+            assert _flagged(stacks) == expected, outputs
+            assert str(err.value) == ("sweep point at grid index 0 (param=0.0, steering "
+                                      f"strength=0.4) failed: {OPTIMIZER_REFUSAL}"), outputs
+            refused += 1
+            continue
         rows = run_sweep(cfg)
         assert _flagged(stacks) == expected, outputs
         rho0 = h @ bell_diagonal_density(cfg.coeffs()) @ h
         for row in rows:
             state = _dense_state("AD", rho0, row.param, "weak", 0.4)
-            expected = _dense_columns(state)
-            if outputs != OUTPUT_TAGS:  # one tag: the columns it expands to
-                expected = {n: v for n, v in expected.items() if n.startswith(outputs[0])}
-            assert dict(row.quantities) == expected, (outputs, row)
+            [tag] = outputs  # one tag that takes any state
+            q = PointQuantities(state)
+            value = (1.0 if q.witness else 0.0) if tag == "witness" else getattr(q, tag)
+            assert dict(row.quantities) == {tag: value}, (outputs, row)
+    assert refused == 2 + 4
 
 
 def test_long_grid_blocks_equal_one_stack(monkeypatch):
@@ -733,6 +746,22 @@ def test_non_x_rows_take_the_dense_u(monkeypatch):
     assert len(calls) == 4
     for row, state in zip(rows, dense):
         assert dict(row.quantities)["u"] == uncertainty_lhs(state)
+
+
+def test_non_x_rows_refuse_the_measurement_minimum(monkeypatch):
+    # the rows of test_non_x_rows_take_the_dense_u with s_min requested: the stack flags the
+    # four non-X rows, and the first one's rebuild names its point and the refusal
+    h = np.kron(I2, (SX + SZ) / np.sqrt(2.0))  # a Hadamard on the memory qubit
+    monkeypatch.setattr(sweep, "bell_diagonal_density", lambda c: h @ bell_diagonal_density(c) @ h)
+    for outputs in (("s_min",), ("u", "s_min", "witness")):
+        cfg = small_cfg(steering_kind="weak", steering_strengths=(0.4,), outputs=outputs)
+        with pytest.raises(NumericError) as err:
+            run_sweep(cfg)
+        assert str(err.value) == (
+            f"sweep point at grid index 0 (param=0.0, steering strength=0.4) failed: "
+            f"{OPTIMIZER_REFUSAL}"
+        )
+        assert isinstance(err.value.__cause__, ValueError)
 
 
 def test_batched_failure_names_grid_index_param_and_strength(monkeypatch):

@@ -63,7 +63,7 @@ MUTANTS = [
         ("tests/test_cli.py::test_witness_stdout_is_pinned[AD-s0.999999]",),
     ),
     (
-        "the refined theta without the exact endpoint evaluations in measures._minimize_x_states",
+        "the refined theta without the endpoint values in measures._minimize_x_states",
         PACKAGE + "measures.py",
         "value, theta = min(*ends, (at_refined, refined))",
         "value, theta = (at_refined, refined)",
@@ -72,9 +72,17 @@ MUTANTS = [
     (
         "measures._minimize_x_states skips the refinement at an endpoint without its probe",
         PACKAGE + "measures.py",
-        "if _avg_branch_entropy_at(m, inside, phi) >= ends[i // 90][0]:",
+        "if row[91 + i // 90] >= row[i]:",
         "if True:",
         ("tests/test_measures.py::test_endpoint_guard_refines_a_minimum_half_a_step_inside",),
+    ),
+    (
+        "measures._minimize_avg_branch_entropy without its X-shape check",
+        PACKAGE + "measures.py",
+        "    if not is_x_patterned(rho):\n"
+        '        raise ValueError("the measurement optimizer takes X-shaped states only")\n',
+        "",
+        ("tests/test_measures.py::test_non_x_state_is_refused_by_the_optimizer",),
     ),
     (
         "measures._avg_branch_entropy_grid drops its second outcome",
