@@ -6,10 +6,12 @@ untouched.  Steering operations are non-trace-preserving single-qubit maps
 applied with post-selection, i.e. the output is renormalized by the success
 probability.
 
-Both are the map sum_k (E_k (x) I) rho (E_k (x) I)^dagger of ``linalg._sandwiches``.
-Each stage is one stacked kernel (``_kraus_stack``, ``_evolve``, ``_steer``) that flags
-its rows; ``ad_kraus``, ``bpf_kraus``, ``apply_one_sided`` and ``apply_steering`` are
-its one-row case, which raises instead.
+Both are the map sum_k (E_k (x) I) rho (E_k (x) I)^dagger of ``linalg._sandwiches``, in a
+few flat BLAS products: ``_evolve`` takes one Kraus operator per parameter on the one
+initial state, ``_steer`` one operator shared by a stack.  Each stage is one stacked
+kernel (``_kraus_stack``, ``_evolve``, ``_steer``) that flags its rows; ``ad_kraus``,
+``bpf_kraus``, ``apply_one_sided`` and ``apply_steering`` are its one-row case, which
+raises instead.
 """
 
 from __future__ import annotations
@@ -100,8 +102,8 @@ def noise_kraus(family: str, param: float) -> KrausChannel:
 
 
 def _sandwich(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """sum_k (E_k (x) I) rho (E_k (x) I)^dagger for each row of a (K, N, 2, 2) operator
-    stack, with one state ``rho`` or an (N, 4, 4) stack of them."""
+    """sum_k (E_k (x) I) rho (E_k (x) I)^dagger of (K, 2, 2) operators on each state of an
+    (N, 4, 4) stack, or of a (K, N, 2, 2) stack, one operator per row, on one state."""
     return sum(_sandwiches(_on_qubit_a(ops), rho))
 
 
@@ -152,10 +154,10 @@ def weak_op(s: float) -> SteeringOp:
     return SteeringOp(operator=op)
 
 
-def _steer(ops: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``apply_steering`` of each row's 2x2 operator ``ops[i]`` to ``states[i]``, and which
-    rows keep a usable post-selection probability; the input check is the caller's."""
-    unnormalized = _sandwich(ops[None], states)
+def _steer(op: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``apply_steering`` of the 2x2 operator ``op`` to each state of an (N, 4, 4) stack, and
+    which rows keep a usable post-selection probability; the input check is the caller's."""
+    unnormalized = _sandwich(op[None], states)
     norm = np.trace(unnormalized, axis1=1, axis2=2).real
     kept = norm > POSTSELECT_MIN_PROB
     return unnormalized / np.where(kept, norm, 1.0)[:, None, None], kept
@@ -163,7 +165,7 @@ def _steer(ops: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 def apply_steering(op: SteeringOp, rho) -> np.ndarray:
     """Apply (O (x) I) rho (O (x) I)^dagger / tr[...], O acting on qubit A."""
-    states, kept = _steer(op.operator[None], validate_two_qubit(rho)[None])
+    states, kept = _steer(op.operator, validate_two_qubit(rho)[None])
     if not kept[0]:
         raise ValueError("post-selection probability ~ 0, conditional state undefined")
     return states[0]

@@ -67,10 +67,21 @@ def _on_qubit_a(ops: np.ndarray) -> np.ndarray:
 
 
 def _sandwiches(embedded: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """The terms e rho e^dagger, one per operator e of ``embedded`` (a (K, 4, 4) or (K, N, 4, 4)
-    stack from ``_on_qubit_a``), of one state or an (N, 4, 4) stack, in one batched product."""
-    e = embedded[:, None] if embedded.ndim == rho.ndim else embedded  # (K, 4, 4) on a stack
-    return e @ rho @ e.conj().swapaxes(-1, -2)
+    """The terms (e rho) e^dagger, one per operator e of ``embedded`` (from ``_on_qubit_a``):
+    (K, 4, 4) operators shared by one state or by each state of an (N, 4, 4) stack, or
+    (K, N, 4, 4), one per row, on one state.  A stack takes a few flat BLAS products, not one
+    4x4 product per matrix; OpenBLAS gives each entry the 4x4 product's bits, and the terms
+    are in C order, from which numpy's sum of a term's entries (a trace) takes its bits."""
+    adjoint = embedded.conj().swapaxes(-1, -2)
+    if embedded.ndim == 4:  # (4KN x 4)(4 x 4), then one 4x4 product per row
+        return (embedded.reshape(-1, 4) @ rho).reshape(embedded.shape) @ adjoint
+    if rho.ndim == 2:  # one state: K 4x4 products a side cost less than the flat path's views
+        return embedded @ rho @ adjoint
+    k, n = len(embedded), len(rho)  # (4K x 4)(4 x 4N), then (N x 4)(4 x 4) per (e, row of e)
+    left = embedded.reshape(4 * k, 4) @ rho.transpose(1, 0, 2).reshape(4, 4 * n)
+    terms = np.empty((k, n, 4, 4), dtype=complex)
+    np.matmul(left.reshape(k, 4, n, 4), adjoint[:, None], out=terms.swapaxes(1, 2))
+    return terms
 
 
 def stacked_partial_trace(m: np.ndarray, keep: str) -> np.ndarray:

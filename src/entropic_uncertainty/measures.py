@@ -23,8 +23,9 @@ Each outcome of a fixed-basis measurement leaves one unnormalized branch (``_bra
 dephasing is their sum, and the Holevo quantity reads each branch's memory (all of a
 stack's, both bases', as one entropy stack).  A branch multiplies by a 0/1 mask when the
 projectors are 0/1-diagonal (sigma_z: dephased by the summed mask in 0.6 us a state), else
-sandwiches the state, all outcomes in one batched product (sigma_x, with cos(pi/2) =
-6.1e-17 on its diagonal: 7 us); see ``ProjectiveBasis``.
+sandwiches the state (sigma_x, with cos(pi/2) = 6.1e-17 on its diagonal), all outcomes
+of a stack in a few flat BLAS products (``linalg._sandwiches``: 22 us for 101 rows against
+105 us for one 4x4 product per matrix, one CPU of a 2-core Xeon); see ``ProjectiveBasis``.
 
 Side conventions: the fixed-basis quantities measure qubit A (the qubit exposed
 to noise) with qubit B as the memory.  Only the optimizer takes a side:
@@ -76,6 +77,8 @@ _X_SIN_T = np.sin(_X_THETAS)
 _X_COS_T = np.cos(_X_THETAS)
 # Rows per theta grid: about 20 (2, rows, 93) temporaries, both outcome signs, stay near 1 MB.
 _GRID_ROWS = 32
+_X_ENDS = [0, 90, 91, 92]  # the grid's endpoint columns, then the guard's probes
+_LOOKAHEAD = 5  # golden-section steps per objective call
 _OUTCOME_SIGNS = np.array([1.0, -1.0]).reshape(2, 1, 1)  # (I +/- n.sigma) / 2 on a 2-D grid
 
 
@@ -301,7 +304,7 @@ class _CrossMoments:
     unmeasured qubit in (rho_other +/- sum_j n_j R_j) / 2 unnormalized, so the
     whole measurement sweep reduces to 2x2 closed forms in these moments.
     A stack's moments are (N, 1) columns that broadcast against a grid of
-    directions; ``rows`` gives each state's as Python numbers for refinement.
+    directions; ``row`` gives one state's as Python numbers for its refinement.
     """
 
     __slots__ = ("b00", "b11", "b01", "r00", "r11", "r01")
@@ -310,12 +313,10 @@ class _CrossMoments:
         self.b00, self.b11, self.b01 = b00, b11, b01
         self.r00, self.r11, self.r01 = r00, r11, r01
 
-    def rows(self) -> list[_CrossMoments]:
+    def row(self, i: int) -> _CrossMoments:
         columns = [self.b00, self.b11, self.b01, *self.r00, *self.r11, *self.r01]
-        return [
-            _CrossMoments(*v[:3], v[3:6], v[6:9], v[9:])
-            for v in zip(*(c[:, 0].tolist() for c in columns))
-        ]
+        v = [c[i, 0].item() for c in columns]
+        return _CrossMoments(*v[:3], v[3:6], v[6:9], v[9:])
 
 
 def _cross_moments(states: np.ndarray, measured_side: str) -> _CrossMoments:
@@ -358,70 +359,86 @@ def _avg_branch_entropy_grid(mom: _CrossMoments, nx, ny, nz) -> np.ndarray:
     return total
 
 
+def _probes(lo: float, c: float, d: float, hi: float, steps: int) -> list[float]:
+    """Every probe the next ``steps`` golden-section steps from the bracket lo < c < d < hi
+    could add, whichever side each step keeps."""
+    if steps == 0 or hi - lo <= _ANGLE_TOL:
+        return []
+    c_left = d - _GOLDEN_RATIO_CONJ * (d - lo)  # f(c) < f(d) keeps [lo, d]
+    d_right = c + _GOLDEN_RATIO_CONJ * (hi - c)  # else [c, hi]
+    return ([c_left, *_probes(lo, c_left, c, d, steps - 1)]
+            + [d_right, *_probes(c, d, d_right, hi, steps - 1)])
+
+
 def _golden_section(f, lo: float, hi: float) -> tuple[float, float]:
-    """Deterministic golden-section minimum of f on [lo, hi], wider than ``_ANGLE_TOL``."""
-    span = hi - lo
-    c = hi - _GOLDEN_RATIO_CONJ * span
-    d = lo + _GOLDEN_RATIO_CONJ * span
-    fc, fd = f(c), f(d)
-    while span > _ANGLE_TOL:
+    """Deterministic golden-section minimum on [lo, hi], wider than ``_ANGLE_TOL``, of f,
+    which maps a list of angles to their values.  A probe without a value is evaluated with
+    every probe the next ``_LOOKAHEAD`` - 1 steps could add: one call of f per about five
+    steps, with the angles, comparisons and values of one probe at a time."""
+    c = hi - _GOLDEN_RATIO_CONJ * (hi - lo)
+    d = lo + _GOLDEN_RATIO_CONJ * (hi - lo)
+    values = {}
+    while True:
+        missing = [t for t in (c, d) if t not in values]
+        if missing:
+            angles = missing + _probes(lo, c, d, hi, _LOOKAHEAD - 1)
+            values.update(zip(angles, f(angles)))
+        fc, fd = values[c], values[d]
+        if hi - lo <= _ANGLE_TOL:
+            return (c, fc) if fc < fd else (d, fd)
         if fc < fd:
-            hi, d, fd = d, c, fc
-            span = hi - lo
-            c = hi - _GOLDEN_RATIO_CONJ * span
-            fc = f(c)
+            c, d, hi = d - _GOLDEN_RATIO_CONJ * (d - lo), c, d
         else:
-            lo, c, fc = c, d, fd
-            span = hi - lo
-            d = lo + _GOLDEN_RATIO_CONJ * span
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
+            lo, c, d = c, d, c + _GOLDEN_RATIO_CONJ * (hi - c)
 
 
-def _x_state_azimuth(mom: _CrossMoments) -> float:
-    """phi in [0, pi) maximizing the X-state branch coherence |cos(phi) a + sin(phi) b|.
+def _x_state_azimuths(mom: _CrossMoments) -> list[float]:
+    """phi in [0, pi) maximizing the X-state branch coherence |cos(phi) a + sin(phi) b| of
+    each row.
 
     That modulus squared is the quadratic form of (cos phi, sin phi) with the
     real Gram matrix Re[[|a|^2, a b*], [a* b, |b|^2]], so phi is the angle of
     its top eigenvector; complex a and b need no prior phase rotation.
     """
-    a, b = mom.r01[0], mom.r01[1]
-    gram_xy = (a * b.conjugate()).real
-    phi = 0.5 * math.atan2(2.0 * gram_xy, abs(a) ** 2 - abs(b) ** 2)
-    return phi + math.pi if phi < 0.0 else phi
+    phis = []
+    for a, b in zip(mom.r01[0][:, 0].tolist(), mom.r01[1][:, 0].tolist()):
+        phi = 0.5 * math.atan2(2.0 * (a * b.conjugate()).real, abs(a) ** 2 - abs(b) ** 2)
+        phis.append(phi + math.pi if phi < 0.0 else phi)
+    return phis
 
 
 def _minimize_x_states(mom: _CrossMoments) -> list[tuple[float, float, float]]:
     """Exact one-parameter minimum of each X state of a stack: (value, theta, phi).
 
     The theta grid and the two probes are one (N, 93) array, elementwise as for one
-    state.  A row whose grid minimum (columns 0..90) is at an endpoint takes the smaller
-    endpoint value, unless the guard's probe half a step inside is lower than that
-    endpoint's; only then, or for an interior minimum, does the golden section refine
-    it, by the same formula on the row's Python numbers.  The guard misses a minimum
-    closer than about 0.35 degrees to an endpoint.
+    state; only the argmin of columns 0..90 and columns 0, 90, 91 and 92 leave it.  A row
+    whose grid minimum is at an endpoint takes the smaller endpoint value, unless the
+    guard's probe half a step inside is lower than that endpoint's; only then, or for an
+    interior minimum, does the golden section refine it, by the same formula on the row's
+    Python numbers (``_CrossMoments.row``).  The guard misses a minimum closer than about
+    0.35 degrees to an endpoint.
     """
-    rows = mom.rows()
-    phis = [_x_state_azimuth(m) for m in rows]
+    phis = _x_state_azimuths(mom)
     cos_phi = np.array([math.cos(phi) for phi in phis])[:, None]
     sin_phi = np.array([math.sin(phi) for phi in phis])[:, None]
     values = _avg_branch_entropy_grid(mom, _X_SIN_T * cos_phi, _X_SIN_T * sin_phi, _X_COS_T)
     grid_argmin = np.argmin(values[:, :91], axis=1).tolist()
     out = []
-    for m, phi, row, i in zip(rows, phis, values.tolist(), grid_argmin):
-        ends = [(row[0], 0.0), (row[90], 0.5 * math.pi)]  # the z and equatorial measurements
+    for r, (phi, row, i) in enumerate(zip(phis, values[:, _X_ENDS].tolist(), grid_argmin)):
+        ends = [(row[0], 0.0), (row[1], 0.5 * math.pi)]  # the z and equatorial measurements
         if i in (0, 90):  # stationary there: refine only if the probe half a step inside is lower
-            if row[91 + i // 90] >= row[i]:
+            if row[2 + i // 90] >= row[i // 90]:
                 out.append((*min(ends), phi))
                 continue
         start = float(_X_THETAS[i])
-        c, s = math.cos(phi), math.sin(phi)
-        refined, at_refined = _golden_section(
-            lambda t: _avg_branch_entropy_grid(m, math.sin(t) * c, math.sin(t) * s,
-                                               math.cos(t)).item(),
-            start - _GRID_STEP,
-            start + _GRID_STEP,
-        )
+        m, c, s = mom.row(r), math.cos(phi), math.sin(phi)
+
+        def f(thetas):  # the row's values at a list of angles
+            sin_t = np.array([math.sin(t) for t in thetas])
+            cos_t = np.array([math.cos(t) for t in thetas])
+            return _avg_branch_entropy_grid(m, sin_t * c, sin_t * s, cos_t)[0].tolist()
+
+        refined, at_refined = _golden_section(f, start - _GRID_STEP, start + _GRID_STEP)
         value, theta = min(*ends, (at_refined, refined))
         out.append((value, theta, phi))
     return out

@@ -10,7 +10,8 @@ row routing, the output columns and the CSV; the stacked stages live with their
 quantities: ``channels._evolve`` and ``channels._steer``, then the block's
 ``bounds.PointQuantities``, which computes only the values its columns read.
 The grid is evolved once, and all (steering strength, point) rows are one stack,
-in blocks of ``_STACK_ROWS`` rows; each stage keeps a row mask of its checks.  A
+in blocks of ``_STACK_ROWS`` rows; each strength's run of a block is steered by that
+strength's one operator, and each stage keeps a row mask of its checks.  A
 row that passes every mask takes its values straight from the stack's columns;
 any other row is rebuilt alone by the one-state functions, which raise that
 point's own error.  ``_output_rows`` is the one mapping from output names to CSV
@@ -214,17 +215,17 @@ def _grid_points(family: str, rho0: np.ndarray, xs, rate, steering_ops, outputs)
 
     A point's state is ``rho0`` evolved through the channel at ``_noise_param(x, rate)``,
     then steered.  The grid is evolved once; its (op, point) rows are one stack, in blocks
-    of ``_STACK_ROWS``.  Each block's ``PointQuantities`` computes the columns, and only
-    then is its ``ok`` read: a row that passes every check of the stack takes the stack's
-    columns; any other row is rebuilt alone by the one-state functions (``_dense_state``),
-    which raise that point's own error.  A non-finite value raises ``_NotFinite``.  Every
-    error is raised in the place of its point, so it belongs to the point after the last
-    one yielded, and the first bad point in order is the one raised; ``rho0`` is checked
-    once, before the first point.
+    of ``_STACK_ROWS``, each op's run of a block steered by that op alone.  Each block's
+    ``PointQuantities`` computes the columns, and only then is its ``ok`` read: a row that
+    passes every check of the stack takes the stack's columns; any other row is rebuilt
+    alone by the one-state functions (``_dense_state``), which raise that point's own
+    error.  A non-finite value raises ``_NotFinite``.  Every error is raised in the place
+    of its point, so it belongs to the point after the last one yielded, and the first bad
+    point in order is the one raised; ``rho0`` is checked once, before the first point.
     """
     if len({op is None for op in steering_ops}) > 1:
         raise ValueError("steering_ops mixes None with steering operators")
-    operators = None if steering_ops[0] is None else np.array([op.operator for op in steering_ops])
+    steered = steering_ops[0] is not None
     validate_two_qubit(rho0)  # apply_one_sided's input check, once for the grid
     params = []
     for x in xs:
@@ -237,15 +238,17 @@ def _grid_points(family: str, rho0: np.ndarray, xs, rate, steering_ops, outputs)
     for first in range(0, n, _STACK_ROWS):
         block = slice(first, first + _STACK_ROWS)
         evolved[block], evolved_ok[block] = _evolve(family, rho0, np.array(params[block]))
-        if operators is not None:  # apply_steering's input check, once per evolved state
+        if steered:  # apply_steering's input check, once per evolved state
             evolved_ok[block] &= stacked_density_spectra(evolved[block])[1]
     rows = len(steering_ops) * n
     for first in range(0, rows, _STACK_ROWS):
-        ks, indices = np.divmod(np.arange(first, min(first + _STACK_ROWS, rows)), n)
+        last = min(first + _STACK_ROWS, rows)
+        indices = np.arange(first, last) % n
         states, ok = evolved[indices], evolved_ok[indices]
-        if operators is not None:
-            states, kept = _steer(operators[ks], states)
-            ok &= kept
+        for k in range(first // n, (last - 1) // n + 1) if steered else ():  # ops in the block
+            run = slice(max(k * n, first) - first, min(k * n + n, last) - first)  # op k's rows
+            states[run], kept = _steer(steering_ops[k].operator, states[run])
+            ok[run] &= kept
         q = PointQuantities._stack(states)
         with np.errstate(invalid="ignore", over="ignore"):  # flagged rows' columns are unused
             table, finite = _output_rows(q, outputs, len(states))

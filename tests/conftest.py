@@ -288,15 +288,15 @@ def minimize_dense_oracle(mom):
     grid = _avg_branch_entropy_grid(mom, *directions)
     ti, pj = divmod(int(np.argmin(grid)), grid.shape[1])  # smallest theta, then smallest phi
     theta, phi, value = float(thetas[ti]), float(phis[pj]), float(grid[ti, pj])
-    [mom] = mom.rows()
+    mom = mom.row(0)
     step = math.pi / 180.0
     for _ in range(100):  # a round moves each angle by at most one grid step
         start = value
-        x, fx = _golden_section(lambda t: _avg_branch_entropy_at(mom, t, phi),
+        x, fx = _golden_section(lambda ts: [_avg_branch_entropy_at(mom, t, phi) for t in ts],
                                 theta - step, theta + step)
         if fx < value:
             theta, value = x, fx
-        x, fx = _golden_section(lambda p: _avg_branch_entropy_at(mom, theta, p),
+        x, fx = _golden_section(lambda ps: [_avg_branch_entropy_at(mom, theta, p) for p in ps],
                                 phi - step, phi + step)
         if fx < value:
             phi, value = x, fx

@@ -361,23 +361,47 @@ def _same_bits(a, b):
 
 
 def test_batched_sandwiches_are_the_per_operator_loop():
-    # every shape in use: a basis or a Kraus set on one state, a basis on a stack, a Kraus
-    # stack on a stack or on one state, and one channel's (K, 1, 4, 4) on one state; the terms
-    # and their sum from 0 keep their bits, signs of zeros included
+    # every shape in use: operators shared by one state or by each state of a stack (a basis,
+    # a Kraus set or random complex operators; stacks of 0 to 1024 rows cover BLAS's edge
+    # tiles and a full _STACK_ROWS block), a Kraus stack on one state (one operator per
+    # row), and one channel's (K, 1, 4, 4) on one state; the terms and their sum from 0 keep
+    # the bits of the 4x4 products one operator at a time, signs of zeros included
     rng = np.random.RandomState(3301)
     states = np.array([rand_xstate_matrix(rng, real=k % 2 == 0) for k in range(12)])
     states[3] = np.kron(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))  # exact zeros
-    kraus = channels._kraus_stack("AD", rng.uniform(0.0, 1.0, len(states)))
-    bpf = channels._kraus_stack("BPF", rng.uniform(0.0, 1.0, len(states)))
-    bases = [sigma_x_basis().embedded, sigma_z_basis().embedded]
-    cases = [(b, rho) for b in bases for rho in states[:4]]  # (K, 4, 4) on one state
-    cases += [(b, states) for b in bases]  # (K, 4, 4) on an (N, 4, 4) stack
-    cases += [(_on_qubit_a(ops), states) for ops in (kraus, bpf)]  # (K, N, 4, 4) on a stack
-    cases += [(_on_qubit_a(ops), states[0]) for ops in (kraus, bpf)]  # ... on one state
+    stack = rng.normal(size=(1024, 4, 4)) + 1j * rng.normal(size=(1024, 4, 4))
+    stack[:12], stack[500:512] = states, states
+    stack[700] = -0.0
+    kraus = channels._kraus_stack("AD", rng.uniform(0.0, 1.0, len(stack)))
+    bpf = channels._kraus_stack("BPF", rng.uniform(0.0, 1.0, len(stack)))
+    complex_ops = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+    shared = [sigma_x_basis().embedded, sigma_z_basis().embedded]
+    shared += [_on_qubit_a(ops) for ops in (kraus[:, 0], bpf[:, 0], complex_ops)]
+    cases = [(e, rho) for e in shared for rho in states[:4]]  # (K, 4, 4) on one state
+    cases += [(e, stack[:n]) for e in shared for n in (0, 1, 2, 3, 7, 101, 1024)]  # on a stack
+    for n in (1, 2, 3, 7, 101, 1024):  # (K, N, 4, 4) on one state
+        cases += [(_on_qubit_a(ops[:, :n]), rho) for ops in (kraus, bpf) for rho in states[:2]]
     cases += [(_on_qubit_a(ops[:, :1]), rho) for ops in (kraus, bpf) for rho in states[:4]]
     for embedded, rho in cases:
         batched, loop = _sandwiches(embedded, rho), _sandwich_loop(embedded, rho)
-        assert len(batched) == len(loop)
+        assert len(batched) == len(loop) and batched.flags.c_contiguous
         for term, reference in zip(batched, loop):
             assert _same_bits(term, reference)
         assert _same_bits(sum(batched), sum(loop))
+
+
+def test_a_non_finite_row_spoils_only_its_own_sandwiches():
+    # under the callers' np.errstate, an infinite or NaN entry makes its own row's terms
+    # non-finite, and every other row keeps the bits of the stack without the bad rows
+    rng = np.random.RandomState(3302)
+    stack = np.array([rand_xstate_matrix(rng) for _ in range(101)])
+    bad = [4, 50, 100]
+    stack[4, 1, 1], stack[50, 0, 3], stack[100, 2, 0] = np.inf, np.nan, -np.inf
+    good = np.delete(np.arange(len(stack)), bad)
+    operators = [sigma_x_basis().embedded, sigma_z_basis().embedded,
+                 _on_qubit_a(channels._kraus_stack("AD", np.array([0.3]))[:, 0])]
+    for embedded in operators:
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = _sandwiches(embedded, stack)
+        assert _same_bits(terms[:, good], _sandwiches(embedded, stack[good]))
+        assert (~np.isfinite(terms[:, bad])).any(axis=(2, 3)).all()

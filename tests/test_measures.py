@@ -434,6 +434,12 @@ def test_x_state_path_matches_dense_path():
             assert abs(x_value - dense_value) <= 1e-12
 
 
+def _steer_rows(ops, states):
+    """Each state steered by its own operator: one ``channels._steer`` call per row."""
+    steered = [channels._steer(op, states[i:i + 1]) for i, op in enumerate(ops)]
+    return np.concatenate([s for s, _ in steered]), np.concatenate([k for _, k in steered])
+
+
 def _grid_bits(grid):
     return np.ascontiguousarray(grid).view(np.int64)
 
@@ -454,7 +460,7 @@ def test_both_grids_equal_the_per_sign_loop_bitwise():
         assert ok.all()
         if k % 3 == 2:
             ops = np.array([channels.weak_op(s).operator for s in rng.uniform(0.0, 0.9, 21)])
-            evolved, kept = channels._steer(ops, evolved)
+            evolved, kept = _steer_rows(ops, evolved)
             assert kept.all()
         states += list(evolved)
     states += [rand_xstate_matrix(rng, real=k % 2 == 0) for k in range(40)]
@@ -462,7 +468,7 @@ def test_both_grids_equal_the_per_sign_loop_bitwise():
     states = np.array(states)
     for side in ("A", "B"):
         mom = measures._cross_moments(states, side)
-        phis = [measures._x_state_azimuth(m) for m in mom.rows()]
+        phis = measures._x_state_azimuths(mom)
         cos_phi = np.array([math.cos(phi) for phi in phis])[:, None]
         sin_phi = np.array([math.sin(phi) for phi in phis])[:, None]
         nx, ny, nz = measures._X_SIN_T * cos_phi, measures._X_SIN_T * sin_phi, measures._X_COS_T
@@ -529,8 +535,8 @@ def test_x_state_minimum_never_exceeds_its_exact_endpoints():
     ])
     for side in ("A", "B"):
         mom = measures._cross_moments(states, side)
-        for (value, _, phi), m in zip(measures._minimize_x_states(mom), mom.rows()):
-            along_z, in_plane = _endpoints(m, phi)
+        for i, (value, _, phi) in enumerate(measures._minimize_x_states(mom)):
+            along_z, in_plane = _endpoints(mom.row(i), phi)
             assert value <= along_z
             assert value <= in_plane
 
@@ -545,8 +551,8 @@ def test_a_flat_profile_reports_no_more_than_its_exact_endpoints():
                        for a, b in rng.uniform(0.0, 1.0, (200, 2))], dtype=complex)
     for side in ("A", "B"):
         mom = measures._cross_moments(states, side)
-        for (value, _, phi), m in zip(measures._minimize_x_states(mom), mom.rows()):
-            along_z, in_plane = _endpoints(m, phi)
+        for i, (value, _, phi) in enumerate(measures._minimize_x_states(mom)):
+            along_z, in_plane = _endpoints(mom.row(i), phi)
             assert value <= along_z
             assert value <= in_plane
 
@@ -561,7 +567,7 @@ def test_endpoint_guard_refines_a_minimum_half_a_step_inside():
     rho[1, 2] = rho[2, 1] = 0.0036169
     mom = measures._cross_moments(rho[None], "B")
     [(value, theta, phi)] = measures._minimize_x_states(mom)
-    [m] = mom.rows()
+    m = mom.row(0)
     on_grid = _profile(m, phi, measures._X_THETAS[:91])
     assert on_grid.index(min(on_grid)) == 0
     assert 0.35 < math.degrees(theta) < 0.7
@@ -660,7 +666,7 @@ def test_sigma_z_mask_dephasing_equals_the_projector_sandwich(monkeypatch):
                                       np.linspace(0.0, 1.0, 21))
         assert ok.all()
         ops = np.array([channels.weak_op(s).operator for s in rng.uniform(0.0, 0.99, 21)])
-        steered, kept = channels._steer(ops, states)
+        steered, kept = _steer_rows(ops, states)
         assert kept.all()
         evolved += [*states, *steered]
     kept_inf, dropped_inf = x_states[0].copy(), x_states[1].copy()

@@ -540,9 +540,8 @@ def test_batched_u_equals_dense():
                     states, steered_ok = evolved, evolved_ok
                     if kind is not None:
                         op = filter_op(s) if kind == "filter" else weak_op(s)
-                        # one operator per row; the input check is the caller's
-                        ops = np.broadcast_to(op.operator, (len(evolved), 2, 2))
-                        states, steered_ok = channels._steer(ops, evolved)
+                        # one operator for the stack; the input check is the caller's
+                        states, steered_ok = channels._steer(op.operator, evolved)
                         steered_ok &= stacked_density_spectra(evolved)[1]
                     us, ok = bounds._stacked_u(states)
                     assert evolved_ok.all() and steered_ok.all() and ok.all()

@@ -72,7 +72,7 @@ MUTANTS = [
     (
         "measures._minimize_x_states skips the refinement at an endpoint without its probe",
         PACKAGE + "measures.py",
-        "if row[91 + i // 90] >= row[i]:",
+        "if row[2 + i // 90] >= row[i // 90]:",
         "if True:",
         ("tests/test_measures.py::test_endpoint_guard_refines_a_minimum_half_a_step_inside",),
     ),
@@ -106,11 +106,25 @@ MUTANTS = [
         ("tests/test_measures.py::test_one_log2_call_gives_each_spectrum_its_own_bits",),
     ),
     (
+        "linalg._sandwiches' flat path associated as e (rho e^dagger)",
+        PACKAGE + "linalg.py",
+        "np.matmul(left.reshape(k, 4, n, 4), adjoint[:, None], out=terms.swapaxes(1, 2))",
+        "terms[:] = embedded[:, None] @ (rho @ adjoint[:, None])",
+        ("tests/test_linalg.py::test_batched_sandwiches_are_the_per_operator_loop",),
+    ),
+    (
         "sweep._grid_points without its check of rho0",
         PACKAGE + "sweep.py",
         "    validate_two_qubit(rho0)  # apply_one_sided's input check, once for the grid\n",
         "",
         ("tests/test_sweep.py::test_grid_points_check_rho0_once_before_evolving",),
+    ),
+    (
+        "sweep._grid_points steers a whole block with the operator of its first row",
+        PACKAGE + "sweep.py",
+        "_steer(steering_ops[k].operator, states[run])",
+        "_steer(steering_ops[first // n].operator, states[run])",
+        ("tests/test_sweep.py::test_steered_sweep_is_one_stack_in_blocks",),
     ),
     (
         "applications.witness_threshold without its check of rho0",
