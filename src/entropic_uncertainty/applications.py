@@ -14,12 +14,13 @@ call, each bisection step and straddle check its one point, and rho0 is checked 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .bounds import PointQuantities, witnessed
 from .channels import _evolve, apply_steering, weak_op
-from .linalg import validate_two_qubit
+from .linalg import _of_type, validate_two_qubit
 from .states import BellDiagonalCoeffs, bell_diagonal_density
 from .sweep import _grid_points, _numbers
 
@@ -108,6 +109,8 @@ def capacity_curves(
     """
     if rate_lambda is not None and channel_family != "AD":
         raise ValueError("a decay rate only parametrizes the damping channel")
+    if rate_lambda is not None:  # once here, not in d_of_t at every point
+        _of_type("rate_lambda", rate_lambda, Real)
     xs = _numbers("schedule", schedule)
     points = _grid_points(channel_family, bell_diagonal_density(coeffs), xs, rate_lambda,
                           (None,), ("capacity",))

@@ -2,9 +2,9 @@
 published closed-form expressions kept as cross-checks.
 
 The setup is the quantum-memory game of Berta et al. (Nature Phys. 6, 659
-(2010)): qubit A is measured in sigma_x and sigma_z (``BASES``, whose
-complementarity ``C`` is 1/2) and qubit B is the quantum memory.  Every formula
-and every stack here uses that one setup.
+(2010)): qubit A is measured in sigma_x and sigma_z (``BASES``, the two constants
+``measures.SIGMA_X`` and ``SIGMA_Z``, whose complementarity ``C`` is 1/2) and qubit B is
+the quantum memory.  Every formula and every stack here uses that one setup.
 
 ``PointQuantities`` is the one evaluator of one state and, through its private
 ``_stack``, of an X-state stack, for the sweep, ``errata_report``,
@@ -37,7 +37,9 @@ import numpy as np
 
 from .linalg import BOUND_ORDER_ATOL, partial_trace, stacked_partial_trace, validate_two_qubit
 from .measures import (
-    ProjectiveBasis,
+    SIGMA_X,
+    SIGMA_Z,
+    _Basis,
     _dephased,
     _entropies,
     _measured_probabilities,
@@ -46,8 +48,6 @@ from .measures import (
     discord_from,
     holevo_quantity,
     min_conditional_entropy_over_measurements,
-    sigma_x_basis,
-    sigma_z_basis,
     stacked_holevo,
     stacked_measurement_minima,
     stacked_von_neumann_entropy,
@@ -58,7 +58,7 @@ from .states import BellDiagonalCoeffs
 _EDGE = 1.0 - 1e-12
 
 
-def complementarity_c(b1: ProjectiveBasis, b2: ProjectiveBasis) -> float:
+def complementarity_c(b1: _Basis, b2: _Basis) -> float:
     """Largest squared overlap max_{i,j} |<x_i|z_j>|^2 between two bases."""
     best = 0.0
     for p in b1.projectors:
@@ -68,7 +68,7 @@ def complementarity_c(b1: ProjectiveBasis, b2: ProjectiveBasis) -> float:
 
 
 # The measured pair of the uncertainty game and its complementarity c = 1/2.
-BASES = (sigma_x_basis(), sigma_z_basis())
+BASES = (SIGMA_X, SIGMA_Z)
 C = complementarity_c(*BASES)
 
 
@@ -122,7 +122,10 @@ class PointQuantities:
     def s_ab(self):
         if self.stacked:  # the state's own check: its S(AB) spectrum and X pattern
             return self._column(*stacked_von_neumann_entropy(self.rho))
-        return von_neumann_entropy(self.rho)
+        s_ab = von_neumann_entropy(self.rho)  # validate_two_qubit's checks, on this one spectrum
+        if np.shape(self.rho) != (4, 4):
+            raise ValueError("not a two-qubit state")
+        return s_ab
 
     def _reduced_entropy(self, keep: str):
         if not self.stacked:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .linalg import (
     I2,
     PAULI_Y,
     POSTSELECT_MIN_PROB,
+    _of_type,
     _on_qubit_a,
     _sandwiches,
     as_matrix,
@@ -71,7 +73,7 @@ def _kraus_stack(family: str, params: np.ndarray) -> np.ndarray:
 
 def ad_kraus(d: float) -> KrausChannel:
     """Amplitude damping with decay probability d."""
-    if not 0.0 <= d <= 1.0:
+    if not 0.0 <= _of_type("d", d, Real) <= 1.0:
         raise ValueError(f"damping probability d = {d!r} outside [0, 1]")
     return KrausChannel(operators=tuple(_kraus_stack("AD", np.array([d]))[:, 0]))
 
@@ -85,7 +87,7 @@ def d_of_t(rate: float, t: float) -> float:
 
 def bpf_kraus(p: float) -> KrausChannel:
     """Bit-phase flip: identity with probability p, sigma_y flip with 1 - p."""
-    if not 0.0 <= p <= 1.0:
+    if not 0.0 <= _of_type("p", p, Real) <= 1.0:
         raise ValueError(f"flip parameter p = {p!r} outside [0, 1]")
     return KrausChannel(operators=tuple(_kraus_stack("BPF", np.array([p]))[:, 0]))
 
@@ -115,7 +117,7 @@ def _evolve(family: str, rho0: np.ndarray, params: np.ndarray) -> tuple[np.ndarr
 
 def apply_one_sided(channel: KrausChannel, rho) -> np.ndarray:
     """Evolve a two-qubit density matrix with the channel acting on qubit A."""
-    ops = np.array(channel.operators).reshape(-1, 1, 2, 2)
+    ops = np.array(_of_type("channel", channel, KrausChannel).operators).reshape(-1, 1, 2, 2)
     return _sandwich(ops, validate_two_qubit(rho))[0]
 
 
@@ -140,7 +142,7 @@ class SteeringOp:
 
 def filter_op(k: float) -> SteeringOp:
     """Filtering operator diag(sqrt(1-k), sqrt(k)) for strength 0 < k < 1."""
-    if not 0.0 < k < 1.0:
+    if not 0.0 < _of_type("k", k, Real) < 1.0:
         raise ValueError(f"filter strength k = {k!r} outside the open interval (0, 1)")
     op = np.array([[math.sqrt(1.0 - k), 0.0], [0.0, math.sqrt(k)]], dtype=complex)
     return SteeringOp(operator=op)
@@ -148,7 +150,7 @@ def filter_op(k: float) -> SteeringOp:
 
 def weak_op(s: float) -> SteeringOp:
     """Weak-measurement operator diag(1, sqrt(1-s)) for strength 0 <= s < 1."""
-    if not 0.0 <= s < 1.0:
+    if not 0.0 <= _of_type("s", s, Real) < 1.0:
         raise ValueError(f"weak-measurement strength s = {s!r} outside [0, 1)")
     op = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - s)]], dtype=complex)
     return SteeringOp(operator=op)
@@ -165,7 +167,7 @@ def _steer(op: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def apply_steering(op: SteeringOp, rho) -> np.ndarray:
     """Apply (O (x) I) rho (O (x) I)^dagger / tr[...], O acting on qubit A."""
-    states, kept = _steer(op.operator, validate_two_qubit(rho)[None])
+    states, kept = _steer(_of_type("op", op, SteeringOp).operator, validate_two_qubit(rho)[None])
     if not kept[0]:
         raise ValueError("post-selection probability ~ 0, conditional state undefined")
     return states[0]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from numbers import Real
 
 import numpy as np
 
@@ -52,6 +53,14 @@ def as_matrix(entries) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
+
+
+def _of_type(name: str, value, kind: type):
+    """``value`` if it is a ``kind``, else a TypeError naming the argument ``name``."""
+    if isinstance(value, kind):
+        return value
+    what = "real number" if kind is Real else kind.__name__
+    raise TypeError(f"{name} = {value!r} is not a {what}")
 
 
 def tensor_product(a, b) -> np.ndarray:

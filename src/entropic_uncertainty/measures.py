@@ -19,13 +19,15 @@ theta = 0 and theta = pi/2, so both endpoints are stationary.  One formula,
 signs, as one (2, N, 93) array, and each refined row's on Python numbers, so a state gets
 the same bits in a stack as on its own.  The optimizer is deterministic.
 
-Each outcome of a fixed-basis measurement leaves one unnormalized branch (``_branches``):
-dephasing is their sum, and the Holevo quantity reads each branch's memory (all of a
-stack's, both bases', as one entropy stack).  A branch multiplies by a 0/1 mask when the
-projectors are 0/1-diagonal (sigma_z: dephased by the summed mask in 0.6 us a state), else
-sandwiches the state (sigma_x, with cos(pi/2) = 6.1e-17 on its diagonal), all outcomes
-of a stack in a few flat BLAS products (``linalg._sandwiches``: 22 us for 101 rows against
-105 us for one 4x4 product per matrix, one CPU of a 2-core Xeon); see ``ProjectiveBasis``.
+The fixed-basis quantities take one of the two measurements of the uncertainty game,
+``SIGMA_X`` or ``SIGMA_Z``, each built once at import (``_Basis``).  Each outcome leaves
+one unnormalized branch (``_branches``): dephasing is their sum, and the Holevo quantity
+reads each branch's memory (all of a stack's, both bases', as one entropy stack).  A
+branch multiplies by a 0/1 mask when the projectors are 0/1-diagonal (sigma_z: dephased by
+the summed mask in 0.6 us a state), else sandwiches the state (sigma_x, with cos(pi/2) =
+6.1e-17 in its direction), all outcomes of a stack in a few flat BLAS products
+(``linalg._sandwiches``: 22 us for 101 rows against 105 us for one 4x4 product per
+matrix, one CPU of a 2-core Xeon).
 
 Side conventions: the fixed-basis quantities measure qubit A (the qubit exposed
 to noise) with qubit B as the memory.  Only the optimizer takes a side:
@@ -37,13 +39,10 @@ qubit B and averaging the entropy of the unmeasured qubit A.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import (
-    COMPLETENESS_ATOL,
-    HERMITIAN_ATOL,
     I2,
     PAULI_X,
     PAULI_Y,
@@ -132,87 +131,38 @@ def stacked_von_neumann_entropy(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1), ok
 
 
-@dataclass(frozen=True)
-class BlochDirection:
-    """Measurement direction on the Bloch sphere (theta polar, phi azimuthal)."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta = {self.theta!r} outside [0, pi]")
-        if not 0.0 <= self.phi < 2.0 * math.pi:
-            raise ValueError(f"phi = {self.phi!r} outside [0, 2*pi)")
-
-    def unit_vector(self) -> tuple[float, float, float]:
-        st = math.sin(self.theta)
-        return (
-            st * math.cos(self.phi),
-            st * math.sin(self.phi),
-            math.cos(self.theta),
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectiveBasis:
-    """Two orthogonal rank-1 projectors forming a complete qubit measurement, and
-    ``embedded``, both on qubit A (P (x) I) as a (2, 4, 4) array built once.
+class _Basis:
+    """The measurement of qubit A along the Bloch direction n = (nx, ny, nz): its two
+    projectors (I +/- n.sigma) / 2, and ``embedded``, both on qubit A (P (x) I) as a
+    (2, 4, 4) array, built once.
 
     When both embedded projectors are 0/1-diagonal, as sigma_z's are exactly, outcome x
     keeps entry (i, j) of a state iff ``branch_masks[x, i, j]`` is 1, the projector
     sandwich's numbers (up to the sign of an exact zero) without its matmuls; their sum is
-    ``dephasing_mask``.  Else both are None: sigma_x's diagonal carries cos(pi/2) = 6.1e-17.
+    ``dephasing_mask``.  Else both are None.
     """
 
-    projectors: tuple[np.ndarray, np.ndarray]
-    embedded: np.ndarray = field(init=False, repr=False)
-    branch_masks: np.ndarray | None = field(init=False, repr=False, default=None)
-    dephasing_mask: np.ndarray | None = field(init=False, repr=False, default=None)
-
-    def __post_init__(self):
-        projs = tuple(as_matrix(p) for p in self.projectors)
-        object.__setattr__(self, "projectors", projs)
-        if len(projs) != 2:
-            raise ValueError("a qubit basis needs exactly two projectors")
-        for p in projs:
-            if p.shape != (2, 2):
-                raise ValueError(f"projector has shape {p.shape}, expected (2, 2)")
-            if float(np.abs(p - p.conj().T).max()) > HERMITIAN_ATOL:
-                raise ValueError("projector is not Hermitian")
-            if float(np.abs(p @ p - p).max()) > HERMITIAN_ATOL:
-                raise ValueError("projector is not idempotent")
-        defect = float(np.abs(projs[0] + projs[1] - I2).max())
-        if defect > COMPLETENESS_ATOL:
-            raise ValueError(f"projectors do not sum to identity (defect {defect:.3e})")
-        embedded = _on_qubit_a(np.array(projs))
-        object.__setattr__(self, "embedded", embedded)
-        diagonals = np.diagonal(embedded, axis1=1, axis2=2)
+    def __init__(self, direction: tuple[float, float, float]):
+        nx, ny, nz = direction
+        spin = nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z
+        self.projectors = (0.5 * (I2 + spin), 0.5 * (I2 - spin))
+        self.embedded = _on_qubit_a(np.array(self.projectors))
+        self.branch_masks = self.dephasing_mask = None
+        diagonals = np.diagonal(self.embedded, axis1=1, axis2=2)
         if (np.isin(diagonals, (0.0, 1.0)).all()
-                and (embedded == diagonals[:, :, None] * np.eye(4)).all()):
-            masks = diagonals[:, :, None] * diagonals[:, None, :]
-            object.__setattr__(self, "branch_masks", masks)
-            object.__setattr__(self, "dephasing_mask", masks[0] + masks[1])
+                and (self.embedded == diagonals[:, :, None] * np.eye(4)).all()):
+            self.branch_masks = diagonals[:, :, None] * diagonals[:, None, :]
+            self.dephasing_mask = self.branch_masks[0] + self.branch_masks[1]
 
 
-def bloch_basis(direction: BlochDirection) -> ProjectiveBasis:
-    """Projective basis along a Bloch direction: (I +/- n.sigma) / 2."""
-    nx, ny, nz = direction.unit_vector()
-    spin = nx * PAULI_X + ny * PAULI_Y + nz * PAULI_Z
-    plus = 0.5 * (I2 + spin)
-    minus = 0.5 * (I2 - spin)
-    return ProjectiveBasis(projectors=(plus, minus))
+# The measured pair of the uncertainty game.  sigma_x is the direction (theta, phi) =
+# (pi/2, 0), so its z component is cos(pi/2) = 6.1e-17, not 0: its projectors' diagonals
+# are 0.5 and 0.5 - 2**-54, bits that u and the sigma_x Holevo quantity carry.
+SIGMA_X = _Basis((1.0, 0.0, math.cos(math.pi / 2)))
+SIGMA_Z = _Basis((0.0, 0.0, 1.0))
 
 
-def sigma_x_basis() -> ProjectiveBasis:
-    return bloch_basis(BlochDirection(math.pi / 2.0, 0.0))
-
-
-def sigma_z_basis() -> ProjectiveBasis:
-    return bloch_basis(BlochDirection(0.0, 0.0))
-
-
-def _branches(states: np.ndarray, basis: ProjectiveBasis, summed: bool = False):
+def _branches(states: np.ndarray, basis: _Basis, summed: bool = False):
     """The unnormalized state (P_x)_A rho (P_x)_A that each outcome x of ``basis`` leaves,
     of one state or of an (N, 4, 4) stack, or their sum if ``summed``: by ``branch_masks``
     (summed: ``dephasing_mask``) where the basis has them, else by the projector sandwich.
@@ -223,25 +173,25 @@ def _branches(states: np.ndarray, basis: ProjectiveBasis, summed: bool = False):
     return terms[0] + terms[1] if summed else terms
 
 
-def _dephased(states: np.ndarray, basis: ProjectiveBasis) -> np.ndarray:
+def _dephased(states: np.ndarray, basis: _Basis) -> np.ndarray:
     """Dephasing of one state or of a stack: the sum of its ``_branches`` (adding them to 0
     one by one would make an exact zero's sign positive)."""
     return _branches(states, basis, summed=True)
 
 
-def post_measurement_state(rho, basis: ProjectiveBasis) -> np.ndarray:
+def post_measurement_state(rho, basis: _Basis) -> np.ndarray:
     """Dephased state sum_x (P_x)_A rho (P_x)_A after measuring qubit A."""
     return _dephased(validate_two_qubit(rho), basis)
 
 
-def _measured_probabilities(rho: np.ndarray, basis: ProjectiveBasis) -> list[list[float]]:
+def _measured_probabilities(rho: np.ndarray, basis: _Basis) -> list[list[float]]:
     """``_probabilities`` of a checked state dephased by ``basis``, then of the memory it leaves."""
     e = _dephased(rho, basis).tolist()  # the memory's entry [b][c] is e[b][c] + e[2 + b][2 + c]
     memory = [[e[b][c] + e[2 + b][2 + c] for c in (0, 1)] for b in (0, 1)]
     return [_probabilities(e), _probabilities(memory)]
 
 
-def conditional_entropy_after_measurement(rho, basis: ProjectiveBasis) -> float:
+def conditional_entropy_after_measurement(rho, basis: _Basis) -> float:
     """S(measured A | B) = S(post-measurement state) - S(memory B)."""
     joint, memory = _entropies(_measured_probabilities(validate_two_qubit(rho), basis))
     return joint - memory
@@ -285,7 +235,7 @@ def stacked_holevo(states: np.ndarray, bases, s_memory: np.ndarray):
     return totals, (good | ~kept).reshape(2 * len(bases), n).all(axis=0)
 
 
-def holevo_quantity(rho, basis: ProjectiveBasis) -> float:
+def holevo_quantity(rho, basis: _Basis) -> float:
     """Accessible-information bound S(rho_B) - sum_i p_i S(rho_B | outcome i of A)."""
     states = validate_two_qubit(rho)[None]
     s_memory = von_neumann_entropy(partial_trace(states[0], "B"))

@@ -13,7 +13,7 @@ from numbers import Real
 
 import numpy as np
 
-from .linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, PSD_ATOL, tensor_product
+from .linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, PSD_ATOL, _of_type, tensor_product
 
 # (label, sign pattern applied to (c1, c2, c3)) for the four eigenvalues
 # (1 +/- c1 -/+ c2 +/- c3) / 4 of the Bell-diagonal family.
@@ -81,8 +81,7 @@ class BellDiagonalCoeffs:
 
 def bell_diagonal_density(coeffs: BellDiagonalCoeffs) -> np.ndarray:
     """Density matrix (I (x) I + sum_j c_j sigma_j (x) sigma_j) / 4."""
-    if not isinstance(coeffs, BellDiagonalCoeffs):
-        raise TypeError(f"coeffs = {coeffs!r} is not a BellDiagonalCoeffs")
+    coeffs = _of_type("coeffs", coeffs, BellDiagonalCoeffs)
     rho = _IDENTITY
     for c, correlator in zip(coeffs.as_tuple(), _CORRELATORS):
         rho = rho + c * correlator

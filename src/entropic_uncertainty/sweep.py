@@ -111,7 +111,7 @@ class SweepConfig:
                                                       self.steering_strengths) else None
         if outputs is not None and not outputs:
             problems.append("outputs list is empty")
-        for tag in dict.fromkeys(outputs or ()):
+        for tag in [t for i, t in enumerate(outputs or ()) if outputs.index(t) == i]:
             if tag not in OUTPUT_TAGS:
                 problems.append(f"unknown output tag {tag!r}")
             if outputs.count(tag) > 1:

@@ -19,7 +19,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from entropic_uncertainty.linalg import POSTSELECT_MIN_PROB  # noqa: E402
 from entropic_uncertainty.measures import (  # noqa: E402
-    ProjectiveBasis,
+    _Basis,
     _avg_branch_entropy_grid,
     _golden_section,
 )
@@ -148,8 +148,9 @@ PZ_ORACLE = [projector_oracle([1, 0]), projector_oracle([0, 1])]
 
 
 def sigma_y_basis():
-    """The sigma_y measurement, from its eigenvectors (1, +-i) / sqrt(2)."""
-    return ProjectiveBasis((projector_oracle([1, 1j]), projector_oracle([1, -1j])))
+    """The sigma_y measurement, along (0, 1, 0); ``test_pauli_bases`` checks its projectors
+    against its eigenvectors (1, +-i) / sqrt(2)."""
+    return _Basis((0.0, 1.0, 0.0))
 
 
 def post_meas_oracle(rho, projs):

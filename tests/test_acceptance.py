@@ -29,17 +29,17 @@ from entropic_uncertainty.channels import (
     bpf_kraus,
 )
 from entropic_uncertainty.measures import (
+    SIGMA_X,
+    SIGMA_Z,
     classical_correlation,
     holevo_quantity,
     mutual_information,
     quantum_discord,
-    sigma_x_basis,
-    sigma_z_basis,
 )
 from entropic_uncertainty.states import BellDiagonalCoeffs, bell_diagonal_density
 from entropic_uncertainty.sweep import SweepConfig, run_sweep
 
-BX, BZ = sigma_x_basis(), sigma_z_basis()
+BX, BZ = SIGMA_X, SIGMA_Z
 FIG1 = BellDiagonalCoeffs(-0.5, 0.4, 0.8)
 
 

@@ -37,13 +37,13 @@ from entropic_uncertainty.channels import (
 )
 from entropic_uncertainty.linalg import BOUND_ORDER_ATOL
 from entropic_uncertainty.measures import (
+    SIGMA_X,
+    SIGMA_Z,
     quantum_conditional_entropy,
-    sigma_x_basis,
-    sigma_z_basis,
 )
 from entropic_uncertainty.states import BellDiagonalCoeffs, bell_diagonal_density
 
-BX, BZ = sigma_x_basis(), sigma_z_basis()
+BX, BZ = SIGMA_X, SIGMA_Z
 WITNESS_COEFFS = BellDiagonalCoeffs(-1.0, 1.0, 1.0)
 CAPACITY_COEFFS = BellDiagonalCoeffs(1.0, 1.0, -1.0)
 
@@ -221,7 +221,12 @@ def test_witness_threshold_rejects_a_bad_strength(s):
      r"^grid = 0.5 is not a list of numbers$"),
     (lambda: capacity_curves("AD", CAPACITY_COEFFS, "01"),
      r"^schedule = '01' is not a list of numbers$"),
-], ids=["witness-tuple", "capacity-tuple", "errata-string", "errata-number", "capacity-string"])
+    (lambda: witness_threshold("AD", WITNESS_COEFFS, s="0.4"),
+     r"^s = '0.4' is not a real number$"),
+    (lambda: capacity_curves("AD", CAPACITY_COEFFS, [0.5, 1.0], rate_lambda="0.3"),
+     r"^rate_lambda = '0.3' is not a real number$"),
+], ids=["witness-tuple", "capacity-tuple", "errata-string", "errata-number", "capacity-string",
+        "witness-strength-string", "capacity-rate-string"])
 def test_a_wrongly_typed_argument_is_named(call, message):
     # a tuple has no as_tuple (AttributeError), and a string grid was read letter by letter
     with pytest.raises(TypeError, match=message):

@@ -33,8 +33,8 @@ from entropic_uncertainty.bounds import (
 from entropic_uncertainty.channels import apply_steering, weak_op
 from entropic_uncertainty.linalg import NotHermitianError, density_spectrum
 from entropic_uncertainty.measures import (
-    BlochDirection,
-    bloch_basis,
+    SIGMA_X,
+    SIGMA_Z,
     classical_correlation,
     conditional_entropy_after_measurement,
     holevo_quantity,
@@ -42,8 +42,6 @@ from entropic_uncertainty.measures import (
     mutual_information,
     quantum_conditional_entropy,
     quantum_discord,
-    sigma_x_basis,
-    sigma_z_basis,
     stacked_von_neumann_entropy,
     von_neumann_entropy,
 )
@@ -52,7 +50,7 @@ from entropic_uncertainty.states import BellDiagonalCoeffs
 BELL = bd_oracle(1.0, -1.0, 1.0)
 FIG1 = bd_oracle(-0.5, 0.4, 0.8)
 MIXED = np.eye(4, dtype=complex) / 4
-BX, BZ = sigma_x_basis(), sigma_z_basis()
+BX, BZ = SIGMA_X, SIGMA_Z
 
 
 def test_complementarity_x_z():
@@ -64,7 +62,7 @@ def test_complementarity_identical_bases():
 
 
 def test_complementarity_sixty_degrees():
-    tilted = bloch_basis(BlochDirection(math.pi / 3, 0.0))
+    tilted = measures._Basis((math.sin(math.pi / 3), 0.0, math.cos(math.pi / 3)))
     assert complementarity_c(BZ, tilted) == pytest.approx(0.75, abs=1e-12)
 
 
@@ -176,6 +174,29 @@ def test_a_stack_is_not_one_state():
     # only _stack reads a stack; the public entry points refuse one as they refuse any 3-D input
     for call in (berta_bound, channel_capacity, bound_report, lambda m: PointQuantities(m).u):
         assert _outcome(call, STACK) == (ValueError, "expected a 2-D matrix, got shape (2, 4, 4)")
+
+
+@pytest.mark.parametrize("m", [np.eye(2) / 2, np.eye(3) / 3], ids=["2x2", "3x3"])
+def test_s_ab_refuses_a_state_that_is_not_two_qubit(m):
+    # von_neumann_entropy takes a density matrix of any size: s_ab returned 1.0 for the 2x2
+    for name in ("s_ab", "s_a", "u", "berta"):
+        with pytest.raises(ValueError, match="^not a two-qubit state$"):
+            getattr(PointQuantities(m), name)
+
+
+def test_s_ab_takes_one_spectrum(monkeypatch):
+    # the shape check adds no spectrum pass to the one-state S(AB)
+    calls = []
+
+    def counted(e):
+        calls.append(len(e))
+        return real(e)
+
+    real = linalg._spectrum
+    monkeypatch.setattr(linalg, "_spectrum", counted)
+    monkeypatch.setattr(measures, "_spectrum", counted)
+    assert PointQuantities(FIG1).s_ab == von_neumann_entropy(FIG1)
+    assert calls == [4, 4]  # s_ab's, then von_neumann_entropy's
 
 
 def test_huge_asymmetric_entries_raise_without_a_warning():

@@ -80,6 +80,25 @@ def test_kraus_channel_rejects_incomplete_set():
         KrausChannel(operators=(0.5 * I2,))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: weak_op("0.4"), "s = '0.4' is not a real number"),
+    (lambda: filter_op(None), "k = None is not a real number"),
+    (lambda: ad_kraus("0.3"), "d = '0.3' is not a real number"),
+    (lambda: bpf_kraus([0.3]), "p = [0.3] is not a real number"),
+    (lambda: noise_kraus("AD", "0.3"), "d = '0.3' is not a real number"),
+    (lambda: noise_kraus("BPF", "0.3"), "p = '0.3' is not a real number"),
+    (lambda: apply_one_sided("AD", np.eye(4) / 4), "channel = 'AD' is not a KrausChannel"),
+    (lambda: apply_steering(0.3, np.eye(4) / 4), "op = 0.3 is not a SteeringOp"),
+], ids=["weak-op-string", "filter-op-none", "ad-kraus-string", "bpf-kraus-list",
+        "noise-kraus-ad-string", "noise-kraus-bpf-string", "one-sided-string", "steering-number"])
+def test_a_wrongly_typed_argument_is_named(call, message):
+    # a comparison with a string or None raised a bare TypeError, and a string or a number
+    # has no operators (AttributeError)
+    with pytest.raises(TypeError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_parameter_range_errors():
     for bad in (-0.1, 1.1):
         with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from entropic_uncertainty.states import BellDiagonalCoeffs
 
 FIG1 = BellDiagonalCoeffs(-0.5, 0.4, 0.8)
 CONFIG = "channel = AD\nc1 = 0\nc2 = 0\nc3 = 0\n"
-SKEW = np.array([[1, 1], [0, 0]])  # idempotent, not Hermitian
 
 
 def _eur(argv):
@@ -41,14 +40,6 @@ CASES = [
      ValueError, "diagonal entry (1.5+0j) outside the allowed range [0, 1]"),
     ("steering-imaginary", lambda tmp: channels.SteeringOp(np.diag([1.0, 0.5j])),
      ValueError, "diagonal entry 0.5j outside the allowed range [0, 1]"),
-    ("basis-three-projectors",
-     lambda tmp: measures.ProjectiveBasis((np.diag([1, 0]), np.diag([0, 1]), np.diag([0, 0]))),
-     ValueError, "a qubit basis needs exactly two projectors"),
-    ("basis-3x3-projector", lambda tmp: measures.ProjectiveBasis((np.eye(3), np.diag([0, 1]))),
-     ValueError, "projector has shape (3, 3), expected (2, 2)"),
-    ("basis-non-hermitian",
-     lambda tmp: measures.ProjectiveBasis((SKEW, np.eye(2) - SKEW)),
-     ValueError, "projector is not Hermitian"),
     ("unknown-side",
      lambda tmp: measures.classical_correlation(states.bell_diagonal_density(FIG1), "C"),
      ValueError, "unknown subsystem tag 'C' (expected 'A' or 'B')"),

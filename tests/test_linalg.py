@@ -32,12 +32,12 @@ from entropic_uncertainty.linalg import (
     validate_two_qubit,
 )
 from entropic_uncertainty.measures import (
+    SIGMA_X,
+    SIGMA_Z,
     classical_correlation,
     holevo_quantity,
     min_conditional_entropy_over_measurements,
     post_measurement_state,
-    sigma_x_basis,
-    sigma_z_basis,
 )
 
 
@@ -333,8 +333,8 @@ def test_partial_trace_is_the_one_row_stack():
     [
         lambda rho: apply_one_sided(bpf_kraus(0.3), rho),
         lambda rho: apply_steering(weak_op(0.3), rho),
-        lambda rho: post_measurement_state(rho, sigma_z_basis()),
-        lambda rho: holevo_quantity(rho, sigma_z_basis()),
+        lambda rho: post_measurement_state(rho, SIGMA_Z),
+        lambda rho: holevo_quantity(rho, SIGMA_Z),
         min_conditional_entropy_over_measurements,
         classical_correlation,
         validate_two_qubit,
@@ -375,7 +375,7 @@ def test_batched_sandwiches_are_the_per_operator_loop():
     kraus = channels._kraus_stack("AD", rng.uniform(0.0, 1.0, len(stack)))
     bpf = channels._kraus_stack("BPF", rng.uniform(0.0, 1.0, len(stack)))
     complex_ops = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
-    shared = [sigma_x_basis().embedded, sigma_z_basis().embedded]
+    shared = [SIGMA_X.embedded, SIGMA_Z.embedded]
     shared += [_on_qubit_a(ops) for ops in (kraus[:, 0], bpf[:, 0], complex_ops)]
     cases = [(e, rho) for e in shared for rho in states[:4]]  # (K, 4, 4) on one state
     cases += [(e, stack[:n]) for e in shared for n in (0, 1, 2, 3, 7, 101, 1024)]  # on a stack
@@ -398,7 +398,7 @@ def test_a_non_finite_row_spoils_only_its_own_sandwiches():
     bad = [4, 50, 100]
     stack[4, 1, 1], stack[50, 0, 3], stack[100, 2, 0] = np.inf, np.nan, -np.inf
     good = np.delete(np.arange(len(stack)), bad)
-    operators = [sigma_x_basis().embedded, sigma_z_basis().embedded,
+    operators = [SIGMA_X.embedded, SIGMA_Z.embedded,
                  _on_qubit_a(channels._kraus_stack("AD", np.array([0.3]))[:, 0])]
     for embedded in operators:
         with np.errstate(over="ignore", invalid="ignore"):

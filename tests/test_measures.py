@@ -24,6 +24,7 @@ from conftest import (
     ptrace_oracle,
     rand_bd_coeffs,
     rand_xstate_matrix,
+    projector_oracle,
     shannon_oracle,
     sigma_y_basis,
     spectrum_oracle,
@@ -39,10 +40,9 @@ from entropic_uncertainty.linalg import (
     stacked_partial_trace,
 )
 from entropic_uncertainty.measures import (
-    BlochDirection,
-    ProjectiveBasis,
+    SIGMA_X,
+    SIGMA_Z,
     binary_entropy,
-    bloch_basis,
     classical_correlation,
     conditional_entropy_after_measurement,
     discord_xstate_closed,
@@ -52,8 +52,6 @@ from entropic_uncertainty.measures import (
     post_measurement_state,
     quantum_conditional_entropy,
     quantum_discord,
-    sigma_x_basis,
-    sigma_z_basis,
     von_neumann_entropy,
 )
 from entropic_uncertainty.states import BellDiagonalCoeffs, bell_diagonal_density
@@ -94,31 +92,46 @@ def test_von_neumann_entropy_examples():
     assert von_neumann_entropy(FIG1) == pytest.approx(entropy_oracle(FIG1), abs=1e-12)
 
 
-def test_projective_basis_validation():
-    with pytest.raises(ValueError, match="idempotent"):
-        ProjectiveBasis(projectors=(0.5 * np.eye(2), 0.5 * np.eye(2)))
-    with pytest.raises(ValueError, match="sum to identity"):
-        p = np.array([[1, 0], [0, 0]], dtype=complex)
-        ProjectiveBasis(projectors=(p, p))
+def _along(theta, phi):
+    """The measurement along the Bloch direction (theta, phi)."""
+    st = math.sin(theta)
+    return measures._Basis((st * math.cos(phi), st * math.sin(phi), math.cos(theta)))
 
 
 def test_pauli_bases():
-    bx = sigma_x_basis()
-    assert_allclose(bx.projectors[0], 0.5 * (np.eye(2) + PAULI_X), atol=1e-15)
-    bz = sigma_z_basis()
-    assert_allclose(bz.projectors[0], np.diag([1.0, 0.0]).astype(complex), atol=1e-15)
+    assert_allclose(SIGMA_X.projectors[0], 0.5 * (np.eye(2) + PAULI_X), atol=1e-15)
+    assert_allclose(SIGMA_Z.projectors[0], np.diag([1.0, 0.0]).astype(complex), atol=1e-15)
     by = sigma_y_basis()
     assert_allclose(by.projectors[0] + by.projectors[1], np.eye(2), atol=1e-15)
-    on_y_axis = bloch_basis(BlochDirection(math.pi / 2, math.pi / 2))
-    assert_allclose(on_y_axis.projectors, by.projectors, atol=1e-15)
+    eigenvectors = [projector_oracle([1, 1j]), projector_oracle([1, -1j])]
+    for basis in (by, _along(math.pi / 2, math.pi / 2)):
+        assert_allclose(basis.projectors, eigenvectors, atol=1e-15)
+
+
+def test_sigma_x_projectors_are_pinned_bit_for_bit():
+    # sigma_x is the direction (pi/2, 0), whose z component is cos(pi/2) = 6.1e-17, not 0:
+    # 1 + 6.1e-17 rounds to 1 but 1 - 6.1e-17 does not, so each projector has one diagonal
+    # entry 0.5 - 2**-54.  A tidier literal moves the last bits of u and of the sigma_x
+    # Holevo quantity, which the golden CSVs' printed digits do not show.
+    cos_half_pi = math.cos(math.pi / 2)
+    assert cos_half_pi == 6.123233995736766e-17
+    spin = PAULI_X + cos_half_pi * PAULI_Z
+    for got, sign in zip(SIGMA_X.projectors, (1.0, -1.0)):
+        expected = 0.5 * (np.eye(2) + sign * spin)
+        assert np.array_equal(got, expected)
+        for part in (np.real, np.imag):  # signs of zeros included
+            assert np.array_equal(np.signbit(part(got)), np.signbit(part(expected)))
+    below = 0.5 - 2.0 ** -54
+    assert [np.diagonal(p).real.tolist() for p in SIGMA_X.projectors] == [[0.5, below],
+                                                                          [below, 0.5]]
+    assert SIGMA_X.branch_masks is None and SIGMA_X.dephasing_mask is None
+    assert SIGMA_Z.branch_masks is not None and SIGMA_Z.dephasing_mask is not None
 
 
 def test_embedded_projectors_equal_kron():
     rng = np.random.RandomState(131)
-    directions = [BlochDirection(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-                  for _ in range(50)]
-    bases = [sigma_x_basis(), sigma_z_basis(), sigma_y_basis()] + [
-        bloch_basis(d) for d in directions
+    bases = [SIGMA_X, SIGMA_Z, sigma_y_basis()] + [
+        _along(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi)) for _ in range(50)
     ]
     for basis in bases:
         assert basis.embedded.shape == (2, 4, 4)
@@ -126,20 +139,13 @@ def test_embedded_projectors_equal_kron():
             assert (e == np.kron(p, np.eye(2, dtype=complex))).all()
 
 
-def test_bloch_direction_validation():
-    with pytest.raises(ValueError):
-        BlochDirection(-0.1, 0.0)
-    with pytest.raises(ValueError):
-        BlochDirection(0.1, 7.0)
-
-
 def test_post_measurement_maximally_mixed():
-    for basis in (sigma_x_basis(), sigma_z_basis(), sigma_y_basis()):
+    for basis in (SIGMA_X, SIGMA_Z, sigma_y_basis()):
         assert_allclose(post_measurement_state(MIXED, basis), MIXED, atol=1e-15)
 
 
 def test_post_measurement_bell_sigma_z():
-    out = post_measurement_state(BELL, sigma_z_basis())
+    out = post_measurement_state(BELL, SIGMA_Z)
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 0] = expected[3, 3] = 0.5
     assert_allclose(out, expected, atol=1e-15)
@@ -149,7 +155,7 @@ def test_post_measurement_ad_evolved_pair_structure():
     # sigma_x dephasing of the damped state gives doubly degenerate pairs 1/4 +/- delta
     d = 0.37
     rho = evolve_oracle(ad_ops_oracle(d), FIG1)
-    out = post_measurement_state(rho, sigma_x_basis())
+    out = post_measurement_state(rho, SIGMA_X)
     assert_allclose(out, post_meas_oracle(rho, PX_ORACLE), atol=1e-14)
     spec = spectrum_oracle(out)
     w = 0.5 * math.sqrt(1 - d)  # |c1| sqrt(1 - d)
@@ -157,13 +163,13 @@ def test_post_measurement_ad_evolved_pair_structure():
 
 
 def test_conditional_entropy_after_measurement_examples():
-    assert conditional_entropy_after_measurement(BELL, sigma_z_basis()) == pytest.approx(
+    assert conditional_entropy_after_measurement(BELL, SIGMA_Z) == pytest.approx(
         0.0, abs=1e-12
     )
-    assert conditional_entropy_after_measurement(MIXED, sigma_z_basis()) == pytest.approx(
+    assert conditional_entropy_after_measurement(MIXED, SIGMA_Z) == pytest.approx(
         1.0, abs=1e-12
     )
-    got = conditional_entropy_after_measurement(FIG1, sigma_x_basis())
+    got = conditional_entropy_after_measurement(FIG1, SIGMA_X)
     assert got == pytest.approx(cond_ent_oracle(FIG1, PX_ORACLE), abs=1e-12)
     assert got == pytest.approx(h2((1 + 0.5) / 2), abs=1e-12)
 
@@ -220,9 +226,9 @@ def test_entropy_functions_reject_invalid_densities(fn, kind):
 
 
 def test_holevo_examples():
-    assert holevo_quantity(MIXED, sigma_z_basis()) == pytest.approx(0.0, abs=1e-12)
-    assert holevo_quantity(BELL, sigma_z_basis()) == pytest.approx(1.0, abs=1e-12)
-    got = holevo_quantity(FIG1, sigma_x_basis())
+    assert holevo_quantity(MIXED, SIGMA_Z) == pytest.approx(0.0, abs=1e-12)
+    assert holevo_quantity(BELL, SIGMA_Z) == pytest.approx(1.0, abs=1e-12)
+    got = holevo_quantity(FIG1, SIGMA_X)
     assert got == pytest.approx(holevo_oracle(FIG1, PX_ORACLE), abs=1e-12)
     assert got == pytest.approx(1.0 - h2(0.25), abs=1e-12)
 
@@ -245,7 +251,7 @@ def test_holevo_and_dephasing_stacks_equal_one_row_calls():
     assert [is_x_patterned(rho) for rho in states] == [True] * 60 + [False] * 20
     s_memory, ok = measures.stacked_von_neumann_entropy(stacked_partial_trace(states, "B"))
     assert ok.all()
-    bases = (sigma_x_basis(), sigma_z_basis(), sigma_y_basis())
+    bases = (SIGMA_X, SIGMA_Z, sigma_y_basis())
     columns, good = measures.stacked_holevo(states, bases, s_memory)
     assert len(columns) == 3 and good.all()
     for basis, column in zip(bases, columns):
@@ -268,7 +274,7 @@ def test_flagged_one_row_holevo_raises_the_dense_error():
     with pytest.raises(NotHermitianError) as dense:
         von_neumann_entropy(ptrace_oracle(branch, "B") / np.trace(branch).real)
     with pytest.raises(NotHermitianError) as err:
-        holevo_quantity(rho, sigma_z_basis())
+        holevo_quantity(rho, SIGMA_Z)
     assert str(err.value) == str(dense.value)
     assert "= 9.000e+00" in str(err.value)
 
@@ -362,7 +368,7 @@ def test_measured_conditional_entropy_dominates_quantum():
     rng = np.random.RandomState(73)
     for _ in range(20):
         rho = rand_xstate_matrix(rng)
-        for basis in (sigma_x_basis(), sigma_z_basis(), sigma_y_basis()):
+        for basis in (SIGMA_X, SIGMA_Z, sigma_y_basis()):
             measured = conditional_entropy_after_measurement(rho, basis)
             assert measured >= quantum_conditional_entropy(rho) - 1e-9
 
@@ -372,14 +378,14 @@ def test_holevo_bounded_by_memory_entropy():
     for _ in range(20):
         rho = rand_xstate_matrix(rng)
         s_mem = von_neumann_entropy(np.asarray(rho.reshape(2, 2, 2, 2).trace(axis1=0, axis2=2)))
-        for basis in (sigma_x_basis(), sigma_z_basis()):
+        for basis in (SIGMA_X, SIGMA_Z):
             h = holevo_quantity(rho, basis)
             assert -1e-9 <= h <= s_mem + 1e-9 <= 1.0 + 1e-9
 
 
 def test_bell_diagonal_optimum_on_pauli_axis():
     rng = np.random.RandomState(83)
-    axes = (sigma_x_basis(), sigma_y_basis(), sigma_z_basis())
+    axes = (SIGMA_X, sigma_y_basis(), SIGMA_Z)
     for _ in range(50):
         c = rand_bd_coeffs(rng)
         rho = bd_oracle(*c)
@@ -635,22 +641,23 @@ def test_non_x_state_is_refused_by_the_optimizer():
             assert mutual_information(rotated) == pytest.approx(mutual_oracle(rotated), abs=1e-11)
 
 
-def _sandwich_only(basis):
-    """The same basis with its masks taken away, so its branches are projector sandwiches."""
-    plain = ProjectiveBasis(basis.projectors)
-    object.__setattr__(plain, "branch_masks", None)
+def _sandwich_only(direction):
+    """The measurement along ``direction`` with its masks taken away, so its branches are
+    projector sandwiches."""
+    plain = measures._Basis(direction)
+    plain.branch_masks = None
     return plain
 
 
 def test_only_zero_one_diagonal_bases_dephase_by_mask():
-    z = sigma_z_basis()
+    z = SIGMA_Z
     # outcome 0 keeps the |0>_A block of a state, outcome 1 the |1>_A block
     blocks = [np.kron(np.diag(d), np.ones((2, 2))) for d in ([1.0, 0.0], [0.0, 1.0])]
     assert np.array_equal(z.branch_masks, blocks)
     # the dephasing, the sum of both branches, keeps both blocks
     assert np.array_equal(z.branch_masks.sum(axis=0), np.kron(np.eye(2), np.ones((2, 2))))
     # sigma_x's diagonal carries cos(pi/2) = 6.1e-17, and sigma_y's projectors are not diagonal
-    for basis in (sigma_x_basis(), sigma_y_basis(), bloch_basis(BlochDirection(1e-9, 0.0))):
+    for basis in (SIGMA_X, sigma_y_basis(), _along(1e-9, 0.0)):
         assert basis.branch_masks is None
 
 
@@ -673,7 +680,7 @@ def test_sigma_z_mask_dephasing_equals_the_projector_sandwich(monkeypatch):
     kept_inf[1, 1] = np.inf  # an entry the mask keeps, and one it multiplies by 0
     dropped_inf[0, 2] = np.inf
     states = np.array(x_states + rotated + evolved + [kept_inf, dropped_inf])
-    z, sandwich = sigma_z_basis(), _sandwich_only(sigma_z_basis())
+    z, sandwich = SIGMA_Z, _sandwich_only((0.0, 0.0, 1.0))
     finite = states[:-2]
     for masked, reference in zip(measures._branches(finite, z),
                                  measures._branches(finite, sandwich)):

@@ -311,6 +311,16 @@ def test_a_non_real_number_is_its_one_problem(field, value):
     assert small_cfg(**{field: np.float64(real)}).validate() == []
 
 
+def test_an_unhashable_output_tag_is_listed_with_every_other_problem():
+    # dict.fromkeys raised TypeError: unhashable type: 'list'
+    cfg = small_cfg(outputs=["u", ["u"], ["u"]], param_points=1)
+    expected = ["unknown output tag ['u']", "output tag ['u'] given 2 times",
+                "param_points = 1 < 2"]
+    assert cfg.validate() == expected
+    with pytest.raises(ConfigError, match=r"unknown output tag \['u'\]"):
+        run_sweep(cfg)
+
+
 def test_a_non_real_steering_strength_is_its_one_problem():
     cfg = small_cfg(steering_kind="weak", steering_strengths=(0.2, "0.4"))
     assert cfg.validate() == ["steering strength = '0.4' is not a real number"]

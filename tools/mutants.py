@@ -56,6 +56,20 @@ MUTANTS = [
          "::test_sigma_z_mask_dephasing_equals_the_projector_sandwich",),
     ),
     (
+        "measures.SIGMA_X along (1, 0, 0) in place of the direction (pi/2, 0)",
+        PACKAGE + "measures.py",
+        "SIGMA_X = _Basis((1.0, 0.0, math.cos(math.pi / 2)))",
+        "SIGMA_X = _Basis((1.0, 0.0, 0.0))",
+        ("tests/test_measures.py::test_sigma_x_projectors_are_pinned_bit_for_bit",),
+    ),
+    (
+        "channels.weak_op without its type check of s",
+        PACKAGE + "channels.py",
+        'if not 0.0 <= _of_type("s", s, Real) < 1.0:',
+        "if not 0.0 <= s < 1.0:",
+        ("tests/test_channels.py::test_a_wrongly_typed_argument_is_named[weak-op-string]",),
+    ),
+    (
         "bounds.witnessed without BOUND_ORDER_ATOL",
         PACKAGE + "bounds.py",
         "return u < math.log2(1.0 / C) - BOUND_ORDER_ATOL",
