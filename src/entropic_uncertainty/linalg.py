@@ -30,7 +30,6 @@ I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
 
 class NotHermitianError(ValueError):

@@ -6,18 +6,20 @@ restrict the optimization to rank-1 projective measurements parametrized by a
 Bloch direction (theta, phi).
 
 The optimizer takes X states only (every state this package produces; local AD and BPF
-noise keep the X shape) and refuses any other state.  There the search is exact and
-one-dimensional: the unmeasured qubit's branch diagonals depend on theta only, and at
-fixed diagonals a branch's entropy falls as its coherence rises, so phi is fixed in
-closed form as the azimuth of largest coherence.  theta is then searched on [0, pi/2]
-(theta and pi - theta only swap the two outcomes) by a 1-degree grid whose ends are both
-endpoints exactly (the one-parameter minimization of Huang, PRA 88, 014302 (2013)).  A
-golden-section refinement runs only for an interior grid minimum, or where one probe half
-a step inside an endpoint minimum is lower: the average branch entropy is even about
-theta = 0 and theta = pi/2, so both endpoints are stationary.  One formula,
-``_avg_branch_entropy_grid``, gives every value: a stack's grids and probes, both outcome
-signs, as one (2, N, 93) array, and each refined row's on Python numbers, so a state gets
-the same bits in a stack as on its own.  The optimizer is deterministic.
+noise keep the X shape) and refuses any other state.  It reads six entry sums of each
+(``_x_moments``); an entry off the X pattern, at most ``X_PATTERN_ATOL``, is not read.
+There the search is exact and one-dimensional: the unmeasured qubit's branch diagonals
+depend on theta only, and at fixed diagonals a branch's entropy falls as its coherence
+rises, so phi is fixed in closed form as the azimuth of largest coherence.  theta is
+then searched on [0, pi/2] (theta and pi - theta only swap the two outcomes) by a
+1-degree grid whose ends are both endpoints exactly (the one-parameter minimization of
+Huang, PRA 88, 014302 (2013)).  A golden-section refinement runs only for an interior
+grid minimum, or where one probe half a step inside an endpoint minimum is lower: the
+average branch entropy is even about theta = 0 and theta = pi/2, so both endpoints are
+stationary.  One formula, ``_avg_branch_entropy_grid``, gives every value: a stack's
+grids and probes, both outcome signs, as one (2, N, 93) array, and each refined row's on
+Python numbers, so a state gets the same bits in a stack as on its own.  The optimizer
+is deterministic.
 
 The fixed-basis quantities take one of the two measurements of the uncertainty game,
 ``SIGMA_X`` or ``SIGMA_Z``, each built once at import (``_Basis``).  Each outcome leaves
@@ -39,6 +41,7 @@ qubit B and averaging the entropy of the unmeasured qubit A.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +50,6 @@ from .linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    PAULIS,
     POSTSELECT_MIN_PROB,
     PSD_ATOL,
     TRACE_ATOL,
@@ -74,7 +76,7 @@ _X_THETAS = np.append(np.linspace(0.0, 0.5 * math.pi, 91),
                       [0.5 * _GRID_STEP, 0.5 * math.pi - 0.5 * _GRID_STEP])
 _X_SIN_T = np.sin(_X_THETAS)
 _X_COS_T = np.cos(_X_THETAS)
-# Rows per theta grid: about 20 (2, rows, 93) temporaries, both outcome signs, stay near 1 MB.
+# Rows per theta grid: at 32 rows its live temporaries, both outcome signs, peak at 0.52 MB.
 _GRID_ROWS = 32
 _X_ENDS = [0, 90, 91, 92]  # the grid's endpoint columns, then the guard's probes
 _LOOKAHEAD = 5  # golden-section steps per objective call
@@ -247,64 +249,55 @@ def holevo_quantity(rho, basis: _Basis) -> float:
     return float(total[0])
 
 
-class _CrossMoments:
-    """Scalar components of rho_other and Tr_measured[(sigma_j)_measured rho].
+class _XMoments(NamedTuple):
+    """Measuring an X state along n with projectors (I +/- n.sigma)/2 leaves the other
+    qubit in [[b00 +/- nz z0, +/- c], [+/- c*, b11 +/- nz z1]] / 2, c = nx cx + ny cy: its
+    populations, their sigma_z-weighted parts and its sigma_x- and sigma_y-weighted
+    coherences; every other moment of an X state is an exact zero.  A stack's moments are
+    (N, 1) columns that broadcast against a grid of directions; ``row`` gives one state's
+    as Python numbers for its refinement."""
 
-    Measuring along direction n with projectors (I +/- n.sigma)/2 leaves the
-    unmeasured qubit in (rho_other +/- sum_j n_j R_j) / 2 unnormalized, so the
-    whole measurement sweep reduces to 2x2 closed forms in these moments.
-    A stack's moments are (N, 1) columns that broadcast against a grid of
-    directions; ``row`` gives one state's as Python numbers for its refinement.
-    """
+    b00: np.ndarray
+    b11: np.ndarray
+    z0: np.ndarray
+    z1: np.ndarray
+    cx: np.ndarray
+    cy: np.ndarray
 
-    __slots__ = ("b00", "b11", "b01", "r00", "r11", "r01")
-
-    def __init__(self, b00, b11, b01, r00, r11, r01):
-        self.b00, self.b11, self.b01 = b00, b11, b01
-        self.r00, self.r11, self.r01 = r00, r11, r01
-
-    def row(self, i: int) -> _CrossMoments:
-        columns = [self.b00, self.b11, self.b01, *self.r00, *self.r11, *self.r01]
-        v = [c[i, 0].item() for c in columns]
-        return _CrossMoments(*v[:3], v[3:6], v[6:9], v[9:])
+    def row(self, i: int) -> _XMoments:
+        return _XMoments(*(c[i, 0].item() for c in self))
 
 
-def _cross_moments(states: np.ndarray, measured_side: str) -> _CrossMoments:
-    """The moments of each state of an (N, 4, 4) stack."""
-    other = stacked_partial_trace(states, _other_side(measured_side))
-    r = states.reshape(-1, 2, 2, 2, 2)
-    spec = "ij,njbic->nbc" if measured_side == "A" else "ij,najci->nac"
-    mats = [np.einsum(spec, sigma, r) for sigma in PAULIS]
-    return _CrossMoments(
-        other[:, 0, 0, None].real,
-        other[:, 1, 1, None].real,
-        other[:, 0, 1, None],
-        tuple(m[:, 0, 0, None].real for m in mats),
-        tuple(m[:, 1, 1, None].real for m in mats),
-        tuple(m[:, 0, 1, None] for m in mats),
-    )
+# Per unmeasured qubit: the diagonal pairs behind its two populations, and rho_03's partner.
+_X_ENTRIES = {"B": ((0, 2), (1, 3), (2, 1)), "A": ((0, 1), (2, 3), (1, 2))}
+
+
+def _x_moments(states: np.ndarray, measured_side: str) -> _XMoments:
+    """The moments of each X state of an (N, 4, 4) stack; entries off the X pattern are not read."""
+    (i, j), (k, m), (r, c) = _X_ENTRIES[_other_side(measured_side)]
+    d = np.diagonal(states, axis1=1, axis2=2).real[:, :, None]
+    flip, corner = states[:, r, c, None], states[:, 0, 3, None]
+    return _XMoments(d[:, i] + d[:, j], d[:, k] + d[:, m], d[:, i] - d[:, j], d[:, k] - d[:, m],
+                     flip + corner, 1j * (corner - flip))
 
 
 def _neg_xlog2x(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, -x * np.log2(np.where(x > 0.0, x, 1.0)), 0.0)
 
 
-def _avg_branch_entropy_grid(mom: _CrossMoments, nx, ny, nz) -> np.ndarray:
+def _avg_branch_entropy_grid(mom: _XMoments, nx, ny, nz) -> np.ndarray:
     """Average branch entropy at every direction of the 2-D (broadcast) arrays nx, ny, nz;
     both outcome signs in one pass, each element's operations and sum as one sign's alone."""
-    g00 = nx * mom.r00[0] + ny * mom.r00[1] + nz * mom.r00[2]
-    g11 = nx * mom.r11[0] + ny * mom.r11[1] + nz * mom.r11[2]
-    g01 = nx * mom.r01[0] + ny * mom.r01[1] + nz * mom.r01[2]
-    m00 = 0.5 * (mom.b00 + _OUTCOME_SIGNS * g00)
-    m11 = 0.5 * (mom.b11 + _OUTCOME_SIGNS * g11)
-    m01 = 0.5 * (mom.b01 + _OUTCOME_SIGNS * g01)
+    m00 = 0.5 * (mom.b00 + _OUTCOME_SIGNS * (nz * mom.z0))
+    m11 = 0.5 * (mom.b11 + _OUTCOME_SIGNS * (nz * mom.z1))
+    m01 = 0.5 * (nx * mom.cx + ny * mom.cy)  # both signs' coherence, up to a sign |m01| drops
     t = m00 + m11
     disc = np.sqrt((m00 - m11) ** 2 + 4.0 * np.abs(m01) ** 2)
     lam1 = np.maximum(0.5 * (t + disc), 0.0)
     lam2 = np.maximum(0.5 * (t - disc), 0.0)
     contrib = _neg_xlog2x(lam1) + _neg_xlog2x(lam2) - _neg_xlog2x(t)
     kept = np.where(t > POSTSELECT_MIN_PROB, contrib, 0.0)
-    total = np.zeros_like(g00) + kept[0]  # from zeros, as one sign at a time: -0.0 gives 0.0
+    total = np.zeros(kept.shape[1:]) + kept[0]  # from zeros, as one sign at a time: -0.0 gives 0.0
     total += kept[1]
     return total
 
@@ -342,7 +335,7 @@ def _golden_section(f, lo: float, hi: float) -> tuple[float, float]:
             lo, c, d = c, d, c + _GOLDEN_RATIO_CONJ * (hi - c)
 
 
-def _x_state_azimuths(mom: _CrossMoments) -> list[float]:
+def _x_state_azimuths(mom: _XMoments) -> list[float]:
     """phi in [0, pi) maximizing the X-state branch coherence |cos(phi) a + sin(phi) b| of
     each row.
 
@@ -351,13 +344,13 @@ def _x_state_azimuths(mom: _CrossMoments) -> list[float]:
     its top eigenvector; complex a and b need no prior phase rotation.
     """
     phis = []
-    for a, b in zip(mom.r01[0][:, 0].tolist(), mom.r01[1][:, 0].tolist()):
+    for a, b in zip(mom.cx[:, 0].tolist(), mom.cy[:, 0].tolist()):
         phi = 0.5 * math.atan2(2.0 * (a * b.conjugate()).real, abs(a) ** 2 - abs(b) ** 2)
         phis.append(phi + math.pi if phi < 0.0 else phi)
     return phis
 
 
-def _minimize_x_states(mom: _CrossMoments) -> list[tuple[float, float, float]]:
+def _minimize_x_states(mom: _XMoments) -> list[tuple[float, float, float]]:
     """Exact one-parameter minimum of each X state of a stack: (value, theta, phi).
 
     The theta grid and the two probes are one (N, 93) array, elementwise as for one
@@ -365,7 +358,7 @@ def _minimize_x_states(mom: _CrossMoments) -> list[tuple[float, float, float]]:
     whose grid minimum is at an endpoint takes the smaller endpoint value, unless the
     guard's probe half a step inside is lower than that endpoint's; only then, or for an
     interior minimum, does the golden section refine it, by the same formula on the row's
-    Python numbers (``_CrossMoments.row``).  The guard misses a minimum closer than about
+    Python numbers (``_XMoments.row``).  The guard misses a minimum closer than about
     0.35 degrees to an endpoint.
     """
     phis = _x_state_azimuths(mom)
@@ -398,7 +391,7 @@ def stacked_measurement_minima(states: np.ndarray, measured_side: str) -> list[f
     """The minimum average branch entropy of each X state of an (N, 4, 4) stack
     whose rows pass ``stacked_density_spectra``, ``_GRID_ROWS`` rows at a time."""
     chunks = (states[i:i + _GRID_ROWS] for i in range(0, len(states), _GRID_ROWS))
-    return [v for c in chunks for v, _, _ in _minimize_x_states(_cross_moments(c, measured_side))]
+    return [v for c in chunks for v, _, _ in _minimize_x_states(_x_moments(c, measured_side))]
 
 
 def _minimize_avg_branch_entropy(rho: np.ndarray, measured_side: str) -> float:

@@ -43,7 +43,7 @@ from .channels import (
     noise_kraus,
     weak_op,
 )
-from .linalg import stacked_density_spectra, validate_two_qubit
+from .linalg import _of_type, stacked_density_spectra, validate_two_qubit
 from .measures import discord_from, discord_xstate_closed
 from .states import BellDiagonalCoeffs, bell_diagonal_density, coefficient_problems
 
@@ -267,7 +267,7 @@ def _grid_points(family: str, rho0: np.ndarray, xs, rate, steering_ops, outputs)
 
 def run_sweep(cfg: SweepConfig) -> list[SweepRow]:
     """Evaluate the grid in order, one steering strength after another."""
-    problems = cfg.validate()
+    problems = _of_type("cfg", cfg, SweepConfig).validate()
     if problems:
         raise ConfigError(problems)
     rho0 = bell_diagonal_density(cfg.coeffs())
@@ -326,7 +326,10 @@ def render_csv(rows) -> str:
     """CSV text for a list of rows sharing one schema.  The constant cells of each run of
     rows that share them are formatted, and their columns checked, once per run; each row's
     quantity names are checked against the header's."""
-    rows = list(rows)
+    listed = list(rows) if isinstance(rows, Iterable) and not isinstance(rows, str) else None
+    if listed is None or not all(isinstance(row, SweepRow) for row in listed):
+        raise TypeError(f"rows = {rows!r} is not a list of SweepRows")
+    rows = listed
     if not rows:
         raise ValueError("no rows to emit")
     header = row_columns(rows[0])

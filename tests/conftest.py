@@ -3,26 +3,24 @@ definitions (np.kron, np.linalg.eigvalsh, explicit index loops) so package
 results can be checked against a second, unrelated code path, and the paper's
 printed AD eigenvalues (``ad_closed_form_spectrum``), exact, which no command
 evaluates, a 50-digit ``decimal`` oracle of the measurement optimizer's two
-endpoints (``endpoint_entropies_oracle``), the optimizer's grid one outcome sign
-at a time (``avg_branch_entropy_grid_oracle``), and a 2-D search over both angles
-(``minimize_dense_oracle``)."""
+endpoints (``endpoint_entropies_oracle``), the general two-qubit measurement moments
+of any state (``cross_moments_oracle``), the optimizer's grid on them one outcome
+sign at a time (``avg_branch_entropy_grid_oracle``), and a 2-D search over both
+angles on them (``minimize_dense_oracle``)."""
 
 import decimal
 import functools
 import math
 import pathlib
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from entropic_uncertainty.linalg import POSTSELECT_MIN_PROB  # noqa: E402
-from entropic_uncertainty.measures import (  # noqa: E402
-    _Basis,
-    _avg_branch_entropy_grid,
-    _golden_section,
-)
+from entropic_uncertainty.measures import _Basis, _golden_section  # noqa: E402
 from entropic_uncertainty.states import BellDiagonalCoeffs  # noqa: E402
 
 I2 = np.eye(2, dtype=complex)
@@ -216,10 +214,51 @@ def avg_branch_entropy_oracle(rho, theta, phi, measured="A"):
     return total
 
 
+class _CrossMoments(NamedTuple):
+    """Scalar components of rho_other and R_j = Tr_measured[(sigma_j)_measured rho].
+
+    Measuring along direction n with projectors (I +/- n.sigma)/2 leaves the
+    unmeasured qubit in (rho_other +/- sum_j n_j R_j) / 2 unnormalized, so the
+    whole measurement sweep reduces to 2x2 closed forms in these moments, of any
+    state.  A stack's moments are (N, 1) columns that broadcast against a grid of
+    directions; ``row`` gives one state's as Python numbers.
+    """
+
+    b00: np.ndarray
+    b11: np.ndarray
+    b01: np.ndarray
+    r00: tuple
+    r11: tuple
+    r01: tuple
+
+    def row(self, i):
+        columns = [self.b00, self.b11, self.b01, *self.r00, *self.r11, *self.r01]
+        v = [c[i, 0].item() for c in columns]
+        return _CrossMoments(*v[:3], tuple(v[3:6]), tuple(v[6:9]), tuple(v[9:]))
+
+
+def cross_moments_oracle(states, measured_side):
+    """The moments of each state of an (N, 4, 4) stack, X-shaped or not: one ``np.einsum``
+    per operator (I, then the Paulis) on the measured qubit, traced out."""
+    r = np.asarray(states).reshape(-1, 2, 2, 2, 2)
+    spec = {"A": "ij,njbic->nbc", "B": "ij,najci->nac"}[measured_side]
+    other, *mats = [np.einsum(spec, sigma, r) for sigma in (I2, SX, SY, SZ)]
+    return _CrossMoments(
+        other[:, 0, 0, None].real,
+        other[:, 1, 1, None].real,
+        other[:, 0, 1, None],
+        tuple(m[:, 0, 0, None].real for m in mats),
+        tuple(m[:, 1, 1, None].real for m in mats),
+        tuple(m[:, 0, 1, None] for m in mats),
+    )
+
+
 def avg_branch_entropy_grid_oracle(mom, nx, ny, nz):
-    """The measurement grid of ``measures._avg_branch_entropy_grid`` written as one pass per
-    outcome sign, each pass's terms added to zeros in turn: the same operations on each
-    element in the same order, so the package's grid must equal it bitwise."""
+    """The average branch entropy on the general moments (``cross_moments_oracle``) at every
+    direction of the broadcast arrays nx, ny, nz, one pass per outcome sign, each pass's
+    terms added to zeros in turn.  On an X state the package's grid
+    (``measures._avg_branch_entropy_grid`` on its six moments) must equal it bitwise: the
+    terms it drops are exact zeros, and each sum left has at most two nonzero terms."""
     def neg_xlog2x(x):
         return np.where(x > 0.0, -x * np.log2(np.where(x > 0.0, x, 1.0)), 0.0)
 
@@ -275,8 +314,8 @@ def _avg_branch_entropy_at(mom, theta, phi):
 
 
 def minimize_dense_oracle(mom):
-    """Minimum average branch entropy of one state's moments (``measures._cross_moments`` of
-    a one-row stack) over both angles, X-shaped or not: (value, theta, phi).
+    """Minimum average branch entropy of one state's moments (``cross_moments_oracle`` of a
+    one-row stack) over both angles, X-shaped or not: (value, theta, phi).
 
     The 2-D grid's first minimum, then rounds of golden sections in theta and in phi, one
     grid step each way, until a round stalls; the brackets are left unclipped, since the
@@ -286,7 +325,7 @@ def minimize_dense_oracle(mom):
     only); on one complex X state it stopped 6.2e-9 above the one-parameter minimum at
     0.499 degrees.  Real positive coherences (best azimuth 0) do not show it."""
     thetas, phis, *directions = dense_grid_oracle()
-    grid = _avg_branch_entropy_grid(mom, *directions)
+    grid = avg_branch_entropy_grid_oracle(mom, *directions)
     ti, pj = divmod(int(np.argmin(grid)), grid.shape[1])  # smallest theta, then smallest phi
     theta, phi, value = float(thetas[ti]), float(phis[pj]), float(grid[ti, pj])
     mom = mom.row(0)

@@ -65,6 +65,16 @@ CASES = [
          CONFIG + "rate_lambda = 1\nparam_start = -1\nparam_stop = 1\n")),
      cli.ConfigError,
      "invalid sweep configuration:\n  - param_start = -1.0 must be nonnegative (time grid)"),
+    ("run-sweep-none", lambda tmp: sweep.run_sweep(None),
+     TypeError, "cfg = None is not a SweepConfig"),
+    ("render-csv-none", lambda tmp: sweep.render_csv(None),
+     TypeError, "rows = None is not a list of SweepRows"),
+    ("render-csv-string", lambda tmp: sweep.render_csv("AD,0"),
+     TypeError, "rows = 'AD,0' is not a list of SweepRows"),
+    ("render-csv-array", lambda tmp: sweep.render_csv(np.zeros(3)),
+     TypeError, "rows = array([0., 0., 0.]) is not a list of SweepRows"),
+    ("render-csv-list-of-lists", lambda tmp: sweep.render_csv([["AD", 0.0]]),
+     TypeError, "rows = [['AD', 0.0]] is not a list of SweepRows"),
     ("out-is-a-directory",
      lambda tmp: _eur(["capacity", "--channel", "AD", "--points", "2", "--out", str(tmp)]),
      SystemExit, "exit 4: [Errno 21] Is a directory:"),

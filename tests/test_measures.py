@@ -7,11 +7,13 @@ from numpy.testing import assert_allclose
 from conftest import (
     OPTIMIZER_REFUSAL,
     PX_ORACLE,
+    X_PATTERN,
     ad_ops_oracle,
     avg_branch_entropy_grid_oracle,
     avg_branch_entropy_oracle,
     bd_oracle,
     cond_ent_oracle,
+    cross_moments_oracle,
     dense_grid_oracle,
     endpoint_entropies_oracle,
     entropy_oracle,
@@ -34,6 +36,7 @@ from entropic_uncertainty.applications import channel_capacity
 from entropic_uncertainty.linalg import (
     PAULI_X,
     PAULI_Z,
+    X_PATTERN_ATOL,
     NotHermitianError,
     is_x_patterned,
     stacked_density_spectra,
@@ -409,7 +412,7 @@ def test_min_entropy_invariant_under_local_pauli_rotation():
         rotated = big @ rho @ big.conj().T
         assert not is_x_patterned(rotated)
         a = min_conditional_entropy_over_measurements(rho, "A")
-        b, _, _ = minimize_dense_oracle(measures._cross_moments(rotated[None], "A"))
+        b, _, _ = minimize_dense_oracle(cross_moments_oracle(rotated[None], "A"))
         assert a == pytest.approx(b, abs=1e-9)
 
 
@@ -430,13 +433,13 @@ def test_x_state_path_matches_dense_path():
     # one stack of states gets bitwise what each state gets alone
     states = np.array(_complex_x_states(101, 300))
     for side in ("A", "B"):
-        stacked = measures._minimize_x_states(measures._cross_moments(states, side))
+        stacked = measures._minimize_x_states(measures._x_moments(states, side))
         chunked = measures.stacked_measurement_minima(states, side)  # _GRID_ROWS at a time
         assert chunked == [value for value, _, _ in stacked]
         for i, (rho, (x_value, _, _)) in enumerate(zip(states, stacked)):
             if i < 100:
                 assert x_value == min_conditional_entropy_over_measurements(rho, side)
-            dense_value, _, _ = minimize_dense_oracle(measures._cross_moments(rho[None], side))
+            dense_value, _, _ = minimize_dense_oracle(cross_moments_oracle(rho[None], side))
             assert abs(x_value - dense_value) <= 1e-12
 
 
@@ -450,16 +453,11 @@ def _grid_bits(grid):
     return np.ascontiguousarray(grid).view(np.int64)
 
 
-def test_both_grids_equal_the_per_sign_loop_bitwise():
-    # both outcome signs in one pass give each element the operations of its sign's own
-    # pass, so the X grid of a stack, of each row alone, and the dense grid equal the
-    # per-sign loop bit for bit, signed zeros included (the X grid's 93 columns: 91 angles
-    # and the endpoint guard's two probes; the dense grid is the 2-D oracle's); evolved
-    # Bell-diagonal states (one in three weak-steered), random complex X states and pure,
-    # product and mixed edges
-    rng = np.random.RandomState(2707)
+def _evolved_states(rng, stacks):
+    """``stacks`` random Bell-diagonal states, AD and BPF in turn, each evolved over a
+    21-point grid, every third stack then weak-steered row by row: one list of X states."""
     states = []
-    for k in range(12):
+    for k in range(stacks):
         family = ("AD", "BPF")[k % 2]
         evolved, ok = channels._evolve(family, bd_oracle(*rand_bd_coeffs(rng)),
                                        np.linspace(0.0, 1.0, 21))
@@ -469,30 +467,76 @@ def test_both_grids_equal_the_per_sign_loop_bitwise():
             evolved, kept = _steer_rows(ops, evolved)
             assert kept.all()
         states += list(evolved)
+    return states
+
+
+def test_x_moments_are_the_general_moments_that_are_not_zero():
+    # an X state's six moments, read from its entries, are the six columns of the general
+    # moments that are not exact zeros, and the optimizer gives each row the value and theta
+    # bits of those columns (phi up to the sign of a zero): random complex X states and
+    # evolved AD and BPF stacks, measured on either side
+    rng = np.random.RandomState(3109)
+    states = np.array(_evolved_states(rng, 12) + [rand_xstate_matrix(rng) for _ in range(120)])
+    for side in ("A", "B"):
+        general = cross_moments_oracle(states, side)
+        assert not np.any([general.b01, *general.r00[:2], *general.r11[:2], general.r01[2]])
+        columns = measures._XMoments(general.b00, general.b11, general.r00[2], general.r11[2],
+                                     general.r01[0], general.r01[1])
+        got = np.array(measures._minimize_x_states(measures._x_moments(states, side)))
+        want = np.array(measures._minimize_x_states(columns))
+        assert np.array_equal(_grid_bits(got[:, :2]), _grid_bits(want[:, :2]))
+        assert np.array_equal(got[:, 2], want[:, 2])
+
+
+def test_off_x_residue_within_the_tolerance_is_not_measured():
+    # a state whose entries off the X pattern are at most X_PATTERN_ATOL passes as X-shaped,
+    # and the optimizer measures its exact X projection, as stacked_density_spectra reads
+    # its spectrum: the residue would move the general moments' minimum in the last bits
+    rng = np.random.RandomState(113)
+    for rho in _complex_x_states(113, 20):
+        upper = np.triu(np.exp(2j * math.pi * rng.uniform(size=(4, 4))), 1) * (X_PATTERN == 0)
+        residue = 0.9 * X_PATTERN_ATOL * (upper + upper.conj().T)
+        assert is_x_patterned(rho + residue)
+        for side in ("A", "B"):
+            assert (min_conditional_entropy_over_measurements(rho + residue, side)
+                    == min_conditional_entropy_over_measurements(rho, side))
+
+
+def test_both_grids_equal_the_per_sign_loop_bitwise():
+    # both outcome signs in one pass give each element the operations of its sign's own
+    # pass, and the terms the six X moments drop are exact zeros, so the X grid of a stack,
+    # of each row alone, and the dense grid equal the per-sign loop on the general moments
+    # bit for bit, signed zeros included (the X grid's 93 columns: 91 angles and the
+    # endpoint guard's two probes; the dense grid is the 2-D oracle's); evolved
+    # Bell-diagonal states (one in three weak-steered), random complex X states and pure,
+    # product and mixed edges
+    rng = np.random.RandomState(2707)
+    states = _evolved_states(rng, 12)
     states += [rand_xstate_matrix(rng, real=k % 2 == 0) for k in range(40)]
     states += [BELL, MIXED, np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex), bd_oracle(1, 1, -1)]
     states = np.array(states)
     for side in ("A", "B"):
-        mom = measures._cross_moments(states, side)
+        mom = measures._x_moments(states, side)
         phis = measures._x_state_azimuths(mom)
         cos_phi = np.array([math.cos(phi) for phi in phis])[:, None]
         sin_phi = np.array([math.sin(phi) for phi in phis])[:, None]
         nx, ny, nz = measures._X_SIN_T * cos_phi, measures._X_SIN_T * sin_phi, measures._X_COS_T
         grid = measures._avg_branch_entropy_grid(mom, nx, ny, nz)
         assert grid.shape == (len(states), 93)
+        general = cross_moments_oracle(states, side)
         assert np.array_equal(_grid_bits(grid),
-                              _grid_bits(avg_branch_entropy_grid_oracle(mom, nx, ny, nz)))
+                              _grid_bits(avg_branch_entropy_grid_oracle(general, nx, ny, nz)))
         for i in range(0, len(states), 7):  # a row alone equals its row of the stack
-            one = measures._cross_moments(states[i:i + 1], side)
+            one = measures._x_moments(states[i:i + 1], side)
             alone = measures._avg_branch_entropy_grid(one, nx[i:i + 1], ny[i:i + 1], nz)
             assert np.array_equal(_grid_bits(alone), _grid_bits(grid[i:i + 1]))
-        for rho in (states[3], _locally_rotated(rng, states[50]), states[-1]):
-            one = measures._cross_moments(rho[None], side)
+        for rho in (states[3], states[253], states[-1]):
+            one = measures._x_moments(rho[None], side)
             dense = dense_grid_oracle()[2:]
             got = measures._avg_branch_entropy_grid(one, *dense)
             assert got.shape == (181, 180)
-            assert np.array_equal(_grid_bits(got),
-                                  _grid_bits(avg_branch_entropy_grid_oracle(one, *dense)))
+            assert np.array_equal(_grid_bits(got), _grid_bits(avg_branch_entropy_grid_oracle(
+                cross_moments_oracle(rho[None], side), *dense)))
 
 
 def test_x_state_path_beats_coarse_oracle_grid():
@@ -504,7 +548,7 @@ def test_x_state_path_beats_coarse_oracle_grid():
     for rho in _complex_x_states(101, 300):
         assert is_x_patterned(rho)
         for side in ("A", "B"):
-            mom = measures._cross_moments(rho[None], side)
+            mom = measures._x_moments(rho[None], side)
             [(value, theta, phi)] = measures._minimize_x_states(mom)
             best = min(avg_branch_entropy_oracle(rho, th, ph, side) for th, ph in coarse)
             assert value <= best + 1e-12
@@ -540,7 +584,7 @@ def test_x_state_minimum_never_exceeds_its_exact_endpoints():
         for _ in range(22)
     ])
     for side in ("A", "B"):
-        mom = measures._cross_moments(states, side)
+        mom = measures._x_moments(states, side)
         for i, (value, _, phi) in enumerate(measures._minimize_x_states(mom)):
             along_z, in_plane = _endpoints(mom.row(i), phi)
             assert value <= along_z
@@ -556,7 +600,7 @@ def test_a_flat_profile_reports_no_more_than_its_exact_endpoints():
     states = np.array([np.kron(np.diag([a, 1.0 - a]), np.diag([b, 1.0 - b]))
                        for a, b in rng.uniform(0.0, 1.0, (200, 2))], dtype=complex)
     for side in ("A", "B"):
-        mom = measures._cross_moments(states, side)
+        mom = measures._x_moments(states, side)
         for i, (value, _, phi) in enumerate(measures._minimize_x_states(mom)):
             along_z, in_plane = _endpoints(mom.row(i), phi)
             assert value <= along_z
@@ -571,13 +615,13 @@ def test_endpoint_guard_refines_a_minimum_half_a_step_inside():
     rho = np.diag([6.779e-06, 0.99734996, 1.6043e-05, 0.002627218]).astype(complex)
     rho[0, 3] = rho[3, 0] = 1.1067e-05
     rho[1, 2] = rho[2, 1] = 0.0036169
-    mom = measures._cross_moments(rho[None], "B")
+    mom = measures._x_moments(rho[None], "B")
     [(value, theta, phi)] = measures._minimize_x_states(mom)
     m = mom.row(0)
     on_grid = _profile(m, phi, measures._X_THETAS[:91])
     assert on_grid.index(min(on_grid)) == 0
     assert 0.35 < math.degrees(theta) < 0.7
-    dense_value, _, _ = minimize_dense_oracle(mom)
+    dense_value, _, _ = minimize_dense_oracle(cross_moments_oracle(rho[None], "B"))
     assert abs(value - dense_value) <= 1e-12
     assert value < on_grid[0] and value < on_grid[-1]
 
@@ -610,7 +654,7 @@ def test_rows_that_skip_the_refinement_sit_at_the_50_digit_endpoint(monkeypatch)
     for rho in (rho for stack in stacks for rho in stack):
         for side in ("A", "B"):
             refinements.clear()
-            [(value, _, _)] = measures._minimize_x_states(measures._cross_moments(rho[None], side))
+            [(value, _, _)] = measures._minimize_x_states(measures._x_moments(rho[None], side))
             rows += 1
             if not refinements:
                 skipped += 1

@@ -99,6 +99,13 @@ MUTANTS = [
         ("tests/test_measures.py::test_non_x_state_is_refused_by_the_optimizer",),
     ),
     (
+        "measures._x_moments reads the coherence (1, 2) in place of (2, 1) when measuring A",
+        PACKAGE + "measures.py",
+        '"B": ((0, 2), (1, 3), (2, 1))',
+        '"B": ((0, 2), (1, 3), (1, 2))',
+        ("tests/test_measures.py::test_x_moments_are_the_general_moments_that_are_not_zero",),
+    ),
+    (
         "measures._avg_branch_entropy_grid drops its second outcome",
         PACKAGE + "measures.py",
         "    total += kept[1]\n",
