@@ -6,9 +6,9 @@ which a stronger weak measurement enlarges the witnessed noise window.
 
 A capacity curve is one ``sweep._grid_points`` stack (a flagged point is rebuilt alone,
 raising its own error).  A witness point is one ``channels._evolve`` call, bitwise the
-grid's state, and then its dense ``uncertainty_lhs``, judged by ``bounds.witnessed`` as
-the sweep's ``witness`` column is: the bracket scan evolves its 101 points as one such
-call, each bisection step and straddle check its one point, and rho0 is checked once.
+grid's state, then its dense ``uncertainty_lhs`` (about 40 us), judged by ``bounds.witnessed``
+as the sweep's ``witness`` column is: the bracket scan evolves its 101 points as one call,
+each bisection step and straddle check its one point, and rho0 is checked once.
 """
 
 from __future__ import annotations
@@ -52,12 +52,12 @@ def witness_threshold(
     whose margin log2(1/c) - u at d = 0 falls to that tolerance, so the threshold falls
     again, as a 50-digit evaluation under the same criterion gives (ROADMAP.md's table).
     """
+    hi_end = 1.0 if _of_type("channel_family", channel_family, str) == "AD" else 0.5
     op = weak_op(s)  # raises for s outside [0, 1)
     rho0 = bell_diagonal_density(coeffs)
     if s > 0.0:
         rho0 = apply_steering(op, rho0)
     validate_two_qubit(rho0)  # _evolve's input check, once per solve
-    hi_end = 1.0 if channel_family == "AD" else 0.5
 
     def u(points) -> list[float]:  # each in [0, hi_end], so _evolve's range flag holds
         states, _ = _evolve(channel_family, rho0, np.array(points))  # one stack
@@ -107,7 +107,7 @@ def capacity_curves(
     ``rate_lambda`` is given (damping channel only).  A bad point raises its
     own error, the first in schedule order.
     """
-    if rate_lambda is not None and channel_family != "AD":
+    if _of_type("channel_family", channel_family, str) != "AD" and rate_lambda is not None:
         raise ValueError("a decay rate only parametrizes the damping channel")
     if rate_lambda is not None:  # once here, not in d_of_t at every point
         _of_type("rate_lambda", rate_lambda, Real)

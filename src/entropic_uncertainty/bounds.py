@@ -13,12 +13,12 @@ formula once (the Berta, Pati and Adabi bounds, mutual information, which is the
 capacity S(A) - U_b + log2(1/c), classical correlation, discord and the entropic
 witness), over a number or a column alike, and computes each value a state pays for
 on first read only, a stack's bitwise as each state alone.
-``uncertainty_lhs`` stays a per-point chain for point-at-a-time callers (the
-witness bisection): it checks the state once, then takes both bases' four entropy
-spectra on the entries as Python numbers and their logarithms from one ``np.log2``
-call, about 46 us a call against 140 us for a one-row ``_stacked_u`` (one CPU of a
-2-core Xeon).  ``_stacked_u`` is its stack, both bases' dephased states in one (2N, 4, 4),
-as a stack's ``holevo`` takes both bases' branch memories in one (4N, 2, 2).
+Measuring A leaves the memory rho_B as it is: S(X|B) + S(Z|B) = S(rho_XB) + S(rho_ZB) -
+2 S(rho_B).  ``uncertainty_lhs`` is a per-point chain for the witness bisection: one check of
+the state, then the spectra of both dephased states and of rho_B as Python numbers, about
+40 us a call against 195 us for a one-row stack's ``u`` (one CPU of a 2-core Xeon).
+``_stacked_u`` is its stack, both bases' dephased states in one (2N, 4, 4), less the
+block's ``s_b`` column, which the Berta bound and the Holevo quantities read too.
 
 The numerical pipeline (build state, evolve, measure, take entropies) is the
 ground truth everywhere.  ``eur errata`` evaluates the published closed forms kept
@@ -41,8 +41,7 @@ from .measures import (
     SIGMA_Z,
     _Basis,
     _dephased,
-    _entropies,
-    _measured_probabilities,
+    _measured_entropies,
     _positive_part,
     binary_entropy,
     discord_from,
@@ -73,11 +72,10 @@ C = complementarity_c(*BASES)
 
 
 def uncertainty_lhs(rho) -> float:
-    """S(sigma_x | B) + S(sigma_z | B), the measured uncertainty; rho is checked once, and
-    both bases' four spectra take their logarithms from one ``np.log2`` call."""
-    rho = validate_two_qubit(rho)
-    jx, mx, jz, mz = _entropies([p for b in BASES for p in _measured_probabilities(rho, b)])
-    return (jx - mx) + (jz - mz)
+    """S(sigma_x | B) + S(sigma_z | B) = S(rho_XB) + S(rho_ZB) - 2 S(rho_B), the measured
+    uncertainty, from one check of rho and three spectra (``measures._measured_entropies``)."""
+    jx, jz, memory = _measured_entropies(validate_two_qubit(rho), BASES)
+    return (jx - memory) + (jz - memory)
 
 
 def berta_bound(rho) -> float:
@@ -140,8 +138,7 @@ class PointQuantities:
     def u(self):
         if not self.stacked:
             return uncertainty_lhs(self.rho)
-        self.s_ab  # the state's own check first
-        return self._column(*_stacked_u(self.rho))
+        return self._column(*_stacked_u(self.rho, self.s_b))  # s_b checks the state first
 
     @cached_property
     def holevo(self):
@@ -197,16 +194,14 @@ class PointQuantities:
     capacity = cached_property(lambda self: self.mutual_information)  # U_b = log2(1/c) + S(A|B)
 
 
-def _stacked_u(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``uncertainty_lhs`` of every state of the stack, and which rows pass its checks; both
-    bases' dephased states are one (2N, 4, 4) stack, whose rows do not depend on position."""
+def _stacked_u(states: np.ndarray, s_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``uncertainty_lhs`` of every state of the stack with memory entropies ``s_b``, and which
+    rows pass its checks; both bases' dephased states are one (2N, 4, 4) stack."""
     n = len(states)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row fails its own check
         dephased = np.concatenate([_dephased(states, b) for b in BASES])
-    joint, good_joint = stacked_von_neumann_entropy(dephased)
-    memory, good_memory = stacked_von_neumann_entropy(stacked_partial_trace(dephased, "B"))
-    per_basis, ok = joint - memory, good_joint & good_memory
-    return per_basis[:n] + per_basis[n:], ok[:n] & ok[n:]
+    joint, ok = stacked_von_neumann_entropy(dephased)
+    return (joint[:n] - s_b) + (joint[n:] - s_b), ok[:n] & ok[n:]
 
 
 @dataclass(frozen=True)

@@ -96,7 +96,7 @@ def noise_kraus(family: str, param: float) -> KrausChannel:
     """Kraus set of a channel family at its noise parameter (d for AD, p for BPF)."""
     # the constructors are looked up by name on each call, not kept in a table,
     # so a wrapper installed on the module attribute sees every call
-    if family == "AD":
+    if _of_type("family", family, str) == "AD":
         return ad_kraus(param)
     if family == "BPF":
         return bpf_kraus(param)

@@ -186,16 +186,18 @@ def post_measurement_state(rho, basis: _Basis) -> np.ndarray:
     return _dephased(validate_two_qubit(rho), basis)
 
 
-def _measured_probabilities(rho: np.ndarray, basis: _Basis) -> list[list[float]]:
-    """``_probabilities`` of a checked state dephased by ``basis``, then of the memory it leaves."""
-    e = _dephased(rho, basis).tolist()  # the memory's entry [b][c] is e[b][c] + e[2 + b][2 + c]
+def _measured_entropies(rho: np.ndarray, bases) -> list[float]:
+    """The entropy of a checked state dephased by each of ``bases``, then of its memory
+    rho_B, which measuring qubit A leaves as it is; one ``np.log2`` call."""
+    e = rho.tolist()  # rho_B's entry [b][c] is e[b][c] + e[2 + b][2 + c], as a partial trace
     memory = [[e[b][c] + e[2 + b][2 + c] for c in (0, 1)] for b in (0, 1)]
-    return [_probabilities(e), _probabilities(memory)]
+    dephased = [_probabilities(_dephased(rho, b).tolist()) for b in bases]
+    return _entropies(dephased + [_probabilities(memory)])
 
 
 def conditional_entropy_after_measurement(rho, basis: _Basis) -> float:
-    """S(measured A | B) = S(post-measurement state) - S(memory B)."""
-    joint, memory = _entropies(_measured_probabilities(validate_two_qubit(rho), basis))
+    """S(measured A | B) = S(post-measurement state) - S(rho_B)."""
+    joint, memory = _measured_entropies(validate_two_qubit(rho), (basis,))
     return joint - memory
 
 

@@ -349,10 +349,12 @@ def render_csv(rows) -> str:
 
 
 def _numbers(name: str, values) -> list[float]:
-    """``values`` as floats; a string or a single number is refused, not iterated."""
-    if isinstance(values, str) or not isinstance(values, Iterable):
+    """``values`` as floats; a string or a single number is refused, not iterated, and so is
+    a list with an item that is not a real number (a list of lists, a matrix's rows)."""
+    items = None if isinstance(values, str) or not isinstance(values, Iterable) else list(values)
+    if items is None or not all(isinstance(x, Real) for x in items):
         raise TypeError(f"{name} = {values!r} is not a list of numbers")
-    return [float(x) for x in values]
+    return [float(x) for x in items]
 
 
 def errata_report(coeffs: BellDiagonalCoeffs, channel: str, grid) -> str:
@@ -361,6 +363,7 @@ def errata_report(coeffs: BellDiagonalCoeffs, channel: str, grid) -> str:
     Reports, per formula, the largest absolute gap and where it occurs; points
     where a closed form is not evaluable are counted, not scored.
     """
+    _of_type("channel", channel, str)
     grid = _numbers("grid", grid)
     if not grid:
         raise ValueError("empty parameter grid")

@@ -225,10 +225,28 @@ def test_witness_threshold_rejects_a_bad_strength(s):
      r"^s = '0.4' is not a real number$"),
     (lambda: capacity_curves("AD", CAPACITY_COEFFS, [0.5, 1.0], rate_lambda="0.3"),
      r"^rate_lambda = '0.3' is not a real number$"),
+    (lambda: witness_threshold(np.array(["AD"]), WITNESS_COEFFS),
+     r"^channel_family = array\(\['AD'\], dtype='<U2'\) is not a str$"),
+    (lambda: capacity_curves(np.array(["AD", "BPF"]), CAPACITY_COEFFS, [0.5]),
+     r"^channel_family = array\(\['AD', 'BPF'\], dtype='<U3'\) is not a str$"),
+    (lambda: sweep.errata_report(WITNESS_COEFFS, np.array(["AD", "BPF"]), [0.5]),
+     r"^channel = array\(\['AD', 'BPF'\], dtype='<U3'\) is not a str$"),
+    (lambda: capacity_curves("AD", CAPACITY_COEFFS, [[0.5], [1.0]]),
+     r"^schedule = \[\[0.5\], \[1.0\]\] is not a list of numbers$"),
+    (lambda: capacity_curves("AD", CAPACITY_COEFFS, np.array([[0.5, 1.0]])),
+     r"^schedule = array\(\[\[0.5, 1. \]\]\) is not a list of numbers$"),
+    (lambda: sweep.errata_report(WITNESS_COEFFS, "AD", [[0.5, 1.0]]),
+     r"^grid = \[\[0.5, 1.0\]\] is not a list of numbers$"),
+    (lambda: sweep.errata_report(WITNESS_COEFFS, "AD", np.array([[0.5], [1.0]])),
+     r"^grid = array\(\[\[0.5\],\n\s+\[1. \]\]\) is not a list of numbers$"),
 ], ids=["witness-tuple", "capacity-tuple", "errata-string", "errata-number", "capacity-string",
-        "witness-strength-string", "capacity-rate-string"])
+        "witness-strength-string", "capacity-rate-string", "witness-family-array",
+        "capacity-family-array", "errata-family-array", "capacity-list-of-lists",
+        "capacity-matrix", "errata-list-of-lists", "errata-matrix"])
 def test_a_wrongly_typed_argument_is_named(call, message):
-    # a tuple has no as_tuple (AttributeError), and a string grid was read letter by letter
+    # a tuple has no as_tuple (AttributeError), a string grid was read letter by letter, an
+    # array of families gave numpy's "truth value ... is ambiguous" (or, for one family, a
+    # result), and a grid of lists or a matrix float()'s or numpy's own message
     with pytest.raises(TypeError, match=message):
         call()
 

@@ -30,8 +30,13 @@ from entropic_uncertainty.bounds import (
     complementarity_c,
     uncertainty_lhs,
 )
-from entropic_uncertainty.channels import apply_steering, weak_op
-from entropic_uncertainty.linalg import NotHermitianError, density_spectrum
+from entropic_uncertainty.channels import ad_kraus, apply_one_sided, apply_steering, weak_op
+from entropic_uncertainty.linalg import (
+    NotHermitianError,
+    density_spectrum,
+    partial_trace,
+    stacked_partial_trace,
+)
 from entropic_uncertainty.measures import (
     SIGMA_X,
     SIGMA_Z,
@@ -40,6 +45,7 @@ from entropic_uncertainty.measures import (
     holevo_quantity,
     min_conditional_entropy_over_measurements,
     mutual_information,
+    post_measurement_state,
     quantum_conditional_entropy,
     quantum_discord,
     stacked_von_neumann_entropy,
@@ -220,8 +226,22 @@ def test_uncertainty_lhs_checks_the_state_once(monkeypatch):
     monkeypatch.setattr(linalg, "_spectrum", counted)
     monkeypatch.setattr(measures, "_spectrum", counted)
     uncertainty_lhs(FIG1)
-    # rho once, then per basis the dephased state and the memory it leaves
-    assert shapes == [(4, 4), (4, 4), (2, 2), (4, 4), (2, 2)]
+    # rho once, then both bases' dephased states and the memory rho_B, which measuring A
+    # leaves as it is
+    assert shapes == [(4, 4), (4, 4), (4, 4), (2, 2)]
+
+
+def test_uncertainty_lhs_reads_one_memory_entropy():
+    # S(X|B) + S(Z|B) = S(rho_XB) + S(rho_ZB) - 2 S(rho_B): the dense u is the entropies of
+    # both dephased states and of rho_B, each alone, bit for bit
+    rng = np.random.RandomState(1031)
+    states = [rand_xstate_matrix(rng, real=k % 2 == 0) for k in range(30)]
+    for d in (0.0, 0.37, 1.0):
+        states.append(apply_one_sided(ad_kraus(d), FIG1))
+    for rho in states:
+        jx, jz = (von_neumann_entropy(post_measurement_state(rho, b)) for b in bounds.BASES)
+        memory = von_neumann_entropy(partial_trace(rho, "B"))
+        assert _bits(uncertainty_lhs(rho)) == _bits((jx - memory) + (jz - memory))
 
 
 def _bits(x):
@@ -276,10 +296,12 @@ def test_uncertainty_lhs_is_the_one_row_stack():
             evolved = evolve_oracle(ops, rho0)
             states += [evolved] + [apply_steering(weak_op(s), evolved) for s in (0.9, 0.999999)]
     states += [rand_xstate_matrix(rng, real=k % 2 == 0) for k in range(40)]
-    us, ok = bounds._stacked_u(np.array(states))
-    assert ok.all()
-    for rho, u in zip(states, us):
-        one, one_ok = bounds._stacked_u(rho[None])
+    states = np.array(states)
+    s_b, s_b_ok = stacked_von_neumann_entropy(stacked_partial_trace(states, "B"))
+    us, ok = bounds._stacked_u(states, s_b)
+    assert ok.all() and s_b_ok.all()
+    for rho, u, memory in zip(states, us, s_b):
+        one, one_ok = bounds._stacked_u(rho[None], np.array([memory]))
         assert one_ok[0]
         assert _bits(one[0]) == _bits(u) == _bits(uncertainty_lhs(rho))
         assert u == pytest.approx(u_oracle(rho), abs=1e-10)

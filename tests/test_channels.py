@@ -89,11 +89,15 @@ def test_kraus_channel_rejects_incomplete_set():
     (lambda: noise_kraus("BPF", "0.3"), "p = '0.3' is not a real number"),
     (lambda: apply_one_sided("AD", np.eye(4) / 4), "channel = 'AD' is not a KrausChannel"),
     (lambda: apply_steering(0.3, np.eye(4) / 4), "op = 0.3 is not a SteeringOp"),
+    (lambda: noise_kraus(np.array(["AD", "BPF"]), 0.3),
+     "family = array(['AD', 'BPF'], dtype='<U3') is not a str"),
 ], ids=["weak-op-string", "filter-op-none", "ad-kraus-string", "bpf-kraus-list",
-        "noise-kraus-ad-string", "noise-kraus-bpf-string", "one-sided-string", "steering-number"])
+        "noise-kraus-ad-string", "noise-kraus-bpf-string", "one-sided-string", "steering-number",
+        "noise-kraus-family-array"])
 def test_a_wrongly_typed_argument_is_named(call, message):
-    # a comparison with a string or None raised a bare TypeError, and a string or a number
-    # has no operators (AttributeError)
+    # a comparison with a string or None raised a bare TypeError, a string or a number has
+    # no operators (AttributeError), and an array of families gave numpy's "truth value of
+    # an array ... is ambiguous"
     with pytest.raises(TypeError) as err:
         call()
     assert str(err.value) == message

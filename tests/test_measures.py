@@ -738,9 +738,10 @@ def test_sigma_z_mask_dephasing_equals_the_projector_sandwich(monkeypatch):
         assert np.array_equal(measures._dephased(rho, z), measures._dephased(rho, sandwich))
     # the guarded stacked path: 0 * inf, in the sandwich's matmul as in the mask's, raises no
     # warning (warnings are errors here), and both flag the same rows
-    u, good = bounds._stacked_u(states)
+    s_b = bounds.PointQuantities._stack(states).s_b
+    u, good = bounds._stacked_u(states, s_b)
     monkeypatch.setattr(bounds, "BASES", (bounds.BASES[0], sandwich))
-    ref_u, ref_good = bounds._stacked_u(states)
+    ref_u, ref_good = bounds._stacked_u(states, s_b)
     assert np.array_equal(good, ref_good) and np.array_equal(u[good], ref_u[good])
     assert good.tolist() == [True] * 40 + [False] * 40 + [True] * 84 + [False] * 2
     s_memory, ok = measures.stacked_von_neumann_entropy(stacked_partial_trace(states[:-2], "B"))

@@ -478,13 +478,12 @@ def test_shared_correlations_run_once_per_point(monkeypatch):
                                    "stacked_measurement_minima"), stacked)
     cfg = small_cfg(outputs=("pati", "adabi", "discord", "tightness"), param_points=4)
     run_sweep(cfg)
-    # S(AB), S(A), S(B) once, the dephased joint and memory entropies of both bases as one
-    # stack each, both bases' Holevo quantities from one call and the measurement optimizer
-    # on qubit A once
+    # S(AB), S(A), S(B) once, both bases' dephased joint entropies as one stack (u reads
+    # S(B) as its memory term), both bases' Holevo quantities from one call and the
+    # measurement optimizer on qubit A once
     entropy = ("stacked_von_neumann_entropy", (4, 4, 4))
     memory = ("stacked_von_neumann_entropy", (4, 2, 2))
-    both_bases = [("stacked_von_neumann_entropy", (8, 4, 4)),
-                  ("stacked_von_neumann_entropy", (8, 2, 2))]
+    both_bases = [("stacked_von_neumann_entropy", (8, 4, 4))]
     assert sorted(stacked) == sorted([entropy] + [memory] * 2 + both_bases
                                      + [("stacked_holevo", (4, 4, 4), bounds.BASES, (4,))]
                                      + [("stacked_measurement_minima", (4, 4, 4), "A")])
@@ -499,8 +498,8 @@ def test_shared_correlations_run_once_per_point(monkeypatch):
 
 
 @pytest.mark.parametrize(("output", "expected"), [
-    # S(AB) (the state's check), then both bases' dephased joint states and their memories
-    ("u", [((5, 4, 4),), ((10, 4, 4),), ((10, 2, 2),)]),
+    # S(AB) (the state's check), S(B), then both bases' dephased joint states
+    ("u", [((5, 4, 4),), ((5, 2, 2),), ((10, 4, 4),)]),
     # S(AB) and S(B), and no S(A)
     ("berta", [((5, 4, 4),), ((5, 2, 2),)]),
 ])
@@ -511,7 +510,7 @@ def test_a_stacked_read_computes_only_what_it_needs(monkeypatch, output, expecte
     run_sweep(small_cfg(outputs=(output,)))
     assert [c[1:] for c in calls if c[0] == "stacked_von_neumann_entropy"] == expected
     traced = [c[1:] for c in calls if c[0] == "stacked_partial_trace"]
-    assert traced == ([((10, 4, 4), "B")] if output == "u" else [((5, 4, 4), "B")])
+    assert traced == [((5, 4, 4), "B")]
     assert {c[0] for c in calls} == {"stacked_von_neumann_entropy", "stacked_partial_trace"}
 
 
@@ -553,7 +552,7 @@ def test_batched_u_equals_dense():
                         # one operator for the stack; the input check is the caller's
                         states, steered_ok = channels._steer(op.operator, evolved)
                         steered_ok &= stacked_density_spectra(evolved)[1]
-                    us, ok = bounds._stacked_u(states)
+                    us, ok = bounds._stacked_u(states, PointQuantities._stack(states).s_b)
                     assert evolved_ok.all() and steered_ok.all() and ok.all()
                     for i, param in enumerate(params):
                         one_row = _dense_state(channel, rho0, float(param), kind, s)
@@ -733,7 +732,8 @@ def test_grid_points_check_rho0_once_before_evolving(monkeypatch):
 def test_non_x_rows_take_the_dense_u(monkeypatch):
     h = np.kron(I2, (SX + SZ) / np.sqrt(2.0))  # a Hadamard on the memory qubit
     x_state = bell_diagonal_density(BellDiagonalCoeffs(-0.5, 0.4, 0.8))
-    us, ok = bounds._stacked_u(np.array([x_state, h @ x_state @ h, x_state]))
+    states = np.array([x_state, h @ x_state @ h, x_state])
+    us, ok = bounds._stacked_u(states, PointQuantities._stack(states).s_b)
     assert us[0] == us[2] == uncertainty_lhs(x_state)
     assert ok.tolist() == [True, False, True]
 

@@ -48,6 +48,34 @@ MUTANTS = [
         ("tests/test_bounds.py::test_a_stack_with_an_infinite_row_flags_only_that_row",),
     ),
     (
+        "bounds._stacked_u subtracts the memory entropy only once",
+        PACKAGE + "bounds.py",
+        "return (joint[:n] - s_b) + (joint[n:] - s_b), ok[:n] & ok[n:]",
+        "return joint[:n] + (joint[n:] - s_b), ok[:n] & ok[n:]",
+        ("tests/test_bounds.py::test_uncertainty_lhs_is_the_one_row_stack",),
+    ),
+    (
+        "bounds.PointQuantities.u gives the stack S(A) as its memory entropy",
+        PACKAGE + "bounds.py",
+        "_stacked_u(self.rho, self.s_b)",
+        "_stacked_u(self.rho, self.s_a)",
+        ("tests/test_sweep.py::test_batched_u_equals_dense",),
+    ),
+    (
+        "bounds.uncertainty_lhs subtracts the memory entropy only once",
+        PACKAGE + "bounds.py",
+        "return (jx - memory) + (jz - memory)",
+        "return (jx - memory) + jz",
+        ("tests/test_bounds.py::test_uncertainty_lhs_reads_one_memory_entropy",),
+    ),
+    (
+        "measures._measured_entropies reads S(A) in place of the memory S(B)",
+        PACKAGE + "measures.py",
+        "e[b][c] + e[2 + b][2 + c] for c in (0, 1)] for b in (0, 1)]",
+        "e[2 * b][2 * c] + e[2 * b + 1][2 * c + 1] for c in (0, 1)] for b in (0, 1)]",
+        ("tests/test_bounds.py::test_uncertainty_lhs_reads_one_memory_entropy",),
+    ),
+    (
         "sigma_z's branch_masks swapped in measures._branches",
         PACKAGE + "measures.py",
         "[states * m for m in basis.branch_masks]",
