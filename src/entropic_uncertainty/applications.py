@@ -6,19 +6,20 @@ which a stronger weak measurement enlarges the witnessed noise window.
 
 A capacity curve is one ``sweep._grid_points`` stack (a flagged point is rebuilt alone,
 raising its own error).  A witness point is one ``channels._evolve`` call, bitwise the
-grid's state, then its dense ``uncertainty_lhs`` (about 40 us), judged by ``bounds.witnessed``
+grid's state, then ``bounds.uncertainty_lhs`` of it (about 40 us), judged by ``witnessed``
 as the sweep's ``witness`` column is: the bracket scan evolves its 101 points as one call,
 each bisection step and straddle check its one point, and rho0 is checked once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Real
 
 import numpy as np
 
-from .bounds import PointQuantities, witnessed
+from .bounds import PointQuantities, uncertainty_lhs, witnessed
 from .channels import _evolve, apply_steering, weak_op
 from .linalg import _of_type, validate_two_qubit
 from .states import BellDiagonalCoeffs, bell_diagonal_density
@@ -61,7 +62,7 @@ def witness_threshold(
 
     def u(points) -> list[float]:  # each in [0, hi_end], so _evolve's range flag holds
         states, _ = _evolve(channel_family, rho0, np.array(points))  # one stack
-        return [PointQuantities(state).u for state in states]  # each the dense u
+        return [uncertainty_lhs(state) for state in states]
 
     xs = np.linspace(0.0, hi_end, _BRACKET_SCAN_POINTS)
     values = u(xs)
@@ -107,10 +108,13 @@ def capacity_curves(
     ``rate_lambda`` is given (damping channel only).  A bad point raises its
     own error, the first in schedule order.
     """
-    if _of_type("channel_family", channel_family, str) != "AD" and rate_lambda is not None:
+    if _of_type("channel_family", channel_family, str) == "BPF" and rate_lambda is not None:
         raise ValueError("a decay rate only parametrizes the damping channel")
     if rate_lambda is not None:  # once here, not in d_of_t at every point
-        _of_type("rate_lambda", rate_lambda, Real)
+        finite = math.isfinite(_of_type("rate_lambda", rate_lambda, Real))
+        if not (finite and rate_lambda > 0.0):  # as SweepConfig words it
+            raise ValueError(f"rate_lambda = {rate_lambda!r} "
+                             + ("must be positive" if finite else "is not finite"))
     xs = _numbers("schedule", schedule)
     points = _grid_points(channel_family, bell_diagonal_density(coeffs), xs, rate_lambda,
                           (None,), ("capacity",))

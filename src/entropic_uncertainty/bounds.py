@@ -234,7 +234,7 @@ class BoundReport:
 
 def bound_report(rho) -> BoundReport:
     """Evaluate the uncertainty, all three bounds and the correlation measures."""
-    q = PointQuantities(validate_two_qubit(rho))
+    q = PointQuantities(rho)  # q.u, read first, checks the state
     return BoundReport(
         u_lhs=q.u,
         berta=q.berta,

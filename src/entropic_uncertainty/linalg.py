@@ -44,7 +44,10 @@ class NotHermitianError(ValueError):
 
 def as_matrix(entries) -> np.ndarray:
     """Coerce to a finite complex 2-D array."""
-    m = np.asarray(entries, dtype=complex)
+    try:
+        m = np.asarray(entries, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:  # numpy's or complex()'s own text
+        raise ValueError(f"matrix {entries!r} is not an array of numbers") from exc
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
     if m.size == 0:

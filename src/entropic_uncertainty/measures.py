@@ -430,9 +430,9 @@ def quantum_discord(rho, measured_side: str = "A") -> float:
     return discord_from(mutual_information(rho), classical_correlation(rho, measured_side))
 
 
-def discord_xstate_closed(rho: np.ndarray) -> float:
+def discord_xstate_closed(rho: np.ndarray, s_ab: float) -> float:
     """Fast closed-form discord of a checked X-shaped (4, 4) state, measured on the memory
-    qubit.
+    qubit, given the state's own entropy ``s_ab`` = S(rho) (errata reads it from its grid).
 
     Takes the better of the optimal equatorial measurement and the z
     measurement; this covers the X-state family except for a small parameter
@@ -452,7 +452,6 @@ def discord_xstate_closed(rho: np.ndarray) -> float:
         )
     )
     p1 = binary_entropy(min(gamma, 1.0))
-    p2 = sum(-p * math.log2(p) for p in pops if p > 0.0) - binary_entropy(d11 + d33)
     s_memory = binary_entropy(d11 + d33)
-    s_joint = von_neumann_entropy(rho)
-    return min(p1, p2) + s_memory - s_joint
+    p2 = sum(-p * math.log2(p) for p in pops if p > 0.0) - s_memory
+    return min(p1, p2) + s_memory - s_ab

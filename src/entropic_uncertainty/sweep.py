@@ -88,6 +88,10 @@ class SweepConfig:
     def validate(self) -> list[str]:
         problems = []
 
+        def known(v, names):
+            # only a string names a channel, steering kind or output tag (numpy's == is elementwise)
+            return v if isinstance(v, str) and v in names else None
+
         def finite(name: str, v) -> bool:
             # a non-real or non-finite value gets this one problem instead of a range check
             real = isinstance(v, Real)
@@ -103,7 +107,8 @@ class SweepConfig:
             problems.append(f"{name} = {v!r} is not a list")
             return False
 
-        if self.channel not in CHANNEL_FAMILIES:
+        channel = known(self.channel, CHANNEL_FAMILIES)
+        if channel is None:
             problems.append(f"channel {self.channel!r} not one of {CHANNEL_FAMILIES}")
         # a field that is not a list has that one problem, and the checks of its items skip it
         outputs = self.outputs if listed("outputs", self.outputs) else None
@@ -111,11 +116,13 @@ class SweepConfig:
                                                       self.steering_strengths) else None
         if outputs is not None and not outputs:
             problems.append("outputs list is empty")
-        for tag in [t for i, t in enumerate(outputs or ()) if outputs.index(t) == i]:
-            if tag not in OUTPUT_TAGS:
+        keys = [(type(t), repr(t)) for t in outputs or ()]  # not by ==: an array's is elementwise
+        for key in dict.fromkeys(keys):
+            tag = outputs[keys.index(key)]
+            if known(tag, OUTPUT_TAGS) is None:
                 problems.append(f"unknown output tag {tag!r}")
-            if outputs.count(tag) > 1:
-                problems.append(f"output tag {tag!r} given {outputs.count(tag)} times")
+            if keys.count(key) > 1:
+                problems.append(f"output tag {tag!r} given {keys.count(key)} times")
         try:
             points = index(self.param_points)  # as np.linspace reads it
         except TypeError:
@@ -133,7 +140,7 @@ class SweepConfig:
                 if not 0.0 <= v <= 1.0:
                     problems.append(f"{name} = {v!r} outside [0, 1]")
         else:
-            if self.channel == "BPF":
+            if channel == "BPF":
                 problems.append("rate_lambda only applies to the AD channel")
             if finite("rate_lambda", self.rate_lambda) and self.rate_lambda <= 0.0:
                 problems.append(f"rate_lambda = {self.rate_lambda!r} must be positive")
@@ -142,19 +149,19 @@ class SweepConfig:
                     problems.append(f"{name} = {v!r} must be nonnegative (time grid)")
         if len(finite_ends) == 2 and self.param_stop < self.param_start:
             problems.append("param_stop is smaller than param_start")
-        steered = self.steering_kind is not None or strengths
-        if steered and self.steering_kind not in STEERING_KINDS:
+        kind = known(self.steering_kind, STEERING_KINDS)
+        if (self.steering_kind is not None or strengths) and kind is None:
             problems.append(
                 f"steering_kind {self.steering_kind!r} not one of {STEERING_KINDS}"
             )
-        if self.steering_kind in STEERING_KINDS and strengths is not None and not strengths:
+        if kind is not None and strengths is not None and not strengths:
             problems.append("steering_kind given but no steering_strengths")
         for s in strengths or ():
             if not finite("steering strength", s):
                 continue
-            if self.steering_kind == "filter" and not 0.0 < s < 1.0:
+            if kind == "filter" and not 0.0 < s < 1.0:
                 problems.append(f"filter strength {s!r} outside (0, 1)")
-            if self.steering_kind == "weak" and not 0.0 <= s < 1.0:
+            if kind == "weak" and not 0.0 <= s < 1.0:
                 problems.append(f"weak strength {s!r} outside [0, 1)")
         return problems + coefficient_problems(self.c1, self.c2, self.c3)
 
@@ -349,9 +356,10 @@ def render_csv(rows) -> str:
 
 
 def _numbers(name: str, values) -> list[float]:
-    """``values`` as floats; a string or a single number is refused, not iterated, and so is
-    a list with an item that is not a real number (a list of lists, a matrix's rows)."""
-    items = None if isinstance(values, str) or not isinstance(values, Iterable) else list(values)
+    """``values`` in order as floats; a string, a single number (a 0-d array too), a dict or a set
+    is refused, not iterated, and so is a list with an item that is not a real number."""
+    ordered = isinstance(values, Sequence) and not isinstance(values, str) or np.ndim(values) > 0
+    items = list(values) if ordered else None
     if items is None or not all(isinstance(x, Real) for x in items):
         raise TypeError(f"{name} = {values!r} is not a list of numbers")
     return [float(x) for x in items]
@@ -369,38 +377,25 @@ def errata_report(coeffs: BellDiagonalCoeffs, channel: str, grid) -> str:
         raise ValueError("empty parameter grid")
     rho0 = bell_diagonal_density(coeffs)
 
-    gaps: dict[str, tuple[float, float]] = {}
-    skipped: dict[str, int] = {}
-
-    def record(name: str, gap: float | None, x: float):
-        if gap is None:
-            skipped[name] = skipped.get(name, 0) + 1
-            return
-        best = gaps.get(name)
-        if best is None or gap > best[0]:
-            gaps[name] = (gap, x)
-
-    values = ("u", "berta", "mutual_information", "s_a", "s_min")
+    table: dict[str, list[tuple[float | None, float]]] = {}  # formula: (gap or None, param)
+    values = ("u", "berta", "mutual_information", "s_a", "s_min", "s_ab")
     for _, i, state, quantities in _grid_points(channel, rho0, grid, None, (None,), values):
         x = grid[i]
-        (_, u), (_, berta), (_, mutual), (_, s_a), (_, s_min) = quantities
+        (_, u), (_, berta), (_, mutual), (_, s_a), (_, s_min), (_, s_ab) = quantities
         if channel == "AD":
             closed_u = ad_closed_form_u(coeffs, x)
-            record(
-                "evolved-state uncertainty (closed form)",
-                None if closed_u is None else abs(closed_u - u),
-                x,
-            )
+            gaps = {"evolved-state uncertainty (closed form)":
+                    None if closed_u is None else abs(closed_u - u)}
         else:
             closed_u, closed_bound = bpf_closed_forms(coeffs, x)
-            record("evolved-state uncertainty (closed form)", abs(closed_u - u), x)
-            record("uncertainty lower bound (closed form)", abs(closed_bound - berta), x)
-        closed_d = discord_xstate_closed(state)
+            gaps = {"evolved-state uncertainty (closed form)": abs(closed_u - u),
+                    "uncertainty lower bound (closed form)": abs(closed_bound - berta)}
         numeric_d = discord_from(mutual, s_a - s_min)  # bitwise quantum_discord(state, "B")
-        record("x-state discord (closed form)", abs(closed_d - numeric_d), x)
+        gaps["x-state discord (closed form)"] = abs(discord_xstate_closed(state, s_ab) - numeric_d)
+        for name, gap in gaps.items():
+            table.setdefault(name, []).append((gap, x))
 
-    names = sorted(set(gaps) | set(skipped))
-    width = max(len(n) for n in names) + 2
+    width = max(len(n) for n in table) + 2
     lines = [
         "closed-form cross-check report",
         f"channel: {channel}   coeffs: C1={coeffs.c1:g} C2={coeffs.c2:g} C3={coeffs.c3:g}",
@@ -408,13 +403,11 @@ def errata_report(coeffs: BellDiagonalCoeffs, channel: str, grid) -> str:
         "",
         f"{'formula'.ljust(width)}{'max |gap|':>12}  {'at param':>10}  skipped",
     ]
-    for name in names:
-        gap = gaps.get(name)
-        n_skip = skipped.get(name, 0)
-        if gap is None:
-            lines.append(f"{name.ljust(width)}{'n/a':>12}  {'n/a':>10}  {n_skip}")
-        else:
-            lines.append(
-                f"{name.ljust(width)}{gap[0]:>12.3e}  {gap[1]:>10.6g}  {n_skip}"
-            )
+    for name, points in sorted(table.items()):
+        scored = [(gap, x) for gap, x in points if gap is not None]
+        best = f"{'n/a':>12}  {'n/a':>10}"
+        if scored:
+            gap, x = max(scored, key=lambda point: point[0])  # the first largest gap
+            best = f"{gap:>12.3e}  {x:>10.6g}"
+        lines.append(f"{name.ljust(width)}{best}  {len(points) - len(scored)}")
     return "\n".join(lines) + "\n"

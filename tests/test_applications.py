@@ -152,7 +152,7 @@ def test_witness_scan_evolves_one_stack(monkeypatch):
     evolved, u_calls = [], []
     for module in (sweep, applications):  # the scan's _grid_points, and the bisection
         _record(monkeypatch, module, "_evolve", evolved)
-    _record(monkeypatch, bounds, "uncertainty_lhs", u_calls)
+    _record(monkeypatch, applications, "uncertainty_lhs", u_calls)
     for family, hi_end in (("AD", 1.0), ("BPF", 0.5)):
         evolved.clear()
         u_calls.clear()
@@ -239,16 +239,34 @@ def test_witness_threshold_rejects_a_bad_strength(s):
      r"^grid = \[\[0.5, 1.0\]\] is not a list of numbers$"),
     (lambda: sweep.errata_report(WITNESS_COEFFS, "AD", np.array([[0.5], [1.0]])),
      r"^grid = array\(\[\[0.5\],\n\s+\[1. \]\]\) is not a list of numbers$"),
+    (lambda: capacity_curves("AD", CAPACITY_COEFFS, {0.5: 1.0}),
+     r"^schedule = \{0.5: 1.0\} is not a list of numbers$"),
+    (lambda: sweep.errata_report(WITNESS_COEFFS, "AD", np.array(0.5)),
+     r"^grid = array\(0.5\) is not a list of numbers$"),
 ], ids=["witness-tuple", "capacity-tuple", "errata-string", "errata-number", "capacity-string",
         "witness-strength-string", "capacity-rate-string", "witness-family-array",
         "capacity-family-array", "errata-family-array", "capacity-list-of-lists",
-        "capacity-matrix", "errata-list-of-lists", "errata-matrix"])
+        "capacity-matrix", "errata-list-of-lists", "errata-matrix", "capacity-dict",
+        "errata-0d-array"])
 def test_a_wrongly_typed_argument_is_named(call, message):
     # a tuple has no as_tuple (AttributeError), a string grid was read letter by letter, an
     # array of families gave numpy's "truth value ... is ambiguous" (or, for one family, a
-    # result), and a grid of lists or a matrix float()'s or numpy's own message
+    # result), a grid of lists or a matrix float()'s or numpy's own message, a dict was read
+    # as its keys, and a 0-d array gave numpy's "iteration over a 0-d array"
     with pytest.raises(TypeError, match=message):
         call()
+
+
+@pytest.mark.parametrize("rate, problem", [(math.nan, "is not finite"), (math.inf, "is not finite"),
+                                           (0.0, "must be positive"), (-1.0, "must be positive")])
+def test_capacity_curves_refuses_a_rate_as_sweep_config_does(rate, problem):
+    # nan and inf reached the damping check at each point, 0.0 gave the d = 0 curve and -1.0
+    # d_of_t's "rate and time must be nonnegative"
+    message = f"rate_lambda = {rate!r} {problem}"
+    with pytest.raises(ValueError) as info:
+        capacity_curves("AD", CAPACITY_COEFFS, [0.5, 1.0], rate_lambda=rate)
+    assert str(info.value) == message
+    assert message in sweep.SweepConfig("AD", 0.0, 0.0, 0.0, rate_lambda=rate).validate()
 
 
 @pytest.mark.parametrize("family", ("AD", "BPF"))

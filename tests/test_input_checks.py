@@ -32,6 +32,9 @@ CASES = [
      ValueError, "unknown channel family 'GAD'"),
     ("errata-unknown-channel", lambda tmp: sweep.errata_report(FIG1, "GAD", [0.0, 1.0]),
      ValueError, "unknown channel family 'GAD'"),
+    ("capacity-unknown-channel-with-rate",  # not "a decay rate only parametrizes ..."
+     lambda tmp: applications.capacity_curves("GAD", FIG1, [0.0, 1.0], rate_lambda=1.0),
+     ValueError, "unknown channel family 'GAD'"),
     ("steering-shape", lambda tmp: channels.SteeringOp(np.eye(3)),
      ValueError, "steering operator has shape (3, 3), expected (2, 2)"),
     ("steering-off-diagonal", lambda tmp: channels.SteeringOp(np.array([[1.0, 0.1], [0.0, 1.0]])),

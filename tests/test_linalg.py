@@ -199,6 +199,16 @@ def test_as_matrix_rejects_any_non_finite_part(bad):
         as_matrix(m)
 
 
+@pytest.mark.parametrize("entries", [{"a": 1}, [[1, 2], [3]], [["a", "b"], ["c", "d"]], 10**400],
+                         ids=["dict", "ragged", "strings", "int-overflow"])
+def test_as_matrix_names_entries_that_are_not_numbers(entries):
+    # complex()'s "must be real number, not dict", numpy's "inhomogeneous shape" and
+    # "malformed string" texts, and an OverflowError, escaped before
+    with pytest.raises(ValueError) as info:
+        as_matrix(entries)
+    assert str(info.value) == f"matrix {entries!r} is not an array of numbers"
+
+
 @pytest.mark.parametrize(
     "fn", [density_spectrum, hermitian_eigenvalues, jacobi_eigenvalues, uncertainty_lhs]
 )

@@ -340,8 +340,9 @@ def test_discord_is_mutual_minus_classical():
 
 def test_discord_closed_form_trivial_cases():
     product = np.kron(np.diag([0.7, 0.3]), np.diag([0.6, 0.4])).astype(complex)
-    assert discord_xstate_closed(product) == pytest.approx(0.0, abs=1e-12)
-    assert discord_xstate_closed(BELL) == pytest.approx(1.0, abs=1e-9)
+    assert discord_xstate_closed(product, von_neumann_entropy(product)) == pytest.approx(
+        0.0, abs=1e-12)
+    assert discord_xstate_closed(BELL, von_neumann_entropy(BELL)) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_discord_closed_form_vs_sweep():
@@ -351,7 +352,7 @@ def test_discord_closed_form_vs_sweep():
     worst = 0.0
     for _ in range(200):
         rho = rand_xstate_matrix(rng)
-        closed = discord_xstate_closed(rho)
+        closed = discord_xstate_closed(rho, von_neumann_entropy(rho))
         numeric = quantum_discord(rho, measured_side="B")
         assert closed >= numeric - 1e-8
         worst = max(worst, abs(closed - numeric))

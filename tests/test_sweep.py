@@ -28,7 +28,7 @@ from entropic_uncertainty.channels import (
     weak_op,
 )
 from entropic_uncertainty.linalg import NotHermitianError, is_x_patterned, stacked_density_spectra
-from entropic_uncertainty.measures import quantum_discord
+from entropic_uncertainty.measures import quantum_discord, von_neumann_entropy
 from entropic_uncertainty.sweep import (
     MAX_GRID_ROWS,
     OUTPUT_TAGS,
@@ -256,13 +256,15 @@ def test_errata_report_contents():
 
 
 def test_errata_discord_is_the_dense_discord_on_b(monkeypatch):
-    # errata's discord, from the stack's columns, equals quantum_discord(state, "B") bitwise
-    states, discords = [], []
+    # errata's discord, from the stack's columns, equals quantum_discord(state, "B") bitwise,
+    # and the S(AB) it passes the closed form is von_neumann_entropy(state) bitwise
+    states, entropies, discords = [], [], []
     discord_xstate_closed, discord_from = sweep.discord_xstate_closed, sweep.discord_from
 
-    def recorded_state(state):
+    def recorded_state(state, s_ab):
         states.append(state)
-        return discord_xstate_closed(state)
+        entropies.append(s_ab)
+        return discord_xstate_closed(state, s_ab)
 
     def recorded_discord(mutual, classical):
         discords.append(discord_from(mutual, classical))
@@ -275,10 +277,11 @@ def test_errata_discord_is_the_dense_discord_on_b(monkeypatch):
     for coeffs in triples:
         for channel in ("AD", "BPF"):
             errata_report(BellDiagonalCoeffs(*coeffs), channel, [0.0, 0.5, 1.0])
-    assert len(states) == len(discords) == len(triples) * 2 * 3
-    for state, discord in zip(states, discords):
+    assert len(states) == len(entropies) == len(discords) == len(triples) * 2 * 3
+    for state, s_ab, discord in zip(states, entropies, discords):
         assert discord == quantum_discord(state, measured_side="B")
-        assert type(discord) is float
+        assert s_ab == von_neumann_entropy(state)
+        assert type(discord) is type(s_ab) is float
 
 
 @pytest.mark.parametrize("points", [2.5, 3.0, 1.5])
@@ -288,6 +291,25 @@ def test_a_non_integer_point_count_is_its_one_problem(points):
     expected = [f"param_points = {points!r} is not an integer"]
     assert small_cfg(param_points=points).validate() == expected
     assert small_cfg(param_points=np.int64(3)).validate() == []
+
+
+@pytest.mark.parametrize(("field", "value", "problem"), [
+    ("channel", np.array(["AD"]), "channel array(['AD'], dtype='<U2') not one of ('AD', 'BPF')"),
+    ("channel", np.eye(2), f"channel {np.eye(2)!r} not one of ('AD', 'BPF')"),
+    ("steering_kind", np.array(["weak"]),
+     "steering_kind array(['weak'], dtype='<U4') not one of ('filter', 'weak')"),
+    ("outputs", (np.eye(2),), f"unknown output tag {np.eye(2)!r}"),
+    ("outputs", ("u", np.array(["u"])), "unknown output tag array(['u'], dtype='<U1')"),
+], ids=["channel-array", "channel-matrix", "steering-kind-array", "outputs-matrix",
+        "outputs-array-beside-its-string"])
+def test_an_array_valued_field_is_its_one_problem(field, value, problem):
+    # only a string is compared with a field's names: numpy's elementwise == let a
+    # one-string array through (rows whose channel is an ndarray, "steering_kind given but no
+    # steering_strengths"), raised "truth value ... is ambiguous" for a matrix, and counted
+    # an array beside its string as one tag given twice
+    with pytest.raises(ConfigError) as info:
+        run_sweep(small_cfg(**{field: value}))
+    assert info.value.problems == (problem,)
 
 
 @pytest.mark.parametrize("outputs", ["ub", "u"])

@@ -243,6 +243,20 @@ MUTANTS = [
         "if lo > hi:",
         ("tests/test_bounds.py::test_adabi_saturates_under_bpf",),
     ),
+    (
+        "sweep.errata_report passes the closed-form discord S(A) in place of S(AB)",
+        PACKAGE + "sweep.py",
+        "discord_xstate_closed(state, s_ab)",
+        "discord_xstate_closed(state, s_a)",
+        ("tests/test_sweep.py::test_errata_discord_is_the_dense_discord_on_b",),
+    ),
+    (
+        "sweep.errata_report counts the scored points as skipped",
+        PACKAGE + "sweep.py",
+        "{len(points) - len(scored)}",
+        "{len(scored)}",
+        ("tests/test_cli.py::test_errata_stdout_sha256_is_pinned[AD]",),
+    ),
 ]
 
 
