@@ -6,7 +6,7 @@ which a stronger weak measurement enlarges the witnessed noise window.
 
 A capacity curve is one ``sweep._grid_points`` stack (a flagged point is rebuilt alone,
 raising its own error).  A witness point is one ``channels._evolve`` call, bitwise the
-grid's state, then ``bounds.uncertainty_lhs`` of it (about 40 us), judged by ``witnessed``
+grid's state, then ``bounds.uncertainty_lhs`` of it (about 20 us), judged by ``witnessed``
 as the sweep's ``witness`` column is: the bracket scan evolves its 101 points as one call,
 each bisection step and straddle check its one point, and rho0 is checked once.
 """

@@ -252,12 +252,22 @@ def _spectrum(e: list) -> list[float]:
     total = _ordered_sum(vals)
     if abs(total - 1.0) > TRACE_ATOL:
         raise ValueError(f"matrix does not have unit trace (trace {total!r})")
-    return [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in vals]  # np.clip keeps -0.0
+    return _clamped(vals)
+
+
+def _clamped(vals) -> list[float]:
+    """Eigenvalues clamped to [0, 1] on Python floats, as ``np.clip`` (which keeps -0.0)."""
+    return [0.0 if v < 0.0 else 1.0 if v > 1.0 else v for v in vals]
 
 
 def density_spectrum(rho) -> np.ndarray:
     """Spectrum of a density matrix: validated, clamped to [0, 1], descending."""
     return np.array(_spectrum(_entries(as_matrix(rho))))
+
+
+def _sorted_rows(columns: list[np.ndarray]) -> np.ndarray:
+    """Eigenvalue columns (``_eig2_columns``) as one (N, k) array, each row sorted descending."""
+    return np.sort(np.stack(columns).T, axis=1)[:, ::-1]
 
 
 def stacked_density_spectra(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,9 +277,8 @@ def stacked_density_spectra(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bitwise the dense one; a failing row's values mean nothing."""
     blocks = ((0, 3), (1, 2)) if m.shape[1] == 4 else ((0, 1),)
     with np.errstate(over="ignore", invalid="ignore"):  # huge or non-finite rows fail below
-        vals = np.stack([v for i, j in blocks
-                         for v in _eig2_columns(m[:, i, i].real, m[:, j, j].real, m[:, i, j])])
-        vals = np.sort(vals.T, axis=1)[:, ::-1]
+        vals = _sorted_rows([v for i, j in blocks
+                             for v in _eig2_columns(m[:, i, i].real, m[:, j, j].real, m[:, i, j])])
         asymmetry = np.abs(m - m.conj().transpose(0, 2, 1)).max(axis=(1, 2))
         ok = np.isfinite(m).all(axis=(1, 2)) & (asymmetry <= HERMITIAN_ATOL)
         ok &= (vals.min(axis=1) >= -PSD_ATOL) & (np.abs(vals.sum(axis=1) - 1.0) <= TRACE_ATOL)

@@ -103,9 +103,9 @@ def binary_entropy(q: float) -> float:
     return out
 
 
-def _probabilities(e: list) -> list[float]:
-    """``linalg._spectrum`` of a matrix's entries (``_entries``), whose clamped sum must be 1."""
-    p = _spectrum(e)
+def _probabilities(p: list[float]) -> list[float]:
+    """A clamped spectrum (``linalg._spectrum``, or ``linalg._clamped`` eigenvalues), whose
+    sum must be 1."""
     total = _ordered_sum(p)
     if abs(total - 1.0) > TRACE_ATOL:
         raise ValueError(f"probabilities sum to {total!r}, expected 1")
@@ -122,15 +122,22 @@ def _entropies(spectra: list[list[float]]) -> list[float]:
 
 def von_neumann_entropy(rho) -> float:
     """Entropy in bits of a density matrix's spectrum, whose clamped trace must stay 1."""
-    return _entropies([_probabilities(_entries(as_matrix(rho)))])[0]
+    return _entropies([_probabilities(_spectrum(_entries(as_matrix(rho))))])[0]
+
+
+def _stacked_entropies(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entropy of each row of clamped spectra (``linalg._sorted_rows``, clipped), bitwise as
+    ``_entropies``, and which rows sum to 1: a zero eigenvalue adds 0.0 to the sum."""
+    ok = np.abs(p.sum(axis=1) - 1.0) <= TRACE_ATOL
+    return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1), ok
 
 
 def stacked_von_neumann_entropy(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``von_neumann_entropy`` of each matrix of an (N, 2, 2) or (N, 4, 4) stack, and which
-    rows pass its checks, bitwise as the dense one: a zero eigenvalue adds 0.0 to the sum."""
+    rows pass its checks, bitwise as the dense one."""
     p, ok = stacked_density_spectra(m)
-    ok &= np.abs(p.sum(axis=1) - 1.0) <= TRACE_ATOL
-    return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1), ok
+    entropy, summed = _stacked_entropies(p)
+    return entropy, ok & summed
 
 
 class _Basis:
@@ -159,46 +166,33 @@ class _Basis:
 
 # The measured pair of the uncertainty game.  sigma_x is the direction (theta, phi) =
 # (pi/2, 0), so its z component is cos(pi/2) = 6.1e-17, not 0: its projectors' diagonals
-# are 0.5 and 0.5 - 2**-54, bits that u and the sigma_x Holevo quantity carry.
+# are 0.5 and 0.5 - 2**-54, bits that the sigma_x Holevo quantity and post-measurement
+# state carry; u reads sigma_x's exact blocks (``bounds._measured_blocks``) instead.
 SIGMA_X = _Basis((1.0, 0.0, math.cos(math.pi / 2)))
 SIGMA_Z = _Basis((0.0, 0.0, 1.0))
 
 
 def _branches(states: np.ndarray, basis: _Basis, summed: bool = False):
     """The unnormalized state (P_x)_A rho (P_x)_A that each outcome x of ``basis`` leaves,
-    of one state or of an (N, 4, 4) stack, or their sum if ``summed``: by ``branch_masks``
-    (summed: ``dephasing_mask``) where the basis has them, else by the projector sandwich.
-    Unguarded: a non-finite entry warns."""
+    of one state or of an (N, 4, 4) stack, or their sum, the dephased state, if ``summed``
+    (adding them to 0 one by one would make an exact zero's sign positive): by
+    ``branch_masks`` (summed: ``dephasing_mask``) where the basis has them, else by the
+    projector sandwich.  Unguarded: a non-finite entry warns."""
     if basis.branch_masks is not None:
         return states * basis.dephasing_mask if summed else [states * m for m in basis.branch_masks]
     terms = _sandwiches(basis.embedded, states)
     return terms[0] + terms[1] if summed else terms
 
 
-def _dephased(states: np.ndarray, basis: _Basis) -> np.ndarray:
-    """Dephasing of one state or of a stack: the sum of its ``_branches`` (adding them to 0
-    one by one would make an exact zero's sign positive)."""
-    return _branches(states, basis, summed=True)
-
-
 def post_measurement_state(rho, basis: _Basis) -> np.ndarray:
     """Dephased state sum_x (P_x)_A rho (P_x)_A after measuring qubit A."""
-    return _dephased(validate_two_qubit(rho), basis)
-
-
-def _measured_entropies(rho: np.ndarray, bases) -> list[float]:
-    """The entropy of a checked state dephased by each of ``bases``, then of its memory
-    rho_B, which measuring qubit A leaves as it is; one ``np.log2`` call."""
-    e = rho.tolist()  # rho_B's entry [b][c] is e[b][c] + e[2 + b][2 + c], as a partial trace
-    memory = [[e[b][c] + e[2 + b][2 + c] for c in (0, 1)] for b in (0, 1)]
-    dephased = [_probabilities(_dephased(rho, b).tolist()) for b in bases]
-    return _entropies(dephased + [_probabilities(memory)])
+    return _branches(validate_two_qubit(rho), basis, summed=True)
 
 
 def conditional_entropy_after_measurement(rho, basis: _Basis) -> float:
-    """S(measured A | B) = S(post-measurement state) - S(rho_B)."""
-    joint, memory = _measured_entropies(validate_two_qubit(rho), (basis,))
-    return joint - memory
+    """S(measured A | B) = S(post-measurement state) - S(rho_B); measuring A leaves rho_B."""
+    joint = von_neumann_entropy(post_measurement_state(rho, basis))
+    return joint - von_neumann_entropy(partial_trace(rho, "B"))
 
 
 def quantum_conditional_entropy(rho) -> float:

@@ -418,6 +418,14 @@ def rand_xstate_matrix(rng, real=False):
     return rho
 
 
+def locally_rotated(rng, rho):
+    """rho under a random unitary on each qubit: the same spectrum, not an X state."""
+    u_a, u_b = (np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+                for _ in range(2))
+    big = np.kron(u_a, u_b)
+    return big @ rho @ big.conj().T
+
+
 SPMC_ATOL = 1e-12
 
 

@@ -11,6 +11,7 @@ from conftest import (
     bpf_ops_oracle,
     entropy_oracle,
     evolve_oracle,
+    locally_rotated,
     rand_bd_coeffs,
     rand_xstate_matrix,
     spectrum_oracle,
@@ -226,22 +227,43 @@ def test_uncertainty_lhs_checks_the_state_once(monkeypatch):
     monkeypatch.setattr(linalg, "_spectrum", counted)
     monkeypatch.setattr(measures, "_spectrum", counted)
     uncertainty_lhs(FIG1)
-    # rho once, then both bases' dephased states and the memory rho_B, which measuring A
-    # leaves as it is
-    assert shapes == [(4, 4), (4, 4), (4, 4), (2, 2)]
+    # rho's own check only: the measured states and rho_B are 2x2 blocks in closed form
+    assert shapes == [(4, 4)]
+
+
+def _two_blocks(upper, lower):
+    """The state with 2x2 blocks ``upper`` and ``lower`` on its diagonal, written as an X
+    matrix ({|00>, |11>} and {|01>, |10>}), so that its spectrum is the blocks' closed forms."""
+    m = np.zeros((4, 4), dtype=complex)
+    for block, (i, j) in ((upper, (0, 3)), (lower, (1, 2))):
+        m[np.ix_((i, j), (i, j))] = block
+    return m
 
 
 def test_uncertainty_lhs_reads_one_memory_entropy():
-    # S(X|B) + S(Z|B) = S(rho_XB) + S(rho_ZB) - 2 S(rho_B): the dense u is the entropies of
-    # both dephased states and of rho_B, each alone, bit for bit
+    # S(X|B) + S(Z|B) = S(rho_XB) + S(rho_ZB) - 2 S(rho_B), and measuring qubit A leaves
+    # block-diagonal states: with R_ab rho's 2x2 block of rows {2a, 2a + 1} and columns
+    # {2b, 2b + 1}, sigma_z leaves R00 and R11, sigma_x (R00 + R11 +/- (R01 + R10)) / 2 and
+    # rho_B is R00 + R11.  The dense u is those blocks' entropies, bit for bit
     rng = np.random.RandomState(1031)
     states = [rand_xstate_matrix(rng, real=k % 2 == 0) for k in range(30)]
     for d in (0.0, 0.37, 1.0):
         states.append(apply_one_sided(ad_kraus(d), FIG1))
     for rho in states:
+        r00, r01, r10, r11 = rho[:2, :2], rho[:2, 2:], rho[2:, :2], rho[2:, 2:]
+        memory = r00 + r11
+        jx = von_neumann_entropy(_two_blocks(0.5 * (memory + (r01 + r10)),
+                                             0.5 * (memory - (r01 + r10))))
+        jz = von_neumann_entropy(_two_blocks(r00, r11))
+        s_b = von_neumann_entropy(memory)
+        u = uncertainty_lhs(rho)
+        assert _bits(u) == _bits((jx - s_b) + (jz - s_b))
+        assert s_b == von_neumann_entropy(partial_trace(rho, "B"))
+        # the dephased states' own spectra, with sigma_x's 6.1e-17 projector bits, differ by
+        # at most 4 ulps of 1 (measured on 2400 evolved AD and BPF states)
         jx, jz = (von_neumann_entropy(post_measurement_state(rho, b)) for b in bounds.BASES)
-        memory = von_neumann_entropy(partial_trace(rho, "B"))
-        assert _bits(uncertainty_lhs(rho)) == _bits((jx - memory) + (jz - memory))
+        assert abs(u - ((jx - s_b) + (jz - s_b))) <= 4 * np.spacing(1.0)
+        assert u == pytest.approx(u_oracle(rho), abs=1e-12)
 
 
 def _bits(x):
@@ -307,8 +329,37 @@ def test_uncertainty_lhs_is_the_one_row_stack():
         assert u == pytest.approx(u_oracle(rho), abs=1e-10)
 
 
+def test_u_of_a_non_x_state_is_its_one_row_stack_without_jacobi(monkeypatch):
+    # measuring qubit A leaves 2x2 blocks whatever the state: on locally rotated (non-X)
+    # states the dense u is the one-row and the N-row stack bit for bit, and only rho's own
+    # check, which is not X-shaped, runs Jacobi
+    rng = np.random.RandomState(1049)
+    states = [locally_rotated(rng, rand_xstate_matrix(rng, real=k % 2 == 0)) for k in range(30)]
+    states += [locally_rotated(rng, apply_one_sided(ad_kraus(d), FIG1)) for d in (0.0, 0.37, 1.0)]
+    states = np.array(states)
+    assert not any(linalg.is_x_patterned(rho) for rho in states)
+    calls = []
+
+    def counted(m):
+        calls.append(np.shape(m))
+        return jacobi(m)
+
+    jacobi = linalg.jacobi_eigenvalues
+    monkeypatch.setattr(linalg, "jacobi_eigenvalues", counted)
+    s_b, s_b_ok = stacked_von_neumann_entropy(stacked_partial_trace(states, "B"))
+    us, ok = bounds._stacked_u(states, s_b)
+    assert ok.all() and s_b_ok.all() and calls == []
+    for rho, u, memory in zip(states, us, s_b):
+        one, one_ok = bounds._stacked_u(rho[None], np.array([memory]))
+        dense = uncertainty_lhs(rho)
+        assert calls == [(4, 4)]
+        calls.clear()
+        assert one_ok[0] and _bits(one[0]) == _bits(u) == _bits(dense)
+        assert dense == pytest.approx(u_oracle(rho), abs=1e-12)
+
+
 def test_a_stack_with_an_infinite_row_flags_only_that_row():
-    # the suite turns warnings into errors: the dephasings of u and of the Holevo quantities
+    # the suite turns warnings into errors: u's blocks and the Holevo quantities' dephasings
     # must not warn on the infinite rows, which only fail their own checks
     rng = np.random.RandomState(1019)
     states = np.array([rand_xstate_matrix(rng, real=k % 2 == 0) for k in range(6)])

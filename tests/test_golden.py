@@ -6,10 +6,12 @@ written by ``python tests/regen_golden.py --write``.  Value correctness is
 covered by the oracle tests; this module locks in the determinism contract.
 """
 
+import decimal
 import hashlib
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
 import regen_golden
@@ -50,6 +52,40 @@ def test_regen_script_writes_only_with_flag(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "fig6.csv").read_bytes() == (GOLDEN_DIR / "fig6.csv").read_bytes()
     assert regen_golden.main(["fig6"]) == 0
     assert capsys.readouterr().out.splitlines() == ["fig6: missing", "fig6: written", "fig6: ok"]
+
+
+# fewest ulps any nonzero golden cell may sit from its 12-digit rounding edge; the smallest
+# margin is 11.68 ulps (fig3's u at d = 0.8)
+GOLDEN_MARGIN_ULPS = 8
+
+
+def _numbers(row):
+    """A row's numeric cells in CSV order."""
+    optional = (row.steer_strength, row.rate_lambda)
+    return [row.param, row.c1, row.c2, row.c3, *(v for v in optional if v is not None),
+            *(v for _, v in row.quantities)]
+
+
+def test_golden_cells_sit_away_from_their_rounding_edges():
+    # a few ulps of arithmetic cannot move a golden: each nonzero cell's float64 value is at
+    # least GOLDEN_MARGIN_ULPS of its ulps from the nearest edge between two 12-digit numbers
+    for name in PRESET_NAMES:
+        lines = (GOLDEN_DIR / f"{name}.csv").read_text(encoding="utf-8").splitlines()[1:]
+        rows = preset_rows(name)
+        assert len(rows) == len(lines)
+        for row, line in zip(rows, lines):
+            cells = [c for c in line.split(",") if c not in ("AD", "BPF", "filter", "weak")]
+            values = _numbers(row)
+            assert len(values) == len(cells)
+            for value, cell in zip(values, cells):
+                if value == 0.0:
+                    continue
+                assert f"{value:.12g}" == cell, (name, line)
+                exact, printed = decimal.Decimal(value), decimal.Decimal(cell)
+                half_digit = decimal.Decimal(10) ** (exact.adjusted() - 11) / 2
+                ulp = decimal.Decimal(np.spacing(abs(value)))
+                margin = (half_digit - abs(exact - printed)) / ulp
+                assert margin >= GOLDEN_MARGIN_ULPS, (name, line, value, float(margin))
 
 
 def test_presets_are_run_to_run_deterministic():

@@ -20,6 +20,7 @@ from conftest import (
     evolve_oracle,
     h2,
     holevo_oracle,
+    locally_rotated,
     minimize_dense_oracle,
     mutual_oracle,
     post_meas_oracle,
@@ -31,7 +32,7 @@ from conftest import (
     sigma_y_basis,
     spectrum_oracle,
 )
-from entropic_uncertainty import bounds, channels, measures
+from entropic_uncertainty import bounds, channels, linalg, measures
 from entropic_uncertainty.applications import channel_capacity
 from entropic_uncertainty.linalg import (
     PAULI_X,
@@ -236,21 +237,13 @@ def test_holevo_examples():
     assert got == pytest.approx(1.0 - h2(0.25), abs=1e-12)
 
 
-def _locally_rotated(rng, rho):
-    """rho under a random unitary on each qubit: the same spectrum, not an X state."""
-    u_a, u_b = (np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
-                for _ in range(2))
-    big = np.kron(u_a, u_b)
-    return big @ rho @ big.conj().T
-
-
 def test_holevo_and_dephasing_stacks_equal_one_row_calls():
-    # an N-row stack (the sum of its branches, as _stacked_u dephases it) equals N one-row
+    # an N-row stack (the sum of its branches, as post_measurement_state dephases) equals N one-row
     # calls bitwise, and the oracles closely, on X states and on locally rotated (non-X) ones;
     # the Holevo columns of several bases from one call equal each basis's call alone
     rng = np.random.RandomState(661)
     x_states = [rand_xstate_matrix(rng, real=k % 2 == 0) for k in range(60)]
-    states = np.array(x_states + [_locally_rotated(rng, rho) for rho in x_states[:20]])
+    states = np.array(x_states + [locally_rotated(rng, rho) for rho in x_states[:20]])
     assert [is_x_patterned(rho) for rho in states] == [True] * 60 + [False] * 20
     s_memory, ok = measures.stacked_von_neumann_entropy(stacked_partial_trace(states, "B"))
     assert ok.all()
@@ -258,7 +251,7 @@ def test_holevo_and_dephasing_stacks_equal_one_row_calls():
     columns, good = measures.stacked_holevo(states, bases, s_memory)
     assert len(columns) == 3 and good.all()
     for basis, column in zip(bases, columns):
-        dephased = measures._dephased(states, basis)
+        dephased = measures._branches(states, basis, summed=True)
         [holevo], good = measures.stacked_holevo(states, (basis,), s_memory)
         assert good.all() and np.array_equal(column, holevo)
         for rho, pm, h in zip(states, dephased, holevo):
@@ -706,12 +699,12 @@ def test_only_zero_one_diagonal_bases_dephase_by_mask():
         assert basis.branch_masks is None
 
 
-def test_sigma_z_mask_dephasing_equals_the_projector_sandwich(monkeypatch):
+def test_sigma_z_mask_dephasing_equals_the_projector_sandwich():
     # equal under == (only the sign of an exact zero may differ), with the same rows
     # flagged, on random non-X states, evolved and steered X states and infinite entries
     rng = np.random.RandomState(677)
     x_states = [rand_xstate_matrix(rng, real=k % 2 == 0) for k in range(40)]
-    rotated = [_locally_rotated(rng, rho) for rho in x_states]
+    rotated = [locally_rotated(rng, rho) for rho in x_states]
     evolved = []
     for family in ("AD", "BPF"):
         states, ok = channels._evolve(family, bd_oracle(*rand_bd_coeffs(rng)),
@@ -730,21 +723,20 @@ def test_sigma_z_mask_dephasing_equals_the_projector_sandwich(monkeypatch):
     for masked, reference in zip(measures._branches(finite, z),
                                  measures._branches(finite, sandwich)):
         assert np.array_equal(masked, reference)
-    masked, reference = measures._dephased(finite, z), measures._dephased(finite, sandwich)
+    masked, reference = (measures._branches(finite, b, summed=True) for b in (z, sandwich))
     assert np.array_equal(masked, reference)
     flags = stacked_density_spectra(masked)[1]
     assert np.array_equal(flags, stacked_density_spectra(reference)[1])
     assert flags.tolist() == [True] * 40 + [False] * 40 + [True] * 84
     for rho in finite[::7]:  # one (4, 4) state
-        assert np.array_equal(measures._dephased(rho, z), measures._dephased(rho, sandwich))
-    # the guarded stacked path: 0 * inf, in the sandwich's matmul as in the mask's, raises no
-    # warning (warnings are errors here), and both flag the same rows
-    s_b = bounds.PointQuantities._stack(states).s_b
-    u, good = bounds._stacked_u(states, s_b)
-    monkeypatch.setattr(bounds, "BASES", (bounds.BASES[0], sandwich))
-    ref_u, ref_good = bounds._stacked_u(states, s_b)
-    assert np.array_equal(good, ref_good) and np.array_equal(u[good], ref_u[good])
-    assert good.tolist() == [True] * 40 + [False] * 40 + [True] * 84 + [False] * 2
+        assert np.array_equal(measures._branches(rho, z, summed=True),
+                              measures._branches(rho, sandwich, summed=True))
+    # the guarded stacked u raises no warning on the infinite rows (warnings are errors
+    # here) and flags only them; the non-X rows are flagged by S(AB), the state's own check
+    q = bounds.PointQuantities._stack(states)
+    u, good = bounds._stacked_u(states, q.s_b)
+    assert good.tolist() == [True] * 164 + [False] * 2
+    assert q.ok.tolist() == [True] * 40 + [False] * 40 + [True] * 84 + [False] * 2
     s_memory, ok = measures.stacked_von_neumann_entropy(stacked_partial_trace(states[:-2], "B"))
     assert ok.all()
     [holevo], good = measures.stacked_holevo(states[:-2], (z,), s_memory)
@@ -767,7 +759,7 @@ def test_one_log2_call_gives_each_spectrum_its_own_bits():
                 FIG1, stacked_partial_trace(FIG1, "B"), np.diag([1 - 0.2344, 0.2344]) + 0j]
     matrices += [rand_xstate_matrix(rng, real=k % 2 == 0) for k in range(30)]
     matrices += [stacked_partial_trace(m, "B") for m in matrices[-10:]]
-    spectra = [measures._probabilities(m.tolist()) for m in matrices]
+    spectra = [measures._probabilities(linalg._spectrum(m.tolist())) for m in matrices]
     together = measures._entropies(spectra)
     alone = [measures._entropies([p])[0] for p in spectra]
     assert _float_bits(together) == _float_bits(alone)

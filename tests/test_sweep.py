@@ -497,16 +497,15 @@ def test_shared_correlations_run_once_per_point(monkeypatch):
     _counted(monkeypatch, bounds, ("von_neumann_entropy",
                                    "min_conditional_entropy_over_measurements"), dense)
     _counted(monkeypatch, bounds, ("stacked_von_neumann_entropy", "stacked_holevo",
-                                   "stacked_measurement_minima"), stacked)
+                                   "stacked_measurement_minima", "_stacked_u"), stacked)
     cfg = small_cfg(outputs=("pati", "adabi", "discord", "tightness"), param_points=4)
     run_sweep(cfg)
-    # S(AB), S(A), S(B) once, both bases' dephased joint entropies as one stack (u reads
-    # S(B) as its memory term), both bases' Holevo quantities from one call and the
-    # measurement optimizer on qubit A once
+    # S(AB), S(A), S(B) once, u once from the 2x2 blocks that measuring A leaves (it reads
+    # S(B) as its memory term and takes no entropy stack of its own), both bases' Holevo
+    # quantities from one call and the measurement optimizer on qubit A once
     entropy = ("stacked_von_neumann_entropy", (4, 4, 4))
     memory = ("stacked_von_neumann_entropy", (4, 2, 2))
-    both_bases = [("stacked_von_neumann_entropy", (8, 4, 4))]
-    assert sorted(stacked) == sorted([entropy] + [memory] * 2 + both_bases
+    assert sorted(stacked) == sorted([entropy] + [memory] * 2 + [("_stacked_u", (4, 4, 4), (4,))]
                                      + [("stacked_holevo", (4, 4, 4), bounds.BASES, (4,))]
                                      + [("stacked_measurement_minima", (4, 4, 4), "A")])
     assert dense == []
@@ -520,8 +519,8 @@ def test_shared_correlations_run_once_per_point(monkeypatch):
 
 
 @pytest.mark.parametrize(("output", "expected"), [
-    # S(AB) (the state's check), S(B), then both bases' dephased joint states
-    ("u", [((5, 4, 4),), ((5, 2, 2),), ((10, 4, 4),)]),
+    # S(AB) (the state's check) and S(B); u's own spectra are 2x2 blocks in closed form
+    ("u", [((5, 4, 4),), ((5, 2, 2),)]),
     # S(AB) and S(B), and no S(A)
     ("berta", [((5, 4, 4),), ((5, 2, 2),)]),
 ])
@@ -755,9 +754,10 @@ def test_non_x_rows_take_the_dense_u(monkeypatch):
     h = np.kron(I2, (SX + SZ) / np.sqrt(2.0))  # a Hadamard on the memory qubit
     x_state = bell_diagonal_density(BellDiagonalCoeffs(-0.5, 0.4, 0.8))
     states = np.array([x_state, h @ x_state @ h, x_state])
-    us, ok = bounds._stacked_u(states, PointQuantities._stack(states).s_b)
-    assert us[0] == us[2] == uncertainty_lhs(x_state)
-    assert ok.tolist() == [True, False, True]
+    q = PointQuantities._stack(states)
+    assert q.u[0] == q.u[2] == uncertainty_lhs(x_state)
+    assert q.u[1] == uncertainty_lhs(states[1])  # the blocks hold for any state
+    assert q.ok.tolist() == [True, False, True]  # S(AB)'s X-pattern check flags the row
 
     calls = []
 

@@ -50,8 +50,8 @@ MUTANTS = [
     (
         "bounds._stacked_u subtracts the memory entropy only once",
         PACKAGE + "bounds.py",
-        "return (joint[:n] - s_b) + (joint[n:] - s_b), ok[:n] & ok[n:]",
-        "return joint[:n] + (joint[n:] - s_b), ok[:n] & ok[n:]",
+        "return (jx - s_b) + (jz - s_b), x_ok & z_ok",
+        "return jx + (jz - s_b), x_ok & z_ok",
         ("tests/test_bounds.py::test_uncertainty_lhs_is_the_one_row_stack",),
     ),
     (
@@ -64,16 +64,23 @@ MUTANTS = [
     (
         "bounds.uncertainty_lhs subtracts the memory entropy only once",
         PACKAGE + "bounds.py",
-        "return (jx - memory) + (jz - memory)",
-        "return (jx - memory) + jz",
+        "    return (jx - s_b) + (jz - s_b)\n",
+        "    return (jx - s_b) + jz\n",
         ("tests/test_bounds.py::test_uncertainty_lhs_reads_one_memory_entropy",),
     ),
     (
-        "measures._measured_entropies reads S(A) in place of the memory S(B)",
-        PACKAGE + "measures.py",
-        "e[b][c] + e[2 + b][2 + c] for c in (0, 1)] for b in (0, 1)]",
-        "e[2 * b][2 * c] + e[2 * b + 1][2 * c + 1] for c in (0, 1)] for b in (0, 1)]",
+        "bounds._measured_blocks reads rho_A in place of the memory rho_B",
+        PACKAGE + "bounds.py",
+        "memory = (a + a1, d + d1, r[0][1] + r[2][3])",
+        "memory = (a + d, a1 + d1, r[0][2] + r[1][3])",
         ("tests/test_bounds.py::test_uncertainty_lhs_reads_one_memory_entropy",),
+    ),
+    (
+        "bounds._measured_blocks flips the sign of R01 + R10 in sigma_x's + block",
+        PACKAGE + "bounds.py",
+        "x = [(0.5 * (m0 + c0), 0.5 * (m1 + c1), 0.5 * (m01 + c01)),",
+        "x = [(0.5 * (m0 - c0), 0.5 * (m1 - c1), 0.5 * (m01 - c01)),",
+        ("tests/test_bounds.py::test_u_of_a_non_x_state_is_its_one_row_stack_without_jacobi",),
     ),
     (
         "sigma_z's branch_masks swapped in measures._branches",
